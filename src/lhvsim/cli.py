@@ -34,7 +34,13 @@ import numpy as np
 
 from . import __version__
 from .bloch import State, tsirelson_settings
-from .errors import DomainError, ProtocolViolationError, TransportError, ValidationError
+from .errors import (
+    DomainError,
+    InternalConsistencyError,
+    ProtocolViolationError,
+    TransportError,
+    ValidationError,
+)
 from .protocols import PROTOCOLS, ProtocolId, simulate
 from .sampling import improved_one_bit_threshold, n_of_p
 from .verify import (
@@ -318,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run a protocol and certify it")
     add_run_flags(sp)
     sp.add_argument("--mode", choices=["in-process", "networked"], help="execution mode")
-    sp.add_argument("--workers", type=int, help="parallel workers (in-process mode)")
+    sp.add_argument("--workers", type=int, help="worker threads (in-process mode)")
 
     sp = sub.add_parser("wire-run", help="networked run with transcript audit")
     add_run_flags(sp)
@@ -373,7 +379,7 @@ def main(argv=None) -> int:
     except (ValidationError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ProtocolViolationError, TransportError) as exc:
+    except (ProtocolViolationError, TransportError, InternalConsistencyError) as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1
 

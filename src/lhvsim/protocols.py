@@ -16,7 +16,7 @@ per-round arithmetic is elementwise, which makes a batch run and a
 round-by-round run (the networked mode) produce bit-identical results from
 the same streams.
 
-Stream layout per setting pair k of a run with seed s:
+Stream layout per setting pair k of a run with seed s and n rounds:
 
 * shared randomness comes from stream (s, k, CH_SHARED) in the order
   documented by ``draw_shared``;
@@ -24,12 +24,27 @@ Stream layout per setting pair k of a run with seed s:
   in the order documented by ``draw_alice_private``;
 * Alice's rejection sampler (vector-message protocol only) owns stream
   (s, k, CH_SAMPLER) and is consumed sample by sample.
+
+The layout is that of one n-round draw, but ``simulate`` reads it in chunks
+of ``CHUNK`` rounds.  A chunk of rounds [lo, hi) opens each stream at the
+position where that n-round draw would reach round lo of each block (Philox
+is counter-based, so the jump is free) and reads only its own rows.  The
+envelope sampler of the improved one-bit protocol consumes a data-dependent
+number of candidate blocks; one counting pass over those blocks
+(``sampling.EnvelopeScan``) keeps each block's accept bits, from which a
+chunk finds and builds its own samples.  The vector-message sampler is
+consumed in order, so its chunks run one after another.  Outcomes and
+counts thus equal those of one n-round draw, whatever the chunking or the
+number of workers, and memory is O(CHUNK x workers), not O(n), apart from
+the accept bits: one bit per envelope candidate, under 3 bits per round for
+p <= 0.98.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -37,11 +52,14 @@ import numpy as np
 from .bloch import State, Z_AXIS, check_unit, collapse, dot3, sign_pm, theta
 from .errors import DomainError, InternalConsistencyError, ValidationError
 from .sampling import (
+    EnvelopeScan,
     RhoTildeMaxSampler,
     RhoTildeSampler,
     RngStream,
     _rho_tilde_given,
+    check_bound,
     eval_rho_tilde_max,
+    generator_at,
     make_generator,
     n_of_p,
     improved_one_bit_threshold,
@@ -56,6 +74,8 @@ CH_BOB = 2  # reserved; every protocol here has a deterministic Bob
 CH_SAMPLER = 3
 
 RATIO_GUARD = 1e-12
+# rounds per unit of work in ``simulate``; bounds its memory per worker
+CHUNK = 1 << 16
 TRIT_BITS = float(np.log2(3.0))
 # vector messages are sent as three raw float64 coordinates
 VECTOR_MESSAGE_BITS = 192.0
@@ -163,6 +183,44 @@ class AlicePrivate:
         return AlicePrivate(pick(self.u_msg), pick(self.u_out))
 
 
+class _Whole:
+    """All n rounds of a stream, read in order from one generator."""
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self.rng = rng
+        self.rounds = int(n)
+
+    def block(self, width: int) -> np.random.Generator:
+        return self.rng
+
+    def envelope(self, state: State) -> np.ndarray:
+        return RhoTildeMaxSampler(state, self.rng).draw(self.rounds)
+
+
+class _Chunk:
+    """Rounds [lo, hi) of a stream laid out for n rounds.
+
+    ``block(width)`` opens the stream where the n-round draw reaches round lo
+    of its next block of ``width`` uniforms per round.  ``envelope`` needs
+    the ``EnvelopeScan`` of the stream's envelope draw.
+    """
+
+    def __init__(self, seed: int, path: tuple, n: int, lo: int, hi: int, scan=None):
+        self.seed, self.path, self.n, self.lo = seed, path, n, lo
+        self.rounds = hi - lo
+        self.scan = scan
+        self.start = 0  # stream position where the next block begins
+
+    def block(self, width: int) -> np.random.Generator:
+        rng = generator_at(self.seed, self.path, self.start + self.lo * width)
+        self.start += self.n * width
+        return rng
+
+    def envelope(self, state: State) -> np.ndarray:
+        self.start = self.scan.end
+        return self.scan.samples(self.lo, self.lo + self.rounds)
+
+
 def draw_shared(
     protocol: ProtocolId, state: State, rng: np.random.Generator, n: int
 ) -> SharedDraw:
@@ -173,45 +231,53 @@ def draw_shared(
     improved one-bit protocol draws its bit first because the envelope
     sampler consumes a data-dependent number of values.
     """
-    n = int(n)
+    return _draw_shared(protocol, state, _Whole(rng, n))
+
+
+def _draw_shared(protocol: ProtocolId, state: State, src) -> SharedDraw:
+    n = src.rounds
     if protocol is ProtocolId.ONE_BIT:
         return SharedDraw(
-            lam1=sample_uniform_sphere(rng, n),
-            lam2=sample_theta_hemisphere(rng, Z_AXIS, n),
+            lam1=sample_uniform_sphere(src.block(2), n),
+            lam2=sample_theta_hemisphere(src.block(2), Z_AXIS, n),
         )
     if protocol is ProtocolId.TRIT:
         return SharedDraw(
-            lam1=sample_uniform_sphere(rng, n),
-            lam2=sample_uniform_sphere(rng, n),
-            lam3=sample_theta_hemisphere(rng, Z_AXIS, n),
+            lam1=sample_uniform_sphere(src.block(2), n),
+            lam2=sample_uniform_sphere(src.block(2), n),
+            lam3=sample_theta_hemisphere(src.block(2), Z_AXIS, n),
         )
     if protocol in (ProtocolId.DEGORRE, ProtocolId.TELEPORTATION):
         return SharedDraw(
-            lam1=sample_uniform_sphere(rng, n),
-            lam2=sample_uniform_sphere(rng, n),
+            lam1=sample_uniform_sphere(src.block(2), n),
+            lam2=sample_uniform_sphere(src.block(2), n),
         )
     if protocol is ProtocolId.IMPROVED_ONE_BIT:
         fraction = 0.0 if state.p == 1.0 else n_of_p(state)
-        r = (rng.random(n) < fraction).astype(np.uint8)
+        r = (src.block(1).random(n) < fraction).astype(np.uint8)
         if fraction > 0.0:
-            lam1 = RhoTildeMaxSampler(state, rng).draw(n)
+            lam1 = src.envelope(state)
         else:
             lam1 = np.tile(Z_AXIS, (n, 1))  # never used: r == 0 in every round
-        return SharedDraw(lam1=lam1, lam2=sample_theta_hemisphere(rng, Z_AXIS, n), r=r)
+        return SharedDraw(lam1=lam1, lam2=sample_theta_hemisphere(src.block(2), Z_AXIS, n), r=r)
     if protocol is ProtocolId.LOCAL_CONTENT:
-        lam1 = sample_theta_hemisphere(rng, Z_AXIS, n)
-        r = (rng.random(n) >= state.c).astype(np.uint8)  # P(r=0) = 2p-1
+        lam1 = sample_theta_hemisphere(src.block(2), Z_AXIS, n)
+        r = (src.block(1).random(n) >= state.c).astype(np.uint8)  # P(r=0) = 2p-1
         return SharedDraw(lam1=lam1, r=r)
     raise ValueError(f"unknown protocol {protocol}")
 
 
 def draw_alice_private(protocol: ProtocolId, rng: np.random.Generator, n: int) -> AlicePrivate:
     """Alice's private uniforms: message-decision block first, output block second."""
-    n = int(n)
+    return _draw_alice_private(protocol, _Whole(rng, n))
+
+
+def _draw_alice_private(protocol: ProtocolId, src) -> AlicePrivate:
+    n = src.rounds
     if protocol in (ProtocolId.ONE_BIT, ProtocolId.TRIT, ProtocolId.IMPROVED_ONE_BIT):
-        return AlicePrivate(u_msg=rng.random(n), u_out=rng.random(n))
+        return AlicePrivate(u_msg=src.block(1).random(n), u_out=src.block(1).random(n))
     if protocol in (ProtocolId.TELEPORTATION, ProtocolId.LOCAL_CONTENT):
-        return AlicePrivate(u_out=rng.random(n))
+        return AlicePrivate(u_out=src.block(1).random(n))
     if protocol is ProtocolId.DEGORRE:
         return AlicePrivate()
     raise ValueError(f"unknown protocol {protocol}")
@@ -291,14 +357,13 @@ def alice_decide(
         c = np.where(first, 1, 2).astype(np.uint8)
         lam_c = np.where(first[:, None], shared.lam1, shared.lam2)
         d_c = np.where(first, d1, d2)
+        rt = _rho_tilde_given(state, coll, lam_c)
+        # the pointwise bound rhot_x <= |lam.v| / 2pi, checked with an
+        # absolute tolerance (see sampling.BOUND_ATOL), never on the ratio
+        check_bound(rt * (2.0 * np.pi), d_c, "trit choice density")
         ratio = np.zeros(n)
         pos = d_c > 0.0
-        ratio[pos] = _rho_tilde_given(state, coll, lam_c[pos]) / (d_c[pos] / (2.0 * np.pi))
-        top = float(np.max(ratio, initial=0.0))
-        if top > 1.0 + RATIO_GUARD:
-            raise InternalConsistencyError(
-                f"trit acceptance ratio reached {top}: pointwise bound violated"
-            )
+        ratio[pos] = rt[pos] / (d_c[pos] / (2.0 * np.pi))
         keep = priv.u_msg < np.minimum(ratio, 1.0)
         msg = np.where(keep, c, 3).astype(np.uint8)
         lam = np.where(keep[:, None], lam_c, shared.lam3)
@@ -324,12 +389,9 @@ def alice_decide(
         ratio = np.zeros(n)
         if np.any(talk):
             rt = _rho_tilde_given(state, coll, shared.lam1[talk])
-            ratio[talk] = rt / eval_rho_tilde_max(state, shared.lam1[talk])
-        top = float(np.max(ratio, initial=0.0))
-        if top > 1.0 + RATIO_GUARD:
-            raise InternalConsistencyError(
-                f"improved one-bit acceptance ratio reached {top}: envelope violated"
-            )
+            rmax = eval_rho_tilde_max(state, shared.lam1[talk])
+            check_bound(rt * np.pi, rmax * np.pi, "improved one-bit envelope")
+            ratio[talk] = rt / rmax
         use1 = talk & (priv.u_msg < np.minimum(ratio, 1.0))
         lam = np.where(use1[:, None], shared.lam1, shared.lam2)
         msg = np.where(talk, np.where(use1, 1, 2), 0).astype(np.uint8)
@@ -456,11 +518,20 @@ def run_batch(
     """Run n rounds of one setting pair from explicit streams."""
     shared = draw_shared(protocol, state, shared_rng, n)
     priv = draw_alice_private(protocol, alice_rng, n)
-    sampler = None
-    if protocol is ProtocolId.LOCAL_CONTENT and state.p < 1.0:
-        if sampler_rng is None:
-            raise ValidationError("local-content protocol needs a sampler stream")
-        sampler = RhoTildeSampler(state, x, sampler_rng)
+    sampler = _vector_sampler(protocol, state, x, sampler_rng)
+    return _play(protocol, state, x, y, shared, priv, sampler)
+
+
+def _vector_sampler(protocol, state, x, rng) -> Optional[RhoTildeSampler]:
+    """Alice's sampler for vector messages, on its own stream; None if unused."""
+    if protocol is not ProtocolId.LOCAL_CONTENT or state.p >= 1.0:
+        return None
+    if rng is None:
+        raise ValidationError("local-content protocol needs a sampler stream")
+    return RhoTildeSampler(state, x, rng)
+
+
+def _play(protocol, state, x, y, shared, priv, sampler) -> BatchResult:
     ares = alice_decide(protocol, state, x, shared, priv, sampler)
     b = bob_decide(protocol, y, shared, ares.msg, ares.payload)
     return BatchResult(a=ares.a, b=b, msg=ares.msg, bits=ares.bits, lam=ares.lam)
@@ -643,19 +714,120 @@ class SimulationResult:
         return 1.0 - sum(s.message_rounds for s in self.settings) / n
 
 
-def _simulate_pair(args):
-    (protocol, state, x, y, n, seed, pair_index, keep_outcomes, keep_lambdas) = args
-    res = run_batch(
-        protocol,
-        state,
-        x,
-        y,
-        n,
-        make_generator(seed, pair_index, CH_SHARED),
-        make_generator(seed, pair_index, CH_ALICE),
-        make_generator(seed, pair_index, CH_SAMPLER),
+def _merge(parts: list) -> SettingResult:
+    """One pair's chunk results, in chunk order, as one result."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def joined(name):
+        seqs = [getattr(part, name) for part in parts]
+        return None if seqs[0] is None else np.concatenate(seqs)
+
+    return SettingResult(
+        x=parts[0].x,
+        y=parts[0].y,
+        rounds=sum(part.rounds for part in parts),
+        counts=sum(part.counts for part in parts),
+        bits_sum=sum(part.bits_sum for part in parts),
+        bits_sq_sum=sum(part.bits_sq_sum for part in parts),
+        worst_bits=max(part.worst_bits for part in parts),
+        message_rounds=sum(part.message_rounds for part in parts),
+        symbol_counts=sum(part.symbol_counts for part in parts),
+        a_seq=joined("a_seq"),
+        b_seq=joined("b_seq"),
+        msg_seq=joined("msg_seq"),
+        bits_seq=joined("bits_seq"),
+        lam_seq=joined("lam_seq"),
     )
-    return pair_index, _aggregate(protocol, x, y, res, keep_outcomes, keep_lambdas)
+
+
+def _chunks(n: int) -> list:
+    return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
+
+
+@dataclass(frozen=True)
+class _PairRun:
+    """Setting pair ``index`` of a ``simulate`` call and its units of work."""
+
+    protocol: ProtocolId
+    state: State
+    x: np.ndarray
+    y: np.ndarray
+    n: int
+    seed: int
+    index: int
+    keep_outcomes: bool
+    keep_lambdas: bool
+
+    def _aggregate(self, res: BatchResult) -> SettingResult:
+        return _aggregate(
+            self.protocol, self.x, self.y, res, self.keep_outcomes, self.keep_lambdas
+        )
+
+    def whole(self) -> SettingResult:
+        """All rounds in one ``run_batch`` call (pairs of at most one chunk)."""
+        k = self.index
+        streams = [make_generator(self.seed, k, ch) for ch in (CH_SHARED, CH_ALICE, CH_SAMPLER)]
+        return self._aggregate(
+            run_batch(self.protocol, self.state, self.x, self.y, self.n, *streams)
+        )
+
+    def chunk(self, lo: int, hi: int, envelope=None, sampler=None) -> SettingResult:
+        """Rounds [lo, hi), read from their positions in the n-round streams."""
+        shared = _Chunk(self.seed, (self.index, CH_SHARED), self.n, lo, hi, envelope)
+        priv = _Chunk(self.seed, (self.index, CH_ALICE), self.n, lo, hi)
+        return self._aggregate(
+            _play(
+                self.protocol,
+                self.state,
+                self.x,
+                self.y,
+                _draw_shared(self.protocol, self.state, shared),
+                _draw_alice_private(self.protocol, priv),
+                sampler,
+            )
+        )
+
+    def in_order(self) -> SettingResult:
+        """Every chunk in turn, with one vector sampler carried across them."""
+        rng = make_generator(self.seed, self.index, CH_SAMPLER)
+        sampler = _vector_sampler(self.protocol, self.state, self.x, rng)
+        return _merge([self.chunk(lo, hi, sampler=sampler) for lo, hi in _chunks(self.n)])
+
+    def envelope_scan(self) -> EnvelopeScan:
+        """The counting pass over the envelope's candidate blocks.
+
+        They follow the n shared-bit uniforms that ``draw_shared`` reads first.
+        """
+        return EnvelopeScan(self.state, self.seed, (self.index, CH_SHARED), self.n, self.n)
+
+    @property
+    def unit_count(self) -> int:
+        if self.n <= CHUNK or self.protocol is ProtocolId.LOCAL_CONTENT:
+            return 1
+        return len(_chunks(self.n))
+
+
+def _run_pairs(runs: list, map_fn) -> list:
+    """Every pair's units through ``map_fn``, summed per pair in chunk order."""
+    counting = [
+        run
+        for run in runs
+        if run.unit_count > 1 and run.protocol is ProtocolId.IMPROVED_ONE_BIT and run.state.p < 1.0
+    ]
+    scans = map_fn(_PairRun.envelope_scan, counting)
+    envelopes = dict(zip([run.index for run in counting], scans))
+    units = []  # (pair index, unit), in pair order, then chunk order
+    for k, run in enumerate(runs):
+        if run.unit_count == 1:
+            units.append((k, run.whole if run.n <= CHUNK else run.in_order))
+        else:
+            env = envelopes.get(run.index)
+            units.extend((k, partial(run.chunk, lo, hi, env)) for lo, hi in _chunks(run.n))
+    parts = [[] for _ in runs]
+    for (k, _), part in zip(units, map_fn(lambda unit: unit[1](), units)):
+        parts[k].append(part)
+    return [_merge(p) for p in parts]
 
 
 def simulate(
@@ -670,8 +842,10 @@ def simulate(
 ) -> SimulationResult:
     """Run ``rounds_per_setting`` rounds for every (x, y) pair in ``settings``.
 
-    Setting pair k draws from streams (seed, k, channel), so results are
-    independent of worker count and of the order pairs are executed in.
+    Setting pair k draws from streams (seed, k, channel), and a pair of more
+    than ``CHUNK`` rounds runs in chunks read from their positions in those
+    streams, so results are independent of worker count and of the order
+    chunks are executed in.  ``workers`` threads run the chunks of all pairs.
     """
     check_applicable(protocol, state)
     pairs = [(check_unit(x, "x"), check_unit(y, "y")) for x, y in settings]
@@ -679,35 +853,19 @@ def simulate(
     if n < 0:
         raise ValidationError("rounds_per_setting must be >= 0")
     out = SimulationResult(protocol, state, n, int(seed))
-    if n == 0:
-        for x, y in pairs:
-            out.settings.append(
-                SettingResult(
-                    x=x,
-                    y=y,
-                    rounds=0,
-                    counts=np.zeros((2, 2), dtype=np.int64),
-                    bits_sum=0.0,
-                    bits_sq_sum=0.0,
-                    worst_bits=0.0,
-                    message_rounds=0,
-                    symbol_counts=np.zeros(PROTOCOLS[protocol].alphabet_size + 1, dtype=np.int64),
-                )
-            )
-        return out
-
-    jobs = [
-        (protocol, state, x, y, n, int(seed), k, keep_outcomes, keep_lambdas)
+    runs = [
+        _PairRun(protocol, state, x, y, n, int(seed), k, keep_outcomes, keep_lambdas)
         for k, (x, y) in enumerate(pairs)
     ]
-    if workers and workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if workers and workers > 1 and sum(run.unit_count for run in runs) > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-        results = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for k, setting in pool.map(_simulate_pair, jobs):
-                results[k] = setting
-        out.settings = [results[k] for k in range(len(jobs))]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            try:
+                out.settings = _run_pairs(runs, pool.map)
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
-        out.settings = [_simulate_pair(job)[1] for job in jobs]
+        out.settings = _run_pairs(runs, map)
     return out

@@ -65,6 +65,21 @@ class TestSimulate:
         assert abs(report["chsh"]["value"] - 2.828) < 0.03
         assert "CHSH" in capsys.readouterr().out
 
+    def test_internal_consistency_error_aborts_cleanly(self, tmp_path, monkeypatch, capsys):
+        import lhvsim.cli as cli
+        from lhvsim.errors import InternalConsistencyError
+
+        def broken(*args, **kwargs):
+            raise InternalConsistencyError("bound violated")
+
+        monkeypatch.setattr(cli, "simulate", broken)
+        code = run_cli(
+            "simulate", "--protocol", "trit", "--p", "0.7", "--rounds", "100",
+            "--out-dir", str(tmp_path / "run"),
+        )
+        assert code == 1
+        assert "run aborted: bound violated" in capsys.readouterr().err
+
     def test_too_strict_tolerance_fails(self, tmp_path):
         code = run_cli(
             "simulate", "--protocol", "trit", "--p", "0.7", "--rounds", "5000",

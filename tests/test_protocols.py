@@ -11,10 +11,15 @@ import pytest
 from lhvsim.bloch import State, X_AXIS, Z_AXIS, born_joint, collapse, dot3
 from lhvsim.errors import DomainError, InternalConsistencyError
 from lhvsim.protocols import (
+    CH_ALICE,
+    CH_SAMPLER,
+    CH_SHARED,
+    CHUNK,
     PROTOCOLS,
     ProtocolId,
     TRIT_BITS,
     VECTOR_MESSAGE_BITS,
+    _aggregate,
     alice_output_weight,
     bob_output,
     check_applicable,
@@ -25,6 +30,7 @@ from lhvsim.protocols import (
     run_protocol4_round,
     run_protocol5_round,
     run_protocol6_round,
+    run_batch,
     simulate,
 )
 from lhvsim.sampling import (
@@ -33,7 +39,21 @@ from lhvsim.sampling import (
     n_of_p,
     sample_uniform_sphere,
 )
-from lhvsim.verify import EmpiricalTable, tvd
+from lhvsim.verify import EmpiricalTable, default_setting_pairs, tvd
+
+
+# every protocol, and the two whose shared draw changes shape at p = 1
+CASES = [
+    (ProtocolId.ONE_BIT, 0.95),
+    (ProtocolId.TRIT, 0.7),
+    (ProtocolId.DEGORRE, 0.5),
+    (ProtocolId.TELEPORTATION, 0.7),
+    (ProtocolId.IMPROVED_ONE_BIT, 0.9),
+    (ProtocolId.IMPROVED_ONE_BIT, 1.0),
+    (ProtocolId.LOCAL_CONTENT, 0.7),
+    (ProtocolId.LOCAL_CONTENT, 1.0),
+]
+CASE_IDS = [f"{pid.value}-p{p}" for pid, p in CASES]
 
 
 def random_unit(rng):
@@ -316,6 +336,14 @@ class TestSimulate:
         assert res.mean_bits == 0.0
         assert res.settings[0].counts.sum() == 0
 
+    @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
+    def test_run_batch_of_zero_rounds_is_empty(self, pid, p):
+        streams = [make_generator(25, 0, ch) for ch in (CH_SHARED, CH_ALICE, CH_SAMPLER)]
+        res = run_batch(pid, State(p), X_AXIS, Z_AXIS, 0, *streams)
+        for seq in (res.a, res.b, res.msg, res.bits):
+            assert seq.shape == (0,)
+        assert res.lam.shape == (0, 3)
+
     def test_rejects_inapplicable_p(self):
         with pytest.raises(DomainError, match="<= p <= 1"):
             simulate(ProtocolId.ONE_BIT, State(0.6), [(X_AXIS, Z_AXIS)], 10, seed=22)
@@ -411,3 +439,52 @@ class TestSingleRoundApi:
             run_protocol3_round(RngStream(34), State(0.7), X_AXIS, Z_AXIS)
         with pytest.raises(DomainError):
             run_protocol5_round(RngStream(35), State(0.7), X_AXIS, Z_AXIS)
+
+
+class TestChunking:
+    """Chunked runs read the n-round streams in pieces and must equal one draw."""
+
+    N = 2 * CHUNK + 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
+    def test_equals_whole_array_run(self, pid, p, workers):
+        pairs = default_setting_pairs(2)
+        res = simulate(
+            pid, State(p), pairs, self.N, seed=40, workers=workers,
+            keep_outcomes=True, keep_lambdas=True,
+        )
+        for k, (x, y) in enumerate(pairs):
+            streams = [make_generator(40, k, ch) for ch in (CH_SHARED, CH_ALICE, CH_SAMPLER)]
+            batch = run_batch(pid, State(p), x, y, self.N, *streams)
+            want = _aggregate(pid, x, y, batch, True, True)
+            got = res.settings[k]
+            assert got.rounds == want.rounds == self.N
+            assert got.message_rounds == want.message_rounds
+            assert got.worst_bits == want.worst_bits
+            assert got.bits_sum == pytest.approx(want.bits_sum, rel=1e-14)
+            for name in ("counts", "symbol_counts", "a_seq", "b_seq", "msg_seq",
+                         "bits_seq", "lam_seq"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_trit_memory_is_bounded(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            simulate(ProtocolId.TRIT, State(0.7), default_setting_pairs(1), 10**6, seed=41)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 10^6-round draw held about 200 MiB; one chunk holds about 14 MiB
+        assert peak < 32 * 2**20
+
+    def test_trit_guard_regression(self):
+        # at x_z = 0 the trit bound is tight where |lam.v| -> 0; a ratio test
+        # with slack 1e-12 raised here at round 756533, where |lam.v| = 2.5e-4
+        res = simulate(
+            ProtocolId.TRIT, State(0.7), default_setting_pairs(1), 4_000_000, seed=1,
+            workers=2,
+        )
+        assert res.total_rounds == 4_000_000
+        assert max_tvd(res) < 0.003

@@ -12,16 +12,20 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from lhvsim.bloch import State, Z_AXIS, collapse, dot3, sign_pm, theta
-from lhvsim.errors import DomainError
+from lhvsim.errors import DomainError, InternalConsistencyError
 from lhvsim.sampling import (
+    BOUND_ATOL,
+    EnvelopeScan,
     RhoTildeMaxSampler,
     RhoTildeSampler,
     RngStream,
+    check_bound,
     degorre_choice,
     eval_rho,
     eval_rho_tilde,
     eval_rho_tilde_max,
     improved_one_bit_threshold,
+    generator_at,
     make_generator,
     n_of_p,
     n_of_p_quadrature,
@@ -285,6 +289,61 @@ class TestRhoTildeMaxSampler:
         s = RhoTildeMaxSampler(State(0.9), make_generator(24, 0))
         b = np.concatenate([s.draw(k) for k in cuts])
         assert np.array_equal(a, b)
+
+
+    @pytest.mark.parametrize("p", [0.6, 0.9, 0.99])
+    def test_envelope_scan_matches_draw(self, p):
+        n = 50_000
+        scan = EnvelopeScan(State(p), 26, (0,), 5, n)
+        rng = make_generator(26, 0)
+        rng.random(5)
+        s = RhoTildeMaxSampler(State(p), rng)
+        whole = s.draw(n)
+        assert len(scan.counts) * s.block == s.proposed  # the same blocks are scanned
+        assert scan.counts[-1] == s.accepted
+        assert scan.counts[-2] < n <= scan.counts[-1]
+        assert scan.end == 5 + 3 * s.proposed
+        cuts = [0, 1, 4000, int(scan.counts[0]), int(scan.counts[0]) + 1, 33_333, n - 1, n]
+        for lo in cuts:
+            for hi in cuts:
+                if lo <= hi:
+                    assert np.array_equal(scan.samples(lo, hi), whole[lo:hi]), (lo, hi)
+        with pytest.raises(ValueError):
+            scan.samples(0, n + 1)
+
+    def test_envelope_scan_of_zero_samples(self):
+        scan = EnvelopeScan(State(0.9), 26, (0,), 5, 0)
+        assert scan.end == 5
+        assert scan.samples(0, 0).shape == (0, 3)
+
+    def test_draw_zero(self):
+        assert RhoTildeMaxSampler(State(0.9), make_generator(27, 0)).draw(0).shape == (0, 3)
+
+
+class TestPositionedStreams:
+    def test_generator_at_reads_from_offset(self):
+        ref = make_generator(28, 3, 1).random(40)
+        for offset in range(20):
+            got = generator_at(28, (3, 1), offset).random(20)
+            assert np.array_equal(got, ref[offset : offset + 20])
+
+
+class TestCheckBound:
+    def test_rounding_excess_passes_where_the_bound_is_small(self):
+        # eight roundoffs above a 1e-4 bound: a ratio test with slack 1e-12
+        # would raise, the absolute test must not
+        bound = np.array([1e-4, 0.5])
+        value = bound + 8.0 * np.finfo(float).eps
+        assert value[0] / bound[0] > 1.0 + 1e-12
+        check_bound(value, bound, "rounding")
+
+    def test_real_violation_raises(self):
+        bound = np.array([1e-4, 0.5])
+        with pytest.raises(InternalConsistencyError, match="exceeded"):
+            check_bound(bound + 4.0 * BOUND_ATOL, bound, "violation")
+
+    def test_empty_passes(self):
+        check_bound(np.zeros(0), np.zeros(0), "empty")
 
 
 class TestRhoTildeSampler:
