@@ -142,9 +142,6 @@ class JointDistribution:
     def marginal_a(self, a: int) -> float:
         return float(self.probs[self.index(a), :].sum())
 
-    def marginal_b(self, b: int) -> float:
-        return float(self.probs[:, self.index(b)].sum())
-
     def validate(self, tol: float = 1e-12) -> "JointDistribution":
         if np.any(self.probs < -tol):
             raise ValidationError(f"negative probability in joint distribution: {self.probs}")

@@ -223,17 +223,17 @@ def cmd_sweep(cfg: SweepConfig) -> int:
     threshold = improved_one_bit_threshold()
     pair = default_setting_pairs(1)
     lines = ["p,protocol,alphabet,mean_bits,stderr,N_of_p"]
-    rows = []
     p = cfg.p_start
     while p <= cfg.p_stop + 1e-12:
         p = min(round(p, 12), 1.0)
-        if p > 0.5 and n_of_p(p) <= 1.0:
-            pid = ProtocolId.IMPROVED_ONE_BIT
-        else:
+        # the one-bit-on-average protocol wherever it applies (N(p) <= 1)
+        pid = ProtocolId.IMPROVED_ONE_BIT
+        if not PROTOCOLS[pid].applies(p):
             pid = ProtocolId.TRIT
-        sim = simulate(pid, State(p), pair, int(cfg.rounds), int(cfg.seed))
+        sim = simulate(
+            pid, State(p), pair, int(cfg.rounds), int(cfg.seed), workers=os.cpu_count() or 1
+        )
         n_val = n_of_p(p) if p > 0.5 else float("nan")
-        rows.append((p, pid, sim))
         lines.append(
             ",".join(
                 [
@@ -249,7 +249,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
         p += cfg.p_step
     meta = f"# seed={cfg.seed} rounds={cfg.rounds} threshold={threshold!r} version={__version__} config_hash={_config_hash(asdict(cfg))}\n"
     _write(Path(cfg.out), meta + "\n".join(lines) + "\n")
-    print(f"{len(rows)} points written to {cfg.out}")
+    print(f"{len(lines) - 1} points written to {cfg.out}")
     return 0
 
 

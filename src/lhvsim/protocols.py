@@ -10,6 +10,12 @@ Every protocol follows the same round shape:
 3. Bob, knowing his setting y and the message, uses the agreed vector lam
    and outputs b = sgn(y . lam).
 
+Each protocol is one ``PROTOCOLS`` entry, a ``ProtocolInfo`` holding its
+domain in p, its shared and private layouts, its alphabet with the cost of
+each symbol, and Alice's and Bob's rules.  The drawing, decision and
+accounting code here and the wire mode read that entry and never branch on
+the protocol, so the two cannot drift apart.
+
 Alice and Bob are separate evaluators: ``alice_decide`` never receives y and
 ``bob_decide`` never receives x, so no-cross-talk is structural.  All
 per-round arithmetic is elementwise, which makes a batch run and a
@@ -18,10 +24,10 @@ the same streams.
 
 Stream layout per setting pair k of a run with seed s and n rounds:
 
-* shared randomness comes from stream (s, k, CH_SHARED) in the order
-  documented by ``draw_shared``;
+* shared randomness comes from stream (s, k, CH_SHARED), one block per
+  field of the protocol's shared layout, in its order;
 * Alice's private coins come from (s, k, CH_ALICE), whole arrays per block
-  in the order documented by ``draw_alice_private``;
+  in the order of the protocol's private layout;
 * Alice's rejection sampler (vector-message protocol only) owns stream
   (s, k, CH_SAMPLER) and is consumed sample by sample.
 
@@ -43,9 +49,9 @@ p <= 0.98.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,7 +68,6 @@ from .sampling import (
     generator_at,
     make_generator,
     n_of_p,
-    improved_one_bit_threshold,
     one_bit_threshold,
     sample_theta_hemisphere,
     sample_uniform_sphere,
@@ -70,7 +75,6 @@ from .sampling import (
 
 CH_SHARED = 0
 CH_ALICE = 1
-CH_BOB = 2  # reserved; every protocol here has a deterministic Bob
 CH_SAMPLER = 3
 
 RATIO_GUARD = 1e-12
@@ -90,65 +94,6 @@ class ProtocolId(enum.Enum):
     LOCAL_CONTENT = "local-content"
 
 
-@dataclass(frozen=True)
-class ProtocolInfo:
-    """Declared alphabet and applicability of one protocol."""
-
-    id: ProtocolId
-    alphabet_size: int
-    bits_per_message: float
-    p_range: str
-    silent_rounds: bool  # may legitimately send nothing in some rounds
-    vector_message: bool = False
-    unbounded_channel: bool = False
-
-
-PROTOCOLS = {
-    ProtocolId.ONE_BIT: ProtocolInfo(
-        ProtocolId.ONE_BIT, 2, 1.0, "1/2 + sqrt(3)/4 <= p <= 1 (>= 0.9330127)", False
-    ),
-    ProtocolId.TRIT: ProtocolInfo(ProtocolId.TRIT, 3, TRIT_BITS, "1/2 <= p <= 1", False),
-    ProtocolId.DEGORRE: ProtocolInfo(ProtocolId.DEGORRE, 2, 1.0, "p = 1/2", False),
-    ProtocolId.TELEPORTATION: ProtocolInfo(
-        ProtocolId.TELEPORTATION, 4, 2.0, "1/2 <= p <= 1", False
-    ),
-    ProtocolId.IMPROVED_ONE_BIT: ProtocolInfo(
-        ProtocolId.IMPROVED_ONE_BIT, 2, 1.0, "n_of_p(p) <= 1 (>= 0.8342618)", True
-    ),
-    ProtocolId.LOCAL_CONTENT: ProtocolInfo(
-        ProtocolId.LOCAL_CONTENT,
-        1,
-        VECTOR_MESSAGE_BITS,
-        "1/2 <= p <= 1",
-        True,
-        vector_message=True,
-        unbounded_channel=True,
-    ),
-}
-
-
-def check_applicable(protocol: ProtocolId, state: State) -> None:
-    """Raise DomainError (naming the valid range) if the state is out of range."""
-    p = state.p
-    if protocol is ProtocolId.ONE_BIT:
-        thr = one_bit_threshold()
-        if p < thr - 1e-12:
-            raise DomainError(
-                f"protocol '{protocol.value}' requires {thr:.10f} <= p <= 1, got p={p}"
-            )
-    elif protocol is ProtocolId.DEGORRE:
-        if abs(p - 0.5) > 1e-12:
-            raise DomainError(f"protocol '{protocol.value}' is defined only at p = 1/2, got p={p}")
-    elif protocol is ProtocolId.IMPROVED_ONE_BIT:
-        if p <= 0.5 or (p < 1.0 and n_of_p(p) > 1.0 + 1e-12):
-            thr = improved_one_bit_threshold()
-            raise DomainError(
-                f"protocol '{protocol.value}' requires n_of_p(p) <= 1, "
-                f"i.e. {thr:.10f} <= p <= 1, got p={p}"
-            )
-    # TRIT, TELEPORTATION, LOCAL_CONTENT cover all of [1/2, 1]
-
-
 # ---------------------------------------------------------------------------
 # shared randomness and private coins
 
@@ -165,10 +110,6 @@ class SharedDraw:
     @property
     def rounds(self) -> int:
         return self.lam1.shape[0]
-
-    def row(self, i: int) -> "SharedDraw":
-        pick = lambda a: None if a is None else a[i : i + 1]
-        return SharedDraw(self.lam1[i : i + 1], pick(self.lam2), pick(self.lam3), pick(self.r))
 
 
 @dataclass
@@ -221,50 +162,46 @@ class _Chunk:
         return self.scan.samples(self.lo, self.lo + self.rounds)
 
 
+# The laws of the shared layouts.  Each reads its own blocks from ``src``
+# (a ``_Whole`` or a ``_Chunk``), one bulk call per block.
+
+
+def _uniform(state: State, src) -> np.ndarray:
+    return sample_uniform_sphere(src.block(2), src.rounds)
+
+
+def _hemisphere(state: State, src) -> np.ndarray:
+    return sample_theta_hemisphere(src.block(2), Z_AXIS, src.rounds)
+
+
+def _envelope(state: State, src) -> np.ndarray:
+    if state.p < 1.0:
+        return src.envelope(state)
+    return np.tile(Z_AXIS, (src.rounds, 1))  # never used: r == 0 in every round
+
+
+def _bit_below_n_of_p(state: State, src) -> np.ndarray:
+    fraction = 0.0 if state.p == 1.0 else n_of_p(state)
+    return (src.block(1).random(src.rounds) < fraction).astype(np.uint8)
+
+
+def _bit_above_c(state: State, src) -> np.ndarray:
+    return (src.block(1).random(src.rounds) >= state.c).astype(np.uint8)  # P(r=0) = 2p-1
+
+
 def draw_shared(
     protocol: ProtocolId, state: State, rng: np.random.Generator, n: int
 ) -> SharedDraw:
     """Draw the shared randomness block for ``n`` rounds.
 
-    Draw order (fixed; the wire referee relies on it): the lam blocks in
-    index order, each as one bulk call, then the shared-bit uniforms.  The
-    improved one-bit protocol draws its bit first because the envelope
-    sampler consumes a data-dependent number of values.
+    Draw order (fixed; the wire referee relies on it) is the protocol's
+    shared layout: one bulk call per field.
     """
     return _draw_shared(protocol, state, _Whole(rng, n))
 
 
 def _draw_shared(protocol: ProtocolId, state: State, src) -> SharedDraw:
-    n = src.rounds
-    if protocol is ProtocolId.ONE_BIT:
-        return SharedDraw(
-            lam1=sample_uniform_sphere(src.block(2), n),
-            lam2=sample_theta_hemisphere(src.block(2), Z_AXIS, n),
-        )
-    if protocol is ProtocolId.TRIT:
-        return SharedDraw(
-            lam1=sample_uniform_sphere(src.block(2), n),
-            lam2=sample_uniform_sphere(src.block(2), n),
-            lam3=sample_theta_hemisphere(src.block(2), Z_AXIS, n),
-        )
-    if protocol in (ProtocolId.DEGORRE, ProtocolId.TELEPORTATION):
-        return SharedDraw(
-            lam1=sample_uniform_sphere(src.block(2), n),
-            lam2=sample_uniform_sphere(src.block(2), n),
-        )
-    if protocol is ProtocolId.IMPROVED_ONE_BIT:
-        fraction = 0.0 if state.p == 1.0 else n_of_p(state)
-        r = (src.block(1).random(n) < fraction).astype(np.uint8)
-        if fraction > 0.0:
-            lam1 = src.envelope(state)
-        else:
-            lam1 = np.tile(Z_AXIS, (n, 1))  # never used: r == 0 in every round
-        return SharedDraw(lam1=lam1, lam2=sample_theta_hemisphere(src.block(2), Z_AXIS, n), r=r)
-    if protocol is ProtocolId.LOCAL_CONTENT:
-        lam1 = sample_theta_hemisphere(src.block(2), Z_AXIS, n)
-        r = (src.block(1).random(n) >= state.c).astype(np.uint8)  # P(r=0) = 2p-1
-        return SharedDraw(lam1=lam1, r=r)
-    raise ValueError(f"unknown protocol {protocol}")
+    return SharedDraw(**{name: law(state, src) for name, law in PROTOCOLS[protocol].shared})
 
 
 def draw_alice_private(protocol: ProtocolId, rng: np.random.Generator, n: int) -> AlicePrivate:
@@ -273,14 +210,8 @@ def draw_alice_private(protocol: ProtocolId, rng: np.random.Generator, n: int) -
 
 
 def _draw_alice_private(protocol: ProtocolId, src) -> AlicePrivate:
-    n = src.rounds
-    if protocol in (ProtocolId.ONE_BIT, ProtocolId.TRIT, ProtocolId.IMPROVED_ONE_BIT):
-        return AlicePrivate(u_msg=src.block(1).random(n), u_out=src.block(1).random(n))
-    if protocol in (ProtocolId.TELEPORTATION, ProtocolId.LOCAL_CONTENT):
-        return AlicePrivate(u_out=src.block(1).random(n))
-    if protocol is ProtocolId.DEGORRE:
-        return AlicePrivate()
-    raise ValueError(f"unknown protocol {protocol}")
+    blocks = PROTOCOLS[protocol].private
+    return AlicePrivate(**{name: src.block(1).random(src.rounds) for name in blocks})
 
 
 # ---------------------------------------------------------------------------
@@ -305,120 +236,93 @@ def alice_output_weight(state: State, x: np.ndarray, lam) -> np.ndarray:
     H(lam . v_plus).  Raises if rho_x(lam) = 0, which no correct sampling
     step can produce.
     """
-    x = check_unit(x, "x")
     lam = np.asarray(lam, dtype=float)
     return _weight_given(collapse(state, x), lam)
 
 
-@dataclass
-class AliceResult:
-    a: np.ndarray  # int8, +-1
-    msg: np.ndarray  # uint8 symbol in {1..d}; 0 = no message this round
-    bits: np.ndarray  # float64 bits charged per round
-    lam: np.ndarray  # the vector Alice committed to (for diagnostics)
-    payload: Optional[np.ndarray] = None  # vector messages, in msg!=0 row order
+def _output(coll, lam: np.ndarray, priv: AlicePrivate) -> np.ndarray:
+    """Alice's a for the committed lam: +1 with probability rho's +1 share."""
+    return np.where(priv.u_out < _weight_given(coll, lam), 1, -1).astype(np.int8)
 
 
-def alice_decide(
-    protocol: ProtocolId,
-    state: State,
-    x: np.ndarray,
-    shared: SharedDraw,
-    priv: AlicePrivate,
-    sampler: Optional[RhoTildeSampler] = None,
-    coll=None,
-) -> AliceResult:
-    """Alice's whole round: commit to a vector, message Bob, output a.
+# Alice's rules: (state, collapse(state, x), shared, private, sampler) ->
+# (a, msg, lam, payload).  msg is a uint8 symbol, 0 for a silent round.
 
-    ``coll`` may carry a precomputed ``collapse(state, x)`` so round-by-round
-    callers do not redo it; the computation is identical either way.
-    """
-    n = shared.rounds
-    if coll is None:
-        coll = collapse(state, x)  # validates x
 
-    if protocol is ProtocolId.ONE_BIT:
-        accept = (4.0 * np.pi) * _rho_tilde_given(state, coll, shared.lam1)
-        top = float(np.max(accept, initial=0.0))
-        if top > 1.0 + RATIO_GUARD:
-            raise DomainError(
-                f"one-bit acceptance probability reached {top}: p is below the threshold"
-            )
-        use1 = priv.u_msg < np.minimum(accept, 1.0)
-        lam = np.where(use1[:, None], shared.lam1, shared.lam2)
-        msg = np.where(use1, 1, 2).astype(np.uint8)
-        bits = np.ones(n)
+def _alice_one_bit(state, coll, shared, priv, sampler):
+    accept = (4.0 * np.pi) * _rho_tilde_given(state, coll, shared.lam1)
+    top = float(np.max(accept, initial=0.0))
+    if top > 1.0 + RATIO_GUARD:
+        raise DomainError(
+            f"one-bit acceptance probability reached {top}: p is below the threshold"
+        )
+    use1 = priv.u_msg < np.minimum(accept, 1.0)
+    msg = np.where(use1, 1, 2).astype(np.uint8)
+    lam = np.where(use1[:, None], shared.lam1, shared.lam2)
+    return _output(coll, lam, priv), msg, lam, None
 
-    elif protocol is ProtocolId.TRIT:
-        v = coll.v_plus if coll.p_plus <= 0.5 else coll.v_minus
-        d1 = np.abs(dot3(shared.lam1, v))
-        d2 = np.abs(dot3(shared.lam2, v))
-        first = d1 >= d2
-        c = np.where(first, 1, 2).astype(np.uint8)
-        lam_c = np.where(first[:, None], shared.lam1, shared.lam2)
-        d_c = np.where(first, d1, d2)
-        rt = _rho_tilde_given(state, coll, lam_c)
-        # the pointwise bound rhot_x <= |lam.v| / 2pi, checked with an
-        # absolute tolerance (see sampling.BOUND_ATOL), never on the ratio
-        check_bound(rt * (2.0 * np.pi), d_c, "trit choice density")
-        ratio = np.zeros(n)
-        pos = d_c > 0.0
-        ratio[pos] = rt[pos] / (d_c[pos] / (2.0 * np.pi))
-        keep = priv.u_msg < np.minimum(ratio, 1.0)
-        msg = np.where(keep, c, 3).astype(np.uint8)
-        lam = np.where(keep[:, None], lam_c, shared.lam3)
-        bits = np.full(n, TRIT_BITS)
 
-    elif protocol is ProtocolId.DEGORRE:
-        v = coll.v_plus
-        first = np.abs(dot3(shared.lam1, v)) >= np.abs(dot3(shared.lam2, v))
-        msg = np.where(first, 1, 2).astype(np.uint8)
-        lam = np.where(first[:, None], shared.lam1, shared.lam2)
-        a = sign_pm(dot3(lam, v))
-        return AliceResult(a=a, msg=msg, bits=np.ones(n), lam=lam)
+def _alice_trit(state, coll, shared, priv, sampler):
+    v = coll.v_plus if coll.p_plus <= 0.5 else coll.v_minus
+    d1 = np.abs(dot3(shared.lam1, v))
+    d2 = np.abs(dot3(shared.lam2, v))
+    first = d1 >= d2
+    c = np.where(first, 1, 2).astype(np.uint8)
+    lam_c = np.where(first[:, None], shared.lam1, shared.lam2)
+    d_c = np.where(first, d1, d2)
+    rt = _rho_tilde_given(state, coll, lam_c)
+    # the pointwise bound rhot_x <= |lam.v| / 2pi, checked with an
+    # absolute tolerance (see sampling.BOUND_ATOL), never on the ratio
+    check_bound(rt * (2.0 * np.pi), d_c, "trit choice density")
+    ratio = np.zeros(shared.rounds)
+    pos = d_c > 0.0
+    ratio[pos] = rt[pos] / (d_c[pos] / (2.0 * np.pi))
+    keep = priv.u_msg < np.minimum(ratio, 1.0)
+    msg = np.where(keep, c, 3).astype(np.uint8)
+    lam = np.where(keep[:, None], lam_c, shared.lam3)
+    return _output(coll, lam, priv), msg, lam, None
 
-    elif protocol is ProtocolId.TELEPORTATION:
-        a = np.where(priv.u_out < coll.p_plus, 1, -1).astype(np.int8)
-        v = np.where((a == 1)[:, None], coll.v_plus[None, :], coll.v_minus[None, :])
-        c1, c2, lam = _choice_and_flip(shared.lam1, shared.lam2, v)
-        msg = (2 * (c1 - 1) + (c2 == -1) + 1).astype(np.uint8)
-        return AliceResult(a=a, msg=msg, bits=np.full(n, 2.0), lam=lam)
 
-    elif protocol is ProtocolId.IMPROVED_ONE_BIT:
-        talk = shared.r == 1
-        ratio = np.zeros(n)
-        if np.any(talk):
-            rt = _rho_tilde_given(state, coll, shared.lam1[talk])
-            rmax = eval_rho_tilde_max(state, shared.lam1[talk])
-            check_bound(rt * np.pi, rmax * np.pi, "improved one-bit envelope")
-            ratio[talk] = rt / rmax
-        use1 = talk & (priv.u_msg < np.minimum(ratio, 1.0))
-        lam = np.where(use1[:, None], shared.lam1, shared.lam2)
-        msg = np.where(talk, np.where(use1, 1, 2), 0).astype(np.uint8)
-        bits = talk.astype(float)
+def _alice_degorre(state, coll, shared, priv, sampler):
+    v = coll.v_plus
+    first = np.abs(dot3(shared.lam1, v)) >= np.abs(dot3(shared.lam2, v))
+    msg = np.where(first, 1, 2).astype(np.uint8)
+    lam = np.where(first[:, None], shared.lam1, shared.lam2)
+    return sign_pm(dot3(lam, v)), msg, lam, None
 
-    elif protocol is ProtocolId.LOCAL_CONTENT:
-        talk = shared.r == 1
-        k = int(talk.sum())
-        lam = shared.lam1.copy()
-        payload = None
-        if k:
-            if sampler is None:
-                raise ValidationError("local-content protocol needs Alice's vector sampler")
-            payload = sampler.draw(k)
-            lam[talk] = payload
-        msg = np.where(talk, 1, 0).astype(np.uint8)
-        bits = talk * VECTOR_MESSAGE_BITS
-        w = _weight_given(coll, lam)
-        a = np.where(priv.u_out < w, 1, -1).astype(np.int8)
-        return AliceResult(a=a, msg=msg, bits=bits, lam=lam, payload=payload)
 
-    else:
-        raise ValueError(f"unknown protocol {protocol}")
+def _alice_teleportation(state, coll, shared, priv, sampler):
+    a = np.where(priv.u_out < coll.p_plus, 1, -1).astype(np.int8)
+    v = np.where((a == 1)[:, None], coll.v_plus[None, :], coll.v_minus[None, :])
+    c1, c2, lam = _choice_and_flip(shared.lam1, shared.lam2, v)
+    msg = (2 * (c1 - 1) + (c2 == -1) + 1).astype(np.uint8)
+    return a, msg, lam, None
 
-    w = _weight_given(coll, lam)
-    a = np.where(priv.u_out < w, 1, -1).astype(np.int8)
-    return AliceResult(a=a, msg=msg, bits=bits, lam=lam)
+
+def _alice_improved_one_bit(state, coll, shared, priv, sampler):
+    talk = shared.r == 1
+    ratio = np.zeros(shared.rounds)
+    if np.any(talk):
+        rt = _rho_tilde_given(state, coll, shared.lam1[talk])
+        rmax = eval_rho_tilde_max(state, shared.lam1[talk])
+        check_bound(rt * np.pi, rmax * np.pi, "improved one-bit envelope")
+        ratio[talk] = rt / rmax
+    use1 = talk & (priv.u_msg < np.minimum(ratio, 1.0))
+    lam = np.where(use1[:, None], shared.lam1, shared.lam2)
+    msg = np.where(talk, np.where(use1, 1, 2), 0).astype(np.uint8)
+    return _output(coll, lam, priv), msg, lam, None
+
+
+def _alice_local_content(state, coll, shared, priv, sampler):
+    talk = shared.r == 1
+    lam = shared.lam1.copy()
+    payload = None
+    if np.any(talk):
+        if sampler is None:
+            raise ValidationError("local-content protocol needs Alice's vector sampler")
+        payload = sampler.draw(int(talk.sum()))
+        lam[talk] = payload
+    return _output(coll, lam, priv), talk.astype(np.uint8), lam, payload
 
 
 def _choice_and_flip(lam1: np.ndarray, lam2: np.ndarray, v: np.ndarray):
@@ -443,6 +347,174 @@ def bob_output(y: np.ndarray, lam) -> np.ndarray:
     return sign_pm(dot3(np.asarray(lam, dtype=float), y))
 
 
+# Bob's rules: (shared, msg, payload) -> the agreed vector lam.
+
+
+def _bob_first_or_second(shared, msg, payload):
+    return np.where((msg == 1)[:, None], shared.lam1, shared.lam2)
+
+
+def _bob_trit(shared, msg, payload):
+    return np.where(
+        (msg == 1)[:, None],
+        shared.lam1,
+        np.where((msg == 2)[:, None], shared.lam2, shared.lam3),
+    )
+
+
+def _bob_teleportation(shared, msg, payload):
+    c1_first = ((msg - 1) // 2) == 0
+    c2 = np.where((msg - 1) % 2 == 0, 1.0, -1.0)
+    return c2[:, None] * np.where(c1_first[:, None], shared.lam1, shared.lam2)
+
+
+def _bob_local_content(shared, msg, payload):
+    lam = shared.lam1.copy()
+    got = msg == 1
+    if np.any(got):
+        if payload is None:
+            raise ValidationError("vector message rounds present but no payload given")
+        lam[got] = payload
+    return lam
+
+
+# ---------------------------------------------------------------------------
+# the protocol table
+
+
+@dataclass(frozen=True)
+class ProtocolInfo:
+    """One protocol, whole: what the rest of the package knows of it.
+
+    ``shared`` lists (SharedDraw field, law) in draw order; ``private`` lists
+    the AlicePrivate fields in draw order.  ``cost[s]`` is the bits charged
+    for a round with symbol s, where symbol 0 is a silent round, so the
+    alphabet is symbols 1..len(cost)-1.  A protocol with a shared bit r
+    talks exactly in the rounds where r = 1.
+    """
+
+    shared: tuple
+    private: tuple
+    cost: tuple
+    alice: Callable
+    bob: Callable
+    p_range: str = "1/2 <= p <= 1"  # the domain, as check_applicable states it
+    applies: Callable[[float], bool] = lambda p: True  # the domain
+    vector_message: bool = False  # Alice samples a vector and sends it as the message
+
+    @property
+    def alphabet_size(self) -> int:
+        return len(self.cost) - 1
+
+    @property
+    def shared_fields(self) -> tuple:
+        """The drawn SharedDraw fields, in field order (the wire row order)."""
+        drawn = {name for name, _ in self.shared}
+        return tuple(f.name for f in fields(SharedDraw) if f.name in drawn)
+
+    @property
+    def shared_bit(self) -> bool:
+        return any(name == "r" for name, _ in self.shared)
+
+    def draws_envelope(self, state: State) -> bool:
+        return state.p < 1.0 and any(law is _envelope for _, law in self.shared)
+
+
+_TWO_UNIFORM = (("lam1", _uniform), ("lam2", _uniform))
+
+PROTOCOLS = {
+    ProtocolId.ONE_BIT: ProtocolInfo(
+        shared=(("lam1", _uniform), ("lam2", _hemisphere)),
+        private=("u_msg", "u_out"),
+        cost=(0.0, 1.0, 1.0),
+        alice=_alice_one_bit,
+        bob=_bob_first_or_second,
+        p_range="1/2 + sqrt(3)/4 <= p <= 1 (>= 0.9330127)",
+        applies=lambda p: p >= one_bit_threshold() - 1e-12,
+    ),
+    ProtocolId.TRIT: ProtocolInfo(
+        shared=_TWO_UNIFORM + (("lam3", _hemisphere),),
+        private=("u_msg", "u_out"),
+        cost=(0.0, TRIT_BITS, TRIT_BITS, TRIT_BITS),
+        alice=_alice_trit,
+        bob=_bob_trit,
+    ),
+    ProtocolId.DEGORRE: ProtocolInfo(
+        shared=_TWO_UNIFORM,
+        private=(),
+        cost=(0.0, 1.0, 1.0),
+        alice=_alice_degorre,
+        bob=_bob_first_or_second,
+        p_range="p = 1/2",
+        applies=lambda p: abs(p - 0.5) <= 1e-12,
+    ),
+    ProtocolId.TELEPORTATION: ProtocolInfo(
+        shared=_TWO_UNIFORM,
+        private=("u_out",),
+        cost=(0.0, 2.0, 2.0, 2.0, 2.0),
+        alice=_alice_teleportation,
+        bob=_bob_teleportation,
+    ),
+    ProtocolId.IMPROVED_ONE_BIT: ProtocolInfo(
+        # the bit comes first: the envelope reads a data-dependent number of uniforms
+        shared=(("r", _bit_below_n_of_p), ("lam1", _envelope), ("lam2", _hemisphere)),
+        private=("u_msg", "u_out"),
+        cost=(0.0, 1.0, 1.0),
+        alice=_alice_improved_one_bit,
+        bob=_bob_first_or_second,
+        p_range="n_of_p(p) <= 1 (>= 0.8342618)",
+        applies=lambda p: p > 0.5 and (p >= 1.0 or n_of_p(p) <= 1.0 + 1e-12),
+    ),
+    ProtocolId.LOCAL_CONTENT: ProtocolInfo(
+        shared=(("lam1", _hemisphere), ("r", _bit_above_c)),
+        private=("u_out",),
+        cost=(0.0, VECTOR_MESSAGE_BITS),
+        alice=_alice_local_content,
+        bob=_bob_local_content,
+        vector_message=True,
+    ),
+}
+
+
+def check_applicable(protocol: ProtocolId, state: State) -> None:
+    """Raise DomainError (naming the valid range) if the state is out of range."""
+    info = PROTOCOLS[protocol]
+    if not info.applies(state.p):
+        raise DomainError(
+            f"protocol '{protocol.value}' requires {info.p_range}, got p={state.p}"
+        )
+
+
+@dataclass
+class AliceResult:
+    a: np.ndarray  # int8, +-1
+    msg: np.ndarray  # uint8 symbol in {1..d}; 0 = no message this round
+    bits: np.ndarray  # float64 bits charged per round: the cost of msg
+    lam: np.ndarray  # the vector Alice committed to (for diagnostics)
+    payload: Optional[np.ndarray] = None  # vector messages, in msg!=0 row order
+
+
+def alice_decide(
+    protocol: ProtocolId,
+    state: State,
+    x: np.ndarray,
+    shared: SharedDraw,
+    priv: AlicePrivate,
+    sampler: Optional[RhoTildeSampler] = None,
+    coll=None,
+) -> AliceResult:
+    """Alice's whole round: commit to a vector, message Bob, output a.
+
+    ``coll`` may carry a precomputed ``collapse(state, x)`` so round-by-round
+    callers do not redo it; the computation is identical either way.
+    """
+    info = PROTOCOLS[protocol]
+    if coll is None:
+        coll = collapse(state, x)  # validates x
+    a, msg, lam, payload = info.alice(state, coll, shared, priv, sampler)
+    return AliceResult(a=a, msg=msg, bits=np.take(info.cost, msg), lam=lam, payload=payload)
+
+
 def bob_decide(
     protocol: ProtocolId,
     y: np.ndarray,
@@ -451,31 +523,7 @@ def bob_decide(
     payload: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Bob's whole round: reconstruct the agreed vector from the message, output b."""
-    y = check_unit(y, "y")
-    if protocol in (ProtocolId.ONE_BIT, ProtocolId.DEGORRE):
-        lam = np.where((msg == 1)[:, None], shared.lam1, shared.lam2)
-    elif protocol is ProtocolId.TRIT:
-        lam = np.where(
-            (msg == 1)[:, None],
-            shared.lam1,
-            np.where((msg == 2)[:, None], shared.lam2, shared.lam3),
-        )
-    elif protocol is ProtocolId.TELEPORTATION:
-        c1_first = ((msg - 1) // 2) == 0
-        c2 = np.where((msg - 1) % 2 == 0, 1.0, -1.0)
-        lam = c2[:, None] * np.where(c1_first[:, None], shared.lam1, shared.lam2)
-    elif protocol is ProtocolId.IMPROVED_ONE_BIT:
-        lam = np.where((msg == 1)[:, None], shared.lam1, shared.lam2)
-    elif protocol is ProtocolId.LOCAL_CONTENT:
-        lam = shared.lam1.copy()
-        got = msg == 1
-        if np.any(got):
-            if payload is None:
-                raise ValidationError("vector message rounds present but no payload given")
-            lam[got] = payload
-    else:
-        raise ValueError(f"unknown protocol {protocol}")
-    return sign_pm(dot3(lam, y))
+    return bob_output(y, PROTOCOLS[protocol].bob(shared, msg, payload))
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +572,10 @@ def run_batch(
 
 def _vector_sampler(protocol, state, x, rng) -> Optional[RhoTildeSampler]:
     """Alice's sampler for vector messages, on its own stream; None if unused."""
-    if protocol is not ProtocolId.LOCAL_CONTENT or state.p >= 1.0:
+    if not PROTOCOLS[protocol].vector_message or state.p >= 1.0:
         return None
     if rng is None:
-        raise ValidationError("local-content protocol needs a sampler stream")
+        raise ValidationError(f"protocol '{protocol.value}' needs a sampler stream")
     return RhoTildeSampler(state, x, rng)
 
 
@@ -625,9 +673,6 @@ class SettingResult:
     rounds: int
     counts: np.ndarray  # (2, 2) int64, index 0 -> outcome +1
     bits_sum: float
-    bits_sq_sum: float
-    worst_bits: float
-    message_rounds: int
     symbol_counts: np.ndarray  # histogram over symbols 0..d (0 = silent)
     a_seq: Optional[np.ndarray] = None
     b_seq: Optional[np.ndarray] = None
@@ -636,8 +681,8 @@ class SettingResult:
     lam_seq: Optional[np.ndarray] = None
 
     @property
-    def frequencies(self) -> np.ndarray:
-        return self.counts / max(self.rounds, 1)
+    def message_rounds(self) -> int:
+        return int(self.rounds - self.symbol_counts[0])
 
 
 def _aggregate(
@@ -660,9 +705,6 @@ def _aggregate(
         rounds=n,
         counts=counts,
         bits_sum=float(res.bits.sum()),
-        bits_sq_sum=float((res.bits**2).sum()),
-        worst_bits=float(res.bits.max(initial=0.0)),
-        message_rounds=int((res.msg != 0).sum()),
         symbol_counts=symbol_counts,
         a_seq=res.a if keep_outcomes else None,
         b_seq=res.b if keep_outcomes else None,
@@ -685,26 +727,36 @@ class SimulationResult:
         return sum(s.rounds for s in self.settings)
 
     @property
-    def total_bits(self) -> float:
-        return sum(s.bits_sum for s in self.settings)
-
-    @property
     def mean_bits(self) -> float:
         n = self.total_rounds
-        return self.total_bits / n if n else 0.0
+        return sum(s.bits_sum for s in self.settings) / n if n else 0.0
+
+    def _cost_and_counts(self) -> tuple:
+        """Bits per symbol, and the rounds of each symbol over all pairs."""
+        cost = np.asarray(PROTOCOLS[self.protocol].cost)
+        counts = sum((s.symbol_counts for s in self.settings), np.zeros(cost.shape, np.int64))
+        return cost, counts
 
     @property
     def bits_stderr(self) -> float:
+        """Standard error of ``mean_bits``, from the symbol counts.
+
+        Costs are taken relative to the commonest symbol's, so the variance
+        does not cancel, and a run whose symbols all cost the same gets 0.
+        """
         n = self.total_rounds
         if n < 2:
             return 0.0
-        mean = self.mean_bits
-        var = max(sum(s.bits_sq_sum for s in self.settings) / n - mean * mean, 0.0)
+        cost, counts = self._cost_and_counts()
+        dev = cost - cost[np.argmax(counts)]
+        mean = float(counts @ dev) / n
+        var = max(float(counts @ (dev * dev)) / n - mean * mean, 0.0)
         return float(np.sqrt(var / n))
 
     @property
     def worst_bits(self) -> float:
-        return max((s.worst_bits for s in self.settings), default=0.0)
+        cost, counts = self._cost_and_counts()
+        return float(cost[counts > 0].max(initial=0.0))
 
     @property
     def no_message_fraction(self) -> float:
@@ -729,9 +781,6 @@ def _merge(parts: list) -> SettingResult:
         rounds=sum(part.rounds for part in parts),
         counts=sum(part.counts for part in parts),
         bits_sum=sum(part.bits_sum for part in parts),
-        bits_sq_sum=sum(part.bits_sq_sum for part in parts),
-        worst_bits=max(part.worst_bits for part in parts),
-        message_rounds=sum(part.message_rounds for part in parts),
         symbol_counts=sum(part.symbol_counts for part in parts),
         a_seq=joined("a_seq"),
         b_seq=joined("b_seq"),
@@ -803,7 +852,7 @@ class _PairRun:
 
     @property
     def unit_count(self) -> int:
-        if self.n <= CHUNK or self.protocol is ProtocolId.LOCAL_CONTENT:
+        if self.n <= CHUNK or PROTOCOLS[self.protocol].vector_message:
             return 1
         return len(_chunks(self.n))
 
@@ -813,7 +862,7 @@ def _run_pairs(runs: list, map_fn) -> list:
     counting = [
         run
         for run in runs
-        if run.unit_count > 1 and run.protocol is ProtocolId.IMPROVED_ONE_BIT and run.state.p < 1.0
+        if run.unit_count > 1 and PROTOCOLS[run.protocol].draws_envelope(run.state)
     ]
     scans = map_fn(_PairRun.envelope_scan, counting)
     envelopes = dict(zip([run.index for run in counting], scans))

@@ -9,7 +9,8 @@ Distributions on the unit sphere S2, with z = (0, 0, 1):
 * uniform, density 1/(4pi);
 * hemisphere law about an axis v, density Theta(lam.v)/pi (the classical
   encoding of the qubit state v);
-* the "choice of two" law, density |lam.v|/(2pi);
+* the "choice of two" law, density |lam.v|/(2pi), which the protocols build
+  from two uniform vectors;
 * rho_x(lam)   = p_+ Theta(lam.v_+)/pi + p_- Theta(lam.v_-)/pi;
 * rhot_x(lam)  = rho_x(lam) - (2p-1) Theta(lam.z)/pi   (area 2(1-p));
 * rhot_max(lam), the x-independent pointwise envelope of rhot_x, with
@@ -156,24 +157,6 @@ def sample_theta_hemisphere(
     return out[0] if n is None else out
 
 
-def degorre_choice(rng: np.random.Generator, v: np.ndarray, n: int | None = None):
-    """Choice-of-two sampling of the density |lam.v|/(2pi).
-
-    Draws two independent uniform vectors and keeps the one with the larger
-    |lam.v|; ties pick the first (the H(0) = 1 convention).  Returns
-    (chosen, c, lam1, lam2) with c in {1, 2}.
-    """
-    v = check_unit(v, "v")
-    m = 1 if n is None else int(n)
-    lam1 = sample_uniform_sphere(rng, m)
-    lam2 = sample_uniform_sphere(rng, m)
-    c = np.where(np.abs(dot3(lam1, v)) >= np.abs(dot3(lam2, v)), 1, 2).astype(np.uint8)
-    chosen = np.where((c == 1)[:, None], lam1, lam2)
-    if n is None:
-        return chosen[0], int(c[0]), lam1[0], lam2[0]
-    return chosen, c, lam1, lam2
-
-
 # ---------------------------------------------------------------------------
 # densities
 
@@ -202,7 +185,6 @@ def _rho_tilde_given(state: State, coll, lam, clamp: bool = True) -> np.ndarray:
 
 def eval_rho(state: State, x: np.ndarray, lam) -> np.ndarray:
     """The mixture density rho_x(lam) Alice must hand to Bob."""
-    x = check_unit(x, "x")
     return _rho_given(collapse(state, x), lam)
 
 
@@ -212,7 +194,6 @@ def eval_rho_tilde(state: State, x: np.ndarray, lam, clamp: bool = True) -> np.n
     Non-negative in exact arithmetic; float rounding within the guard band is
     clamped to 0 (pass ``clamp=False`` to inspect the raw value).
     """
-    x = check_unit(x, "x")
     return _rho_tilde_given(state, collapse(state, x), lam, clamp=clamp)
 
 
@@ -290,6 +271,17 @@ class _BufferedSampler:
     """A rejection sampler that scans candidates in whole blocks (``_refill``)
     and buffers the accepted ones, so ``draw`` granularity does not matter."""
 
+    def __init__(self, state, rng: np.random.Generator, block: int, empty: str):
+        p = _as_p(state)
+        if p >= 1.0:
+            raise DomainError(empty)  # the density is identically zero at p = 1
+        self.state = State(p)
+        self.rng = rng
+        self.block = int(block)
+        self.proposed = 0
+        self.accepted = 0
+        self._buffer: list[np.ndarray] = []
+
     def draw(self, n: int) -> np.ndarray:
         """The next ``n`` accepted samples; the rest of the last block is kept."""
         n = int(n)
@@ -319,16 +311,8 @@ class RhoTildeMaxSampler(_BufferedSampler):
     """
 
     def __init__(self, state: State, rng: np.random.Generator, block: int = _BLOCK):
-        p = _as_p(state)
-        if p >= 1.0:
-            raise DomainError("the envelope density is identically zero at p = 1")
-        self.state = State(p)
-        self.rng = rng
-        self.block = int(block)
-        self.bound = rho_tilde_bound(p)
-        self.proposed = 0
-        self.accepted = 0
-        self._buffer: list[np.ndarray] = []
+        super().__init__(state, rng, block, "the envelope density is identically zero at p = 1")
+        self.bound = rho_tilde_bound(self.state.p)
 
     def _keep(self, u: np.ndarray) -> np.ndarray:
         """The accept test of the candidates with uniforms ``u`` (rows z, phi, accept)."""
@@ -401,18 +385,10 @@ class RhoTildeSampler(_BufferedSampler):
     """
 
     def __init__(self, state: State, x: np.ndarray, rng: np.random.Generator, block: int = _BLOCK):
-        p = _as_p(state)
-        if p >= 1.0:
-            raise DomainError("rhot_x is identically zero at p = 1; nothing to sample")
-        self.state = State(p)
+        super().__init__(state, rng, block, "rhot_x is identically zero at p = 1")
         self.x = check_unit(x, "x")
         self._coll = collapse(self.state, self.x)
-        self.rng = rng
-        self.block = int(block)
         self._inner = RhoTildeMaxSampler(self.state, rng, block=block)
-        self.proposed = 0
-        self.accepted = 0
-        self._buffer: list[np.ndarray] = []
 
     def _refill(self):
         cand = self._inner.draw(self.block)
@@ -424,19 +400,3 @@ class RhoTildeSampler(_BufferedSampler):
         self.proposed += self.block
         self.accepted += int(keep.sum())
         self._buffer.append(cand[keep])
-
-
-def sample_rho_tilde_max(rng: np.random.Generator, state, n: int | None = None) -> np.ndarray:
-    """One-shot form of RhoTildeMaxSampler (fresh candidate scan per call)."""
-    sampler = RhoTildeMaxSampler(State(_as_p(state)), rng)
-    out = sampler.draw(1 if n is None else n)
-    return out[0] if n is None else out
-
-
-def sample_rho_tilde(
-    rng: np.random.Generator, state, x: np.ndarray, n: int | None = None
-) -> np.ndarray:
-    """One-shot form of RhoTildeSampler (fresh candidate scan per call)."""
-    sampler = RhoTildeSampler(State(_as_p(state)), x, rng)
-    out = sampler.draw(1 if n is None else n)
-    return out[0] if n is None else out

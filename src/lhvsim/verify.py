@@ -97,13 +97,16 @@ def chi2_stat(table: EmpiricalTable, oracle: JointDistribution) -> Chi2Result:
     m = table.rounds
     if m == 0:
         raise ValidationError("chi-square needs at least one round")
-    obs = table.counts.ravel().astype(float)
     exp = m * oracle.probs.ravel()
-    live = exp > 0.0
-    if np.any(obs[~live] > 0):
-        return Chi2Result(float("inf"), int(live.sum()) - 1, 0.0)
-    chi2 = float(np.sum((obs[live] - exp[live]) ** 2 / exp[live]))
+    return _pearson(table.counts.ravel().astype(float), exp, exp > 0.0)
+
+
+def _pearson(obs: np.ndarray, exp: np.ndarray, live: np.ndarray) -> Chi2Result:
+    """Pearson chi-square over the ``live`` cells; infinite if a dead cell was hit."""
     dof = int(live.sum()) - 1
+    if np.any(obs[~live] > 0):
+        return Chi2Result(float("inf"), dof, 0.0)
+    chi2 = float(np.sum((obs[live] - exp[live]) ** 2 / exp[live]))
     return Chi2Result(chi2, dof, float(stats.chi2.sf(chi2, dof)))
 
 
@@ -142,22 +145,16 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
 
 
-_GRID_ROT = None
-
-
 def _grid_rotation() -> np.ndarray:
     # fixed rotation applied to the y grid so x and y settings never coincide
-    global _GRID_ROT
-    if _GRID_ROT is None:
-        a, b = 0.7, 0.4
-        ry = np.array(
-            [[np.cos(a), 0.0, np.sin(a)], [0.0, 1.0, 0.0], [-np.sin(a), 0.0, np.cos(a)]]
-        )
-        rz = np.array(
-            [[np.cos(b), -np.sin(b), 0.0], [np.sin(b), np.cos(b), 0.0], [0.0, 0.0, 1.0]]
-        )
-        _GRID_ROT = ry @ rz
-    return _GRID_ROT
+    a, b = 0.7, 0.4
+    ry = np.array(
+        [[np.cos(a), 0.0, np.sin(a)], [0.0, 1.0, 0.0], [-np.sin(a), 0.0, np.cos(a)]]
+    )
+    rz = np.array(
+        [[np.cos(b), -np.sin(b), 0.0], [np.sin(b), np.cos(b), 0.0], [0.0, 0.0, 1.0]]
+    )
+    return ry @ rz
 
 
 def default_setting_pairs(n: int = 20):
@@ -205,23 +202,24 @@ def hemisphere_axis_marginal(v: np.ndarray, c: float) -> float:
     return (2.0 * a * phi0 + 2.0 * b * np.sin(phi0)) / np.pi
 
 
-def rho_cos_marginal(state: State, x: np.ndarray, c: float) -> float:
-    """Density of lam.z when lam ~ rho_x (azimuth integrated out)."""
-    coll = collapse(state, x)
-    return coll.p_plus * hemisphere_axis_marginal(coll.v_plus, c) + (
-        coll.p_minus * hemisphere_axis_marginal(coll.v_minus, c)
-    )
+def _cos_marginal(coll, const: float):
+    """lam.z density of rho_x - const * Theta(lam.z)/pi, azimuth integrated out.
+
+    ``const`` = 0 gives rho_x, ``const`` = 2p-1 gives rhot_x.
+    """
+
+    def g(c: float) -> float:
+        rho = coll.p_plus * hemisphere_axis_marginal(coll.v_plus, c) + (
+            coll.p_minus * hemisphere_axis_marginal(coll.v_minus, c)
+        )
+        return rho - const * hemisphere_axis_marginal(Z_AXIS, c) if const else rho
+
+    return g
 
 
 def rho_cos_bin_probs(state: State, x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Quadrature bin probabilities of the lam.z marginal under rho_x."""
-    coll = collapse(state, x)
-
-    def g(c):
-        return coll.p_plus * hemisphere_axis_marginal(coll.v_plus, c) + (
-            coll.p_minus * hemisphere_axis_marginal(coll.v_minus, c)
-        )
-
+    g = _cos_marginal(collapse(state, x), 0.0)
     out = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         val, _ = integrate.quad(g, lo, hi, limit=200, epsabs=1e-11)
@@ -239,13 +237,7 @@ def lambda_chi2_check(
     edges = np.linspace(-1.0, 1.0, bins + 1)
     want = rho_cos_bin_probs(state, x, edges)
     counts, _ = np.histogram(lam[:, 2], bins=edges)
-    m = lam.shape[0]
-    live = want > 1e-12
-    if np.any(counts[~live] > 0):
-        return Chi2Result(float("inf"), int(live.sum()) - 1, 0.0)
-    chi2 = float(np.sum((counts[live] - m * want[live]) ** 2 / (m * want[live])))
-    dof = int(live.sum()) - 1
-    return Chi2Result(chi2, dof, float(stats.chi2.sf(chi2, dof)))
+    return _pearson(counts, lam.shape[0] * want, want > 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +325,7 @@ class DensityPropertyReport:
 
 def rho_tilde_cos_marginal(state: State, x: np.ndarray, c: float) -> float:
     """Density of lam.z when lam ~ rhot_x (azimuth integrated in closed form)."""
-    coll = collapse(state, x)
-    return (
-        coll.p_plus * hemisphere_axis_marginal(coll.v_plus, c)
-        + coll.p_minus * hemisphere_axis_marginal(coll.v_minus, c)
-        - state.c * hemisphere_axis_marginal(Z_AXIS, c)
-    )
+    return _cos_marginal(collapse(state, x), state.c)(c)
 
 
 def area_quadrature(state: State, x: np.ndarray, epsabs: float = 1e-9) -> float:
@@ -348,14 +335,7 @@ def area_quadrature(state: State, x: np.ndarray, epsabs: float = 1e-9) -> float:
     v_+, v_-, z; those breakpoints are handed to the integrator.
     """
     coll = collapse(state, x)
-
-    def g(c):
-        return (
-            coll.p_plus * hemisphere_axis_marginal(coll.v_plus, c)
-            + coll.p_minus * hemisphere_axis_marginal(coll.v_minus, c)
-            - state.c * hemisphere_axis_marginal(Z_AXIS, c)
-        )
-
+    g = _cos_marginal(coll, state.c)
     kinks = set()
     for v in (coll.v_plus, coll.v_minus, Z_AXIS):
         s = float(np.sqrt(max(1.0 - min(v[2] * v[2], 1.0), 0.0)))

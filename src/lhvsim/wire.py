@@ -14,7 +14,8 @@ Frame format, little-endian, identical on every channel:
 
 Kinds: SETTING (per-recipient setup, round = 2**64-1), SHARED_RANDOMNESS,
 MESSAGE (Alice to Bob only), OUTPUT (party to referee).  One round fully
-completes before the next begins.
+completes before the next begins.  Alice's OUTPUT is (status, a, symbol);
+the referee charges each round the cost of its symbol.
 
 A networked run draws from the same streams with the same layouts as
 ``protocols.simulate``, so for a fixed seed it reproduces the in-process
@@ -29,6 +30,7 @@ import multiprocessing
 import socket
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -45,6 +47,7 @@ from .protocols import (
     SharedDraw,
     SimulationResult,
     _aggregate,
+    _vector_sampler,
     alice_decide,
     bob_decide,
     check_applicable,
@@ -52,7 +55,7 @@ from .protocols import (
     draw_alice_private,
     draw_shared,
 )
-from .sampling import RhoTildeSampler, make_generator
+from .sampling import make_generator
 
 SETUP_ROUND = 2**64 - 1
 _HEADER = struct.Struct("<QBI")
@@ -65,6 +68,9 @@ class FrameKind(enum.IntEnum):
     SHARED_RANDOMNESS = 2
     MESSAGE = 3
     OUTPUT = 4
+
+
+_KINDS = frozenset(int(kind) for kind in FrameKind)
 
 
 @dataclass(frozen=True)
@@ -135,67 +141,53 @@ def unpack_bob_setting(data: bytes):
     return pair, _CODE_PROTO[code], alphabet, bool(expect_vector), np.array([y0, y1, y2]), rounds
 
 
-def _shared_fields(protocol: ProtocolId):
-    """(has lam2, has lam3, has shared bit) for the wire layout."""
-    if protocol is ProtocolId.ONE_BIT:
-        return True, False, False
-    if protocol is ProtocolId.TRIT:
-        return True, True, False
-    if protocol in (ProtocolId.DEGORRE, ProtocolId.TELEPORTATION):
-        return True, False, False
-    if protocol is ProtocolId.IMPROVED_ONE_BIT:
-        return True, False, True
-    if protocol is ProtocolId.LOCAL_CONTENT:
-        return False, False, True
-    raise ValueError(f"unknown protocol {protocol}")
+@lru_cache(maxsize=None)
+def _row_dtype(protocol: ProtocolId) -> np.dtype:
+    """One shared row on the wire: the drawn fields in field order, packed."""
+    return np.dtype(
+        [
+            (name, "u1") if name == "r" else (name, "<f8", (3,))
+            for name in PROTOCOLS[protocol].shared_fields
+        ]
+    )
 
 
 def shared_row_size(protocol: ProtocolId) -> int:
-    lam2, lam3, r = _shared_fields(protocol)
-    return 24 * (1 + lam2 + lam3) + (1 if r else 0)
+    return _row_dtype(protocol).itemsize
 
 
 def pack_shared_row(protocol: ProtocolId, shared: SharedDraw, i: int) -> bytes:
-    lam2, lam3, rbit = _shared_fields(protocol)
-    parts = [shared.lam1[i].tobytes()]
-    if lam2:
-        parts.append(shared.lam2[i].tobytes())
-    if lam3:
-        parts.append(shared.lam3[i].tobytes())
-    if rbit:
-        parts.append(bytes([int(shared.r[i])]))
-    return b"".join(parts)
+    row = np.empty(1, _row_dtype(protocol))
+    for name in row.dtype.names:
+        row[name] = getattr(shared, name)[i]
+    return row.tobytes()
+
+
+def _message_fault(payload: bytes, alphabet: int, vector: bool) -> Optional[str]:
+    """Why an Alice-to-Bob payload breaks the declared alphabet, or None."""
+    want = VECTOR_PAYLOAD_BYTES if vector else 1
+    if len(payload) != want:
+        return f"message has {len(payload)} bytes, want {want}"
+    if not vector and payload[0] >= alphabet:
+        return f"symbol {payload[0]} outside alphabet of {alphabet}"
+    return None
 
 
 def unpack_shared_row(protocol: ProtocolId, data: bytes) -> SharedDraw:
-    if len(data) != shared_row_size(protocol):
+    dtype = _row_dtype(protocol)
+    if len(data) != dtype.itemsize:
         raise TransportError(
-            f"shared-randomness payload has {len(data)} bytes, "
-            f"expected {shared_row_size(protocol)}"
+            f"shared-randomness payload has {len(data)} bytes, expected {dtype.itemsize}"
         )
-    lam2, lam3, rbit = _shared_fields(protocol)
-    off = 0
-
-    def vec():
-        nonlocal off
-        v = np.frombuffer(data, dtype=np.float64, count=3, offset=off).reshape(1, 3)
-        off += 24
-        return v
-
-    out = SharedDraw(lam1=vec())
-    if lam2:
-        out.lam2 = vec()
-    if lam3:
-        out.lam3 = vec()
-    if rbit:
-        out.r = np.array([data[off]], dtype=np.uint8)
-    return out
+    row = np.frombuffer(data, dtype)
+    return SharedDraw(**{name: row[name] for name in dtype.names})
 
 
 # ---------------------------------------------------------------------------
 # transcript
 
 _CHANNELS = ("referee->alice", "referee->bob", "alice->bob", "alice->referee", "bob->referee")
+_LOG_HEAD = struct.Struct("<BdQ")  # protocol code, p, rounds per setting
 
 
 @dataclass
@@ -229,7 +221,7 @@ class Transcript:
             yield rec
 
     def to_binary(self) -> bytes:
-        head = struct.pack("<BdQ", _PROTO_CODE[self.protocol], self.state_p, self.rounds_per_setting)
+        head = _LOG_HEAD.pack(_PROTO_CODE[self.protocol], self.state_p, self.rounds_per_setting)
         parts = [b"LHVT", head]
         for rec in self.records:
             parts.append(bytes([_CHANNELS.index(rec.channel)]))
@@ -238,19 +230,32 @@ class Transcript:
 
     @classmethod
     def from_binary(cls, data: bytes) -> "Transcript":
+        """Parse a ``to_binary`` log; raise ValidationError if it is malformed."""
         if data[:4] != b"LHVT":
             raise ValidationError("not a transcript log (bad magic)")
-        code, p, rounds = struct.unpack_from("<BdQ", data, 4)
+        off = 4 + _LOG_HEAD.size
+        if len(data) < off:
+            raise ValidationError("transcript header is truncated")
+        code, p, rounds = _LOG_HEAD.unpack_from(data, 4)
+        if code not in _CODE_PROTO:
+            raise ValidationError(f"transcript names unknown protocol code {code}")
         out = cls(_CODE_PROTO[code], p, rounds)
-        off = 4 + struct.calcsize("<BdQ")
         while off < len(data):
-            channel = _CHANNELS[data[off]]
-            off += 1
-            rnd, kind, length = _HEADER.unpack_from(data, off)
-            off += _HEADER.size
+            where = f"transcript frame at byte {off}"
+            if off + 1 + _HEADER.size > len(data):
+                raise ValidationError(f"{where}: header is truncated")
+            channel = data[off]
+            rnd, kind, length = _HEADER.unpack_from(data, off + 1)
+            off += 1 + _HEADER.size
+            if channel >= len(_CHANNELS):
+                raise ValidationError(f"{where}: unknown channel {channel}")
+            if kind not in _KINDS:
+                raise ValidationError(f"{where}: unknown frame kind {kind}")
+            if off + length > len(data):
+                raise ValidationError(f"{where}: payload runs past the end of the log")
             payload = bytes(data[off : off + length])
             off += length
-            out.add(channel, Frame(rnd, FrameKind(kind), payload))
+            out.add(_CHANNELS[channel], Frame(rnd, FrameKind(kind), payload))
         return out
 
     def summary(self) -> dict:
@@ -301,12 +306,9 @@ def alice_main(host: str, referee_port: int) -> None:
             if bob is None:
                 bob = _connect(host, bob_port)
             state = State(p)
-            x = check_unit(x, "x")
-            coll = collapse(state, x)
+            coll = collapse(state, x)  # validates x
             priv = draw_alice_private(protocol, make_generator(seed, pair, CH_ALICE), rounds)
-            sampler = None
-            if protocol is ProtocolId.LOCAL_CONTENT and state.p < 1.0:
-                sampler = RhoTildeSampler(state, x, make_generator(seed, pair, CH_SAMPLER))
+            sampler = _vector_sampler(protocol, state, x, make_generator(seed, pair, CH_SAMPLER))
             for r in range(rounds):
                 frame = recv_frame(ref)
                 if frame.kind != FrameKind.SHARED_RANDOMNESS or frame.round != r:
@@ -322,9 +324,7 @@ def alice_main(host: str, referee_port: int) -> None:
                     else:
                         body = bytes([symbol - 1])
                     send_frame(bob, Frame(r, FrameKind.MESSAGE, body))
-                out = struct.pack(
-                    "<BBdB", 0, 1 if int(res.a[0]) == 1 else 0, float(res.bits[0]), symbol
-                )
+                out = struct.pack("<BBB", 0, 1 if int(res.a[0]) == 1 else 0, symbol)
                 send_frame(ref, Frame(r, FrameKind.OUTPUT, out))
     except (EOFError, BrokenPipeError, ConnectionResetError):
         pass  # referee finished or aborted the run
@@ -363,9 +363,7 @@ def bob_main(host: str, referee_port: int) -> None:
                 if frame.kind != FrameKind.SHARED_RANDOMNESS or frame.round != r:
                     raise TransportError(f"bob desynchronized at round {r}: {frame.kind}")
                 shared = unpack_shared_row(protocol, frame.payload)
-                expecting = True
-                if info.silent_rounds:
-                    expecting = int(shared.r[0]) == 1
+                expecting = not info.shared_bit or int(shared.r[0]) == 1
                 msg_bytes = b""
                 status = 0
                 symbol = np.zeros(1, dtype=np.uint8)
@@ -375,14 +373,11 @@ def bob_main(host: str, referee_port: int) -> None:
                     msg_bytes = mframe.payload
                     if mframe.kind != FrameKind.MESSAGE or mframe.round != r:
                         status = 2  # desync / wrong kind
+                    elif _message_fault(msg_bytes, alphabet, expect_vector):
+                        status = 1  # oversized or out-of-alphabet message
                     elif expect_vector:
-                        if len(msg_bytes) != VECTOR_PAYLOAD_BYTES:
-                            status = 1
-                        else:
-                            payload_vec = np.frombuffer(msg_bytes, dtype=np.float64).reshape(1, 3)
-                            symbol = np.ones(1, dtype=np.uint8)
-                    elif len(msg_bytes) != 1 or msg_bytes[0] >= alphabet:
-                        status = 1  # oversized or out-of-alphabet symbol
+                        payload_vec = np.frombuffer(msg_bytes, dtype=np.float64).reshape(1, 3)
+                        symbol = np.ones(1, dtype=np.uint8)
                     else:
                         symbol = np.array([msg_bytes[0] + 1], dtype=np.uint8)
                 if status != 0:
@@ -492,7 +487,6 @@ def run_networked(
             a_arr = np.zeros(rounds, dtype=np.int8)
             b_arr = np.zeros(rounds, dtype=np.int8)
             msg_arr = np.zeros(rounds, dtype=np.uint8)
-            bits_arr = np.zeros(rounds, dtype=np.float64)
             for r in range(rounds):
                 row = pack_shared_row(protocol, shared, r)
                 frame = Frame(r, FrameKind.SHARED_RANDOMNESS, row)
@@ -508,7 +502,7 @@ def run_networked(
                     raise TransportError(f"lost a party at round {r}: {exc}") from exc
                 transcript.add("alice->referee", aout)
                 transcript.add("bob->referee", bout)
-                a_status, a_bit, bits, symbol = struct.unpack("<BBdB", aout.payload)
+                a_status, a_bit, symbol = struct.unpack("<BBB", aout.payload)
                 b_status, b_bit, echo_len = struct.unpack_from("<BBB", bout.payload)
                 echo = bout.payload[3 : 3 + echo_len]
                 if echo:
@@ -518,11 +512,13 @@ def run_networked(
                         f"round {r}: party rejected the message "
                         f"(alice status {a_status}, bob status {b_status})"
                     )
+                if symbol > info.alphabet_size:
+                    raise ProtocolViolationError(f"round {r}: alice reported symbol {symbol}")
                 a_arr[r] = 1 if a_bit else -1
                 b_arr[r] = 1 if b_bit else -1
                 msg_arr[r] = symbol
-                bits_arr[r] = bits
-            batch = BatchResult(a=a_arr, b=b_arr, msg=msg_arr, bits=bits_arr, lam=None)
+            bits = np.take(info.cost, msg_arr)  # each round costs its symbol's bits
+            batch = BatchResult(a=a_arr, b=b_arr, msg=msg_arr, bits=bits, lam=None)
             result.settings.append(
                 _aggregate(protocol, x, y, batch, keep_outcomes, keep_lambdas=False)
             )
@@ -592,6 +588,7 @@ def audit_transcript(transcript: Transcript, protocol: Optional[ProtocolId] = No
             findings.append("reverse channel bob->alice present")
 
     size = shared_row_size(protocol)
+    r_at = _row_dtype(protocol).fields["r"][1] if info.shared_bit else None  # the bit's byte
     for seg_index, seg in enumerate(_split_segments(transcript)):
         shared_a: dict = {}
         shared_b: dict = {}
@@ -615,59 +612,27 @@ def audit_transcript(transcript: Transcript, protocol: Optional[ProtocolId] = No
             findings.append(f"segment {seg_index}: parties saw different rounds")
         if shared_a and sorted(shared_a) != list(range(len(shared_a))):
             findings.append(f"segment {seg_index}: rounds are not the contiguous range")
-        for rnd, payload in shared_a.items():
-            if len(payload) != size:
-                findings.append(
-                    f"segment {seg_index} round {rnd}: shared payload has "
-                    f"{len(payload)} bytes, want {size}"
-                )
-            if shared_b.get(rnd) != payload:
-                findings.append(
-                    f"segment {seg_index} round {rnd}: parties saw different shared randomness"
-                )
-
         for rnd, payload in messages.items():
-            if info.vector_message:
-                if len(payload) != VECTOR_PAYLOAD_BYTES:
-                    findings.append(
-                        f"segment {seg_index} round {rnd}: vector message has "
-                        f"{len(payload)} bytes, want {VECTOR_PAYLOAD_BYTES}"
-                    )
-                else:
-                    hist["vector"] = hist.get("vector", 0) + 1
+            fault = _message_fault(payload, info.alphabet_size, info.vector_message)
+            if fault:
+                findings.append(f"segment {seg_index} round {rnd}: {fault}")
             else:
-                if len(payload) != 1:
-                    findings.append(
-                        f"segment {seg_index} round {rnd}: message payload has "
-                        f"{len(payload)} bytes, want 1"
-                    )
-                elif payload[0] >= info.alphabet_size:
-                    findings.append(
-                        f"segment {seg_index} round {rnd}: symbol {payload[0]} outside "
-                        f"alphabet of {info.alphabet_size}"
-                    )
-                else:
-                    hist[str(payload[0])] = hist.get(str(payload[0]), 0) + 1
+                key = "vector" if info.vector_message else str(payload[0])
+                hist[key] = hist.get(key, 0) + 1
 
-        if info.silent_rounds:
-            _, _, rbit = _shared_fields(protocol)
-            for rnd, payload in shared_a.items():
-                if len(payload) != size or not rbit:
-                    continue
-                talk = payload[-1] == 1
-                if talk and rnd not in messages:
-                    findings.append(
-                        f"segment {seg_index} round {rnd}: shared bit requested a message, none sent"
-                    )
-                if not talk and rnd in messages:
-                    findings.append(
-                        f"segment {seg_index} round {rnd}: message sent in a "
-                        "no-communication round"
-                    )
-        else:
-            for rnd in shared_a:
-                if rnd not in messages:
-                    findings.append(f"segment {seg_index} round {rnd}: missing message")
+        for rnd, payload in shared_a.items():
+            where = f"segment {seg_index} round {rnd}"
+            if shared_b.get(rnd) != payload:
+                findings.append(f"{where}: parties saw different shared randomness")
+            if len(payload) != size:
+                findings.append(f"{where}: shared payload has {len(payload)} bytes, want {size}")
+                continue
+            # Alice talks in every round, or in those whose shared bit is 1
+            talk = not info.shared_bit or payload[r_at] == 1
+            if talk and rnd not in messages:
+                findings.append(f"{where}: missing message")
+            if not talk and rnd in messages:
+                findings.append(f"{where}: message sent in a no-communication round")
 
         total_rounds += len(shared_a)
         total_messages += len(messages)

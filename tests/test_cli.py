@@ -7,7 +7,8 @@ import pytest
 
 from lhvsim.cli import main
 from lhvsim.protocols import ProtocolId
-from lhvsim.wire import Frame, FrameKind, run_networked
+from lhvsim.errors import ValidationError
+from lhvsim.wire import Frame, FrameKind, FrameRecord, Transcript, run_networked
 from lhvsim.bloch import State, X_AXIS, Z_AXIS
 
 
@@ -200,3 +201,30 @@ class TestWireRunAndAudit:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run_cli("audit", str(tmp_path / "nope.bin")) == 2
+
+
+def _malformed_logs() -> dict:
+    # one message frame: magic (4), header (17), channel byte (21), frame
+    # header (round 22-29, kind 30, length 31-34), payload (35)
+    good = Transcript(
+        ProtocolId.TRIT, 0.7, 1, [FrameRecord("alice->bob", Frame(0, FrameKind.MESSAGE, b"\x00"))]
+    ).to_binary()
+    assert Transcript.from_binary(good).records[0].frame.payload == b"\x00"
+    return {
+        "truncated-header": good[:10],
+        "unknown-protocol": good[:4] + b"\x09" + good[5:],
+        "unknown-channel": good[:21] + b"\x07" + good[22:],
+        "unknown-kind": good[:30] + b"\x09" + good[31:],
+        "overrunning-frame": good[:-1],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_logs()))
+def test_malformed_transcript_is_usage_error(case, tmp_path, capsys):
+    data = _malformed_logs()[case]
+    with pytest.raises(ValidationError):
+        Transcript.from_binary(data)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    assert run_cli("audit", str(path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")

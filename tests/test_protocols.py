@@ -334,6 +334,7 @@ class TestSimulate:
         res = simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], 0, seed=21)
         assert res.total_rounds == 0
         assert res.mean_bits == 0.0
+        assert res.worst_bits == 0.0 and res.bits_stderr == 0.0
         assert res.settings[0].counts.sum() == 0
 
     @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
@@ -407,6 +408,34 @@ class TestSimulate:
         assert abs(f1 - f2) <= 4.0 * np.sqrt(2.0 * 0.25 / m)
 
 
+class TestCostStatistics:
+    """Cost statistics are derived from the symbol counts and the cost table."""
+
+    def test_constant_cost_has_zero_stderr(self):
+        res = simulate(
+            ProtocolId.TRIT, State(0.7), default_setting_pairs(1), 2 * CHUNK + 3, seed=42
+        )
+        assert res.bits_stderr == 0.0
+        assert res.worst_bits == TRIT_BITS
+
+    def test_one_bit_cost_stderr_is_binomial(self):
+        n = 10**5
+        res = simulate(ProtocolId.IMPROVED_ONE_BIT, State(0.9), [(X_AXIS, Z_AXIS)], n, seed=43)
+        q = 1.0 - res.no_message_fraction
+        assert 0.0 < q < 1.0
+        assert res.bits_stderr == pytest.approx(np.sqrt(q * (1.0 - q) / n), rel=1e-12, abs=0.0)
+        assert res.worst_bits == 1.0
+
+    @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
+    def test_bits_are_the_cost_of_the_symbol(self, pid, p):
+        res = simulate(pid, State(p), [(X_AXIS, Z_AXIS)], 2000, seed=45, keep_outcomes=True)
+        s = res.settings[0]
+        cost = np.asarray(PROTOCOLS[pid].cost)
+        assert np.array_equal(s.bits_seq, cost[s.msg_seq])
+        assert s.bits_sum == float(cost[s.msg_seq].sum())
+        assert res.worst_bits == float(s.bits_seq.max())
+
+
 class TestSingleRoundApi:
     RUNNERS = {
         ProtocolId.ONE_BIT: (run_protocol1_round, 0.95),
@@ -461,7 +490,6 @@ class TestChunking:
             got = res.settings[k]
             assert got.rounds == want.rounds == self.N
             assert got.message_rounds == want.message_rounds
-            assert got.worst_bits == want.worst_bits
             assert got.bits_sum == pytest.approx(want.bits_sum, rel=1e-14)
             for name in ("counts", "symbol_counts", "a_seq", "b_seq", "msg_seq",
                          "bits_seq", "lam_seq"):

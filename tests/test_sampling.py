@@ -13,6 +13,7 @@ from scipy import integrate, stats
 
 from lhvsim.bloch import State, Z_AXIS, collapse, dot3, sign_pm, theta
 from lhvsim.errors import DomainError, InternalConsistencyError
+from lhvsim.protocols import _choice_and_flip
 from lhvsim.sampling import (
     BOUND_ATOL,
     EnvelopeScan,
@@ -20,7 +21,6 @@ from lhvsim.sampling import (
     RhoTildeSampler,
     RngStream,
     check_bound,
-    degorre_choice,
     eval_rho,
     eval_rho_tilde,
     eval_rho_tilde_max,
@@ -32,8 +32,6 @@ from lhvsim.sampling import (
     one_bit_threshold,
     rho_tilde_bound,
     rho_tilde_max_cos,
-    sample_rho_tilde,
-    sample_rho_tilde_max,
     sample_theta_hemisphere,
     sample_uniform_sphere,
 )
@@ -113,6 +111,18 @@ class TestThetaHemisphere:
         lam = sample_theta_hemisphere(make_generator(7, 0), v, M)
         p_hat = float(np.mean(sign_pm(dot3(lam, y)) == 1))
         assert abs(p_hat - (1.0 + y @ v) / 2.0) < 0.005
+
+
+def degorre_choice(rng, v, n):
+    """Choice-of-two draw: (chosen, c, lam1, lam2), chosen unflipped.
+
+    ``_choice_and_flip`` returns c2 * chosen with c2 = +-1, so c2 times its
+    vector is the chosen one exactly.
+    """
+    lam1 = sample_uniform_sphere(rng, n)
+    lam2 = sample_uniform_sphere(rng, n)
+    c, c2, flipped = _choice_and_flip(lam1, lam2, v)
+    return c2[:, None] * flipped, c, lam1, lam2
 
 
 class TestDegorreChoice:
@@ -249,7 +259,7 @@ def _cos_bin_probs_rho_tilde_max(p, edges):
 
 class TestRhoTildeMaxSampler:
     def test_uniform_at_half(self):
-        lam = sample_rho_tilde_max(make_generator(19, 0), State(0.5), M)
+        lam = RhoTildeMaxSampler(State(0.5), make_generator(19, 0)).draw(M)
         assert abs((lam[:, 2] ** 2).mean() - 1.0 / 3.0) < 0.005
 
     def test_acceptance_fraction(self):
@@ -260,7 +270,7 @@ class TestRhoTildeMaxSampler:
 
     def test_chi2_against_density(self):
         p = 0.9
-        lam = sample_rho_tilde_max(make_generator(21, 0), State(p), M)
+        lam = RhoTildeMaxSampler(State(p), make_generator(21, 0)).draw(M)
         edges = np.linspace(-1.0, 1.0, 21)
         want = _cos_bin_probs_rho_tilde_max(p, edges)
         counts, _ = np.histogram(lam[:, 2], bins=edges)
@@ -269,7 +279,7 @@ class TestRhoTildeMaxSampler:
 
     def test_cos_marginal_ks(self):
         p = 0.95
-        lam = sample_rho_tilde_max(make_generator(22, 0), State(p), M)
+        lam = RhoTildeMaxSampler(State(p), make_generator(22, 0)).draw(M)
         grid = np.linspace(-1.0, 1.0, 8193)
         pdf = 2.0 * np.pi * rho_tilde_max_cos(p, grid) / n_of_p(p)
         cdf_grid = integrate.cumulative_trapezoid(pdf, grid, initial=0.0)
@@ -359,7 +369,7 @@ class TestRhoTildeSampler:
     def test_symmetry_under_point_reflection(self):
         rng = np.random.default_rng(84)
         x = random_unit(rng)
-        lam = sample_rho_tilde(make_generator(26, 0), State(0.7), x, 10**5)
+        lam = RhoTildeSampler(State(0.7), x, make_generator(26, 0)).draw(10**5)
         t = dot3(lam, collapse(State(0.7), x).v_plus)
         assert stats.ks_2samp(t, -t).pvalue > 0.001
         assert stats.ks_2samp(lam[:, 2], -lam[:, 2]).pvalue > 0.001
@@ -368,7 +378,7 @@ class TestRhoTildeSampler:
         rng = np.random.default_rng(85)
         x = random_unit(rng)
         state = State(0.8)
-        lam = sample_rho_tilde(make_generator(27, 0), state, x, 10**5)
+        lam = RhoTildeSampler(state, x, make_generator(27, 0)).draw(10**5)
         assert np.all(eval_rho_tilde(state, x, lam) > 0.0)
 
     def test_chi2_against_axis_marginal(self):
@@ -379,7 +389,7 @@ class TestRhoTildeSampler:
         state, x = State(0.75), np.array([0.28, -0.45, 0.848528137423857])
         x = x / np.linalg.norm(x)
         m = 2 * 10**5
-        lam = sample_rho_tilde(make_generator(30, 0), state, x, m)
+        lam = RhoTildeSampler(state, x, make_generator(30, 0)).draw(m)
         edges = np.linspace(-1.0, 1.0, 21)
         want = []
         for lo, hi in zip(edges[:-1], edges[1:]):

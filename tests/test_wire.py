@@ -159,6 +159,13 @@ class TestTranscript:
         )
         assert audit_transcript(back).passed
 
+    def test_alice_output_carries_no_cost(self):
+        # status, a and the symbol; the referee charges the symbol's cost
+        transcript = self._clean()
+        outputs = list(transcript.frames("alice->referee", FrameKind.OUTPUT))
+        assert len(outputs) == 300
+        assert all(len(rec.frame.payload) == 3 for rec in outputs)
+
     def test_summary_deterministic(self):
         t1 = self._clean()
         t2 = self._clean()
