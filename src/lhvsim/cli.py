@@ -26,7 +26,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -57,6 +57,14 @@ from .verify import (
 from .wire import WireConfig, audit_transcript, run_networked, Transcript
 
 DEFAULT_PROPS_PLIST = "0.5,0.7,0.835,0.933,0.99,1.0"
+# the JSON values a config file may give a field of each declared type
+_FILE_TYPES = {
+    "str": str,
+    "int": int,
+    "float": (int, float),
+    "bool": bool,
+    "Optional[float]": (int, float, type(None)),
+}
 
 
 def _default_seed() -> int:
@@ -113,12 +121,16 @@ def _load_config_file(path: Optional[str]) -> dict:
 def _merge_config(cls, file_cfg: dict, args: argparse.Namespace):
     """File values first, then any flag the user actually passed."""
     cfg = cls()
-    fields = set(asdict(cfg))
+    types = {f.name: f.type for f in fields(cls)}
     for key, val in file_cfg.items():
-        if key not in fields:
+        if key not in types:
             raise ValidationError(f"unknown config key {key!r}")
+        want = _FILE_TYPES[types[key]]
+        # bool is an int to isinstance, but not a valid count or number here
+        if isinstance(val, bool) != (want is bool) or not isinstance(val, want):
+            raise ValidationError(f"config key {key!r} must be {types[key]}, got {val!r}")
         setattr(cfg, key, val)
-    for key in fields:
+    for key in types:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
@@ -139,17 +151,32 @@ def _parse_settings(spec: str, chsh: bool):
     if chsh or spec == "chsh":
         return chsh_setting_pairs(), True
     if spec.startswith("grid:"):
-        n = int(spec.split(":", 1)[1])
-        if n < 1:
-            raise ValidationError("grid size must be >= 1")
-        return default_setting_pairs(n), False
+        size = spec.split(":", 1)[1]
+        if not size.isdecimal() or int(size) < 1:
+            raise ValidationError(f"grid size must be an integer >= 1, got {size!r}")
+        return default_setting_pairs(int(size)), False
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         with open(path) as fh:
             raw = json.load(fh)
-        pairs = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float)) for x, y in raw]
-        return pairs, False
+        try:
+            pairs = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError):
+            pairs = None
+        if pairs is None or pairs.ndim != 3 or pairs.shape[1:] != (2, 3):
+            raise ValidationError(f"settings file {path} must hold a list of [x, y] 3-vector pairs")
+        return [(x, y) for x, y in pairs], False
     raise ValidationError(f"bad settings spec {spec!r}; use grid:N, chsh or file:PATH")
+
+
+def _parse_p_list(text: str) -> list:
+    try:
+        p_list = [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        p_list = []
+    if not p_list or not all(0.5 <= p <= 1.0 for p in p_list):
+        raise ValidationError(f"props p-list must be numbers in [1/2, 1], got {text!r}")
+    return p_list
 
 
 def _write(path: Path, data: str) -> None:
@@ -368,11 +395,8 @@ def main(argv=None) -> int:
                 cfg.seed = _default_seed()
             return cmd_sweep(cfg)
         if args.command == "props":
-            p_list = [float(tok) for tok in args.p_list.split(",") if tok]
-            if not p_list or not all(0.5 <= p <= 1.0 for p in p_list):
-                raise ValidationError("props p-list must lie in [1/2, 1]")
             seed = args.seed if args.seed is not None else _default_seed()
-            return cmd_props(p_list, args.rounds, args.trials, seed)
+            return cmd_props(_parse_p_list(args.p_list), args.rounds, args.trials, seed)
         if args.command == "audit":
             return cmd_audit(args.transcript)
         raise ValidationError(f"unknown command {args.command!r}")

@@ -17,10 +17,9 @@ accounting code here and the wire mode read that entry and never branch on
 the protocol, so the two cannot drift apart.
 
 Alice and Bob are separate evaluators: ``alice_decide`` never receives y and
-``bob_decide`` never receives x, so no-cross-talk is structural.  All
-per-round arithmetic is elementwise, which makes a batch run and a
-round-by-round run (the networked mode) produce bit-identical results from
-the same streams.
+``bob_decide`` never receives x, so no-cross-talk is structural.  The
+networked mode plays the same chunks as ``simulate``, drawn by the same
+functions, so it produces bit-identical results from the same streams.
 
 Stream layout per setting pair k of a run with seed s and n rounds:
 
@@ -31,10 +30,11 @@ Stream layout per setting pair k of a run with seed s and n rounds:
 * Alice's rejection sampler (vector-message protocol only) owns stream
   (s, k, CH_SAMPLER) and is consumed sample by sample.
 
-The layout is that of one n-round draw, but ``simulate`` reads it in chunks
-of ``CHUNK`` rounds.  A chunk of rounds [lo, hi) opens each stream at the
-position where that n-round draw would reach round lo of each block (Philox
-is counter-based, so the jump is free) and reads only its own rows.  The
+The layout is that of one n-round draw, but ``simulate`` and the networked
+mode read it in chunks of ``CHUNK`` rounds.  A chunk of rounds [lo, hi)
+opens each stream at the position where that n-round draw would reach
+round lo of each block (Philox is counter-based, so the jump is free) and
+reads only its own rows.  The
 envelope sampler of the improved one-bit protocol consumes a data-dependent
 number of candidate blocks; one counting pass over those blocks
 (``sampling.EnvelopeScan``) keeps each block's accept bits, from which a
@@ -118,10 +118,6 @@ class AlicePrivate:
 
     u_msg: Optional[np.ndarray] = None
     u_out: Optional[np.ndarray] = None
-
-    def row(self, i: int) -> "AlicePrivate":
-        pick = lambda a: None if a is None else a[i : i + 1]
-        return AlicePrivate(pick(self.u_msg), pick(self.u_out))
 
 
 class _Whole:
@@ -212,6 +208,26 @@ def draw_alice_private(protocol: ProtocolId, rng: np.random.Generator, n: int) -
 def _draw_alice_private(protocol: ProtocolId, src) -> AlicePrivate:
     blocks = PROTOCOLS[protocol].private
     return AlicePrivate(**{name: src.block(1).random(src.rounds) for name in blocks})
+
+
+def shared_chunk(protocol, state, seed, k, n, lo, hi, scan=None) -> SharedDraw:
+    """Rounds [lo, hi) of pair k's n-round shared draw; ``scan`` is its ``envelope_scan``."""
+    return _draw_shared(protocol, state, _Chunk(seed, (k, CH_SHARED), n, lo, hi, scan))
+
+
+def private_chunk(protocol, seed, k, n, lo, hi) -> AlicePrivate:
+    """Rounds [lo, hi) of Alice's private coins for pair k of n rounds."""
+    return _draw_alice_private(protocol, _Chunk(seed, (k, CH_ALICE), n, lo, hi))
+
+
+def envelope_scan(protocol, state, seed, k, n) -> Optional[EnvelopeScan]:
+    """The counting pass over pair k's envelope candidates; None if it draws none.
+
+    They follow the n shared-bit uniforms that ``draw_shared`` reads first.
+    """
+    if not PROTOCOLS[protocol].draws_envelope(state):
+        return None
+    return EnvelopeScan(state, seed, (k, CH_SHARED), n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +405,7 @@ class ProtocolInfo:
     ``shared`` lists (SharedDraw field, law) in draw order; ``private`` lists
     the AlicePrivate fields in draw order.  ``cost[s]`` is the bits charged
     for a round with symbol s, where symbol 0 is a silent round, so the
-    alphabet is symbols 1..len(cost)-1.  A protocol with a shared bit r
-    talks exactly in the rounds where r = 1.
+    alphabet is symbols 1..len(cost)-1.
     """
 
     shared: tuple
@@ -412,9 +427,9 @@ class ProtocolInfo:
         drawn = {name for name, _ in self.shared}
         return tuple(f.name for f in fields(SharedDraw) if f.name in drawn)
 
-    @property
-    def shared_bit(self) -> bool:
-        return any(name == "r" for name, _ in self.shared)
+    def talks(self, shared: SharedDraw) -> np.ndarray:
+        """The rounds in which Alice sends a symbol: all, or those with r = 1."""
+        return np.ones(shared.rounds, dtype=bool) if shared.r is None else shared.r == 1
 
     def draws_envelope(self, state: State) -> bool:
         return state.p < 1.0 and any(law is _envelope for _, law in self.shared)
@@ -501,16 +516,10 @@ def alice_decide(
     shared: SharedDraw,
     priv: AlicePrivate,
     sampler: Optional[RhoTildeSampler] = None,
-    coll=None,
 ) -> AliceResult:
-    """Alice's whole round: commit to a vector, message Bob, output a.
-
-    ``coll`` may carry a precomputed ``collapse(state, x)`` so round-by-round
-    callers do not redo it; the computation is identical either way.
-    """
+    """Alice's whole round: commit to a vector, message Bob, output a."""
     info = PROTOCOLS[protocol]
-    if coll is None:
-        coll = collapse(state, x)  # validates x
+    coll = collapse(state, x)  # validates x
     a, msg, lam, payload = info.alice(state, coll, shared, priv, sampler)
     return AliceResult(a=a, msg=msg, bits=np.take(info.cost, msg), lam=lam, payload=payload)
 
@@ -791,7 +800,8 @@ def _merge(parts: list) -> SettingResult:
 
 
 def _chunks(n: int) -> list:
-    return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
+    """The chunks [lo, hi) of n rounds; zero rounds are one empty chunk."""
+    return [(lo, min(lo + CHUNK, n)) for lo in range(0, max(n, 1), CHUNK)]
 
 
 @dataclass(frozen=True)
@@ -823,19 +833,10 @@ class _PairRun:
 
     def chunk(self, lo: int, hi: int, envelope=None, sampler=None) -> SettingResult:
         """Rounds [lo, hi), read from their positions in the n-round streams."""
-        shared = _Chunk(self.seed, (self.index, CH_SHARED), self.n, lo, hi, envelope)
-        priv = _Chunk(self.seed, (self.index, CH_ALICE), self.n, lo, hi)
-        return self._aggregate(
-            _play(
-                self.protocol,
-                self.state,
-                self.x,
-                self.y,
-                _draw_shared(self.protocol, self.state, shared),
-                _draw_alice_private(self.protocol, priv),
-                sampler,
-            )
-        )
+        pid, k, n = self.protocol, self.index, self.n
+        shared = shared_chunk(pid, self.state, self.seed, k, n, lo, hi, envelope)
+        priv = private_chunk(pid, self.seed, k, n, lo, hi)
+        return self._aggregate(_play(pid, self.state, self.x, self.y, shared, priv, sampler))
 
     def in_order(self) -> SettingResult:
         """Every chunk in turn, with one vector sampler carried across them."""
@@ -843,12 +844,8 @@ class _PairRun:
         sampler = _vector_sampler(self.protocol, self.state, self.x, rng)
         return _merge([self.chunk(lo, hi, sampler=sampler) for lo, hi in _chunks(self.n)])
 
-    def envelope_scan(self) -> EnvelopeScan:
-        """The counting pass over the envelope's candidate blocks.
-
-        They follow the n shared-bit uniforms that ``draw_shared`` reads first.
-        """
-        return EnvelopeScan(self.state, self.seed, (self.index, CH_SHARED), self.n, self.n)
+    def envelope_scan(self) -> Optional[EnvelopeScan]:
+        return envelope_scan(self.protocol, self.state, self.seed, self.index, self.n)
 
     @property
     def unit_count(self) -> int:
@@ -859,11 +856,7 @@ class _PairRun:
 
 def _run_pairs(runs: list, map_fn) -> list:
     """Every pair's units through ``map_fn``, summed per pair in chunk order."""
-    counting = [
-        run
-        for run in runs
-        if run.unit_count > 1 and PROTOCOLS[run.protocol].draws_envelope(run.state)
-    ]
+    counting = [run for run in runs if run.unit_count > 1]
     scans = map_fn(_PairRun.envelope_scan, counting)
     envelopes = dict(zip([run.index for run in counting], scans))
     units = []  # (pair index, unit), in pair order, then chunk order

@@ -13,17 +13,28 @@ Frame format, little-endian, identical on every channel:
     [u64 round] [u8 kind] [u32 len] [payload]
 
 Kinds: SETTING (per-recipient setup, round = 2**64-1), SHARED_RANDOMNESS,
-MESSAGE (Alice to Bob only), OUTPUT (party to referee).  One round fully
-completes before the next begins.  Alice's OUTPUT is (status, a, symbol);
-the referee charges each round the cost of its symbol.
+MESSAGE (Alice to Bob only), OUTPUT (party to referee).  A setting pair's
+rounds travel in the chunks [lo, hi) that ``protocols.simulate`` runs, and
+every frame of a chunk names lo as its round.  Per chunk:
 
-A networked run draws from the same streams with the same layouts as
-``protocols.simulate``, so for a fixed seed it reproduces the in-process
-outcome sequence bit for bit.
+* the referee sends both parties one SHARED_RANDOMNESS frame of hi-lo
+  packed rows;
+* Alice sends Bob exactly one MESSAGE, possibly empty, with one entry per
+  round in which she talks: a byte (symbol - 1) or a 24-byte raw vector;
+* Alice's OUTPUT holds hi-lo bytes of a, then hi-lo symbol bytes; the
+  referee charges each round the cost of its symbol;
+* Bob's OUTPUT holds a status byte, hi-lo bytes of b, then the echo of the
+  message.
+
+One chunk fully completes before the next begins.  The parties draw each
+chunk with the functions ``protocols.simulate`` uses and decide it in one
+call, so for a fixed seed a networked run reproduces the in-process outcome
+sequence bit for bit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 import enum
 import json
 import multiprocessing
@@ -35,25 +46,27 @@ from typing import Optional
 
 import numpy as np
 
-from .bloch import State, collapse
+from .bloch import State
 from .errors import ProtocolViolationError, TransportError, ValidationError
 from .protocols import (
-    CH_ALICE,
     CH_SAMPLER,
-    CH_SHARED,
+    CHUNK,
     PROTOCOLS,
     BatchResult,
     ProtocolId,
     SharedDraw,
     SimulationResult,
     _aggregate,
+    _chunks,
+    _merge,
     _vector_sampler,
     alice_decide,
     bob_decide,
     check_applicable,
     check_unit,
-    draw_alice_private,
-    draw_shared,
+    envelope_scan,
+    private_chunk,
+    shared_chunk,
 )
 from .sampling import make_generator
 
@@ -152,35 +165,34 @@ def _row_dtype(protocol: ProtocolId) -> np.dtype:
     )
 
 
-def shared_row_size(protocol: ProtocolId) -> int:
-    return _row_dtype(protocol).itemsize
+def pack_shared(protocol: ProtocolId, shared: SharedDraw) -> bytes:
+    rows = np.empty(shared.rounds, _row_dtype(protocol))
+    for name in rows.dtype.names:
+        rows[name] = getattr(shared, name)
+    return rows.tobytes()
 
 
-def pack_shared_row(protocol: ProtocolId, shared: SharedDraw, i: int) -> bytes:
-    row = np.empty(1, _row_dtype(protocol))
-    for name in row.dtype.names:
-        row[name] = getattr(shared, name)[i]
-    return row.tobytes()
+def unpack_shared(protocol: ProtocolId, data: bytes, rows: int) -> SharedDraw:
+    dtype = _row_dtype(protocol)
+    if len(data) != rows * dtype.itemsize:
+        raise TransportError(
+            f"shared-randomness payload has {len(data)} bytes, want {rows} rows of {dtype.itemsize}"
+        )
+    chunk = np.frombuffer(data, dtype)
+    return SharedDraw(**{name: chunk[name] for name in dtype.names})
 
 
-def _message_fault(payload: bytes, alphabet: int, vector: bool) -> Optional[str]:
-    """Why an Alice-to-Bob payload breaks the declared alphabet, or None."""
-    want = VECTOR_PAYLOAD_BYTES if vector else 1
+def _message_fault(payload: bytes, alphabet: int, vector: bool, talking: int) -> Optional[str]:
+    """Why a chunk's Alice-to-Bob payload breaks the declared alphabet, or None.
+
+    It must hold exactly one entry per round in which Alice talks.
+    """
+    want = talking * (VECTOR_PAYLOAD_BYTES if vector else 1)
     if len(payload) != want:
         return f"message has {len(payload)} bytes, want {want}"
-    if not vector and payload[0] >= alphabet:
-        return f"symbol {payload[0]} outside alphabet of {alphabet}"
+    if not vector and payload and max(payload) >= alphabet:
+        return f"symbol {max(payload)} outside alphabet of {alphabet}"
     return None
-
-
-def unpack_shared_row(protocol: ProtocolId, data: bytes) -> SharedDraw:
-    dtype = _row_dtype(protocol)
-    if len(data) != dtype.itemsize:
-        raise TransportError(
-            f"shared-randomness payload has {len(data)} bytes, expected {dtype.itemsize}"
-        )
-    row = np.frombuffer(data, dtype)
-    return SharedDraw(**{name: row[name] for name in dtype.names})
 
 
 # ---------------------------------------------------------------------------
@@ -259,20 +271,15 @@ class Transcript:
         return out
 
     def summary(self) -> dict:
-        msg = [r for r in self.frames("alice->bob", FrameKind.MESSAGE)]
-        shared = [r for r in self.frames("referee->alice", FrameKind.SHARED_RANDOMNESS)]
-        hist: dict = {}
-        for r in msg:
-            key = r.frame.payload[0] if len(r.frame.payload) == 1 else f"vector[{len(r.frame.payload)}]"
-            hist[str(key)] = hist.get(str(key), 0) + 1
+        audit = audit_transcript(self)
         return {
             "protocol": self.protocol.value,
             "p": self.state_p,
             "rounds_per_setting": self.rounds_per_setting,
-            "rounds": len(shared),
-            "messages": len(msg),
-            "message_fraction": len(msg) / len(shared) if shared else 0.0,
-            "message_histogram": hist,
+            "rounds": audit.rounds,
+            "messages": audit.messages,
+            "message_fraction": audit.message_fraction,
+            "message_histogram": audit.symbol_histogram,
             "frames": len(self.records),
         }
 
@@ -306,27 +313,23 @@ def alice_main(host: str, referee_port: int) -> None:
             if bob is None:
                 bob = _connect(host, bob_port)
             state = State(p)
-            coll = collapse(state, x)  # validates x
-            priv = draw_alice_private(protocol, make_generator(seed, pair, CH_ALICE), rounds)
             sampler = _vector_sampler(protocol, state, x, make_generator(seed, pair, CH_SAMPLER))
-            for r in range(rounds):
+            for lo, hi in _chunks(rounds):
                 frame = recv_frame(ref)
-                if frame.kind != FrameKind.SHARED_RANDOMNESS or frame.round != r:
-                    raise TransportError(f"alice desynchronized at round {r}: {frame.kind}")
-                shared = unpack_shared_row(protocol, frame.payload)
-                res = alice_decide(protocol, state, x, shared, priv.row(r), sampler, coll=coll)
-                symbol = int(res.msg[0])
-                if symbol != 0:
-                    if fault == FAULT_OVERSIZED_MESSAGE and r == 0:
-                        body = bytes([symbol - 1, 0])  # deliberately too long
-                    elif res.payload is not None:
-                        body = res.payload[0].tobytes()
-                    else:
-                        body = bytes([symbol - 1])
-                    send_frame(bob, Frame(r, FrameKind.MESSAGE, body))
-                out = struct.pack("<BBB", 0, 1 if int(res.a[0]) == 1 else 0, symbol)
-                send_frame(ref, Frame(r, FrameKind.OUTPUT, out))
-    except (EOFError, BrokenPipeError, ConnectionResetError):
+                if frame.kind != FrameKind.SHARED_RANDOMNESS or frame.round != lo:
+                    raise TransportError(f"alice desynchronized at round {lo}: {frame.kind}")
+                shared = unpack_shared(protocol, frame.payload, hi - lo)
+                priv = private_chunk(protocol, seed, pair, rounds, lo, hi)
+                res = alice_decide(protocol, state, x, shared, priv, sampler)
+                if res.payload is not None:
+                    body = res.payload.tobytes()
+                else:
+                    body = (res.msg[res.msg != 0] - 1).tobytes()
+                if fault == FAULT_OVERSIZED_MESSAGE and lo == 0:
+                    body += b"\x00"  # deliberately one entry too long
+                send_frame(bob, Frame(lo, FrameKind.MESSAGE, body))
+                send_frame(ref, Frame(lo, FrameKind.OUTPUT, res.a.tobytes() + res.msg.tobytes()))
+    except (EOFError, ConnectionError, socket.timeout):
         pass  # referee finished or aborted the run
     finally:
         ref.close()
@@ -358,40 +361,33 @@ def bob_main(host: str, referee_port: int) -> None:
                 alice, _ = lsock.accept()
                 alice.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             info = PROTOCOLS[protocol]
-            for r in range(rounds):
+            for lo, hi in _chunks(rounds):
                 frame = recv_frame(ref)
-                if frame.kind != FrameKind.SHARED_RANDOMNESS or frame.round != r:
-                    raise TransportError(f"bob desynchronized at round {r}: {frame.kind}")
-                shared = unpack_shared_row(protocol, frame.payload)
-                expecting = not info.shared_bit or int(shared.r[0]) == 1
-                msg_bytes = b""
+                if frame.kind != FrameKind.SHARED_RANDOMNESS or frame.round != lo:
+                    raise TransportError(f"bob desynchronized at round {lo}: {frame.kind}")
+                shared = unpack_shared(protocol, frame.payload, hi - lo)
+                talk = info.talks(shared)
+                mframe = recv_frame(alice)
                 status = 0
-                symbol = np.zeros(1, dtype=np.uint8)
-                payload_vec = None
-                if expecting:
-                    mframe = recv_frame(alice)
-                    msg_bytes = mframe.payload
-                    if mframe.kind != FrameKind.MESSAGE or mframe.round != r:
-                        status = 2  # desync / wrong kind
-                    elif _message_fault(msg_bytes, alphabet, expect_vector):
-                        status = 1  # oversized or out-of-alphabet message
-                    elif expect_vector:
-                        payload_vec = np.frombuffer(msg_bytes, dtype=np.float64).reshape(1, 3)
-                        symbol = np.ones(1, dtype=np.uint8)
-                    else:
-                        symbol = np.array([msg_bytes[0] + 1], dtype=np.uint8)
+                if mframe.kind != FrameKind.MESSAGE or mframe.round != lo:
+                    status = 2  # desync / wrong kind
+                elif _message_fault(mframe.payload, alphabet, expect_vector, int(talk.sum())):
+                    status = 1  # oversized or out-of-alphabet message
                 if status != 0:
-                    out = struct.pack("<BBB", status, 0, len(msg_bytes)) + msg_bytes
-                    send_frame(ref, Frame(r, FrameKind.OUTPUT, out))
+                    out = bytes([status]) + bytes(hi - lo) + mframe.payload
+                    send_frame(ref, Frame(lo, FrameKind.OUTPUT, out))
                     raise ProtocolViolationError("message rejected; aborting")
-                b = bob_decide(protocol, y, shared, symbol, payload_vec)
-                out = struct.pack(
-                    "<BBB", 0, 1 if int(b[0]) == 1 else 0, len(msg_bytes)
-                ) + msg_bytes
-                send_frame(ref, Frame(r, FrameKind.OUTPUT, out))
+                msg = talk.astype(np.uint8)  # symbol 1, or 1 + the byte sent
+                vectors = None
+                if expect_vector:
+                    vectors = np.frombuffer(mframe.payload, dtype=np.float64).reshape(-1, 3)
+                else:
+                    msg[talk] += np.frombuffer(mframe.payload, dtype=np.uint8)
+                b = bob_decide(protocol, y, shared, msg, vectors)
+                send_frame(ref, Frame(lo, FrameKind.OUTPUT, b"\x00" + b.tobytes() + mframe.payload))
     except ProtocolViolationError:
         pass  # already reported to the referee
-    except (EOFError, BrokenPipeError, ConnectionResetError):
+    except (EOFError, ConnectionError, socket.timeout):
         pass  # referee finished or aborted the run
     finally:
         ref.close()
@@ -423,12 +419,16 @@ def run_networked(
     """Run the protocol across three processes; returns (result, transcript).
 
     Statistically and bit-exactly identical to ``simulate`` with the same
-    seed: the referee draws the shared blocks from the same streams, and the
-    parties evaluate the same decision functions row by row.
+    seed: the referee draws each chunk's shared rows, and Alice her private
+    coins, with the functions ``simulate`` uses, and each party decides a
+    whole chunk in one call.  A party that does not connect, answer or stay
+    connected within ``_SOCKET_TIMEOUT`` ends the run with TransportError.
     """
     check_applicable(protocol, state)
     pairs = [(check_unit(x, "x"), check_unit(y, "y")) for x, y in settings]
     rounds = int(rounds)
+    if rounds < 0:
+        raise ValidationError("rounds must be >= 0")
     info = PROTOCOLS[protocol]
     transcript = Transcript(protocol, state.p, rounds)
 
@@ -483,45 +483,39 @@ def run_networked(
             send_frame(bob_sock, fb)
             transcript.add("referee->bob", fb)
 
-            shared = draw_shared(protocol, state, make_generator(seed, k, CH_SHARED), rounds)
-            a_arr = np.zeros(rounds, dtype=np.int8)
-            b_arr = np.zeros(rounds, dtype=np.int8)
-            msg_arr = np.zeros(rounds, dtype=np.uint8)
-            for r in range(rounds):
-                row = pack_shared_row(protocol, shared, r)
-                frame = Frame(r, FrameKind.SHARED_RANDOMNESS, row)
+            scan = envelope_scan(protocol, state, seed, k, rounds)
+            parts = []
+            for lo, hi in _chunks(rounds):
+                shared = shared_chunk(protocol, state, seed, k, rounds, lo, hi, scan)
+                frame = Frame(lo, FrameKind.SHARED_RANDOMNESS, pack_shared(protocol, shared))
                 send_frame(alice_sock, frame)
                 transcript.add("referee->alice", frame)
                 send_frame(bob_sock, frame)
                 transcript.add("referee->bob", frame)
 
-                try:
-                    aout = recv_frame(alice_sock)
-                    bout = recv_frame(bob_sock)
-                except (EOFError, socket.timeout) as exc:
-                    raise TransportError(f"lost a party at round {r}: {exc}") from exc
+                aout = recv_frame(alice_sock)
+                bout = recv_frame(bob_sock)
                 transcript.add("alice->referee", aout)
                 transcript.add("bob->referee", bout)
-                a_status, a_bit, symbol = struct.unpack("<BBB", aout.payload)
-                b_status, b_bit, echo_len = struct.unpack_from("<BBB", bout.payload)
-                echo = bout.payload[3 : 3 + echo_len]
-                if echo:
-                    transcript.add("alice->bob", Frame(r, FrameKind.MESSAGE, echo))
-                if a_status != 0 or b_status != 0:
+                m = hi - lo
+                if len(aout.payload) != 2 * m or len(bout.payload) < 1 + m:
+                    raise TransportError(f"round {lo}: malformed OUTPUT frame")
+                transcript.add("alice->bob", Frame(lo, FrameKind.MESSAGE, bout.payload[1 + m :]))
+                if bout.payload[0] != 0:
                     raise ProtocolViolationError(
-                        f"round {r}: party rejected the message "
-                        f"(alice status {a_status}, bob status {b_status})"
+                        f"round {lo}: bob rejected the message (status {bout.payload[0]})"
                     )
-                if symbol > info.alphabet_size:
-                    raise ProtocolViolationError(f"round {r}: alice reported symbol {symbol}")
-                a_arr[r] = 1 if a_bit else -1
-                b_arr[r] = 1 if b_bit else -1
-                msg_arr[r] = symbol
-            bits = np.take(info.cost, msg_arr)  # each round costs its symbol's bits
-            batch = BatchResult(a=a_arr, b=b_arr, msg=msg_arr, bits=bits, lam=None)
-            result.settings.append(
-                _aggregate(protocol, x, y, batch, keep_outcomes, keep_lambdas=False)
-            )
+                msg = np.frombuffer(aout.payload[m:], dtype=np.uint8)
+                if msg.max(initial=0) > info.alphabet_size:
+                    raise ProtocolViolationError(f"round {lo}: alice reported symbol {msg.max()}")
+                a = np.frombuffer(aout.payload[:m], dtype=np.int8)
+                b = np.frombuffer(bout.payload[1 : 1 + m], dtype=np.int8)
+                bits = np.take(info.cost, msg)  # each round costs its symbol's bits
+                batch = BatchResult(a=a, b=b, msg=msg, bits=bits, lam=None)
+                parts.append(_aggregate(protocol, x, y, batch, keep_outcomes, keep_lambdas=False))
+            result.settings.append(_merge(parts))
+    except (EOFError, ConnectionError, socket.timeout) as exc:
+        raise TransportError(f"lost a party: {exc}") from exc
     finally:
         for sock in (alice_sock, bob_sock):
             if sock is not None:
@@ -570,14 +564,15 @@ def audit_transcript(transcript: Transcript, protocol: Optional[ProtocolId] = No
     """Offline validation of a networked run's frame log.
 
     Checks, per setting-pair segment: one identical shared-randomness frame
-    per party per round, in order; the alphabet bound on every Alice-to-Bob
-    message; the message/no-message pattern against the shared bit for
-    protocols with silent rounds; and that no reverse channel ever appears.
+    per party per chunk, the chunks in order; exactly one Alice-to-Bob
+    message per chunk, holding one in-alphabet entry per round whose shared
+    row says Alice talks; and that no reverse channel ever appears.
     """
     protocol = protocol or transcript.protocol
     info = PROTOCOLS[protocol]
+    n = transcript.rounds_per_setting
     findings: list = []
-    hist: dict = {}
+    hist: Counter = Counter()
     total_rounds = 0
     total_messages = 0
 
@@ -587,8 +582,6 @@ def audit_transcript(transcript: Transcript, protocol: Optional[ProtocolId] = No
         if rec.channel.startswith("bob->alice"):
             findings.append("reverse channel bob->alice present")
 
-    size = shared_row_size(protocol)
-    r_at = _row_dtype(protocol).fields["r"][1] if info.shared_bit else None  # the bit's byte
     for seg_index, seg in enumerate(_split_segments(transcript)):
         shared_a: dict = {}
         shared_b: dict = {}
@@ -610,37 +603,40 @@ def audit_transcript(transcript: Transcript, protocol: Optional[ProtocolId] = No
 
         if set(shared_a) != set(shared_b):
             findings.append(f"segment {seg_index}: parties saw different rounds")
-        if shared_a and sorted(shared_a) != list(range(len(shared_a))):
-            findings.append(f"segment {seg_index}: rounds are not the contiguous range")
-        for rnd, payload in messages.items():
-            fault = _message_fault(payload, info.alphabet_size, info.vector_message)
-            if fault:
-                findings.append(f"segment {seg_index} round {rnd}: {fault}")
-            else:
-                key = "vector" if info.vector_message else str(payload[0])
-                hist[key] = hist.get(key, 0) + 1
+        if sorted(shared_a) != list(range(0, CHUNK * len(shared_a), CHUNK)):
+            findings.append(f"segment {seg_index}: chunks are not the contiguous range")
+        for rnd in sorted(set(messages) - set(shared_a)):
+            findings.append(f"segment {seg_index} round {rnd}: message outside any chunk")
 
-        for rnd, payload in shared_a.items():
-            where = f"segment {seg_index} round {rnd}"
-            if shared_b.get(rnd) != payload:
+        for lo, payload in shared_a.items():
+            where = f"segment {seg_index} round {lo}"
+            if shared_b.get(lo) != payload:
                 findings.append(f"{where}: parties saw different shared randomness")
-            if len(payload) != size:
-                findings.append(f"{where}: shared payload has {len(payload)} bytes, want {size}")
+            try:
+                shared = unpack_shared(protocol, payload, min(lo + CHUNK, n) - lo)
+            except TransportError as exc:
+                findings.append(f"{where}: {exc}")
                 continue
-            # Alice talks in every round, or in those whose shared bit is 1
-            talk = not info.shared_bit or payload[r_at] == 1
-            if talk and rnd not in messages:
+            total_rounds += shared.rounds
+            if lo not in messages:
                 findings.append(f"{where}: missing message")
-            if not talk and rnd in messages:
-                findings.append(f"{where}: message sent in a no-communication round")
-
-        total_rounds += len(shared_a)
-        total_messages += len(messages)
+                continue
+            # one entry per round in which Alice talks, and none in the others
+            talking = int(info.talks(shared).sum())
+            fault = _message_fault(messages[lo], info.alphabet_size, info.vector_message, talking)
+            if fault:
+                findings.append(f"{where}: {fault}")
+                continue
+            total_messages += talking
+            if info.vector_message:
+                hist["vector"] += talking
+            else:
+                hist.update(str(s) for s in messages[lo])
 
     return AuditReport(
         findings=findings,
         rounds=total_rounds,
         messages=total_messages,
         message_fraction=total_messages / total_rounds if total_rounds else 0.0,
-        symbol_histogram=hist,
+        symbol_histogram=dict(+hist),  # without zero counts
     )

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from lhvsim import wire
 from lhvsim.cli import main
 from lhvsim.protocols import ProtocolId
-from lhvsim.errors import ValidationError
+from lhvsim.errors import TransportError, ValidationError
 from lhvsim.wire import Frame, FrameKind, FrameRecord, Transcript, run_networked
 from lhvsim.bloch import State, X_AXIS, Z_AXIS
 
@@ -192,7 +193,9 @@ class TestWireRunAndAudit:
         )
         for rec in transcript.records:
             if rec.channel == "alice->bob" and rec.frame.kind == FrameKind.MESSAGE:
-                rec.frame = Frame(rec.frame.round, FrameKind.MESSAGE, bytes([7]))
+                body = bytearray(rec.frame.payload)
+                body[5] = 7
+                rec.frame = Frame(rec.frame.round, FrameKind.MESSAGE, bytes(body))
                 break
         path = tmp_path / "bad.bin"
         path.write_bytes(transcript.to_binary())
@@ -228,3 +231,46 @@ def test_malformed_transcript_is_usage_error(case, tmp_path, capsys):
     path.write_bytes(data)
     assert run_cli("audit", str(path)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,content",
+    [
+        (["simulate", "--settings", "grid:x"], None),
+        (["props", "--p-list", "abc"], None),
+        (["simulate", "--settings", "file:{path}"], [1]),
+        (["simulate", "--settings", "file:{path}"], {"a": 1}),
+        (["simulate", "--settings", "file:{path}"], [["ab", "cd"]]),
+        (["simulate", "--settings", "file:{path}"], [[[1, 0, 0], [0, 0, 1], [1, 0, 0]]]),
+        (["simulate", "--config", "{path}"], {"rounds": "abc"}),
+    ],
+    ids=[
+        "grid-size",
+        "p-list",
+        "settings-scalar",
+        "settings-object",
+        "settings-strings",
+        "settings-triple",
+        "config-type",
+    ],
+)
+def test_malformed_input_is_usage_error(argv, content, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert run_cli(*[arg.format(path=path) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_party_timeout_aborts_run(tmp_path, monkeypatch, capsys):
+    # Alice's process exits without connecting; the referee's accept times out
+    monkeypatch.setattr(wire, "_SOCKET_TIMEOUT", 1.0)
+    monkeypatch.setattr(wire, "alice_main", lambda host, port: None)
+    with pytest.raises(TransportError):
+        run_networked(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], 10, seed=1)
+    code = run_cli(
+        "wire-run", "--protocol", "trit", "--p", "0.7", "--rounds", "10",
+        "--settings", "grid:1", "--out-dir", str(tmp_path / "wire"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("run aborted: ")

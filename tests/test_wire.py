@@ -1,30 +1,32 @@
 """Tests for the networked referee/Alice/Bob execution and transcript audit."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lhvsim.bloch import State, X_AXIS, Z_AXIS
-from lhvsim.errors import ProtocolViolationError
-from lhvsim.protocols import ProtocolId, draw_shared, simulate
+from lhvsim.errors import ProtocolViolationError, ValidationError
+from lhvsim.protocols import CHUNK, ProtocolId, draw_shared, simulate
 from lhvsim.sampling import make_generator, n_of_p
 from lhvsim.wire import (
     FAULT_OVERSIZED_MESSAGE,
+    AuditReport,
     Frame,
     FrameKind,
     FrameRecord,
     Transcript,
     WireConfig,
     audit_transcript,
-    pack_shared_row,
+    pack_shared,
     recv_frame,
     run_networked,
     send_frame,
-    shared_row_size,
     unpack_alice_setting,
     unpack_bob_setting,
-    unpack_shared_row,
+    unpack_shared,
 )
 
 PAIR = [(np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8]))]
@@ -60,18 +62,13 @@ class TestFraming:
 
     @pytest.mark.parametrize("pid,p", CASES)
     def test_shared_row_roundtrip(self, pid, p):
+        # one 16-row chunk; unpack_shared checks the payload holds 16 rows
         shared = draw_shared(pid, State(p), make_generator(1, 0), 16)
-        for i in (0, 7, 15):
-            packed = pack_shared_row(pid, shared, i)
-            assert len(packed) == shared_row_size(pid)
-            row = unpack_shared_row(pid, packed)
-            assert np.array_equal(row.lam1[0], shared.lam1[i])
-            if shared.lam2 is not None:
-                assert np.array_equal(row.lam2[0], shared.lam2[i])
-            if shared.lam3 is not None:
-                assert np.array_equal(row.lam3[0], shared.lam3[i])
-            if shared.r is not None:
-                assert row.r[0] == shared.r[i]
+        back = unpack_shared(pid, pack_shared(pid, shared), 16)
+        for name in ("lam1", "lam2", "lam3", "r"):
+            want = getattr(shared, name)
+            got = getattr(back, name)
+            assert (got is None) if want is None else np.array_equal(got, want)
 
 
 class TestEquivalence:
@@ -96,6 +93,75 @@ class TestEquivalence:
             assert np.array_equal(sn.b_seq, si.b_seq)
         rep = audit_transcript(transcript)
         assert rep.passed and rep.rounds == 1200
+
+
+class TestChunks:
+    @pytest.mark.parametrize(
+        "pid,p",
+        [(ProtocolId.IMPROVED_ONE_BIT, 0.9), (ProtocolId.LOCAL_CONTENT, 0.7)],
+    )
+    def test_two_chunks_equal_in_process(self, pid, p):
+        # the envelope scan and the in-order vector sampler carry across chunks
+        rounds = CHUNK + 3
+        net, transcript = run_networked(pid, State(p), PAIR, rounds, seed=21)
+        ref = simulate(pid, State(p), PAIR, rounds, seed=21, keep_outcomes=True)
+        for seq in ("a_seq", "b_seq", "msg_seq", "bits_seq"):
+            assert np.array_equal(getattr(net.settings[0], seq), getattr(ref.settings[0], seq))
+        # two settings, then five frames per chunk
+        assert len(transcript.records) == 2 + 5 * 2
+        rep = audit_transcript(transcript)
+        assert rep.passed and rep.rounds == rounds
+
+    def test_zero_rounds_is_one_empty_chunk(self):
+        net, transcript = run_networked(ProtocolId.TRIT, State(0.7), PAIR, 0, seed=22)
+        got = net.settings[0]
+        assert got.rounds == 0 and got.a_seq.size == got.b_seq.size == got.msg_seq.size == 0
+        assert len(transcript.records) == 2 + 5
+        rep = audit_transcript(transcript)
+        assert rep.passed and rep.rounds == 0
+
+
+@lru_cache(maxsize=None)
+def _valid_log(pid: ProtocolId, p: float) -> bytes:
+    _, transcript = run_networked(pid, State(p), PAIR * 2, 40, seed=23)
+    return transcript.to_binary()
+
+
+class TestParserFuzz:
+    @given(
+        case=st.sampled_from(
+            [(ProtocolId.LOCAL_CONTENT, 0.7), (ProtocolId.IMPROVED_ONE_BIT, 0.9)]
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_corrupt_log_parses_or_fails_cleanly(self, case, data):
+        # splice bytes inside frames, keeping the framing, so that payloads of
+        # any length reach the audit; then corrupt the log byte by byte
+        transcript = Transcript.from_binary(_valid_log(*case))
+        for _ in range(data.draw(st.integers(0, 2))):
+            rec = data.draw(st.sampled_from(transcript.records))
+            body = bytearray(rec.frame.payload)
+            i = data.draw(st.integers(0, len(body)))
+            body[i : i + data.draw(st.integers(0, 30))] = data.draw(st.binary(max_size=30))
+            rec.frame = Frame(rec.frame.round, rec.frame.kind, bytes(body))
+        blob = bytearray(transcript.to_binary())
+        for _ in range(data.draw(st.integers(0, 3))):
+            op = data.draw(st.sampled_from(["flip", "truncate", "splice"]))
+            i = data.draw(st.integers(0, max(len(blob) - 1, 0)))
+            if op == "flip" and blob:
+                blob[i] ^= data.draw(st.integers(1, 255))
+            elif op == "truncate":
+                del blob[i:]
+            else:
+                j = data.draw(st.integers(0, len(blob)))
+                blob[i:i] = blob[j : j + data.draw(st.integers(0, 64))]
+        try:
+            transcript = Transcript.from_binary(bytes(blob))
+        except ValidationError:
+            return
+        assert isinstance(audit_transcript(transcript), AuditReport)
+        transcript.summary()
 
 
 class TestEnforcement:
@@ -160,11 +226,10 @@ class TestTranscript:
         assert audit_transcript(back).passed
 
     def test_alice_output_carries_no_cost(self):
-        # status, a and the symbol; the referee charges the symbol's cost
+        # a and the symbol per round; the referee charges the symbol's cost
         transcript = self._clean()
         outputs = list(transcript.frames("alice->referee", FrameKind.OUTPUT))
-        assert len(outputs) == 300
-        assert all(len(rec.frame.payload) == 3 for rec in outputs)
+        assert sum(len(rec.frame.payload) for rec in outputs) == 2 * 300
 
     def test_summary_deterministic(self):
         t1 = self._clean()
@@ -175,11 +240,21 @@ class TestTranscript:
         transcript = self._clean()
         for rec in transcript.records:
             if rec.channel == "alice->bob" and rec.frame.kind == FrameKind.MESSAGE:
-                rec.frame = Frame(rec.frame.round, FrameKind.MESSAGE, bytes([9]))
+                body = bytearray(rec.frame.payload)
+                body[5] = 9
+                rec.frame = Frame(rec.frame.round, FrameKind.MESSAGE, bytes(body))
                 break
         rep = audit_transcript(transcript)
         assert not rep.passed
         assert any("outside alphabet" in f for f in rep.findings)
+
+    def test_entry_for_a_silent_round_detected(self):
+        # one entry more than the talking rounds, as a message in a silent round gives
+        _, transcript = run_networked(ProtocolId.IMPROVED_ONE_BIT, State(0.9), PAIR, 300, seed=17)
+        for rec in transcript.frames("alice->bob", FrameKind.MESSAGE):
+            rec.frame = Frame(rec.frame.round, FrameKind.MESSAGE, rec.frame.payload + b"\x00")
+        rep = audit_transcript(transcript)
+        assert any("message has" in f for f in rep.findings)
 
     def test_tampered_shared_randomness_detected(self):
         transcript = self._clean()
