@@ -15,7 +15,7 @@ from .errors import (
     ValidationError,
 )
 from .protocols import ProtocolId, simulate
-from .sampling import RngStream, n_of_p
+from .sampling import n_of_p
 from .verify import default_setting_pairs, verification_report
 from .wire import audit_transcript, run_networked
 
@@ -27,7 +27,6 @@ __all__ = [
     "collapse",
     "ProtocolId",
     "simulate",
-    "RngStream",
     "n_of_p",
     "default_setting_pairs",
     "verification_report",

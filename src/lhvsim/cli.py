@@ -210,6 +210,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             int(cfg.rounds),
             int(cfg.seed),
             config=WireConfig(referee_port=int(cfg.port)),
+            keep_outcomes=False,
         )
     elif cfg.mode == "in-process":
         sim = simulate(

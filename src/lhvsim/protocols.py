@@ -30,13 +30,15 @@ Stream layout per setting pair k of a run with seed s and n rounds:
 * Alice's rejection sampler (vector-message protocol only) owns stream
   (s, k, CH_SAMPLER) and is consumed sample by sample.
 
-The layout is that of one n-round draw, but ``simulate`` and the networked
-mode read it in chunks of ``CHUNK`` rounds.  A chunk of rounds [lo, hi)
-opens each stream at the position where that n-round draw would reach
-round lo of each block (Philox is counter-based, so the jump is free) and
-reads only its own rows.  The
-envelope sampler of the improved one-bit protocol consumes a data-dependent
-number of candidate blocks; one counting pass over those blocks
+The layout is that of one n-round draw, and ``simulate`` and the networked
+mode both read it in chunks of ``CHUNK`` rounds, through ``shared_chunk``
+and ``private_chunk``.  A pair's only chunk (n <= CHUNK) reads its streams
+straight through, block after block.  Any other chunk of rounds [lo, hi)
+opens each stream at the position where the n-round draw would reach round
+lo of each block (Philox is counter-based, so the jump is free) and reads
+only its own rows.  The envelope sampler of the improved one-bit protocol
+consumes a data-dependent number of candidate blocks; for a pair of more
+than one chunk, one counting pass over those blocks
 (``sampling.EnvelopeScan``) keeps each block's accept bits, from which a
 chunk finds and builds its own samples.  The vector-message sampler is
 consumed in order, so its chunks run one after another.  Outcomes and
@@ -61,7 +63,6 @@ from .sampling import (
     EnvelopeScan,
     RhoTildeMaxSampler,
     RhoTildeSampler,
-    RngStream,
     _rho_tilde_given,
     check_bound,
     eval_rho_tilde_max,
@@ -121,7 +122,12 @@ class AlicePrivate:
 
 
 class _Whole:
-    """All n rounds of a stream, read in order from one generator."""
+    """All n rounds of a stream, read in order from one generator.
+
+    A pair's only chunk reads through it: rounds [0, n) read straight
+    through give the bytes of the one-draw layout, and the envelope is drawn
+    directly, with no counting pass.
+    """
 
     def __init__(self, rng: np.random.Generator, n: int):
         self.rng = rng
@@ -210,22 +216,31 @@ def _draw_alice_private(protocol: ProtocolId, src) -> AlicePrivate:
     return AlicePrivate(**{name: src.block(1).random(src.rounds) for name in blocks})
 
 
+def _source(seed, path, n, lo, hi, scan=None):
+    """Where rounds [lo, hi) of stream (seed, *path) of an n-round pair are read."""
+    if (lo, hi) == (0, n):
+        return _Whole(make_generator(seed, *path), n)
+    return _Chunk(seed, path, n, lo, hi, scan)
+
+
 def shared_chunk(protocol, state, seed, k, n, lo, hi, scan=None) -> SharedDraw:
     """Rounds [lo, hi) of pair k's n-round shared draw; ``scan`` is its ``envelope_scan``."""
-    return _draw_shared(protocol, state, _Chunk(seed, (k, CH_SHARED), n, lo, hi, scan))
+    return _draw_shared(protocol, state, _source(seed, (k, CH_SHARED), n, lo, hi, scan))
 
 
 def private_chunk(protocol, seed, k, n, lo, hi) -> AlicePrivate:
     """Rounds [lo, hi) of Alice's private coins for pair k of n rounds."""
-    return _draw_alice_private(protocol, _Chunk(seed, (k, CH_ALICE), n, lo, hi))
+    return _draw_alice_private(protocol, _source(seed, (k, CH_ALICE), n, lo, hi))
 
 
 def envelope_scan(protocol, state, seed, k, n) -> Optional[EnvelopeScan]:
-    """The counting pass over pair k's envelope candidates; None if it draws none.
+    """The counting pass over pair k's envelope candidates.
 
-    They follow the n shared-bit uniforms that ``draw_shared`` reads first.
+    None if the pair draws no envelope, or has at most ``CHUNK`` rounds: its
+    only chunk draws the envelope straight through.  The candidates follow
+    the n shared-bit uniforms that the shared layout reads first.
     """
-    if not PROTOCOLS[protocol].draws_envelope(state):
+    if n <= CHUNK or not PROTOCOLS[protocol].draws_envelope(state):
         return None
     return EnvelopeScan(state, seed, (k, CH_SHARED), n, n)
 
@@ -536,21 +551,7 @@ def bob_decide(
 
 
 # ---------------------------------------------------------------------------
-# round records and batch execution
-
-
-@dataclass
-class RoundRecord:
-    """One simulated round, for inspection and the wire transcript."""
-
-    index: int
-    x: np.ndarray
-    y: np.ndarray
-    a: int
-    b: int
-    message: int  # symbol in {1..d}; 0 = no message
-    bits_sent: float
-    lam_chosen: np.ndarray
+# one chunk of play
 
 
 @dataclass
@@ -562,29 +563,10 @@ class BatchResult:
     lam: np.ndarray
 
 
-def run_batch(
-    protocol: ProtocolId,
-    state: State,
-    x: np.ndarray,
-    y: np.ndarray,
-    n: int,
-    shared_rng: np.random.Generator,
-    alice_rng: np.random.Generator,
-    sampler_rng: Optional[np.random.Generator] = None,
-) -> BatchResult:
-    """Run n rounds of one setting pair from explicit streams."""
-    shared = draw_shared(protocol, state, shared_rng, n)
-    priv = draw_alice_private(protocol, alice_rng, n)
-    sampler = _vector_sampler(protocol, state, x, sampler_rng)
-    return _play(protocol, state, x, y, shared, priv, sampler)
-
-
 def _vector_sampler(protocol, state, x, rng) -> Optional[RhoTildeSampler]:
     """Alice's sampler for vector messages, on its own stream; None if unused."""
     if not PROTOCOLS[protocol].vector_message or state.p >= 1.0:
         return None
-    if rng is None:
-        raise ValidationError(f"protocol '{protocol.value}' needs a sampler stream")
     return RhoTildeSampler(state, x, rng)
 
 
@@ -592,81 +574,6 @@ def _play(protocol, state, x, y, shared, priv, sampler) -> BatchResult:
     ares = alice_decide(protocol, state, x, shared, priv, sampler)
     b = bob_decide(protocol, y, shared, ares.msg, ares.payload)
     return BatchResult(a=ares.a, b=b, msg=ares.msg, bits=ares.bits, lam=ares.lam)
-
-
-def _streams_for(rng) -> tuple:
-    """Accept an RngStream (channelled) or a bare Generator (sequential)."""
-    if isinstance(rng, RngStream):
-        return rng.generator(CH_SHARED), rng.generator(CH_ALICE), rng.generator(CH_SAMPLER)
-    return rng, rng, rng
-
-
-def _run_single(protocol: ProtocolId, rng, state: State, x, y) -> RoundRecord:
-    check_applicable(protocol, state)
-    shared_rng, alice_rng, sampler_rng = _streams_for(rng)
-    res = run_batch(protocol, state, x, y, 1, shared_rng, alice_rng, sampler_rng)
-    return RoundRecord(
-        index=0,
-        x=np.asarray(x, dtype=float),
-        y=np.asarray(y, dtype=float),
-        a=int(res.a[0]),
-        b=int(res.b[0]),
-        message=int(res.msg[0]),
-        bits_sent=float(res.bits[0]),
-        lam_chosen=res.lam[0],
-    )
-
-
-def run_protocol1_round(rng, state: State, x, y) -> RoundRecord:
-    """One round of the one-bit protocol (weakly entangled states)."""
-    return _run_single(ProtocolId.ONE_BIT, rng, state, x, y)
-
-
-def run_protocol2_round(rng, state: State, x, y) -> RoundRecord:
-    """One round of the trit protocol (all states)."""
-    return _run_single(ProtocolId.TRIT, rng, state, x, y)
-
-
-def run_protocol3_round(rng, state: State, x, y) -> RoundRecord:
-    """One round of the choice-method bit protocol (maximally entangled state)."""
-    return _run_single(ProtocolId.DEGORRE, rng, state, x, y)
-
-
-@dataclass
-class PrepareMeasureRecord:
-    """One round of the two-bit prepare-and-measure simulation of a single qubit."""
-
-    b: int
-    bits_sent: float
-    message: int  # symbol in {1..4} encoding (c1, c2)
-    lam: np.ndarray
-
-
-def run_protocol4_round(rng, v: np.ndarray, y: np.ndarray) -> PrepareMeasureRecord:
-    """Simulate measuring y on the qubit state v with two classical bits.
-
-    Two shared uniform vectors; c1 is the choice bit, c2 = sgn(lam_c1 . v)
-    the flip bit; Bob measures the flipped vector.  p(b=+1) = (1 + y.v)/2.
-    """
-    v = check_unit(v, "v")
-    y = check_unit(y, "y")
-    shared_rng, _, _ = _streams_for(rng)
-    lam1 = sample_uniform_sphere(shared_rng, 1)
-    lam2 = sample_uniform_sphere(shared_rng, 1)
-    c1, c2, lam = _choice_and_flip(lam1, lam2, v)
-    msg = int(2 * (int(c1[0]) - 1) + (int(c2[0]) == -1) + 1)
-    b = int(sign_pm(dot3(lam, y))[0])
-    return PrepareMeasureRecord(b=b, bits_sent=2.0, message=msg, lam=lam[0])
-
-
-def run_protocol5_round(rng, state: State, x, y) -> RoundRecord:
-    """One round of the improved one-bit protocol (message only when r = 1)."""
-    return _run_single(ProtocolId.IMPROVED_ONE_BIT, rng, state, x, y)
-
-
-def run_protocol6_round(rng, state: State, x, y) -> RoundRecord:
-    """One round of the maximal-local-content protocol (vector message when r = 1)."""
-    return _run_single(ProtocolId.LOCAL_CONTENT, rng, state, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -823,14 +730,6 @@ class _PairRun:
             self.protocol, self.x, self.y, res, self.keep_outcomes, self.keep_lambdas
         )
 
-    def whole(self) -> SettingResult:
-        """All rounds in one ``run_batch`` call (pairs of at most one chunk)."""
-        k = self.index
-        streams = [make_generator(self.seed, k, ch) for ch in (CH_SHARED, CH_ALICE, CH_SAMPLER)]
-        return self._aggregate(
-            run_batch(self.protocol, self.state, self.x, self.y, self.n, *streams)
-        )
-
     def chunk(self, lo: int, hi: int, envelope=None, sampler=None) -> SettingResult:
         """Rounds [lo, hi), read from their positions in the n-round streams."""
         pid, k, n = self.protocol, self.index, self.n
@@ -849,23 +748,18 @@ class _PairRun:
 
     @property
     def unit_count(self) -> int:
-        if self.n <= CHUNK or PROTOCOLS[self.protocol].vector_message:
-            return 1
-        return len(_chunks(self.n))
+        return 1 if PROTOCOLS[self.protocol].vector_message else len(_chunks(self.n))
 
 
 def _run_pairs(runs: list, map_fn) -> list:
     """Every pair's units through ``map_fn``, summed per pair in chunk order."""
-    counting = [run for run in runs if run.unit_count > 1]
-    scans = map_fn(_PairRun.envelope_scan, counting)
-    envelopes = dict(zip([run.index for run in counting], scans))
+    scans = list(map_fn(_PairRun.envelope_scan, runs))
     units = []  # (pair index, unit), in pair order, then chunk order
-    for k, run in enumerate(runs):
+    for k, (run, scan) in enumerate(zip(runs, scans)):
         if run.unit_count == 1:
-            units.append((k, run.whole if run.n <= CHUNK else run.in_order))
+            units.append((k, run.in_order))
         else:
-            env = envelopes.get(run.index)
-            units.extend((k, partial(run.chunk, lo, hi, env)) for lo, hi in _chunks(run.n))
+            units.extend((k, partial(run.chunk, lo, hi, scan)) for lo, hi in _chunks(run.n))
     parts = [[] for _ in runs]
     for (k, _), part in zip(units, map_fn(lambda unit: unit[1](), units)):
         parts[k].append(part)
@@ -884,10 +778,10 @@ def simulate(
 ) -> SimulationResult:
     """Run ``rounds_per_setting`` rounds for every (x, y) pair in ``settings``.
 
-    Setting pair k draws from streams (seed, k, channel), and a pair of more
-    than ``CHUNK`` rounds runs in chunks read from their positions in those
-    streams, so results are independent of worker count and of the order
-    chunks are executed in.  ``workers`` threads run the chunks of all pairs.
+    Setting pair k draws from streams (seed, k, channel) in chunks of at most
+    ``CHUNK`` rounds, each read from its position in those streams, so
+    results are independent of worker count and of the order chunks are
+    executed in.  ``workers`` threads run the chunks of all pairs.
     """
     check_applicable(protocol, state)
     pairs = [(check_unit(x, "x"), check_unit(y, "y")) for x, y in settings]

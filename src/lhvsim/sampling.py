@@ -22,8 +22,6 @@ by rejection using their proven envelopes, so the samplers are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import integrate, optimize
 
@@ -75,17 +73,6 @@ def generator_at(seed: int, path: tuple, offset: int) -> np.random.Generator:
     rng.bit_generator.advance(steps)
     rng.random(rest)
     return rng
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Addressable random stream: same (seed, stream_id) => same draws."""
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self, *channel: int) -> np.random.Generator:
-        return make_generator(self.seed, self.stream_id, *channel)
 
 
 def check_bound(value: np.ndarray, bound: np.ndarray, what: str) -> None:

@@ -187,6 +187,32 @@ class TestWireRunAndAudit:
         assert summary["rounds"] == 400 and summary["messages"] == 400
         assert run_cli("audit", str(out / "transcript.bin")) == 0
 
+    def test_wire_run_keeps_no_outcomes(self, tmp_path, monkeypatch):
+        # no report reads the per-round sequences, so wire-run does not keep them
+        import lhvsim.cli as cli
+
+        real = cli.run_networked
+        flags = []
+
+        def recording(*args, **kwargs):
+            flags.append(kwargs.get("keep_outcomes", True))
+            return real(*args, **kwargs)
+
+        def keeping(*args, **kwargs):
+            return real(*args, **{**kwargs, "keep_outcomes": True})
+
+        argv = [
+            "wire-run", "--protocol", "improved-one-bit", "--p", "0.9", "--rounds", "300",
+            "--seed", "8", "--settings", "grid:2",
+        ]
+        monkeypatch.setattr(cli, "run_networked", recording)
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "new")) == 0
+        assert flags == [False]
+        monkeypatch.setattr(cli, "run_networked", keeping)
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "kept")) == 0
+        for name in ("report.json", "settings.csv"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "kept" / name).read_bytes()
+
     def test_audit_flags_tampering(self, tmp_path, capsys):
         _, transcript = run_networked(
             ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], 100, seed=9

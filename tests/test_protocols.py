@@ -20,21 +20,17 @@ from lhvsim.protocols import (
     TRIT_BITS,
     VECTOR_MESSAGE_BITS,
     _aggregate,
+    _choice_and_flip,
+    _play,
+    _vector_sampler,
     alice_output_weight,
     bob_output,
     check_applicable,
+    draw_alice_private,
     draw_shared,
-    run_protocol1_round,
-    run_protocol2_round,
-    run_protocol3_round,
-    run_protocol4_round,
-    run_protocol5_round,
-    run_protocol6_round,
-    run_batch,
     simulate,
 )
 from lhvsim.sampling import (
-    RngStream,
     make_generator,
     n_of_p,
     sample_uniform_sphere,
@@ -231,15 +227,17 @@ class TestTeleportation:
     def test_prepare_and_measure_aligned(self):
         rng = np.random.default_rng(12)
         v = random_unit(rng)
-        recs = [run_protocol4_round(RngStream(100 + i), v, v) for i in range(500)]
-        assert all(r.b == 1 for r in recs)  # flip puts lam in the v hemisphere
-        assert all(r.bits_sent == 2.0 for r in recs)
-        assert {r.message for r in recs} <= {1, 2, 3, 4}
+        g = make_generator(100, 0)
+        lam1 = sample_uniform_sphere(g, 500)
+        lam2 = sample_uniform_sphere(g, 500)
+        c1, c2, lam = _choice_and_flip(lam1, lam2, v)
+        assert np.all(bob_output(v, lam) == 1)  # flip puts lam in the v hemisphere
+        msg = 2 * (c1.astype(int) - 1) + (c2 == -1) + 1
+        assert set(np.unique(msg)) <= {1, 2, 3, 4}
+        assert PROTOCOLS[ProtocolId.TELEPORTATION].cost[1:] == (2.0, 2.0, 2.0, 2.0)
 
     def test_prepare_and_measure_statistics(self):
         # vectorized transcription of the single-qubit protocol for speed
-        from lhvsim.protocols import _choice_and_flip
-
         rng = np.random.default_rng(13)
         v = random_unit(rng)
         g = make_generator(10, 0)
@@ -251,8 +249,6 @@ class TestTeleportation:
             assert abs(p_hat - want) < 0.002
 
     def test_hemisphere_law_statistics_random_pair(self):
-        from lhvsim.protocols import _choice_and_flip
-
         rng = np.random.default_rng(14)
         v, y = random_unit(rng), random_unit(rng)
         g = make_generator(11, 0)
@@ -339,11 +335,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
     def test_run_batch_of_zero_rounds_is_empty(self, pid, p):
-        streams = [make_generator(25, 0, ch) for ch in (CH_SHARED, CH_ALICE, CH_SAMPLER)]
-        res = run_batch(pid, State(p), X_AXIS, Z_AXIS, 0, *streams)
-        for seq in (res.a, res.b, res.msg, res.bits):
+        res = simulate(
+            pid, State(p), [(X_AXIS, Z_AXIS)], 0, seed=25, keep_outcomes=True, keep_lambdas=True
+        )
+        s = res.settings[0]
+        for seq in (s.a_seq, s.b_seq, s.msg_seq, s.bits_seq):
             assert seq.shape == (0,)
-        assert res.lam.shape == (0, 3)
+        assert s.lam_seq.shape == (0, 3)
 
     def test_rejects_inapplicable_p(self):
         with pytest.raises(DomainError, match="<= p <= 1"):
@@ -436,59 +434,78 @@ class TestCostStatistics:
         assert res.worst_bits == float(s.bits_seq.max())
 
 
+def one_round(pid, p, x, y, seed):
+    res = simulate(pid, State(p), [(x, y)], 1, seed, keep_outcomes=True, keep_lambdas=True)
+    return res.settings[0]
+
+
 class TestSingleRoundApi:
-    RUNNERS = {
-        ProtocolId.ONE_BIT: (run_protocol1_round, 0.95),
-        ProtocolId.TRIT: (run_protocol2_round, 0.7),
-        ProtocolId.DEGORRE: (run_protocol3_round, 0.5),
-        ProtocolId.IMPROVED_ONE_BIT: (run_protocol5_round, 0.9),
-        ProtocolId.LOCAL_CONTENT: (run_protocol6_round, 0.7),
+    """A single round is a 1-round ``simulate``, kept outcomes and all."""
+
+    P = {
+        ProtocolId.ONE_BIT: 0.95,
+        ProtocolId.TRIT: 0.7,
+        ProtocolId.DEGORRE: 0.5,
+        ProtocolId.TELEPORTATION: 0.7,
+        ProtocolId.IMPROVED_ONE_BIT: 0.9,
+        ProtocolId.LOCAL_CONTENT: 0.7,
     }
 
     def test_round_records(self):
         rng = np.random.default_rng(30)
-        for pid, (runner, p) in self.RUNNERS.items():
+        for pid, p in self.P.items():
             x, y = random_unit(rng), random_unit(rng)
-            rec = runner(RngStream(31), State(p), x, y)
-            assert rec.a in (-1, 1) and rec.b in (-1, 1)
-            assert 0 <= rec.message <= PROTOCOLS[pid].alphabet_size
-            assert np.linalg.norm(rec.lam_chosen) == pytest.approx(1.0, abs=1e-9)
+            rec = one_round(pid, p, x, y, seed=31)
+            assert rec.a_seq.shape == rec.b_seq.shape == rec.msg_seq.shape == (1,)
+            assert rec.a_seq[0] in (-1, 1) and rec.b_seq[0] in (-1, 1)
+            assert 0 <= rec.msg_seq[0] <= PROTOCOLS[pid].alphabet_size
+            assert np.linalg.norm(rec.lam_seq[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_same_stream_same_round(self):
-        x, y = X_AXIS, Z_AXIS
-        a = run_protocol2_round(RngStream(32, 5), State(0.7), x, y)
-        b = run_protocol2_round(RngStream(32, 5), State(0.7), x, y)
-        assert (a.a, a.b, a.message) == (b.a, b.b, b.message)
-        assert np.array_equal(a.lam_chosen, b.lam_chosen)
+        a = one_round(ProtocolId.TRIT, 0.7, X_AXIS, Z_AXIS, seed=32)
+        b = one_round(ProtocolId.TRIT, 0.7, X_AXIS, Z_AXIS, seed=32)
+        for name in ("a_seq", "b_seq", "msg_seq", "bits_seq", "lam_seq"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            run_protocol1_round(RngStream(33), State(0.7), X_AXIS, Z_AXIS)
-        with pytest.raises(DomainError):
-            run_protocol3_round(RngStream(34), State(0.7), X_AXIS, Z_AXIS)
-        with pytest.raises(DomainError):
-            run_protocol5_round(RngStream(35), State(0.7), X_AXIS, Z_AXIS)
+        for pid, seed in (
+            (ProtocolId.ONE_BIT, 33),
+            (ProtocolId.DEGORRE, 34),
+            (ProtocolId.IMPROVED_ONE_BIT, 35),
+        ):
+            with pytest.raises(DomainError):
+                one_round(pid, 0.7, X_AXIS, Z_AXIS, seed)
+
+
+# three chunks, the last one short (ids as CASE_IDS), and a pair's only chunk
+CHUNK_CASES = [
+    pytest.param(pid, p, n, id=case_id + suffix)
+    for (pid, p), case_id in zip(CASES, CASE_IDS)
+    for n, suffix in ((2 * CHUNK + 3, ""), (2000, "-one-chunk"))
+]
 
 
 class TestChunking:
     """Chunked runs read the n-round streams in pieces and must equal one draw."""
 
-    N = 2 * CHUNK + 3
-
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
-    def test_equals_whole_array_run(self, pid, p, workers):
+    @pytest.mark.parametrize("pid,p,n", CHUNK_CASES)
+    def test_equals_whole_array_run(self, pid, p, n, workers):
+        state = State(p)
         pairs = default_setting_pairs(2)
         res = simulate(
-            pid, State(p), pairs, self.N, seed=40, workers=workers,
+            pid, state, pairs, n, seed=40, workers=workers,
             keep_outcomes=True, keep_lambdas=True,
         )
         for k, (x, y) in enumerate(pairs):
-            streams = [make_generator(40, k, ch) for ch in (CH_SHARED, CH_ALICE, CH_SAMPLER)]
-            batch = run_batch(pid, State(p), x, y, self.N, *streams)
+            # the reference: every stream read as one n-round draw
+            shared = draw_shared(pid, state, make_generator(40, k, CH_SHARED), n)
+            priv = draw_alice_private(pid, make_generator(40, k, CH_ALICE), n)
+            sampler = _vector_sampler(pid, state, x, make_generator(40, k, CH_SAMPLER))
+            batch = _play(pid, state, x, y, shared, priv, sampler)
             want = _aggregate(pid, x, y, batch, True, True)
             got = res.settings[k]
-            assert got.rounds == want.rounds == self.N
+            assert got.rounds == want.rounds == n
             assert got.message_rounds == want.message_rounds
             assert got.bits_sum == pytest.approx(want.bits_sum, rel=1e-14)
             for name in ("counts", "symbol_counts", "a_seq", "b_seq", "msg_seq",

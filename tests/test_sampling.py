@@ -19,7 +19,6 @@ from lhvsim.sampling import (
     EnvelopeScan,
     RhoTildeMaxSampler,
     RhoTildeSampler,
-    RngStream,
     check_bound,
     eval_rho,
     eval_rho_tilde,
@@ -56,12 +55,6 @@ class TestStreams:
         c = make_generator(2, 0).random(100)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_rng_stream_wrapper(self):
-        s = RngStream(seed=1, stream_id=0)
-        v1 = sample_uniform_sphere(s.generator())
-        v2 = sample_uniform_sphere(RngStream(1, 0).generator())
-        assert np.array_equal(v1, v2)
 
     def test_draw_granularity_invariant(self):
         g1 = make_generator(9, 4)
