@@ -401,7 +401,9 @@ def main(argv=None) -> int:
         if args.command == "audit":
             return cmd_audit(args.transcript)
         raise ValidationError(f"unknown command {args.command!r}")
-    except (ValidationError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (
+        ValidationError, DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ProtocolViolationError, TransportError, InternalConsistencyError) as exc:

@@ -351,15 +351,14 @@ def density_property_suite(
     seed: int = 0,
     area_samples: int = 10**6,
     area_points: Optional[list] = None,
-    quadrature_points: Optional[list] = None,
 ) -> DensityPropertyReport:
     """Check the proven properties of rhot_x on random (p, x, lam) triples.
 
     Pointwise properties (non-negativity, point symmetry, the per-sign
     bounds, the envelope, and the constant bound) are evaluated with a
     1e-12 float guard band.  The area 2(1-p) is checked by Monte Carlo
-    (1 percent) and by marginal quadrature (1e-6); ``area_points`` /
-    ``quadrature_points`` restrict those heavier checks to a subset of p.
+    (1 percent) and by marginal quadrature (1e-6); ``area_points``
+    restricts those heavier checks to a subset of p.
     """
     guard = 1e-12
     worst = {
@@ -411,8 +410,7 @@ def density_property_suite(
         vals = 4.0 * np.pi * eval_rho_tilde(state, mc_x, mc_lam)
         mc = float(vals.mean())
         mc_stderr = float(vals.std() / np.sqrt(area_samples))
-        do_quad = quadrature_points is None or p in quadrature_points
-        quad = area_quadrature(state, mc_x) if do_quad else expected
+        quad = area_quadrature(state, mc_x)
         areas.append(
             AreaResult(
                 p=float(p),

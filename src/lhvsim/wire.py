@@ -6,7 +6,7 @@ module keeps them apart with OS processes and sockets.  A referee process
 randomness, Alice talks to Bob over a dedicated one-way TCP connection that
 may only carry symbols from the declared alphabet (Bob rejects anything
 else and the run aborts), and everything the referee sees goes into a
-transcript for offline audit.
+transcript for offline audit, each byte once.
 
 Frame format, little-endian, identical on every channel:
 
@@ -21,10 +21,10 @@ every frame of a chunk names lo as its round.  Per chunk:
   packed rows;
 * Alice sends Bob exactly one MESSAGE, possibly empty, with one entry per
   round in which she talks: a byte (symbol - 1) or a 24-byte raw vector;
-* Alice's OUTPUT holds hi-lo bytes of a, then hi-lo symbol bytes; the
-  referee charges each round the cost of its symbol;
+* Alice's OUTPUT holds hi-lo bytes of a;
 * Bob's OUTPUT holds a status byte, hi-lo bytes of b, then the echo of the
-  message.
+  message.  The referee decodes each round's symbol from the echo, as Bob
+  does, and charges the round the cost of that symbol.
 
 One chunk fully completes before the next begins.  The parties draw each
 chunk with the functions ``protocols.simulate`` uses and decide it in one
@@ -125,33 +125,28 @@ def recv_frame(sock: socket.socket) -> Frame:
 _PROTO_CODE = {pid: i + 1 for i, pid in enumerate(ProtocolId)}
 _CODE_PROTO = {v: k for k, v in _PROTO_CODE.items()}
 
-_ALICE_SETTING = struct.Struct("<QBBdddd QQ H".replace(" ", ""))
-_BOB_SETTING = struct.Struct("<QBBBddd Q".replace(" ", ""))
-
-FAULT_NONE = 0
-FAULT_OVERSIZED_MESSAGE = 1
+_ALICE_SETTING = struct.Struct("<QBdddd QQ H".replace(" ", ""))
+_BOB_SETTING = struct.Struct("<QBddd Q".replace(" ", ""))
 
 
-def pack_alice_setting(pair, protocol, fault, p, x, rounds, seed, bob_port) -> bytes:
+def pack_alice_setting(pair, protocol, p, x, rounds, seed, bob_port) -> bytes:
     return _ALICE_SETTING.pack(
-        pair, _PROTO_CODE[protocol], fault, p, x[0], x[1], x[2], rounds, seed, bob_port
+        pair, _PROTO_CODE[protocol], p, x[0], x[1], x[2], rounds, seed, bob_port
     )
 
 
 def unpack_alice_setting(data: bytes):
-    pair, code, fault, p, x0, x1, x2, rounds, seed, bob_port = _ALICE_SETTING.unpack(data)
-    return pair, _CODE_PROTO[code], fault, p, np.array([x0, x1, x2]), rounds, seed, bob_port
+    pair, code, p, x0, x1, x2, rounds, seed, bob_port = _ALICE_SETTING.unpack(data)
+    return pair, _CODE_PROTO[code], p, np.array([x0, x1, x2]), rounds, seed, bob_port
 
 
-def pack_bob_setting(pair, protocol, alphabet, expect_vector, y, rounds) -> bytes:
-    return _BOB_SETTING.pack(
-        pair, _PROTO_CODE[protocol], alphabet, expect_vector, y[0], y[1], y[2], rounds
-    )
+def pack_bob_setting(pair, protocol, y, rounds) -> bytes:
+    return _BOB_SETTING.pack(pair, _PROTO_CODE[protocol], y[0], y[1], y[2], rounds)
 
 
 def unpack_bob_setting(data: bytes):
-    pair, code, alphabet, expect_vector, y0, y1, y2, rounds = _BOB_SETTING.unpack(data)
-    return pair, _CODE_PROTO[code], alphabet, bool(expect_vector), np.array([y0, y1, y2]), rounds
+    pair, code, y0, y1, y2, rounds = _BOB_SETTING.unpack(data)
+    return pair, _CODE_PROTO[code], np.array([y0, y1, y2]), rounds
 
 
 @lru_cache(maxsize=None)
@@ -182,23 +177,33 @@ def unpack_shared(protocol: ProtocolId, data: bytes, rows: int) -> SharedDraw:
     return SharedDraw(**{name: chunk[name] for name in dtype.names})
 
 
-def _message_fault(payload: bytes, alphabet: int, vector: bool, talking: int) -> Optional[str]:
+def _message_fault(info, payload: bytes, talking: int) -> Optional[str]:
     """Why a chunk's Alice-to-Bob payload breaks the declared alphabet, or None.
 
     It must hold exactly one entry per round in which Alice talks.
     """
-    want = talking * (VECTOR_PAYLOAD_BYTES if vector else 1)
+    want = talking * (VECTOR_PAYLOAD_BYTES if info.vector_message else 1)
     if len(payload) != want:
         return f"message has {len(payload)} bytes, want {want}"
-    if not vector and payload and max(payload) >= alphabet:
-        return f"symbol {max(payload)} outside alphabet of {alphabet}"
+    if not info.vector_message and payload and max(payload) >= info.alphabet_size:
+        return f"symbol {max(payload)} outside alphabet of {info.alphabet_size}"
     return None
+
+
+def _decode_message(info, talk: np.ndarray, payload: bytes):
+    """(each round's symbol, the sent vectors or None) of a fault-free message."""
+    msg = talk.astype(np.uint8)  # symbol 1, or 1 + the byte sent
+    if info.vector_message:
+        return msg, np.frombuffer(payload, dtype=np.float64).reshape(-1, 3)
+    msg[talk] += np.frombuffer(payload, dtype=np.uint8)
+    return msg, None
 
 
 # ---------------------------------------------------------------------------
 # transcript
 
-_CHANNELS = ("referee->alice", "referee->bob", "alice->bob", "alice->referee", "bob->referee")
+_CHANNELS = ("referee->alice", "referee->bob", "referee->parties", "alice->referee", "bob->referee")
+_MAGIC = b"LHV2"
 _LOG_HEAD = struct.Struct("<BdQ")  # protocol code, p, rounds per setting
 
 
@@ -210,10 +215,13 @@ class FrameRecord:
 
 @dataclass
 class Transcript:
-    """Everything the referee saw, in order.
+    """Everything the referee saw, in order, each byte once.
 
-    Alice-to-Bob MESSAGE frames are recorded from Bob's byte-exact echo in
-    his OUTPUT frames; the referee never sits on that channel.
+    A chunk is three records: the one SHARED_RANDOMNESS frame sent to both
+    parties (channel ``referee->parties``), Alice's OUTPUT and Bob's OUTPUT.
+    The referee never sits on the Alice-to-Bob channel; the chunk's message
+    is Bob's byte-exact echo, ``payload[1 + m:]`` of his OUTPUT for a chunk
+    of m rounds.
     """
 
     protocol: ProtocolId
@@ -234,7 +242,7 @@ class Transcript:
 
     def to_binary(self) -> bytes:
         head = _LOG_HEAD.pack(_PROTO_CODE[self.protocol], self.state_p, self.rounds_per_setting)
-        parts = [b"LHVT", head]
+        parts = [_MAGIC, head]
         for rec in self.records:
             parts.append(bytes([_CHANNELS.index(rec.channel)]))
             parts.append(rec.frame.encode())
@@ -243,8 +251,8 @@ class Transcript:
     @classmethod
     def from_binary(cls, data: bytes) -> "Transcript":
         """Parse a ``to_binary`` log; raise ValidationError if it is malformed."""
-        if data[:4] != b"LHVT":
-            raise ValidationError("not a transcript log (bad magic)")
+        if data[:4] != _MAGIC:
+            raise ValidationError(f"not an {_MAGIC.decode()} transcript log (bad magic)")
         off = 4 + _LOG_HEAD.size
         if len(data) < off:
             raise ValidationError("transcript header is truncated")
@@ -307,9 +315,7 @@ def alice_main(host: str, referee_port: int) -> None:
             setting = recv_frame(ref)
             if setting.kind != FrameKind.SETTING:
                 raise TransportError(f"alice expected SETTING, got {setting.kind}")
-            pair, protocol, fault, p, x, rounds, seed, bob_port = unpack_alice_setting(
-                setting.payload
-            )
+            pair, protocol, p, x, rounds, seed, bob_port = unpack_alice_setting(setting.payload)
             if bob is None:
                 bob = _connect(host, bob_port)
             state = State(p)
@@ -325,10 +331,8 @@ def alice_main(host: str, referee_port: int) -> None:
                     body = res.payload.tobytes()
                 else:
                     body = (res.msg[res.msg != 0] - 1).tobytes()
-                if fault == FAULT_OVERSIZED_MESSAGE and lo == 0:
-                    body += b"\x00"  # deliberately one entry too long
                 send_frame(bob, Frame(lo, FrameKind.MESSAGE, body))
-                send_frame(ref, Frame(lo, FrameKind.OUTPUT, res.a.tobytes() + res.msg.tobytes()))
+                send_frame(ref, Frame(lo, FrameKind.OUTPUT, res.a.tobytes()))
     except (EOFError, ConnectionError, socket.timeout):
         pass  # referee finished or aborted the run
     finally:
@@ -353,9 +357,7 @@ def bob_main(host: str, referee_port: int) -> None:
             setting = recv_frame(ref)
             if setting.kind != FrameKind.SETTING:
                 raise TransportError(f"bob expected SETTING, got {setting.kind}")
-            pair, protocol, alphabet, expect_vector, y, rounds = unpack_bob_setting(
-                setting.payload
-            )
+            pair, protocol, y, rounds = unpack_bob_setting(setting.payload)
             y = check_unit(y, "y")
             if alice is None:
                 alice, _ = lsock.accept()
@@ -371,18 +373,13 @@ def bob_main(host: str, referee_port: int) -> None:
                 status = 0
                 if mframe.kind != FrameKind.MESSAGE or mframe.round != lo:
                     status = 2  # desync / wrong kind
-                elif _message_fault(mframe.payload, alphabet, expect_vector, int(talk.sum())):
+                elif _message_fault(info, mframe.payload, int(talk.sum())):
                     status = 1  # oversized or out-of-alphabet message
                 if status != 0:
                     out = bytes([status]) + bytes(hi - lo) + mframe.payload
                     send_frame(ref, Frame(lo, FrameKind.OUTPUT, out))
                     raise ProtocolViolationError("message rejected; aborting")
-                msg = talk.astype(np.uint8)  # symbol 1, or 1 + the byte sent
-                vectors = None
-                if expect_vector:
-                    vectors = np.frombuffer(mframe.payload, dtype=np.float64).reshape(-1, 3)
-                else:
-                    msg[talk] += np.frombuffer(mframe.payload, dtype=np.uint8)
+                msg, vectors = _decode_message(info, talk, mframe.payload)
                 b = bob_decide(protocol, y, shared, msg, vectors)
                 send_frame(ref, Frame(lo, FrameKind.OUTPUT, b"\x00" + b.tobytes() + mframe.payload))
     except ProtocolViolationError:
@@ -404,7 +401,6 @@ def bob_main(host: str, referee_port: int) -> None:
 class WireConfig:
     host: str = "127.0.0.1"
     referee_port: int = 0  # 0 = ephemeral
-    fault: int = FAULT_NONE
 
 
 def run_networked(
@@ -469,15 +465,9 @@ def run_networked(
             fa = Frame(
                 SETUP_ROUND,
                 FrameKind.SETTING,
-                pack_alice_setting(k, protocol, config.fault, state.p, x, rounds, seed, bob_port),
+                pack_alice_setting(k, protocol, state.p, x, rounds, seed, bob_port),
             )
-            fb = Frame(
-                SETUP_ROUND,
-                FrameKind.SETTING,
-                pack_bob_setting(
-                    k, protocol, info.alphabet_size, info.vector_message, y, rounds
-                ),
-            )
+            fb = Frame(SETUP_ROUND, FrameKind.SETTING, pack_bob_setting(k, protocol, y, rounds))
             send_frame(alice_sock, fa)
             transcript.add("referee->alice", fa)
             send_frame(bob_sock, fb)
@@ -489,26 +479,26 @@ def run_networked(
                 shared = shared_chunk(protocol, state, seed, k, rounds, lo, hi, scan)
                 frame = Frame(lo, FrameKind.SHARED_RANDOMNESS, pack_shared(protocol, shared))
                 send_frame(alice_sock, frame)
-                transcript.add("referee->alice", frame)
                 send_frame(bob_sock, frame)
-                transcript.add("referee->bob", frame)
+                transcript.add("referee->parties", frame)
 
                 aout = recv_frame(alice_sock)
                 bout = recv_frame(bob_sock)
                 transcript.add("alice->referee", aout)
                 transcript.add("bob->referee", bout)
                 m = hi - lo
-                if len(aout.payload) != 2 * m or len(bout.payload) < 1 + m:
+                if len(aout.payload) != m or len(bout.payload) < 1 + m:
                     raise TransportError(f"round {lo}: malformed OUTPUT frame")
-                transcript.add("alice->bob", Frame(lo, FrameKind.MESSAGE, bout.payload[1 + m :]))
                 if bout.payload[0] != 0:
                     raise ProtocolViolationError(
                         f"round {lo}: bob rejected the message (status {bout.payload[0]})"
                     )
-                msg = np.frombuffer(aout.payload[m:], dtype=np.uint8)
-                if msg.max(initial=0) > info.alphabet_size:
-                    raise ProtocolViolationError(f"round {lo}: alice reported symbol {msg.max()}")
-                a = np.frombuffer(aout.payload[:m], dtype=np.int8)
+                talk, echo = info.talks(shared), bout.payload[1 + m :]
+                fault = _message_fault(info, echo, int(talk.sum()))
+                if fault:
+                    raise ProtocolViolationError(f"round {lo}: bob echoed a bad message: {fault}")
+                msg, _ = _decode_message(info, talk, echo)
+                a = np.frombuffer(aout.payload, dtype=np.int8)
                 b = np.frombuffer(bout.payload[1 : 1 + m], dtype=np.int8)
                 bits = np.take(info.cost, msg)  # each round costs its symbol's bits
                 batch = BatchResult(a=a, b=b, msg=msg, bits=bits, lam=None)
@@ -563,10 +553,10 @@ def _split_segments(transcript: Transcript):
 def audit_transcript(transcript: Transcript, protocol: Optional[ProtocolId] = None) -> AuditReport:
     """Offline validation of a networked run's frame log.
 
-    Checks, per setting-pair segment: one identical shared-randomness frame
-    per party per chunk, the chunks in order; exactly one Alice-to-Bob
-    message per chunk, holding one in-alphabet entry per round whose shared
-    row says Alice talks; and that no reverse channel ever appears.
+    Checks, per setting-pair segment: one shared-randomness frame per chunk,
+    the chunks in order; and exactly one Bob OUTPUT per chunk, whose echoed
+    Alice-to-Bob message holds one in-alphabet entry per round whose shared
+    row says Alice talks.  The histogram counts the sent bytes (symbol - 1).
     """
     protocol = protocol or transcript.protocol
     info = PROTOCOLS[protocol]
@@ -576,54 +566,43 @@ def audit_transcript(transcript: Transcript, protocol: Optional[ProtocolId] = No
     total_rounds = 0
     total_messages = 0
 
-    for rec in transcript.records:
-        if rec.channel not in _CHANNELS:
-            findings.append(f"unknown channel {rec.channel!r}")
-        if rec.channel.startswith("bob->alice"):
-            findings.append("reverse channel bob->alice present")
-
     for seg_index, seg in enumerate(_split_segments(transcript)):
-        shared_a: dict = {}
-        shared_b: dict = {}
-        messages: dict = {}
+        shared_rows: dict = {}
+        outputs: dict = {}  # Bob's OUTPUT payloads, which echo the messages
         for rec in seg:
-            if rec.frame.kind == FrameKind.SHARED_RANDOMNESS:
-                target = shared_a if rec.channel == "referee->alice" else shared_b
-                if rec.frame.round in target:
+            if rec.frame.kind == FrameKind.SHARED_RANDOMNESS and rec.channel == "referee->parties":
+                if rec.frame.round in shared_rows:
                     findings.append(
                         f"segment {seg_index} round {rec.frame.round}: duplicate shared frame"
                     )
-                target[rec.frame.round] = rec.frame.payload
-            elif rec.frame.kind == FrameKind.MESSAGE and rec.channel == "alice->bob":
-                if rec.frame.round in messages:
+                shared_rows[rec.frame.round] = rec.frame.payload
+            elif rec.frame.kind == FrameKind.OUTPUT and rec.channel == "bob->referee":
+                if rec.frame.round in outputs:
                     findings.append(
                         f"segment {seg_index} round {rec.frame.round}: more than one message"
                     )
-                messages[rec.frame.round] = rec.frame.payload
+                outputs[rec.frame.round] = rec.frame.payload
 
-        if set(shared_a) != set(shared_b):
-            findings.append(f"segment {seg_index}: parties saw different rounds")
-        if sorted(shared_a) != list(range(0, CHUNK * len(shared_a), CHUNK)):
+        if sorted(shared_rows) != list(range(0, CHUNK * len(shared_rows), CHUNK)):
             findings.append(f"segment {seg_index}: chunks are not the contiguous range")
-        for rnd in sorted(set(messages) - set(shared_a)):
+        for rnd in sorted(set(outputs) - set(shared_rows)):
             findings.append(f"segment {seg_index} round {rnd}: message outside any chunk")
 
-        for lo, payload in shared_a.items():
+        for lo, payload in shared_rows.items():
             where = f"segment {seg_index} round {lo}"
-            if shared_b.get(lo) != payload:
-                findings.append(f"{where}: parties saw different shared randomness")
             try:
                 shared = unpack_shared(protocol, payload, min(lo + CHUNK, n) - lo)
             except TransportError as exc:
                 findings.append(f"{where}: {exc}")
                 continue
             total_rounds += shared.rounds
-            if lo not in messages:
+            if lo not in outputs:
                 findings.append(f"{where}: missing message")
                 continue
+            message = outputs[lo][1 + shared.rounds :]
             # one entry per round in which Alice talks, and none in the others
             talking = int(info.talks(shared).sum())
-            fault = _message_fault(messages[lo], info.alphabet_size, info.vector_message, talking)
+            fault = _message_fault(info, message, talking)
             if fault:
                 findings.append(f"{where}: {fault}")
                 continue
@@ -631,7 +610,7 @@ def audit_transcript(transcript: Transcript, protocol: Optional[ProtocolId] = No
             if info.vector_message:
                 hist["vector"] += talking
             else:
-                hist.update(str(s) for s in messages[lo])
+                hist.update(str(s) for s in message)
 
     return AuditReport(
         findings=findings,

@@ -34,12 +34,7 @@ from lhvsim.verify import (
     density_property_suite,
     tvd,
 )
-from lhvsim.wire import (
-    FAULT_OVERSIZED_MESSAGE,
-    WireConfig,
-    audit_transcript,
-    run_networked,
-)
+from lhvsim.wire import audit_transcript, run_networked
 
 SEED = 20240810
 GRID20 = default_setting_pairs(20)
@@ -193,7 +188,7 @@ def test_criterion_7_chsh():
           f"product-state S = {local.value:.4f}")
 
 
-def test_criterion_8_wire_equivalence():
+def test_criterion_8_wire_equivalence(oversize_messages):
     """Networked run reproduces the in-process sequences bit for bit at 1e5 rounds."""
     pair = GRID20[:1]
     rounds = 10**5
@@ -214,14 +209,8 @@ def test_criterion_8_wire_equivalence():
     assert audit.passed, audit.findings
     assert abs(audit.message_fraction - n_of_p(0.9)) <= 0.01
 
+    oversize_messages()  # Alice sends every message one entry too long
     with pytest.raises(ProtocolViolationError):
-        run_networked(
-            ProtocolId.TRIT,
-            State(0.7),
-            pair,
-            100,
-            seed=SEED + 13,
-            config=WireConfig(fault=FAULT_OVERSIZED_MESSAGE),
-        )
+        run_networked(ProtocolId.TRIT, State(0.7), pair, 100, seed=SEED + 13)
     print(f"criterion 8: PASS  bit-exact at {rounds} rounds, audit clean "
           f"(message fraction {audit.message_fraction:.4f}), fault injection aborts")

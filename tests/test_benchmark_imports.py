@@ -8,6 +8,7 @@ constants, such as its set-up script, is parsed too.
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -45,3 +46,18 @@ def test_benchmark_imports_resolve():
     assert ("lhvsim.sampling", "improved_one_bit_threshold") in names
     missing = sorted(f"{m}.{n}" for m, n in names if not hasattr(importlib.import_module(m), n))
     assert missing == []
+
+
+def test_benchmark_wire_check_passes(monkeypatch):
+    # the benchmark's wire-audit jobs, run as the benchmark runs them, pass
+    # their output checks; the benchmark's files are loaded, not written
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in ("tracing", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    workloads = importlib.import_module("workloads")
+    tracer = importlib.import_module("tracing").Tracer()
+    jobs = workloads.build_jobs("wire-audit", 1, scale=0.04)
+    outcomes = [workloads.run_job(job, tracer) for job in jobs]
+    assert outcomes and [o.job.name for o in outcomes if o.failed] == []
+    assert tracer.counters["wire.frames"] > 0

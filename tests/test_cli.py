@@ -217,12 +217,10 @@ class TestWireRunAndAudit:
         _, transcript = run_networked(
             ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], 100, seed=9
         )
-        for rec in transcript.records:
-            if rec.channel == "alice->bob" and rec.frame.kind == FrameKind.MESSAGE:
-                body = bytearray(rec.frame.payload)
-                body[5] = 7
-                rec.frame = Frame(rec.frame.round, FrameKind.MESSAGE, bytes(body))
-                break
+        rec = next(transcript.frames("bob->referee", FrameKind.OUTPUT))
+        body = bytearray(rec.frame.payload)
+        body[1 + 100 + 5] = 7  # after the status byte and b, the echoed message
+        rec.frame = Frame(rec.frame.round, FrameKind.OUTPUT, bytes(body))
         path = tmp_path / "bad.bin"
         path.write_bytes(transcript.to_binary())
         assert run_cli("audit", str(path)) == 1
@@ -233,13 +231,14 @@ class TestWireRunAndAudit:
 
 
 def _malformed_logs() -> dict:
-    # one message frame: magic (4), header (17), channel byte (21), frame
+    # one output frame: magic (4), header (17), channel byte (21), frame
     # header (round 22-29, kind 30, length 31-34), payload (35)
     good = Transcript(
-        ProtocolId.TRIT, 0.7, 1, [FrameRecord("alice->bob", Frame(0, FrameKind.MESSAGE, b"\x00"))]
+        ProtocolId.TRIT, 0.7, 1, [FrameRecord("bob->referee", Frame(0, FrameKind.OUTPUT, b"\x00"))]
     ).to_binary()
     assert Transcript.from_binary(good).records[0].frame.payload == b"\x00"
     return {
+        "old-format": b"LHVT" + good[4:],
         "truncated-header": good[:10],
         "unknown-protocol": good[:4] + b"\x09" + good[5:],
         "unknown-channel": good[:21] + b"\x07" + good[22:],
@@ -269,6 +268,10 @@ def test_malformed_transcript_is_usage_error(case, tmp_path, capsys):
         (["simulate", "--settings", "file:{path}"], [["ab", "cd"]]),
         (["simulate", "--settings", "file:{path}"], [[[1, 0, 0], [0, 0, 1], [1, 0, 0]]]),
         (["simulate", "--config", "{path}"], {"rounds": "abc"}),
+        (["audit", "{dir}"], None),
+        (["simulate", "--settings", "file:{dir}"], None),
+        (["simulate", "--config", "{path}"], b"\xff\xfe{}"),
+        (["simulate", "--rounds", "10", "--settings", "grid:1", "--out-dir", "{path}"], None),
     ],
     ids=[
         "grid-size",
@@ -278,13 +281,20 @@ def test_malformed_transcript_is_usage_error(case, tmp_path, capsys):
         "settings-strings",
         "settings-triple",
         "config-type",
+        "audit-directory",
+        "settings-directory",
+        "config-not-utf8",
+        "out-dir-is-file",
     ],
 )
 def test_malformed_input_is_usage_error(argv, content, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(content))
-    assert run_cli(*[arg.format(path=path) for arg in argv]) == 2
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    assert run_cli(*[arg.format(path=path, dir=tmp_path) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -19,8 +19,11 @@ from lhvsim.protocols import (
     ProtocolId,
     TRIT_BITS,
     VECTOR_MESSAGE_BITS,
+    _Chunk,
     _aggregate,
     _choice_and_flip,
+    _draw_alice_private,
+    _draw_shared,
     _play,
     _vector_sampler,
     alice_output_weight,
@@ -31,6 +34,7 @@ from lhvsim.protocols import (
     simulate,
 )
 from lhvsim.sampling import (
+    EnvelopeScan,
     make_generator,
     n_of_p,
     sample_uniform_sphere,
@@ -485,6 +489,27 @@ CHUNK_CASES = [
 ]
 
 
+def _reference_draws(pid, state, seed, k, n):
+    """Pair k's shared and private n-round draws, read the way simulate does not.
+
+    simulate reads a pair of one chunk straight through (``_Whole``) and a
+    pair of more chunks chunk by chunk (``_Chunk``); the reference reads a
+    one-chunk pair as one ``_Chunk`` of [0, n) and a longer pair as one draw.
+    """
+    if n > CHUNK:
+        return (
+            draw_shared(pid, state, make_generator(seed, k, CH_SHARED), n),
+            draw_alice_private(pid, make_generator(seed, k, CH_ALICE), n),
+        )
+    scan = None
+    if PROTOCOLS[pid].draws_envelope(state):
+        scan = EnvelopeScan(state, seed, (k, CH_SHARED), n, n)  # after n shared-bit uniforms
+    return (
+        _draw_shared(pid, state, _Chunk(seed, (k, CH_SHARED), n, 0, n, scan)),
+        _draw_alice_private(pid, _Chunk(seed, (k, CH_ALICE), n, 0, n)),
+    )
+
+
 class TestChunking:
     """Chunked runs read the n-round streams in pieces and must equal one draw."""
 
@@ -498,9 +523,7 @@ class TestChunking:
             keep_outcomes=True, keep_lambdas=True,
         )
         for k, (x, y) in enumerate(pairs):
-            # the reference: every stream read as one n-round draw
-            shared = draw_shared(pid, state, make_generator(40, k, CH_SHARED), n)
-            priv = draw_alice_private(pid, make_generator(40, k, CH_ALICE), n)
+            shared, priv = _reference_draws(pid, state, 40, k, n)
             sampler = _vector_sampler(pid, state, x, make_generator(40, k, CH_SAMPLER))
             batch = _play(pid, state, x, y, shared, priv, sampler)
             want = _aggregate(pid, x, y, batch, True, True)

@@ -12,13 +12,11 @@ from lhvsim.errors import ProtocolViolationError, ValidationError
 from lhvsim.protocols import CHUNK, ProtocolId, draw_shared, simulate
 from lhvsim.sampling import make_generator, n_of_p
 from lhvsim.wire import (
-    FAULT_OVERSIZED_MESSAGE,
     AuditReport,
     Frame,
     FrameKind,
     FrameRecord,
     Transcript,
-    WireConfig,
     audit_transcript,
     pack_shared,
     recv_frame,
@@ -107,8 +105,8 @@ class TestChunks:
         ref = simulate(pid, State(p), PAIR, rounds, seed=21, keep_outcomes=True)
         for seq in ("a_seq", "b_seq", "msg_seq", "bits_seq"):
             assert np.array_equal(getattr(net.settings[0], seq), getattr(ref.settings[0], seq))
-        # two settings, then five frames per chunk
-        assert len(transcript.records) == 2 + 5 * 2
+        # two settings, then three frames per chunk
+        assert len(transcript.records) == 2 + 3 * 2
         rep = audit_transcript(transcript)
         assert rep.passed and rep.rounds == rounds
 
@@ -116,7 +114,7 @@ class TestChunks:
         net, transcript = run_networked(ProtocolId.TRIT, State(0.7), PAIR, 0, seed=22)
         got = net.settings[0]
         assert got.rounds == 0 and got.a_seq.size == got.b_seq.size == got.msg_seq.size == 0
-        assert len(transcript.records) == 2 + 5
+        assert len(transcript.records) == 2 + 3
         rep = audit_transcript(transcript)
         assert rep.passed and rep.rounds == 0
 
@@ -165,16 +163,10 @@ class TestParserFuzz:
 
 
 class TestEnforcement:
-    def test_oversized_message_aborts(self):
+    def test_oversized_message_aborts(self, oversize_messages):
+        oversize_messages()
         with pytest.raises(ProtocolViolationError, match="rejected"):
-            run_networked(
-                ProtocolId.TRIT,
-                State(0.7),
-                PAIR,
-                200,
-                seed=13,
-                config=WireConfig(fault=FAULT_OVERSIZED_MESSAGE),
-            )
+            run_networked(ProtocolId.TRIT, State(0.7), PAIR, 200, seed=13)
 
     def test_improved_one_bit_message_fraction(self):
         rounds = 20000
@@ -198,13 +190,13 @@ class TestIsolation:
         alice_settings = list(transcript.frames("referee->alice", FrameKind.SETTING))
         bob_settings = list(transcript.frames("referee->bob", FrameKind.SETTING))
         assert len(alice_settings) == 1 and len(bob_settings) == 1
-        _, _, _, _, ax, _, _, _ = unpack_alice_setting(alice_settings[0].frame.payload)
-        _, _, _, _, by, _ = unpack_bob_setting(bob_settings[0].frame.payload)
+        _, _, _, ax, _, _, _ = unpack_alice_setting(alice_settings[0].frame.payload)
+        _, _, by, _ = unpack_bob_setting(bob_settings[0].frame.payload)
         np.testing.assert_array_equal(ax, x)
         np.testing.assert_array_equal(by, y)
         # the fixed-size setting structs physically cannot carry the other
         # party's vector; nothing else flows toward the parties but shared
-        # randomness, which the audit checks is identical for both
+        # randomness, one frame that the referee sends to both
         assert not any(True for _ in transcript.frames("bob->alice"))
 
 
@@ -226,10 +218,10 @@ class TestTranscript:
         assert audit_transcript(back).passed
 
     def test_alice_output_carries_no_cost(self):
-        # a and the symbol per round; the referee charges the symbol's cost
+        # a alone; the referee charges the cost of the symbol that Bob echoes
         transcript = self._clean()
         outputs = list(transcript.frames("alice->referee", FrameKind.OUTPUT))
-        assert sum(len(rec.frame.payload) for rec in outputs) == 2 * 300
+        assert sum(len(rec.frame.payload) for rec in outputs) == 300
 
     def test_summary_deterministic(self):
         t1 = self._clean()
@@ -238,12 +230,10 @@ class TestTranscript:
 
     def test_tampered_symbol_detected(self):
         transcript = self._clean()
-        for rec in transcript.records:
-            if rec.channel == "alice->bob" and rec.frame.kind == FrameKind.MESSAGE:
-                body = bytearray(rec.frame.payload)
-                body[5] = 9
-                rec.frame = Frame(rec.frame.round, FrameKind.MESSAGE, bytes(body))
-                break
+        rec = next(transcript.frames("bob->referee", FrameKind.OUTPUT))
+        body = bytearray(rec.frame.payload)
+        body[1 + 300 + 5] = 9  # after the status byte and b, the echoed message
+        rec.frame = Frame(rec.frame.round, FrameKind.OUTPUT, bytes(body))
         rep = audit_transcript(transcript)
         assert not rep.passed
         assert any("outside alphabet" in f for f in rep.findings)
@@ -251,24 +241,24 @@ class TestTranscript:
     def test_entry_for_a_silent_round_detected(self):
         # one entry more than the talking rounds, as a message in a silent round gives
         _, transcript = run_networked(ProtocolId.IMPROVED_ONE_BIT, State(0.9), PAIR, 300, seed=17)
-        for rec in transcript.frames("alice->bob", FrameKind.MESSAGE):
-            rec.frame = Frame(rec.frame.round, FrameKind.MESSAGE, rec.frame.payload + b"\x00")
+        for rec in transcript.frames("bob->referee", FrameKind.OUTPUT):
+            rec.frame = Frame(rec.frame.round, FrameKind.OUTPUT, rec.frame.payload + b"\x00")
         rep = audit_transcript(transcript)
         assert any("message has" in f for f in rep.findings)
 
     def test_tampered_shared_randomness_detected(self):
-        transcript = self._clean()
-        for rec in transcript.records:
-            if rec.channel == "referee->bob" and rec.frame.kind == FrameKind.SHARED_RANDOMNESS:
-                rec.frame = Frame(rec.frame.round, FrameKind.SHARED_RANDOMNESS, b"\x00" * len(rec.frame.payload))
-                break
+        # zeroed rows clear every shared bit r, so the message has entries
+        # for rounds in which Alice is silent
+        _, transcript = run_networked(ProtocolId.IMPROVED_ONE_BIT, State(0.9), PAIR, 300, seed=17)
+        (rec,) = transcript.frames("referee->parties", FrameKind.SHARED_RANDOMNESS)
+        rec.frame = Frame(rec.frame.round, FrameKind.SHARED_RANDOMNESS, bytes(len(rec.frame.payload)))
         rep = audit_transcript(transcript)
-        assert any("different shared randomness" in f for f in rep.findings)
+        assert any("message has" in f for f in rep.findings)
 
     def test_injected_duplicate_message_detected(self):
         transcript = self._clean()
         transcript.records.append(
-            FrameRecord("alice->bob", Frame(0, FrameKind.MESSAGE, bytes([0])))
+            FrameRecord("bob->referee", Frame(0, FrameKind.OUTPUT, bytes(1 + 300 + 300)))
         )
         rep = audit_transcript(transcript)
         assert any("more than one message" in f for f in rep.findings)
@@ -276,7 +266,7 @@ class TestTranscript:
     def test_dropped_message_detected(self):
         transcript = self._clean()
         for i, rec in enumerate(transcript.records):
-            if rec.channel == "alice->bob":
+            if rec.channel == "bob->referee":
                 del transcript.records[i]
                 break
         rep = audit_transcript(transcript)
