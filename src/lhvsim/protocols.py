@@ -17,7 +17,12 @@ accounting code here and the wire mode read that entry and never branch on
 the protocol, so the two cannot drift apart.
 
 Alice and Bob are separate evaluators: ``alice_decide`` never receives y and
-``bob_decide`` never receives x, so no-cross-talk is structural.  The
+``bob_decide`` never receives x, so no-cross-talk is structural.  Their rules
+never build the agreed vector: each shared field's dot products (lam.v_+-
+and lam_z for Alice, y.lam for Bob) are computed once per chunk and the rule
+selects among those per-round numbers, which are bit for bit the dot
+products of the selected vectors.  Alice's committed vectors are built only
+when ``AliceResult.lam`` is read.  The
 networked mode plays the same chunks as ``simulate``, drawn by the same
 functions, so it produces bit-identical results from the same streams.
 
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,13 +68,13 @@ from .sampling import (
     EnvelopeScan,
     RhoTildeMaxSampler,
     RhoTildeSampler,
-    _rho_tilde_given,
+    _rho_tilde_dots,
     check_bound,
-    eval_rho_tilde_max,
     generator_at,
     make_generator,
     n_of_p,
     one_bit_threshold,
+    rho_tilde_max_cos,
     sample_theta_hemisphere,
     sample_uniform_sphere,
 )
@@ -249,9 +254,15 @@ def envelope_scan(protocol, state, seed, k, n) -> Optional[EnvelopeScan]:
 # the two parties
 
 
-def _weight_given(coll, lam) -> np.ndarray:
-    num = coll.p_plus * theta(dot3(lam, coll.v_plus))
-    den = num + coll.p_minus * theta(dot3(lam, coll.v_minus))
+def _dots(lam: np.ndarray, coll) -> tuple:
+    """lam.v_+ and lam.v_- per round."""
+    return dot3(lam, coll.v_plus), dot3(lam, coll.v_minus)
+
+
+def _weight_given(coll, dp, dm) -> np.ndarray:
+    """The +1 share of rho_x, from dp = lam.v_+ and dm = lam.v_-."""
+    num = coll.p_plus * theta(dp)
+    den = num + coll.p_minus * theta(dm)
     if np.any(den <= 0.0):
         raise InternalConsistencyError(
             "rho_x(lam) = 0: this lam cannot come from a correct sampling step"
@@ -267,109 +278,158 @@ def alice_output_weight(state: State, x: np.ndarray, lam) -> np.ndarray:
     H(lam . v_plus).  Raises if rho_x(lam) = 0, which no correct sampling
     step can produce.
     """
-    lam = np.asarray(lam, dtype=float)
-    return _weight_given(collapse(state, x), lam)
+    coll = collapse(state, x)
+    return _weight_given(coll, *_dots(np.asarray(lam, dtype=float), coll))
 
 
-def _output(coll, lam: np.ndarray, priv: AlicePrivate) -> np.ndarray:
-    """Alice's a for the committed lam: +1 with probability rho's +1 share."""
-    return np.where(priv.u_out < _weight_given(coll, lam), 1, -1).astype(np.int8)
+def _output(coll, dp, dm, priv: AlicePrivate) -> np.ndarray:
+    """Alice's a for the committed lam, given its dot products dp, dm with v_+-."""
+    return np.where(priv.u_out < _weight_given(coll, dp, dm), 1, -1).astype(np.int8)
+
+
+def _pick(first: np.ndarray, lam1: np.ndarray, lam2: np.ndarray) -> np.ndarray:
+    """Per round, lam1 where ``first`` holds, else lam2."""
+    return np.where(first[:, None], lam1, lam2)
+
+
+def _select(mask: np.ndarray, if_true: tuple, if_false: tuple) -> tuple:
+    """Per round, the arrays of ``if_true`` where ``mask`` holds, else those of
+    ``if_false``; written over ``if_false``'s arrays, so no new array is made."""
+    for a, b in zip(if_true, if_false):
+        np.copyto(b, a, where=mask)
+    return if_false
 
 
 # Alice's rules: (state, collapse(state, x), shared, private, sampler) ->
-# (a, msg, lam, payload).  msg is a uint8 symbol, 0 for a silent round.
+# (a, msg, commit, payload).  msg is a uint8 symbol, 0 for a silent round;
+# commit() builds the vectors Alice committed to.  The rules never build
+# those vectors themselves: they select among the dot products of each
+# shared field with v_+ and v_-, which give the same bytes as the dot
+# products of the selected vectors.  Each array is dropped (``del``) once
+# read for the last time, so that a chunk holds no more round-length arrays
+# at once than selecting (n, 3) vectors did.
 
 
 def _alice_one_bit(state, coll, shared, priv, sampler):
-    accept = (4.0 * np.pi) * _rho_tilde_given(state, coll, shared.lam1)
+    d1 = _dots(shared.lam1, coll)
+    accept = (4.0 * np.pi) * _rho_tilde_dots(state, coll, *d1, shared.lam1[:, 2])
     top = float(np.max(accept, initial=0.0))
     if top > 1.0 + RATIO_GUARD:
         raise DomainError(
             f"one-bit acceptance probability reached {top}: p is below the threshold"
         )
     use1 = priv.u_msg < np.minimum(accept, 1.0)
+    del accept
     msg = np.where(use1, 1, 2).astype(np.uint8)
-    lam = np.where(use1[:, None], shared.lam1, shared.lam2)
-    return _output(coll, lam, priv), msg, lam, None
+    d = _select(use1, d1, _dots(shared.lam2, coll))
+    del d1
+    return _output(coll, *d, priv), msg, partial(_pick, use1, shared.lam1, shared.lam2), None
 
 
 def _alice_trit(state, coll, shared, priv, sampler):
-    v = coll.v_plus if coll.p_plus <= 0.5 else coll.v_minus
-    d1 = np.abs(dot3(shared.lam1, v))
-    d2 = np.abs(dot3(shared.lam2, v))
-    first = d1 >= d2
+    d1, d2 = _dots(shared.lam1, coll), _dots(shared.lam2, coll)
+    k = 0 if coll.p_plus <= 0.5 else 1  # |lam.v| for v, the less likely of v_+-
+    abs1, d_c = np.abs(d1[k]), np.abs(d2[k])
+    first = abs1 >= d_c
     c = np.where(first, 1, 2).astype(np.uint8)
-    lam_c = np.where(first[:, None], shared.lam1, shared.lam2)
-    d_c = np.where(first, d1, d2)
-    rt = _rho_tilde_given(state, coll, lam_c)
+    np.copyto(d_c, abs1, where=first)  # |lam_c.v| of the chosen lam_c
+    del abs1
+    d = _select(first, d1, d2)  # lam_c.v_+-
+    del d1, d2
+    rt = _rho_tilde_dots(
+        state, coll, *d, np.where(first, shared.lam1[:, 2], shared.lam2[:, 2])
+    )
     # the pointwise bound rhot_x <= |lam.v| / 2pi, checked with an
     # absolute tolerance (see sampling.BOUND_ATOL), never on the ratio
     check_bound(rt * (2.0 * np.pi), d_c, "trit choice density")
     ratio = np.zeros(shared.rounds)
     pos = d_c > 0.0
     ratio[pos] = rt[pos] / (d_c[pos] / (2.0 * np.pi))
+    del rt, d_c, pos
     keep = priv.u_msg < np.minimum(ratio, 1.0)
+    del ratio
     msg = np.where(keep, c, 3).astype(np.uint8)
-    lam = np.where(keep[:, None], lam_c, shared.lam3)
-    return _output(coll, lam, priv), msg, lam, None
+    d = _select(keep, d, _dots(shared.lam3, coll))
+
+    def commit():
+        return _pick(keep, _pick(first, shared.lam1, shared.lam2), shared.lam3)
+
+    return _output(coll, *d, priv), msg, commit, None
 
 
 def _alice_degorre(state, coll, shared, priv, sampler):
     v = coll.v_plus
-    first = np.abs(dot3(shared.lam1, v)) >= np.abs(dot3(shared.lam2, v))
-    msg = np.where(first, 1, 2).astype(np.uint8)
-    lam = np.where(first[:, None], shared.lam1, shared.lam2)
-    return sign_pm(dot3(lam, v)), msg, lam, None
+    c1, c2 = _choice_and_flip(dot3(shared.lam1, v), dot3(shared.lam2, v))
+    # a = sgn(lam.v) of the chosen lam, which is the flip c2
+    return c2, c1, partial(_pick, c1 == 1, shared.lam1, shared.lam2), None
 
 
 def _alice_teleportation(state, coll, shared, priv, sampler):
     a = np.where(priv.u_out < coll.p_plus, 1, -1).astype(np.int8)
-    v = np.where((a == 1)[:, None], coll.v_plus[None, :], coll.v_minus[None, :])
-    c1, c2, lam = _choice_and_flip(shared.lam1, shared.lam2, v)
+    plus = a == 1  # lam.v for Bob's state v: v_+ where plus, else v_-
+    dp1, d1 = _dots(shared.lam1, coll)
+    dp2, d2 = _dots(shared.lam2, coll)
+    np.copyto(d1, dp1, where=plus)
+    np.copyto(d2, dp2, where=plus)
+    del dp1, dp2
+    c1, c2 = _choice_and_flip(d1, d2)
     msg = (2 * (c1 - 1) + (c2 == -1) + 1).astype(np.uint8)
-    return a, msg, lam, None
+
+    def commit():
+        return c2[:, None] * _pick(c1 == 1, shared.lam1, shared.lam2)
+
+    return a, msg, commit, None
 
 
 def _alice_improved_one_bit(state, coll, shared, priv, sampler):
     talk = shared.r == 1
+    d1 = _dots(shared.lam1, coll)
     ratio = np.zeros(shared.rounds)
     if np.any(talk):
-        rt = _rho_tilde_given(state, coll, shared.lam1[talk])
-        rmax = eval_rho_tilde_max(state, shared.lam1[talk])
+        lz = shared.lam1[talk, 2]
+        rt = _rho_tilde_dots(state, coll, d1[0][talk], d1[1][talk], lz)
+        rmax = rho_tilde_max_cos(state, lz)
         check_bound(rt * np.pi, rmax * np.pi, "improved one-bit envelope")
         ratio[talk] = rt / rmax
+        del lz, rt, rmax
     use1 = talk & (priv.u_msg < np.minimum(ratio, 1.0))
-    lam = np.where(use1[:, None], shared.lam1, shared.lam2)
+    del ratio
+    d = _select(use1, d1, _dots(shared.lam2, coll))
+    del d1
     msg = np.where(talk, np.where(use1, 1, 2), 0).astype(np.uint8)
-    return _output(coll, lam, priv), msg, lam, None
+    return _output(coll, *d, priv), msg, partial(_pick, use1, shared.lam1, shared.lam2), None
 
 
 def _alice_local_content(state, coll, shared, priv, sampler):
     talk = shared.r == 1
-    lam = shared.lam1.copy()
+    dp, dm = _dots(shared.lam1, coll)
     payload = None
     if np.any(talk):
         if sampler is None:
             raise ValidationError("local-content protocol needs Alice's vector sampler")
         payload = sampler.draw(int(talk.sum()))
-        lam[talk] = payload
-    return _output(coll, lam, priv), talk.astype(np.uint8), lam, payload
+        dp[talk], dm[talk] = _dots(payload, coll)
+
+    def commit():
+        lam = shared.lam1.copy()
+        if payload is not None:
+            lam[talk] = payload
+        return lam
+
+    return _output(coll, dp, dm, priv), talk.astype(np.uint8), commit, payload
 
 
-def _choice_and_flip(lam1: np.ndarray, lam2: np.ndarray, v: np.ndarray):
+def _choice_and_flip(d1: np.ndarray, d2: np.ndarray):
     """Choice-of-two plus sign flip: the two-bit encoding of the hemisphere law.
 
-    c1 picks the vector with the larger |lam . v|, c2 = sgn(lam_c1 . v) flips
-    it into the v hemisphere.  Works with per-row v (shape (n, 3)) or one v.
+    From the signed dot products d1 = lam1.v and d2 = lam2.v: c1 picks the
+    vector with the larger |lam.v|, and c2 = sgn(lam_c1.v) flips it into the
+    v hemisphere, so c2 * lam_c1 is the encoded vector.
     """
-    d1 = np.abs(dot3(lam1, v))
-    d2 = np.abs(dot3(lam2, v))
-    first = d1 >= d2
+    first = np.abs(d1) >= np.abs(d2)
     c1 = np.where(first, 1, 2).astype(np.uint8)
-    lam_c1 = np.where(first[:, None], lam1, lam2)
-    c2 = sign_pm(dot3(lam_c1, v))
-    lam = c2[:, None] * lam_c1
-    return c1, c2, lam
+    c2 = sign_pm(np.where(first, d1, d2))
+    return c1, c2
 
 
 def bob_output(y: np.ndarray, lam) -> np.ndarray:
@@ -378,35 +438,39 @@ def bob_output(y: np.ndarray, lam) -> np.ndarray:
     return sign_pm(dot3(np.asarray(lam, dtype=float), y))
 
 
-# Bob's rules: (shared, msg, payload) -> the agreed vector lam.
+# Bob's rules: (shared, msg, payload, y) -> y . lam for the agreed vector
+# lam, selected among the dot products of the shared fields.
 
 
-def _bob_first_or_second(shared, msg, payload):
-    return np.where((msg == 1)[:, None], shared.lam1, shared.lam2)
+def _bob_first_or_second(shared, msg, payload, y):
+    d = dot3(shared.lam2, y)
+    np.copyto(d, dot3(shared.lam1, y), where=msg == 1)
+    return d
 
 
-def _bob_trit(shared, msg, payload):
-    return np.where(
-        (msg == 1)[:, None],
-        shared.lam1,
-        np.where((msg == 2)[:, None], shared.lam2, shared.lam3),
-    )
+def _bob_trit(shared, msg, payload, y):
+    d = dot3(shared.lam3, y)
+    np.copyto(d, dot3(shared.lam2, y), where=msg == 2)
+    np.copyto(d, dot3(shared.lam1, y), where=msg == 1)
+    return d
 
 
-def _bob_teleportation(shared, msg, payload):
-    c1_first = ((msg - 1) // 2) == 0
-    c2 = np.where((msg - 1) % 2 == 0, 1.0, -1.0)
-    return c2[:, None] * np.where(c1_first[:, None], shared.lam1, shared.lam2)
+def _bob_teleportation(shared, msg, payload, y):
+    # symbols 1, 2 name lam1 and 3, 4 lam2; the even ones flip its sign.
+    # c2 (lam.y) equals (c2 lam).y up to the sign of a zero, which sgn ignores
+    d = _bob_first_or_second(shared, (msg + 1) // 2, payload, y)
+    d *= np.where(msg % 2 == 1, 1.0, -1.0)
+    return d
 
 
-def _bob_local_content(shared, msg, payload):
-    lam = shared.lam1.copy()
+def _bob_local_content(shared, msg, payload, y):
+    d = dot3(shared.lam1, y)
     got = msg == 1
     if np.any(got):
         if payload is None:
             raise ValidationError("vector message rounds present but no payload given")
-        lam[got] = payload
-    return lam
+        d[got] = dot3(payload, y)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +584,13 @@ class AliceResult:
     a: np.ndarray  # int8, +-1
     msg: np.ndarray  # uint8 symbol in {1..d}; 0 = no message this round
     bits: np.ndarray  # float64 bits charged per round: the cost of msg
-    lam: np.ndarray  # the vector Alice committed to (for diagnostics)
+    commit: Callable[[], np.ndarray] = field(repr=False)  # builds ``lam``
     payload: Optional[np.ndarray] = None  # vector messages, in msg!=0 row order
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """The vectors Alice committed to (for diagnostics), built on first read."""
+        return self.commit()
 
 
 def alice_decide(
@@ -535,8 +604,8 @@ def alice_decide(
     """Alice's whole round: commit to a vector, message Bob, output a."""
     info = PROTOCOLS[protocol]
     coll = collapse(state, x)  # validates x
-    a, msg, lam, payload = info.alice(state, coll, shared, priv, sampler)
-    return AliceResult(a=a, msg=msg, bits=np.take(info.cost, msg), lam=lam, payload=payload)
+    a, msg, commit, payload = info.alice(state, coll, shared, priv, sampler)
+    return AliceResult(a=a, msg=msg, bits=np.take(info.cost, msg), payload=payload, commit=commit)
 
 
 def bob_decide(
@@ -546,8 +615,9 @@ def bob_decide(
     msg: np.ndarray,
     payload: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Bob's whole round: reconstruct the agreed vector from the message, output b."""
-    return bob_output(y, PROTOCOLS[protocol].bob(shared, msg, payload))
+    """Bob's whole round: y . lam for the vector the message agrees on, and b = its sign."""
+    y = check_unit(y, "y")
+    return sign_pm(PROTOCOLS[protocol].bob(shared, msg, payload, y))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +630,7 @@ class BatchResult:
     b: np.ndarray
     msg: np.ndarray
     bits: np.ndarray
-    lam: np.ndarray
+    lam: Optional[np.ndarray]  # Alice's committed vectors, or None if not kept
 
 
 def _vector_sampler(protocol, state, x, rng) -> Optional[RhoTildeSampler]:
@@ -570,10 +640,12 @@ def _vector_sampler(protocol, state, x, rng) -> Optional[RhoTildeSampler]:
     return RhoTildeSampler(state, x, rng)
 
 
-def _play(protocol, state, x, y, shared, priv, sampler) -> BatchResult:
+def _play(protocol, state, x, y, shared, priv, sampler, keep_lambdas) -> BatchResult:
+    """One chunk of rounds; Alice's committed vectors are built only if kept."""
     ares = alice_decide(protocol, state, x, shared, priv, sampler)
     b = bob_decide(protocol, y, shared, ares.msg, ares.payload)
-    return BatchResult(a=ares.a, b=b, msg=ares.msg, bits=ares.bits, lam=ares.lam)
+    lam = ares.lam if keep_lambdas else None
+    return BatchResult(a=ares.a, b=b, msg=ares.msg, bits=ares.bits, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +807,8 @@ class _PairRun:
         pid, k, n = self.protocol, self.index, self.n
         shared = shared_chunk(pid, self.state, self.seed, k, n, lo, hi, envelope)
         priv = private_chunk(pid, self.seed, k, n, lo, hi)
-        return self._aggregate(_play(pid, self.state, self.x, self.y, shared, priv, sampler))
+        res = _play(pid, self.state, self.x, self.y, shared, priv, sampler, self.keep_lambdas)
+        return self._aggregate(res)
 
     def in_order(self) -> SettingResult:
         """Every chunk in turn, with one vector sampler carried across them."""

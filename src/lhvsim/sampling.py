@@ -17,7 +17,10 @@ Distributions on the unit sphere S2, with z = (0, 0, 1):
   normalization n_of_p(p).
 
 The sub-normalized densities have no closed-form inverse CDF; they are drawn
-by rejection using their proven envelopes, so the samplers are exact.
+by rejection using their proven envelopes, so the samplers are exact.  The
+rejection samplers read their streams in fixed blocks, buffer the uniforms
+of their candidates, and build and test vectors only as a draw needs them,
+in stream order; ``proposed`` and ``accepted`` count the candidates tested.
 """
 
 from __future__ import annotations
@@ -92,6 +95,9 @@ def _as_p(state) -> float:
 # samplers
 
 
+_Z_BYTES = Z_AXIS.tobytes()  # sample_theta_hemisphere's fast path: +0.0, +0.0, 1.0 exactly
+
+
 def _frame(v: np.ndarray):
     """Deterministic right-handed orthonormal frame (e1, e2, v)."""
     helper = Z_AXIS if abs(v[2]) <= 0.9 else X_AXIS
@@ -128,17 +134,25 @@ def sample_theta_hemisphere(
     """Vectors with density Theta(lam.v)/pi.
 
     The cosine of the angle to v has density 2c on [0, 1] (drawn as sqrt of a
-    uniform); the azimuth about v is uniform.
+    uniform); the azimuth about v is uniform.  About ``Z_AXIS`` the frame
+    ``_frame`` gives is e1 = (0, -1, 0), e2 = (1, 0, 0), so a row is
+    (s sin phi, -s cos phi, c), written directly; ``+ 0.0`` and ``0.0 -``
+    turn -0.0 into +0.0 as the general sum does, so the bytes are the same.
     """
     v = check_unit(v, "v")
     m = 1 if n is None else int(n)
     u = rng.random((m, 2))
-    c = np.sqrt(u[:, 0])
+    out = np.empty((m, 3))
+    c = out[:, 2]
+    np.sqrt(u[:, 0], out=c)
     phi = TWO_PI * u[:, 1]
     s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    if v.tobytes() == _Z_BYTES:
+        np.add(s * np.sin(phi), 0.0, out=out[:, 0])
+        np.subtract(0.0, s * np.cos(phi), out=out[:, 1])
+        return out[0] if n is None else out
     e1, e2 = _frame(v)
     s_cos, s_sin = s * np.cos(phi), s * np.sin(phi)
-    out = np.empty((m, 3))
     for j in range(3):  # column by column: no (m, 3) temporaries
         out[:, j] = c * v[j] + s_cos * e1[j] + s_sin * e2[j]
     return out[0] if n is None else out
@@ -151,15 +165,23 @@ def sample_theta_hemisphere(
 def _rho_given(coll, lam) -> np.ndarray:
     """rho_x(lam) from a precomputed collapse."""
     lam = np.asarray(lam, dtype=float)
-    return (
-        coll.p_plus * theta(dot3(lam, coll.v_plus))
-        + coll.p_minus * theta(dot3(lam, coll.v_minus))
-    ) * INV_PI
+    return _rho_dots(coll, dot3(lam, coll.v_plus), dot3(lam, coll.v_minus))
+
+
+def _rho_dots(coll, dp, dm) -> np.ndarray:
+    """rho_x from the dot products dp = lam.v_+ and dm = lam.v_-."""
+    return (coll.p_plus * theta(dp) + coll.p_minus * theta(dm)) * INV_PI
 
 
 def _rho_tilde_given(state: State, coll, lam, clamp: bool = True) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
-    raw = _rho_given(coll, lam) - state.c * theta(lam[..., 2]) * INV_PI
+    dp, dm = dot3(lam, coll.v_plus), dot3(lam, coll.v_minus)
+    return _rho_tilde_dots(state, coll, dp, dm, lam[..., 2], clamp)
+
+
+def _rho_tilde_dots(state: State, coll, dp, dm, lz, clamp: bool = True) -> np.ndarray:
+    """rhot_x from lam.v_+, lam.v_- and lam_z, with its rounding guard."""
+    raw = _rho_dots(coll, dp, dm) - state.c * theta(lz) * INV_PI
     low = float(np.min(raw, initial=0.0))
     if low < -NEGATIVE_LIMIT:
         raise InternalConsistencyError(
@@ -255,10 +277,12 @@ _BLOCK = 8192
 
 
 class _BufferedSampler:
-    """A rejection sampler that scans candidates in whole blocks (``_refill``)
-    and buffers the accepted ones, so ``draw`` granularity does not matter."""
+    """A rejection sampler that buffers its accepted candidates in stream
+    order, so ``draw`` granularity does not matter.  ``_refill(need)`` adds
+    accepted rows to the buffer; ``proposed`` and ``accepted`` count the
+    candidates it tested and kept."""
 
-    def __init__(self, state, rng: np.random.Generator, block: int, empty: str):
+    def __init__(self, state, rng: np.random.Generator, block: int, empty: str, width: int):
         p = _as_p(state)
         if p >= 1.0:
             raise DomainError(empty)  # the density is identically zero at p = 1
@@ -267,21 +291,26 @@ class _BufferedSampler:
         self.block = int(block)
         self.proposed = 0
         self.accepted = 0
+        self._width = width  # columns of a buffered row
         self._buffer: list[np.ndarray] = []
 
-    def draw(self, n: int) -> np.ndarray:
-        """The next ``n`` accepted samples; the rest of the last block is kept."""
+    def _take(self, n: int) -> np.ndarray:
+        """The next ``n`` buffered rows, refilling as needed; the rest is kept."""
         n = int(n)
         have = sum(b.shape[0] for b in self._buffer)
         while have < n:
-            self._refill()
+            self._refill(n - have)
             have = sum(b.shape[0] for b in self._buffer)
         if not self._buffer:
-            return np.zeros((0, 3))
+            return np.zeros((0, self._width))
         stacked = self._buffer[0] if len(self._buffer) == 1 else np.concatenate(self._buffer)
         out, rest = stacked[:n], stacked[n:]
         self._buffer = [rest] if rest.shape[0] else []
         return out.copy()
+
+    def draw(self, n: int) -> np.ndarray:
+        """The next ``n`` samples; the rest of the buffer is kept."""
+        return self._take(n)
 
     @property
     def acceptance_fraction(self) -> float:
@@ -293,26 +322,34 @@ class RhoTildeMaxSampler(_BufferedSampler):
 
     Each candidate consumes exactly three uniforms (z, phi, accept) and is
     accepted with probability rhot_max(lam) / (sqrt(p(1-p))/pi).  Candidates
-    are scanned in generator order and buffered, so the accepted sequence is
-    the same whether it is consumed one sample at a time or in bulk.
+    are tested a whole block at a time, in generator order, and the (z, phi)
+    uniforms of the accepted ones are buffered; ``draw`` turns into vectors
+    only the rows it returns.  So the accepted sequence is the same whether
+    it is consumed one sample at a time or in bulk.
     """
 
     def __init__(self, state: State, rng: np.random.Generator, block: int = _BLOCK):
-        super().__init__(state, rng, block, "the envelope density is identically zero at p = 1")
+        super().__init__(
+            state, rng, block, "the envelope density is identically zero at p = 1", width=2
+        )
         self.bound = rho_tilde_bound(self.state.p)
+
+    def draw(self, n: int) -> np.ndarray:
+        """The next ``n`` accepted samples; the rest of the last block is kept."""
+        u = self._take(n)
+        return _sphere_points(u[:, 0], u[:, 1])
 
     def _keep(self, u: np.ndarray) -> np.ndarray:
         """The accept test of the candidates with uniforms ``u`` (rows z, phi, accept)."""
         z = 2.0 * u[:, 0] - 1.0
         return u[:, 2] < rho_tilde_max_cos(self.state, z) / self.bound
 
-    def _refill(self):
+    def _refill(self, need: int):
         u = self.rng.random((self.block, 3))
         keep = self._keep(u)
         self.proposed += self.block
         self.accepted += int(keep.sum())
-        rows = np.flatnonzero(keep)
-        self._buffer.append(_sphere_points(u[rows, 0], u[rows, 1]))
+        self._buffer.append(u[keep, :2])
 
 
 class EnvelopeScan:
@@ -367,23 +404,40 @@ class RhoTildeSampler(_BufferedSampler):
     """Draws lam ~ rhot_x / (2(1-p)) by thinning RhoTildeMaxSampler output.
 
     A candidate from the envelope sampler is kept with probability
-    rhot_x(lam) / rhot_max(lam) <= 1.  Buffered the same way, so per-round
-    and bulk consumption coincide draw for draw.
+    rhot_x(lam) / rhot_max(lam) <= 1.  The stream is read in whole blocks:
+    the (z, phi) uniforms of ``block`` envelope samples, then ``block``
+    thinning uniforms.  The pending candidates of the last block are tested
+    in stream order, in pieces sized to what ``draw`` still needs, and each
+    piece's vectors are built and checked against the envelope before its
+    accept test.  Untested candidates wait for the next ``draw``, so
+    per-round and bulk consumption coincide draw for draw.
     """
 
     def __init__(self, state: State, x: np.ndarray, rng: np.random.Generator, block: int = _BLOCK):
-        super().__init__(state, rng, block, "rhot_x is identically zero at p = 1")
+        super().__init__(state, rng, block, "rhot_x is identically zero at p = 1", width=3)
         self.x = check_unit(x, "x")
         self._coll = collapse(self.state, self.x)
         self._inner = RhoTildeMaxSampler(self.state, rng, block=block)
+        p = self.state.p
+        # a candidate is kept with probability 2(1-p) / N(p), and N -> 2 as p -> 1/2
+        self._rate = 2.0 * (1.0 - p) / (2.0 if p == 0.5 else n_of_p(p))
+        self._cand = np.zeros((0, 2))  # (z, phi) uniforms of the pending candidates
+        self._thin = np.zeros(0)  # their thinning uniforms
+        self._next = 0  # the first untested candidate
 
-    def _refill(self):
-        cand = self._inner.draw(self.block)
-        u = self.rng.random(self.block)
+    def _refill(self, need: int):
+        if self._next == self._thin.shape[0]:
+            self._cand = self._inner._take(self.block)
+            self._thin = self.rng.random(self.block)
+            self._next = 0
+        lo = self._next
+        # about 10 % more candidates than ``need`` takes on average
+        hi = self._next = min(lo + int(1.1 * need / self._rate) + 16, self.block)
+        cand = _sphere_points(self._cand[lo:hi, 0], self._cand[lo:hi, 1])
         rt = _rho_tilde_given(self.state, self._coll, cand)
         rmax = eval_rho_tilde_max(self.state, cand)
         check_bound(rt * np.pi, rmax * np.pi, "rhot_x against its envelope")
-        keep = u < rt / rmax
-        self.proposed += self.block
+        keep = self._thin[lo:hi] < rt / rmax
+        self.proposed += hi - lo
         self.accepted += int(keep.sum())
         self._buffer.append(cand[keep])

@@ -135,9 +135,22 @@ def pack_alice_setting(pair, protocol, p, x, rounds, seed, bob_port) -> bytes:
     )
 
 
+def _unpack_setting(layout: struct.Struct, data: bytes, party: str) -> tuple:
+    """The fields of a SETTING payload, its protocol code decoded; raises
+    ValidationError on a payload of the wrong size or an unknown code."""
+    if len(data) != layout.size:
+        raise ValidationError(f"{party}'s setting has {len(data)} bytes, want {layout.size}")
+    pair, code, *rest = layout.unpack(data)
+    if code not in _CODE_PROTO:
+        raise ValidationError(f"{party}'s setting names unknown protocol code {code}")
+    return (pair, _CODE_PROTO[code], *rest)
+
+
 def unpack_alice_setting(data: bytes):
-    pair, code, p, x0, x1, x2, rounds, seed, bob_port = _ALICE_SETTING.unpack(data)
-    return pair, _CODE_PROTO[code], p, np.array([x0, x1, x2]), rounds, seed, bob_port
+    pair, protocol, p, x0, x1, x2, rounds, seed, bob_port = _unpack_setting(
+        _ALICE_SETTING, data, "alice"
+    )
+    return pair, protocol, p, np.array([x0, x1, x2]), rounds, seed, bob_port
 
 
 def pack_bob_setting(pair, protocol, y, rounds) -> bytes:
@@ -145,8 +158,8 @@ def pack_bob_setting(pair, protocol, y, rounds) -> bytes:
 
 
 def unpack_bob_setting(data: bytes):
-    pair, code, y0, y1, y2, rounds = _BOB_SETTING.unpack(data)
-    return pair, _CODE_PROTO[code], np.array([y0, y1, y2]), rounds
+    pair, protocol, y0, y1, y2, rounds = _unpack_setting(_BOB_SETTING, data, "bob")
+    return pair, protocol, np.array([y0, y1, y2]), rounds
 
 
 @lru_cache(maxsize=None)

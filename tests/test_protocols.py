@@ -61,6 +61,12 @@ def random_unit(rng):
     return v / np.linalg.norm(v)
 
 
+def choice_and_flip(lam1, lam2, v):
+    """(c1, c2, the encoded vector c2 * lam_c1) of the teleportation encoding of v."""
+    c1, c2 = _choice_and_flip(dot3(lam1, v), dot3(lam2, v))
+    return c1, c2, c2[:, None] * np.where((c1 == 1)[:, None], lam1, lam2)
+
+
 def max_tvd(result):
     state = result.state
     return max(
@@ -234,7 +240,7 @@ class TestTeleportation:
         g = make_generator(100, 0)
         lam1 = sample_uniform_sphere(g, 500)
         lam2 = sample_uniform_sphere(g, 500)
-        c1, c2, lam = _choice_and_flip(lam1, lam2, v)
+        c1, c2, lam = choice_and_flip(lam1, lam2, v)
         assert np.all(bob_output(v, lam) == 1)  # flip puts lam in the v hemisphere
         msg = 2 * (c1.astype(int) - 1) + (c2 == -1) + 1
         assert set(np.unique(msg)) <= {1, 2, 3, 4}
@@ -248,7 +254,7 @@ class TestTeleportation:
         for y, want in ((np.array([-v[1], v[0], 0.0]) / np.hypot(v[0], v[1]), 0.5),):
             lam1 = sample_uniform_sphere(g, 10**6)
             lam2 = sample_uniform_sphere(g, 10**6)
-            _, _, lam = _choice_and_flip(lam1, lam2, v)
+            _, _, lam = choice_and_flip(lam1, lam2, v)
             p_hat = float(np.mean(dot3(lam, y) >= 0.0))
             assert abs(p_hat - want) < 0.002
 
@@ -258,7 +264,7 @@ class TestTeleportation:
         g = make_generator(11, 0)
         lam1 = sample_uniform_sphere(g, 10**6)
         lam2 = sample_uniform_sphere(g, 10**6)
-        _, _, lam = _choice_and_flip(lam1, lam2, v)
+        _, _, lam = choice_and_flip(lam1, lam2, v)
         p_hat = float(np.mean(dot3(lam, y) >= 0.0))
         assert abs(p_hat - (1.0 + y @ v) / 2.0) < 0.002
 
@@ -525,7 +531,7 @@ class TestChunking:
         for k, (x, y) in enumerate(pairs):
             shared, priv = _reference_draws(pid, state, 40, k, n)
             sampler = _vector_sampler(pid, state, x, make_generator(40, k, CH_SAMPLER))
-            batch = _play(pid, state, x, y, shared, priv, sampler)
+            batch = _play(pid, state, x, y, shared, priv, sampler, True)
             want = _aggregate(pid, x, y, batch, True, True)
             got = res.settings[k]
             assert got.rounds == want.rounds == n

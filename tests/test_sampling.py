@@ -17,6 +17,8 @@ from lhvsim.protocols import _choice_and_flip
 from lhvsim.sampling import (
     BOUND_ATOL,
     EnvelopeScan,
+    _frame,
+    _sphere_points,
     RhoTildeMaxSampler,
     RhoTildeSampler,
     check_bound,
@@ -97,6 +99,25 @@ class TestThetaHemisphere:
         d = stats.kstest(dot3(lam, v), lambda c: np.clip(c, 0.0, 1.0) ** 2).statistic
         assert d < 2.0 / np.sqrt(M)
 
+    @pytest.mark.parametrize("n", [None, 1, 7, 5000])
+    def test_z_axis_rows_equal_frame_formula(self, n):
+        got = sample_theta_hemisphere(make_generator(12, 3), Z_AXIS, n)
+        want = frame_hemisphere(make_generator(12, 3), Z_AXIS, n)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_z_axis_signed_zeros_equal_frame_formula(self):
+        # c = 1 gives s = 0, so s sin(phi) and s cos(phi) are zeros whose sign
+        # follows sin and cos; phi at each quadrant boundary and in each quadrant
+        zs = np.array([0.0, 0.25, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        phis = np.array([0.0, 0.5, 0.0, 0.25, 0.5, 0.75, 0.1, 0.4, 0.9])
+        u = np.column_stack([zs, phis])
+        got = sample_theta_hemisphere(FixedUniforms(u), Z_AXIS, len(u))
+        want = frame_hemisphere(FixedUniforms(u), Z_AXIS, len(u))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert not np.any(np.signbit(got[2:, :2]) & (got[2:, :2] == 0.0))
+
     def test_qubit_statistics(self):
         # feeding draws to b = sgn(y.lam) reproduces p(b=+1) = (1 + y.v)/2
         rng = np.random.default_rng(66)
@@ -106,16 +127,63 @@ class TestThetaHemisphere:
         assert abs(p_hat - (1.0 + y @ v) / 2.0) < 0.005
 
 
-def degorre_choice(rng, v, n):
-    """Choice-of-two draw: (chosen, c, lam1, lam2), chosen unflipped.
+class FixedUniforms:
+    """A stand-in generator whose ``random`` returns the given uniforms."""
 
-    ``_choice_and_flip`` returns c2 * chosen with c2 = +-1, so c2 times its
-    vector is the chosen one exactly.
-    """
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        assert self.u.shape == shape
+        return self.u
+
+
+def frame_hemisphere(rng, v, n):
+    """The hemisphere law written out in the frame of ``_frame``, term by term."""
+    m = 1 if n is None else n
+    u = rng.random((m, 2))
+    c = np.sqrt(u[:, 0])
+    phi = 2.0 * np.pi * u[:, 1]
+    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    e1, e2 = _frame(v)
+    s_cos, s_sin = s * np.cos(phi), s * np.sin(phi)
+    out = np.column_stack([c * v[j] + s_cos * e1[j] + s_sin * e2[j] for j in range(3)])
+    return out[0] if n is None else out
+
+
+def block_thinning(state, x, rng, sizes, block=8192):
+    """RhoTildeSampler written block-wide: every candidate of a block is
+    built and tested as soon as the block is read.  Returns each draw of
+    ``sizes`` in turn and the number of candidates tested."""
+    bound = rho_tilde_bound(state)
+    envelope, kept, tested, out = [], [], 0, []
+
+    def take(buf, k):
+        stacked = np.concatenate(buf) if buf else np.zeros((0, 3))
+        buf[:] = [stacked[k:]]
+        return stacked[:k]
+
+    for size in sizes:
+        while sum(len(b) for b in kept) < size:
+            while sum(len(b) for b in envelope) < block:
+                u = rng.random((block, 3))
+                keep = u[:, 2] < rho_tilde_max_cos(state, 2.0 * u[:, 0] - 1.0) / bound
+                envelope.append(_sphere_points(u[keep, 0], u[keep, 1]))
+            cand = take(envelope, block)
+            thin = rng.random(block)
+            ratio = eval_rho_tilde(state, x, cand) / eval_rho_tilde_max(state, cand)
+            kept.append(cand[thin < ratio])
+            tested += block
+        out.append(take(kept, size))
+    return out, tested
+
+
+def degorre_choice(rng, v, n):
+    """Choice-of-two draw: (chosen, c, lam1, lam2), chosen unflipped."""
     lam1 = sample_uniform_sphere(rng, n)
     lam2 = sample_uniform_sphere(rng, n)
-    c, c2, flipped = _choice_and_flip(lam1, lam2, v)
-    return c2[:, None] * flipped, c, lam1, lam2
+    c, _ = _choice_and_flip(dot3(lam1, v), dot3(lam2, v))
+    return np.where((c == 1)[:, None], lam1, lam2), c, lam1, lam2
 
 
 class TestDegorreChoice:
@@ -400,6 +468,30 @@ class TestRhoTildeSampler:
     def test_rejects_p1(self):
         with pytest.raises(DomainError):
             RhoTildeSampler(State(1.0), Z_AXIS, make_generator(28, 0))
+
+    @pytest.mark.parametrize("p", [0.5, 0.7, 0.95])
+    def test_equals_block_wide_thinning(self, p):
+        # the lazy sampler tests candidates in pieces; the samples and the
+        # stream they come from are those of testing whole blocks at once
+        x = np.array([0.6, 0.0, 0.8])
+        sizes = [1, 7, 5000, 8193]
+        want, tested = block_thinning(State(p), x, make_generator(31, 2), sizes)
+        s = RhoTildeSampler(State(p), x, make_generator(31, 2))
+        for size, w in zip(sizes, want):
+            assert np.array_equal(s.draw(size), w)
+        assert sum(sizes) <= s.accepted and s.proposed <= tested
+
+    def test_lazy_thinning_checks_the_envelope(self, monkeypatch):
+        # an envelope 10 % too low breaks rhot_x <= rhot_max on some
+        # candidates; the first piece tested must already raise
+        import lhvsim.sampling as sampling
+
+        low = lambda state, c: 0.9 * rho_tilde_max_cos(state, c)  # noqa: E731
+        monkeypatch.setattr(sampling, "rho_tilde_max_cos", low)
+        s = RhoTildeSampler(State(0.7), np.array([0.6, 0.0, 0.8]), make_generator(32, 0))
+        with pytest.raises(InternalConsistencyError, match="envelope"):
+            s.draw(1)
+        assert s.proposed == 0  # no candidate reached an accept decision
 
     @given(cuts=st.lists(st.integers(1, 100), min_size=1, max_size=5))
     @settings(max_examples=20, deadline=None)

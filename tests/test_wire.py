@@ -18,6 +18,8 @@ from lhvsim.wire import (
     FrameRecord,
     Transcript,
     audit_transcript,
+    pack_alice_setting,
+    pack_bob_setting,
     pack_shared,
     recv_frame,
     run_networked,
@@ -160,6 +162,34 @@ class TestParserFuzz:
             return
         assert isinstance(audit_transcript(transcript), AuditReport)
         transcript.summary()
+
+    @given(
+        data=st.one_of(
+            st.binary(max_size=80),
+            st.binary(min_size=59, max_size=59),  # an Alice setting's size
+            st.binary(min_size=41, max_size=41),  # a Bob setting's size
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_setting_payload_parses_or_fails_cleanly(self, data):
+        for unpack in (unpack_alice_setting, unpack_bob_setting):
+            try:
+                fields = unpack(data)
+            except ValidationError:
+                continue
+            assert isinstance(fields[1], ProtocolId)
+
+    def test_malformed_setting_is_validation_error(self):
+        x, y = PAIR[0]
+        alice = pack_alice_setting(3, ProtocolId.TRIT, 0.7, x, 100, 5, 4000)
+        bob = pack_bob_setting(3, ProtocolId.TRIT, y, 100)
+        assert unpack_alice_setting(alice)[1] is ProtocolId.TRIT
+        assert unpack_bob_setting(bob)[1] is ProtocolId.TRIT
+        for unpack, payload in ((unpack_alice_setting, alice), (unpack_bob_setting, bob)):
+            for bad in (payload[:-1], payload + b"\x00", b"", payload[:8] + b"\x00" + payload[9:],
+                        payload[:8] + b"\xff" + payload[9:]):
+                with pytest.raises(ValidationError):
+                    unpack(bad)
 
 
 class TestEnforcement:
