@@ -43,14 +43,24 @@ def heaviside(z):
 
 
 def theta(z):
-    """Theta(z) = H(z) * z, the positive part (elementwise)."""
-    z = np.asarray(z)
-    return np.where(z >= 0.0, z, 0.0)
+    """Theta(z) = H(z) * z, the positive part (elementwise).
+
+    ``np.maximum(0.0, z)`` returns its second operand on a tie, so
+    Theta(-0.0) = -0.0, the bytes of ``where(z >= 0, z, 0)``; the operand
+    order matters, as ``np.maximum(z, 0.0)`` gives +0.0 there.  The two
+    forms differ only on NaN, which ``check_unit`` keeps out of every draw.
+    """
+    return np.maximum(0.0, np.asarray(z))
+
+
+def pm(mask):
+    """+1 where ``mask`` holds, else -1 (elementwise, int8)."""
+    return np.asarray(mask).view(np.int8) * np.int8(2) - np.int8(1)
 
 
 def sign_pm(z):
     """sgn(z) in {-1, +1} with sgn(0) = +1 (elementwise, int8)."""
-    return np.where(np.asarray(z) >= 0.0, 1, -1).astype(np.int8)
+    return pm(np.asarray(z) >= 0.0)
 
 
 def dot3(a, b):

@@ -62,7 +62,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bloch import State, Z_AXIS, check_unit, collapse, dot3, sign_pm, theta
+from .bloch import State, Z_AXIS, check_unit, collapse, dot3, pm, sign_pm, theta
 from .errors import DomainError, InternalConsistencyError, ValidationError
 from .sampling import (
     EnvelopeScan,
@@ -184,16 +184,18 @@ def _hemisphere(state: State, src) -> np.ndarray:
 def _envelope(state: State, src) -> np.ndarray:
     if state.p < 1.0:
         return src.envelope(state)
-    return np.tile(Z_AXIS, (src.rounds, 1))  # never used: r == 0 in every round
+    lam = np.empty((src.rounds, 3), order="F")
+    lam[:] = Z_AXIS  # never used: r == 0 in every round
+    return lam
 
 
 def _bit_below_n_of_p(state: State, src) -> np.ndarray:
     fraction = 0.0 if state.p == 1.0 else n_of_p(state)
-    return (src.block(1).random(src.rounds) < fraction).astype(np.uint8)
+    return (src.block(1).random(src.rounds) < fraction).view(np.uint8)
 
 
 def _bit_above_c(state: State, src) -> np.ndarray:
-    return (src.block(1).random(src.rounds) >= state.c).astype(np.uint8)  # P(r=0) = 2p-1
+    return (src.block(1).random(src.rounds) >= state.c).view(np.uint8)  # P(r=0) = 2p-1
 
 
 def draw_shared(
@@ -284,7 +286,12 @@ def alice_output_weight(state: State, x: np.ndarray, lam) -> np.ndarray:
 
 def _output(coll, dp, dm, priv: AlicePrivate) -> np.ndarray:
     """Alice's a for the committed lam, given its dot products dp, dm with v_+-."""
-    return np.where(priv.u_out < _weight_given(coll, dp, dm), 1, -1).astype(np.int8)
+    return pm(priv.u_out < _weight_given(coll, dp, dm))
+
+
+def _one_or_two(first: np.ndarray) -> np.ndarray:
+    """Symbol 1 where ``first`` holds, else 2 (uint8)."""
+    return np.uint8(2) - first.view(np.uint8)
 
 
 def _pick(first: np.ndarray, lam1: np.ndarray, lam2: np.ndarray) -> np.ndarray:
@@ -320,7 +327,7 @@ def _alice_one_bit(state, coll, shared, priv, sampler):
         )
     use1 = priv.u_msg < np.minimum(accept, 1.0)
     del accept
-    msg = np.where(use1, 1, 2).astype(np.uint8)
+    msg = _one_or_two(use1)
     d = _select(use1, d1, _dots(shared.lam2, coll))
     del d1
     return _output(coll, *d, priv), msg, partial(_pick, use1, shared.lam1, shared.lam2), None
@@ -331,7 +338,7 @@ def _alice_trit(state, coll, shared, priv, sampler):
     k = 0 if coll.p_plus <= 0.5 else 1  # |lam.v| for v, the less likely of v_+-
     abs1, d_c = np.abs(d1[k]), np.abs(d2[k])
     first = abs1 >= d_c
-    c = np.where(first, 1, 2).astype(np.uint8)
+    c = _one_or_two(first)
     np.copyto(d_c, abs1, where=first)  # |lam_c.v| of the chosen lam_c
     del abs1
     d = _select(first, d1, d2)  # lam_c.v_+-
@@ -348,7 +355,7 @@ def _alice_trit(state, coll, shared, priv, sampler):
     del rt, d_c, pos
     keep = priv.u_msg < np.minimum(ratio, 1.0)
     del ratio
-    msg = np.where(keep, c, 3).astype(np.uint8)
+    msg = np.where(keep, c, np.uint8(3))
     d = _select(keep, d, _dots(shared.lam3, coll))
 
     def commit():
@@ -365,7 +372,7 @@ def _alice_degorre(state, coll, shared, priv, sampler):
 
 
 def _alice_teleportation(state, coll, shared, priv, sampler):
-    a = np.where(priv.u_out < coll.p_plus, 1, -1).astype(np.int8)
+    a = pm(priv.u_out < coll.p_plus)
     plus = a == 1  # lam.v for Bob's state v: v_+ where plus, else v_-
     dp1, d1 = _dots(shared.lam1, coll)
     dp2, d2 = _dots(shared.lam2, coll)
@@ -373,7 +380,7 @@ def _alice_teleportation(state, coll, shared, priv, sampler):
     np.copyto(d2, dp2, where=plus)
     del dp1, dp2
     c1, c2 = _choice_and_flip(d1, d2)
-    msg = (2 * (c1 - 1) + (c2 == -1) + 1).astype(np.uint8)
+    msg = 2 * (c1 - 1) + (c2 == -1) + 1  # uint8, as c1 is
 
     def commit():
         return c2[:, None] * _pick(c1 == 1, shared.lam1, shared.lam2)
@@ -396,7 +403,7 @@ def _alice_improved_one_bit(state, coll, shared, priv, sampler):
     del ratio
     d = _select(use1, d1, _dots(shared.lam2, coll))
     del d1
-    msg = np.where(talk, np.where(use1, 1, 2), 0).astype(np.uint8)
+    msg = talk.view(np.uint8) * _one_or_two(use1)  # 0 in silent rounds
     return _output(coll, *d, priv), msg, partial(_pick, use1, shared.lam1, shared.lam2), None
 
 
@@ -411,12 +418,12 @@ def _alice_local_content(state, coll, shared, priv, sampler):
         dp[talk], dm[talk] = _dots(payload, coll)
 
     def commit():
-        lam = shared.lam1.copy()
+        lam = shared.lam1.copy(order="K")
         if payload is not None:
             lam[talk] = payload
         return lam
 
-    return _output(coll, dp, dm, priv), talk.astype(np.uint8), commit, payload
+    return _output(coll, dp, dm, priv), talk.view(np.uint8), commit, payload
 
 
 def _choice_and_flip(d1: np.ndarray, d2: np.ndarray):
@@ -427,7 +434,7 @@ def _choice_and_flip(d1: np.ndarray, d2: np.ndarray):
     v hemisphere, so c2 * lam_c1 is the encoded vector.
     """
     first = np.abs(d1) >= np.abs(d2)
-    c1 = np.where(first, 1, 2).astype(np.uint8)
+    c1 = _one_or_two(first)
     c2 = sign_pm(np.where(first, d1, d2))
     return c1, c2
 
@@ -459,8 +466,7 @@ def _bob_teleportation(shared, msg, payload, y):
     # symbols 1, 2 name lam1 and 3, 4 lam2; the even ones flip its sign.
     # c2 (lam.y) equals (c2 lam).y up to the sign of a zero, which sgn ignores
     d = _bob_first_or_second(shared, (msg + 1) // 2, payload, y)
-    d *= np.where(msg % 2 == 1, 1.0, -1.0)
-    return d
+    return np.negative(d, out=d, where=msg % 2 == 0)
 
 
 def _bob_local_content(shared, msg, payload, y):
@@ -682,9 +688,9 @@ def _aggregate(
     keep_lambdas: bool,
 ) -> SettingResult:
     n = res.a.shape[0]
-    ia = (res.a == -1).astype(np.int64)
-    ib = (res.b == -1).astype(np.int64)
-    counts = np.bincount(ia * 2 + ib, minlength=4).reshape(2, 2)
+    ia = (res.a == -1).view(np.uint8)
+    ib = (res.b == -1).view(np.uint8)
+    counts = np.bincount(ia * np.uint8(2) + ib, minlength=4).reshape(2, 2)
     d = PROTOCOLS[protocol].alphabet_size
     symbol_counts = np.bincount(res.msg, minlength=d + 1)
     return SettingResult(

@@ -21,6 +21,9 @@ by rejection using their proven envelopes, so the samplers are exact.  The
 rejection samplers read their streams in fixed blocks, buffer the uniforms
 of their candidates, and build and test vectors only as a draw needs them,
 in stream order; ``proposed`` and ``accepted`` count the candidates tested.
+
+Every draw of n vectors is an (n, 3) array stored column-major, so that each
+coordinate is one contiguous array for the dot products that read it.
 """
 
 from __future__ import annotations
@@ -116,15 +119,22 @@ def sample_uniform_sphere(rng: np.random.Generator, n: int | None = None) -> np.
 
 
 def _sphere_points(z_u: np.ndarray, phi_u: np.ndarray) -> np.ndarray:
-    """Unit vectors with lam_z = 2 z_u - 1 and azimuth 2pi phi_u."""
-    out = np.empty((z_u.shape[0], 3))
-    z = out[:, 2]
+    """Unit vectors with lam_z = 2 z_u - 1 and azimuth 2pi phi_u (column-major)."""
+    out = np.empty((z_u.shape[0], 3), order="F")
+    x, y, z = out.T
     np.multiply(z_u, 2.0, out=z)
     z -= 1.0
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    phi = TWO_PI * phi_u
-    np.multiply(np.cos(phi), s, out=out[:, 0])
-    np.multiply(np.sin(phi), s, out=out[:, 1])
+    # s = sqrt(max(1 - z^2, 0)) in x, phi = 2pi phi_u in y, then x = s cos phi
+    # and y = s sin phi, with the operations of the plain expressions
+    np.multiply(z, z, out=x)
+    np.subtract(1.0, x, out=x)
+    np.maximum(x, 0.0, out=x)
+    np.sqrt(x, out=x)
+    np.multiply(TWO_PI, phi_u, out=y)
+    cos = np.cos(y)
+    np.sin(y, out=y)
+    y *= x
+    x *= cos
     return out
 
 
@@ -142,19 +152,31 @@ def sample_theta_hemisphere(
     v = check_unit(v, "v")
     m = 1 if n is None else int(n)
     u = rng.random((m, 2))
-    out = np.empty((m, 3))
-    c = out[:, 2]
+    out = np.empty((m, 3), order="F")
+    x, y, c = out.T
     np.sqrt(u[:, 0], out=c)
-    phi = TWO_PI * u[:, 1]
-    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    s = c * c  # then s = sqrt(max(1 - c^2, 0)), in place
+    np.subtract(1.0, s, out=s)
+    np.maximum(s, 0.0, out=s)
+    np.sqrt(s, out=s)
+    np.multiply(TWO_PI, u[:, 1], out=y)  # phi
     if v.tobytes() == _Z_BYTES:
-        np.add(s * np.sin(phi), 0.0, out=out[:, 0])
-        np.subtract(0.0, s * np.cos(phi), out=out[:, 1])
+        np.sin(y, out=x)
+        x *= s
+        x += 0.0
+        np.cos(y, out=y)
+        y *= s
+        np.subtract(0.0, y, out=y)
         return out[0] if n is None else out
     e1, e2 = _frame(v)
-    s_cos, s_sin = s * np.cos(phi), s * np.sin(phi)
-    for j in range(3):  # column by column: no (m, 3) temporaries
-        out[:, j] = c * v[j] + s_cos * e1[j] + s_sin * e2[j]
+    s_cos = np.cos(y)
+    s_cos *= s
+    s *= np.sin(y)  # now s sin phi
+    for j in range(3):  # column by column, c (column 2) last
+        col = out[:, j]
+        np.multiply(c, v[j], out=col)
+        col += s_cos * e1[j]
+        col += s * e2[j]
     return out[0] if n is None else out
 
 
@@ -276,6 +298,11 @@ def improved_one_bit_threshold() -> float:
 _BLOCK = 8192
 
 
+def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows of ``a`` where ``keep`` holds, as a column-major array."""
+    return np.compress(keep, a.T, axis=1).T
+
+
 class _BufferedSampler:
     """A rejection sampler that buffers its accepted candidates in stream
     order, so ``draw`` granularity does not matter.  ``_refill(need)`` adds
@@ -306,7 +333,7 @@ class _BufferedSampler:
         stacked = self._buffer[0] if len(self._buffer) == 1 else np.concatenate(self._buffer)
         out, rest = stacked[:n], stacked[n:]
         self._buffer = [rest] if rest.shape[0] else []
-        return out.copy()
+        return out.copy(order="K")  # keeps the buffer's column-major layout
 
     def draw(self, n: int) -> np.ndarray:
         """The next ``n`` samples; the rest of the buffer is kept."""
@@ -349,7 +376,7 @@ class RhoTildeMaxSampler(_BufferedSampler):
         keep = self._keep(u)
         self.proposed += self.block
         self.accepted += int(keep.sum())
-        self._buffer.append(u[keep, :2])
+        self._buffer.append(_rows(u[:, :2], keep))
 
 
 class EnvelopeScan:
@@ -440,4 +467,4 @@ class RhoTildeSampler(_BufferedSampler):
         keep = self._thin[lo:hi] < rt / rmax
         self.proposed += hi - lo
         self.accepted += int(keep.sum())
-        self._buffer.append(cand[keep])
+        self._buffer.append(_rows(cand, keep))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -32,6 +33,7 @@ from .bloch import (
 from .errors import ValidationError
 from .protocols import (
     CH_SHARED,
+    CHUNK,
     ProtocolId,
     SettingResult,
     SimulationResult,
@@ -85,7 +87,13 @@ def tvd(table: EmpiricalTable, oracle: JointDistribution) -> float:
 class Chi2Result:
     statistic: float
     dof: int
-    pvalue: float
+
+    @cached_property
+    def pvalue(self) -> float:
+        """The chi2(dof) upper tail at ``statistic``, computed on first read."""
+        if self.statistic == float("inf"):
+            return 0.0  # a cell the oracle rules out was hit
+        return float(stats.chi2.sf(self.statistic, self.dof))
 
 
 def chi2_stat(table: EmpiricalTable, oracle: JointDistribution) -> Chi2Result:
@@ -105,9 +113,8 @@ def _pearson(obs: np.ndarray, exp: np.ndarray, live: np.ndarray) -> Chi2Result:
     """Pearson chi-square over the ``live`` cells; infinite if a dead cell was hit."""
     dof = int(live.sum()) - 1
     if np.any(obs[~live] > 0):
-        return Chi2Result(float("inf"), dof, 0.0)
-    chi2 = float(np.sum((obs[live] - exp[live]) ** 2 / exp[live]))
-    return Chi2Result(chi2, dof, float(stats.chi2.sf(chi2, dof)))
+        return Chi2Result(float("inf"), dof)
+    return Chi2Result(float(np.sum((obs[live] - exp[live]) ** 2 / exp[live])), dof)
 
 
 @dataclass
@@ -262,18 +269,23 @@ def hemisphere_law_check(v: np.ndarray, y: np.ndarray, rounds: int, seed: int) -
     """Empirical check that the hemisphere law encodes the qubit state v.
 
     Draws lam ~ Theta(lam.v)/pi, outputs b = sgn(y.lam), and compares
-    p_hat(b=+1) with (1 + y.v)/2 at a 4-sigma tolerance.
+    p_hat(b=+1) with (1 + y.v)/2 at a 4-sigma tolerance.  The rounds are
+    drawn from one generator in pieces of ``CHUNK``, which read the uniforms
+    of one whole draw, and only the +1 outcomes are counted, so memory is
+    O(CHUNK) and p_hat is the mean over the whole draw.
     """
     v = check_unit(v, "v")
     y = check_unit(y, "y")
     rng = make_generator(seed, CH_SHARED)
-    lam = sample_theta_hemisphere(rng, v, rounds)
-    p_hat = float(np.mean(sign_pm(dot3(lam, y)) == 1))
+    plus = 0
+    for lo in range(0, rounds, CHUNK):
+        lam = sample_theta_hemisphere(rng, v, min(CHUNK, rounds - lo))
+        plus += int(np.count_nonzero(sign_pm(dot3(lam, y)) == 1))
     return HemisphereLawResult(
         v=v,
         y=y,
         rounds=rounds,
-        p_hat=p_hat,
+        p_hat=plus / rounds,
         expected=(1.0 + float(y @ v)) / 2.0,
         tolerance=4.0 * np.sqrt(0.25 / rounds),
     )

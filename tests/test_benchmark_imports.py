@@ -8,6 +8,7 @@ constants, such as its set-up script, is parsed too.
 
 import ast
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -48,16 +49,34 @@ def test_benchmark_imports_resolve():
     assert missing == []
 
 
-def test_benchmark_wire_check_passes(monkeypatch):
-    # the benchmark's wire-audit jobs, run as the benchmark runs them, pass
-    # their output checks; the benchmark's files are loaded, not written
+def _load_benchmark(monkeypatch):
+    """The benchmark's ``workloads`` and ``tracing`` modules, loaded without
+    writing bytecode into its directory."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(BENCH))
     for name in ("tracing", "workloads"):
         monkeypatch.delitem(sys.modules, name, raising=False)
-    workloads = importlib.import_module("workloads")
-    tracer = importlib.import_module("tracing").Tracer()
+    return importlib.import_module("workloads"), importlib.import_module("tracing")
+
+
+def test_benchmark_wire_check_passes(monkeypatch):
+    # the benchmark's wire-audit jobs, run as the benchmark runs them, pass
+    # their output checks
+    workloads, tracing = _load_benchmark(monkeypatch)
+    tracer = tracing.Tracer()
     jobs = workloads.build_jobs("wire-audit", 1, scale=0.04)
     outcomes = [workloads.run_job(job, tracer) for job in jobs]
     assert outcomes and [o.job.name for o in outcomes if o.failed] == []
     assert tracer.counters["wire.frames"] > 0
+
+
+def test_golden_hashes_match(monkeypatch):
+    # the settings.csv of every grid-certify job at the golden size has the
+    # bytes the benchmark recorded, for each recorded seed
+    workloads, _ = _load_benchmark(monkeypatch)
+    golden = json.loads((BENCH / "golden.json").read_text())
+    assert golden["rounds_per_pair"] == workloads.GOLDEN_ROUNDS
+    seeds = [int(seed) for seed in golden["seeds"]]
+    assert seeds == list(workloads.GOLDEN_SEEDS) == [1, 2]
+    for seed in seeds:
+        assert workloads.golden_hashes(seed) == golden["seeds"][str(seed)], seed

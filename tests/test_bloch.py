@@ -91,6 +91,58 @@ class TestConventions:
         np.testing.assert_allclose(dot3(a, a), np.sum(a * a, axis=1), rtol=0, atol=1e-14)
 
 
+# signed zeros, subnormals and infinities, then random values
+CRAFTED = np.concatenate(
+    [[0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.0, -1.0], RNG.normal(size=1000)]
+)
+
+
+def same_bytes(got, want):
+    """Equal dtype, shape and values, the sign of every zero included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        got.dtype == want.dtype
+        and got.shape == want.shape
+        and np.array_equal(got, want)
+        and np.array_equal(np.signbit(got), np.signbit(want))
+    )
+
+
+def theta_where(z):
+    z = np.asarray(z)
+    return np.where(z >= 0.0, z, 0.0)
+
+
+def sign_where(z):
+    return np.where(np.asarray(z) >= 0.0, 1, -1).astype(np.int8)
+
+
+class TestByteExactKernels:
+    """The kernels equal their ``np.where`` forms byte for byte."""
+
+    @pytest.mark.parametrize("kernel,ref", [(theta, theta_where), (sign_pm, sign_where)])
+    def test_crafted_values(self, kernel, ref):
+        assert same_bytes(kernel(CRAFTED), ref(CRAFTED))
+        assert same_bytes(kernel(CRAFTED[::-3]), ref(CRAFTED[::-3]))  # strided input
+
+    @pytest.mark.parametrize("kernel,ref", [(theta, theta_where), (sign_pm, sign_where)])
+    def test_scalar_and_0d_inputs(self, kernel, ref):
+        for z in CRAFTED[:8]:
+            for arg in (float(z), np.float64(z), np.array(z), np.array([z])):
+                assert same_bytes(kernel(arg), ref(arg)), (kernel.__name__, arg)
+        assert same_bytes(kernel(np.zeros(0)), ref(np.zeros(0)))
+
+    def test_theta_keeps_the_sign_of_zero(self):
+        # np.maximum(z, 0.0) would give +0.0 here
+        assert np.signbit(theta(-0.0)) and not np.signbit(theta(0.0))
+
+    def test_pm_of_masks(self):
+        mask = CRAFTED >= 0.5
+        assert same_bytes(bloch.pm(mask), np.where(mask, 1, -1).astype(np.int8))
+        for m in (True, False, np.bool_(True), np.array(False)):
+            assert same_bytes(bloch.pm(m), np.where(m, 1, -1).astype(np.int8))
+
+
 class TestValidation:
     def test_rejects_non_unit(self):
         with pytest.raises(ValidationError):

@@ -17,20 +17,27 @@ from lhvsim.protocols import (
     CHUNK,
     PROTOCOLS,
     ProtocolId,
+    SharedDraw,
     TRIT_BITS,
     VECTOR_MESSAGE_BITS,
     _Chunk,
     _aggregate,
+    _bob_teleportation,
     _choice_and_flip,
     _draw_alice_private,
     _draw_shared,
+    _one_or_two,
     _play,
     _vector_sampler,
+    alice_decide,
     alice_output_weight,
     bob_output,
     check_applicable,
     draw_alice_private,
     draw_shared,
+    envelope_scan,
+    private_chunk,
+    shared_chunk,
     simulate,
 )
 from lhvsim.sampling import (
@@ -562,3 +569,63 @@ class TestChunking:
         )
         assert res.total_rounds == 4_000_000
         assert max_tvd(res) < 0.003
+
+
+def crafted_masks():
+    rng = np.random.default_rng(60)
+    return [rng.random(1000) < 0.5, np.ones(5, bool), np.zeros(5, bool), np.zeros(0, bool)]
+
+
+class TestByteExactForms:
+    """The symbol and sign forms of the rules equal their ``np.where`` forms."""
+
+    def test_one_or_two(self):
+        for mask in crafted_masks() + [np.array(True), np.array(False)]:
+            got, want = _one_or_two(mask), np.where(mask, 1, 2).astype(np.uint8)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_silent_and_trit_symbols(self):
+        for talk in crafted_masks():
+            rng = np.random.default_rng(talk.size)
+            use1 = talk & (rng.random(talk.size) < 0.5)
+            # improved one-bit's msg and trit's msg, as the rules write them
+            forms = (
+                (talk.view(np.uint8) * _one_or_two(use1),
+                 np.where(talk, np.where(use1, 1, 2), 0).astype(np.uint8)),
+                (np.where(talk, _one_or_two(use1), np.uint8(3)),
+                 np.where(talk, _one_or_two(use1), 3).astype(np.uint8)),
+            )
+            for got, want in forms:
+                assert got.dtype == want.dtype == np.uint8
+                assert np.array_equal(got, want)
+
+    def test_teleportation_sign(self):
+        # lam rows (t, -0, -0) give y.lam = t exactly for y = x, signed zeros included
+        t = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 0.5, -0.5])
+        t1, t2 = np.repeat(t, 4), np.tile(t, 4)
+
+        def rows(v):
+            return np.column_stack([v, np.full_like(v, -0.0), np.full_like(v, -0.0)])
+
+        msg = np.tile(np.arange(1, 5, dtype=np.uint8), len(t))
+        got = _bob_teleportation(SharedDraw(rows(t1), rows(t2)), msg, None, X_AXIS)
+        want = np.where(msg <= 2, t1, t2) * np.where(msg % 2 == 1, 1.0, -1.0)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
+    def test_draws_are_column_major(self, pid, p):
+        state, x = State(p), default_setting_pairs(1)[0][0]
+        for n, lo in ((5000, 0), (CHUNK + 7, CHUNK)):
+            scan = envelope_scan(pid, state, 61, 0, n)
+            shared = shared_chunk(pid, state, 61, 0, n, lo, n, scan)
+            for name in ("lam1", "lam2", "lam3"):
+                lam = getattr(shared, name)
+                assert lam is None or lam.flags.f_contiguous, (n, name)
+            priv = private_chunk(pid, 61, 0, n, lo, n)
+            sampler = _vector_sampler(pid, state, x, make_generator(61, 0, CH_SAMPLER))
+            res = alice_decide(pid, state, x, shared, priv, sampler)
+            assert res.a.dtype == np.int8 and res.msg.dtype == np.uint8
+            if res.payload is not None:
+                assert res.payload.shape[0] > 1 and res.payload.flags.f_contiguous

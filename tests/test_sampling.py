@@ -127,6 +127,37 @@ class TestThetaHemisphere:
         assert abs(p_hat - (1.0 + y @ v) / 2.0) < 0.005
 
 
+class TestColumnMajor:
+    """Every draw is an (n, 3) array stored column by column."""
+
+    @pytest.mark.parametrize("n", [7, 5000])
+    def test_draws(self, n):
+        rng = np.random.default_rng(67)
+        v, x = random_unit(rng), random_unit(rng)
+        scan = EnvelopeScan(State(0.7), 13, (1,), 0, n)
+        draws = {
+            "uniform": sample_uniform_sphere(make_generator(13, 0), n),
+            "hemisphere z": sample_theta_hemisphere(make_generator(13, 0), Z_AXIS, n),
+            "hemisphere v": sample_theta_hemisphere(make_generator(13, 0), v, n),
+            "envelope": RhoTildeMaxSampler(State(0.7), make_generator(13, 1)).draw(n),
+            "envelope scan": scan.samples(0, n),
+            "envelope scan piece": scan.samples(1, n),
+            "rhot_x": RhoTildeSampler(State(0.7), x, make_generator(13, 2)).draw(n),
+        }
+        for name, lam in draws.items():
+            assert lam.shape[1:] == (3,) and lam.flags.f_contiguous, name
+
+    def test_sampler_buffers(self):
+        # what a draw leaves in a buffer keeps contiguous columns
+        for sampler in (
+            RhoTildeMaxSampler(State(0.7), make_generator(13, 3)),
+            RhoTildeSampler(State(0.7), Z_AXIS, make_generator(13, 3)),
+        ):
+            sampler.draw(5)
+            assert sampler._buffer and all(b.strides[0] == 8 for b in sampler._buffer)
+            assert sampler.draw(1000).flags.f_contiguous
+
+
 class FixedUniforms:
     """A stand-in generator whose ``random`` returns the given uniforms."""
 

@@ -9,12 +9,15 @@ from lhvsim.bloch import (
     X_AXIS,
     Z_AXIS,
     chsh_value,
+    dot3,
+    sign_pm,
     theta,
     tsirelson_settings,
 )
+from lhvsim import verify
 from lhvsim.errors import ValidationError
-from lhvsim.protocols import ProtocolId, simulate
-from lhvsim.sampling import n_of_p
+from lhvsim.protocols import CH_SHARED, CHUNK, ProtocolId, simulate
+from lhvsim.sampling import make_generator, n_of_p, sample_theta_hemisphere
 from lhvsim.verify import (
     EmpiricalTable,
     area_quadrature,
@@ -81,6 +84,18 @@ class TestChi2:
         assert ok.statistic == 0.0 and ok.dof == 0
         bad = chi2_stat(table([[9, 1], [0, 0]]), oracle)
         assert bad.statistic == float("inf") and bad.pvalue == 0.0
+
+    def test_pvalue_is_computed_on_first_read(self, monkeypatch):
+        calls = []
+        sf = verify.stats.chi2.sf
+        monkeypatch.setattr(verify.stats.chi2, "sf", lambda *a: calls.append(a) or sf(*a))
+        res = simulate(ProtocolId.TRIT, State(0.7), default_setting_pairs(3), 1000, seed=42)
+        verification_report(res)
+        assert calls == []  # the report reads statistics only
+        r = chi2_stat(table([[240, 260], [255, 245]]), JointDistribution(np.full((2, 2), 0.25)))
+        first = r.pvalue
+        assert r.pvalue == first and len(calls) == 1  # cached after the first read
+        assert first == float(sf(r.statistic, 3))
 
 
 class TestCommStats:
@@ -176,6 +191,29 @@ class TestHemisphereLaw:
         r = hemisphere_law_check(v, -v, 10**5, seed=51)
         assert r.expected == pytest.approx(0.0, abs=1e-12)
         assert r.p_hat <= r.tolerance and r.passed
+
+    def test_pieces_read_one_draw(self):
+        # p_hat of a check drawn in CHUNK-row pieces is that of one whole draw
+        rng = np.random.default_rng(56)
+        v, y = random_unit(rng), random_unit(rng)
+        n = 2 * CHUNK + 5
+        lam = sample_theta_hemisphere(make_generator(57, CH_SHARED), v, n)
+        want = float(np.mean(sign_pm(dot3(lam, y)) == 1))
+        assert hemisphere_law_check(v, y, n, seed=57).p_hat == want
+
+    def test_memory_is_bounded(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(58)
+        v, y = random_unit(rng), random_unit(rng)
+        tracemalloc.start()
+        try:
+            hemisphere_law_check(v, y, 10**6, seed=59)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 10^6-round draw held about 84 MiB; one CHUNK piece about 6 MiB
+        assert peak < 16 * 2**20
 
     def test_random_pairs(self):
         rng = np.random.default_rng(52)
