@@ -188,17 +188,20 @@ def born_joint(state: State, x: np.ndarray, y: np.ndarray) -> JointDistribution:
     """Joint distribution of local projective measurements x, y (oracle path).
 
     Builds |psi><psi| as an explicit 4x4 density matrix and evaluates
-    Tr[P_a(x) (x) P_b(y) rho] for the four outcome pairs.
+    Tr[P_a(x) (x) P_b(y) rho] for the four outcome pairs.  Each projector is
+    built once, and P_a (x) P_b is the one broadcast multiply that
+    ``np.kron`` performs, so the bytes are those of ``np.kron``.
     """
     x = check_unit(x, "x")
     y = check_unit(y, "y")
     psi = state.ket()
     rho = np.outer(psi, psi.conj())
+    pbs = [projector(b * y)[None, :, None, :] for b in (1, -1)]
     probs = np.empty((2, 2))
     for i, a in enumerate((1, -1)):
-        pa = projector(a * x)
-        for j, b in enumerate((1, -1)):
-            op = np.kron(pa, projector(b * y))
+        pa = projector(a * x)[:, None, :, None]
+        for j, pb in enumerate(pbs):
+            op = (pa * pb).reshape(4, 4)  # np.kron(P_a, P_b)
             probs[i, j] = np.trace(op @ rho).real
     probs[probs < 0.0] = 0.0  # rounding can produce -1e-17 on deterministic outcomes
     return JointDistribution(probs).validate()

@@ -237,6 +237,8 @@ def shared_chunk(protocol, state, seed, k, n, lo, hi, scan=None) -> SharedDraw:
 
 def private_chunk(protocol, seed, k, n, lo, hi) -> AlicePrivate:
     """Rounds [lo, hi) of Alice's private coins for pair k of n rounds."""
+    if not PROTOCOLS[protocol].private:
+        return AlicePrivate()  # no coins to draw, so no stream is opened
     return _draw_alice_private(protocol, _source(seed, (k, CH_ALICE), n, lo, hi))
 
 
@@ -639,11 +641,12 @@ class BatchResult:
     lam: Optional[np.ndarray]  # Alice's committed vectors, or None if not kept
 
 
-def _vector_sampler(protocol, state, x, rng) -> Optional[RhoTildeSampler]:
-    """Alice's sampler for vector messages, on its own stream; None if unused."""
+def _vector_sampler(protocol, state, x, seed, k) -> Optional[RhoTildeSampler]:
+    """Alice's sampler for pair k's vector messages, on stream (seed, k,
+    CH_SAMPLER); None, with no stream opened, if the pair sends none."""
     if not PROTOCOLS[protocol].vector_message or state.p >= 1.0:
         return None
-    return RhoTildeSampler(state, x, rng)
+    return RhoTildeSampler(state, x, make_generator(seed, k, CH_SAMPLER))
 
 
 def _play(protocol, state, x, y, shared, priv, sampler, keep_lambdas) -> BatchResult:
@@ -818,8 +821,7 @@ class _PairRun:
 
     def in_order(self) -> SettingResult:
         """Every chunk in turn, with one vector sampler carried across them."""
-        rng = make_generator(self.seed, self.index, CH_SAMPLER)
-        sampler = _vector_sampler(self.protocol, self.state, self.x, rng)
+        sampler = _vector_sampler(self.protocol, self.state, self.x, self.seed, self.index)
         return _merge([self.chunk(lo, hi, sampler=sampler) for lo, hi in _chunks(self.n)])
 
     def envelope_scan(self) -> Optional[EnvelopeScan]:

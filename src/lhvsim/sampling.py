@@ -28,8 +28,9 @@ coordinate is one contiguous array for the dot products that read it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import integrate, optimize
 
 from .bloch import State, Z_AXIS, X_AXIS, check_unit, collapse, dot3, theta
 from .errors import DomainError, InternalConsistencyError
@@ -275,6 +276,8 @@ def n_of_p(state) -> float:
 
 def n_of_p_quadrature(state, epsabs: float = 1e-10) -> float:
     """Independent oracle for n_of_p: adaptive quadrature of the envelope."""
+    from scipy import integrate  # the oracle alone loads scipy
+
     p = _as_p(state)
     val, _ = integrate.quad(
         lambda c: rho_tilde_max_cos(p, c), -1.0, 1.0, epsabs=epsabs, epsrel=1e-12, limit=200
@@ -289,7 +292,54 @@ def one_bit_threshold() -> float:
 
 def improved_one_bit_threshold() -> float:
     """Smallest p with n_of_p(p) <= 1 (about 0.835), to full float precision."""
-    return optimize.brentq(lambda p: n_of_p(p) - 1.0, 0.75, 0.95, xtol=1e-14, rtol=8.9e-16)
+    return brentq(lambda p: n_of_p(p) - 1.0, 0.75, 0.95, xtol=1e-14, rtol=8.9e-16)
+
+
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    The loop of scipy's ``optimize.brentq``, step for step, so it returns
+    the same float bit for bit without loading scipy.  The root is bracketed
+    by xcur and xblk; each step interpolates (secant or inverse quadratic)
+    when that shrinks the bracket fast enough, and bisects otherwise.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):  # scipy's default maxiter
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise InternalConsistencyError("brentq did not converge in 100 iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ sub-normalized density rhot_x.
 
 Tolerances are derived from the round count, never hard-coded: the default
 pass threshold for a table of M rounds is ``max(0.005, 5/sqrt(M))``.
+
+scipy is imported inside the functions that call it (the quadrature oracles
+and ``Chi2Result.pvalue``), so a report never loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, stats
 
 from .bloch import (
     JointDistribution,
@@ -93,6 +95,8 @@ class Chi2Result:
         """The chi2(dof) upper tail at ``statistic``, computed on first read."""
         if self.statistic == float("inf"):
             return 0.0  # a cell the oracle rules out was hit
+        from scipy import stats
+
         return float(stats.chi2.sf(self.statistic, self.dof))
 
 
@@ -226,6 +230,8 @@ def _cos_marginal(coll, const: float):
 
 def rho_cos_bin_probs(state: State, x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Quadrature bin probabilities of the lam.z marginal under rho_x."""
+    from scipy import integrate
+
     g = _cos_marginal(collapse(state, x), 0.0)
     out = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -346,6 +352,8 @@ def area_quadrature(state: State, x: np.ndarray, epsabs: float = 1e-9) -> float:
     The marginal has derivative kinks at c = +-sin(angle(v)) for each of
     v_+, v_-, z; those breakpoints are handed to the integrator.
     """
+    from scipy import integrate
+
     coll = collapse(state, x)
     g = _cos_marginal(coll, state.c)
     kinks = set()

@@ -49,7 +49,6 @@ import numpy as np
 from .bloch import State
 from .errors import ProtocolViolationError, TransportError, ValidationError
 from .protocols import (
-    CH_SAMPLER,
     CHUNK,
     PROTOCOLS,
     BatchResult,
@@ -68,7 +67,6 @@ from .protocols import (
     private_chunk,
     shared_chunk,
 )
-from .sampling import make_generator
 
 SETUP_ROUND = 2**64 - 1
 _HEADER = struct.Struct("<QBI")
@@ -332,7 +330,7 @@ def alice_main(host: str, referee_port: int) -> None:
             if bob is None:
                 bob = _connect(host, bob_port)
             state = State(p)
-            sampler = _vector_sampler(protocol, state, x, make_generator(seed, pair, CH_SAMPLER))
+            sampler = _vector_sampler(protocol, state, x, seed, pair)
             for lo, hi in _chunks(rounds):
                 frame = recv_frame(ref)
                 if frame.kind != FrameKind.SHARED_RANDOMNESS or frame.round != lo:

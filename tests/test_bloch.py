@@ -189,6 +189,32 @@ class TestBornJoint:
             for ab, val in want.items():
                 assert d.prob(*ab) == pytest.approx(val, abs=1e-12)
 
+    def test_bytes_equal_the_kron_form(self):
+        # born_joint forms P_a (x) P_b without np.kron; the bytes must not move
+        def kron_form(state, x, y):
+            psi = state.ket()
+            rho = np.outer(psi, psi.conj())
+            probs = np.empty((2, 2))
+            for i, a in enumerate((1, -1)):
+                for j, b in enumerate((1, -1)):
+                    op = np.kron(bloch.projector(a * x), bloch.projector(b * y))
+                    probs[i, j] = np.trace(op @ rho).real
+            probs[probs < 0.0] = 0.0
+            return probs
+
+        from lhvsim.verify import default_setting_pairs
+
+        cases = [
+            (p, x, y)
+            for p in (0.5, 0.7, 0.835, 0.9, 0.933, 0.95, 1.0)
+            for x, y in default_setting_pairs(20)
+        ]
+        rng = np.random.default_rng(13)
+        cases += [(rng.uniform(0.5, 1.0), random_unit(rng), random_unit(rng)) for _ in range(500)]
+        for p, x, y in cases:
+            got = born_joint(State(p), x, y).probs
+            assert got.tobytes() == kron_form(State(p), x, y).tobytes(), (p, x, y)
+
     def test_closed_form_equals_oracle_path(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

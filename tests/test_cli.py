@@ -119,6 +119,7 @@ class TestSweep:
         )
         assert code == 0
         lines = out.read_text().strip().split("\n")
+        assert " threshold=0.834261756691355 " in lines[0]  # a float, not np.float64(...)
         assert lines[1] == "p,protocol,alphabet,mean_bits,stderr,N_of_p"
         rows = [line.split(",") for line in lines[2:]]
         by_p = {float(r[0]): r for r in rows}

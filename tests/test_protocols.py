@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lhvsim.bloch import State, X_AXIS, Z_AXIS, born_joint, collapse, dot3
+from lhvsim import protocols
 from lhvsim.errors import DomainError, InternalConsistencyError
 from lhvsim.protocols import (
     CH_ALICE,
@@ -379,6 +380,24 @@ class TestSimulate:
             assert np.all(sent >= 1) and np.all(sent <= info.alphabet_size)
             assert res.worst_bits <= np.log2(info.alphabet_size) + 1e-12
 
+    @pytest.mark.parametrize(
+        "pid,p,channels",
+        [
+            (ProtocolId.DEGORRE, 0.5, {CH_SHARED}),  # no private coins
+            (ProtocolId.TRIT, 0.7, {CH_SHARED, CH_ALICE}),
+            (ProtocolId.LOCAL_CONTENT, 0.7, {CH_SHARED, CH_ALICE, CH_SAMPLER}),
+            (ProtocolId.LOCAL_CONTENT, 1.0, {CH_SHARED, CH_ALICE}),  # never talks
+        ],
+    )
+    def test_opens_only_the_streams_it_reads(self, monkeypatch, pid, p, channels):
+        opened = []
+        real = protocols.make_generator
+        monkeypatch.setattr(
+            protocols, "make_generator", lambda seed, *path: opened.append(path) or real(seed, *path)
+        )
+        simulate(pid, State(p), [(X_AXIS, Z_AXIS), (Z_AXIS, X_AXIS)], 100, seed=26)
+        assert sorted(opened) == sorted((k, ch) for k in range(2) for ch in channels)
+
     def test_deterministic_across_worker_counts(self):
         pairs = [(X_AXIS, Z_AXIS), (Z_AXIS, X_AXIS), (Z_AXIS, Z_AXIS)]
         a = simulate(ProtocolId.TRIT, State(0.7), pairs, 4000, seed=24, workers=1)
@@ -537,7 +556,7 @@ class TestChunking:
         )
         for k, (x, y) in enumerate(pairs):
             shared, priv = _reference_draws(pid, state, 40, k, n)
-            sampler = _vector_sampler(pid, state, x, make_generator(40, k, CH_SAMPLER))
+            sampler = _vector_sampler(pid, state, x, 40, k)
             batch = _play(pid, state, x, y, shared, priv, sampler, True)
             want = _aggregate(pid, x, y, batch, True, True)
             got = res.settings[k]
@@ -624,7 +643,7 @@ class TestByteExactForms:
                 lam = getattr(shared, name)
                 assert lam is None or lam.flags.f_contiguous, (n, name)
             priv = private_chunk(pid, 61, 0, n, lo, n)
-            sampler = _vector_sampler(pid, state, x, make_generator(61, 0, CH_SAMPLER))
+            sampler = _vector_sampler(pid, state, x, 61, 0)
             res = alice_decide(pid, state, x, shared, priv, sampler)
             assert res.a.dtype == np.int8 and res.msg.dtype == np.uint8
             if res.payload is not None:

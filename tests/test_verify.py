@@ -14,7 +14,6 @@ from lhvsim.bloch import (
     theta,
     tsirelson_settings,
 )
-from lhvsim import verify
 from lhvsim.errors import ValidationError
 from lhvsim.protocols import CH_SHARED, CHUNK, ProtocolId, simulate
 from lhvsim.sampling import make_generator, n_of_p, sample_theta_hemisphere
@@ -86,9 +85,11 @@ class TestChi2:
         assert bad.statistic == float("inf") and bad.pvalue == 0.0
 
     def test_pvalue_is_computed_on_first_read(self, monkeypatch):
+        from scipy import stats  # verify loads it on the first p-value read
+
         calls = []
-        sf = verify.stats.chi2.sf
-        monkeypatch.setattr(verify.stats.chi2, "sf", lambda *a: calls.append(a) or sf(*a))
+        sf = stats.chi2.sf
+        monkeypatch.setattr(stats.chi2, "sf", lambda *a: calls.append(a) or sf(*a))
         res = simulate(ProtocolId.TRIT, State(0.7), default_setting_pairs(3), 1000, seed=42)
         verification_report(res)
         assert calls == []  # the report reads statistics only
