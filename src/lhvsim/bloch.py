@@ -29,17 +29,11 @@ UNIT_TOL = 1e-12
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 X_AXIS = np.array([1.0, 0.0, 0.0])
-Y_AXIS = np.array([0.0, 1.0, 0.0])
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
-
-
-def heaviside(z):
-    """H(z) = 1 for z >= 0, else 0 (elementwise)."""
-    return np.where(np.asarray(z) >= 0.0, 1.0, 0.0)
 
 
 def theta(z):
@@ -148,9 +142,6 @@ class JointDistribution:
         """E[a*b] under this distribution."""
         p = self.probs
         return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
-
-    def marginal_a(self, a: int) -> float:
-        return float(self.probs[self.index(a), :].sum())
 
     def validate(self, tol: float = 1e-12) -> "JointDistribution":
         if np.any(self.probs < -tol):

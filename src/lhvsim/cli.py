@@ -228,15 +228,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
     ok = report.passed
     if transcript is not None:
-        (out / "transcript.bin").write_bytes(transcript.to_binary())
-        _write(out / "transcript.json", transcript.summary_json())
         audit = audit_transcript(transcript, protocol)
+        (out / "transcript.bin").write_bytes(transcript.to_binary())
+        _write(out / "transcript.json", transcript.summary_json(audit))
         for finding in audit.findings:
             print(f"audit: {finding}", file=sys.stderr)
         ok = ok and audit.passed
 
     print(f"max TVD {report.max_tvd:.6f} (tolerance {report.tolerance:.6f})")
-    print(f"mean bits/round {report.comm.mean_bits:.6f} +- {report.comm.stderr:.6f}")
+    print(f"mean bits/round {report.comm['mean_bits']:.6f} +- {report.comm['stderr']:.6f}")
     if est is not None:
         print(f"CHSH S = {est.value:.4f} +- {est.stderr:.4f} (oracle {est.oracle:.4f})")
     print(f"report written to {out / 'report.json'}")

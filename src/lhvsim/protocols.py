@@ -88,7 +88,7 @@ RATIO_GUARD = 1e-12
 CHUNK = 1 << 16
 TRIT_BITS = float(np.log2(3.0))
 # vector messages are sent as three raw float64 coordinates
-VECTOR_MESSAGE_BITS = 192.0
+VECTOR_MESSAGE_BITS = 3 * 64.0
 
 
 class ProtocolId(enum.Enum):
@@ -274,18 +274,6 @@ def _weight_given(coll, dp, dm) -> np.ndarray:
     return np.clip(num / den, 0.0, 1.0)
 
 
-def alice_output_weight(state: State, x: np.ndarray, lam) -> np.ndarray:
-    """Probability that Alice outputs +1 given the chosen vector lam.
-
-    The ratio of the +1 summand of rho_x(lam) to the whole mixture (the 1/pi
-    factors cancel).  At p = 1/2 this degenerates to the indicator
-    H(lam . v_plus).  Raises if rho_x(lam) = 0, which no correct sampling
-    step can produce.
-    """
-    coll = collapse(state, x)
-    return _weight_given(coll, *_dots(np.asarray(lam, dtype=float), coll))
-
-
 def _output(coll, dp, dm, priv: AlicePrivate) -> np.ndarray:
     """Alice's a for the committed lam, given its dot products dp, dm with v_+-."""
     return pm(priv.u_out < _weight_given(coll, dp, dm))
@@ -439,12 +427,6 @@ def _choice_and_flip(d1: np.ndarray, d2: np.ndarray):
     c1 = _one_or_two(first)
     c2 = sign_pm(np.where(first, d1, d2))
     return c1, c2
-
-
-def bob_output(y: np.ndarray, lam) -> np.ndarray:
-    """Bob's deterministic response b = sgn(y . lam), with sgn(0) = +1."""
-    y = check_unit(y, "y")
-    return sign_pm(dot3(np.asarray(lam, dtype=float), y))
 
 
 # Bob's rules: (shared, msg, payload, y) -> y . lam for the agreed vector

@@ -185,12 +185,6 @@ def sample_theta_hemisphere(
 # densities
 
 
-def _rho_given(coll, lam) -> np.ndarray:
-    """rho_x(lam) from a precomputed collapse."""
-    lam = np.asarray(lam, dtype=float)
-    return _rho_dots(coll, dot3(lam, coll.v_plus), dot3(lam, coll.v_minus))
-
-
 def _rho_dots(coll, dp, dm) -> np.ndarray:
     """rho_x from the dot products dp = lam.v_+ and dm = lam.v_-."""
     return (coll.p_plus * theta(dp) + coll.p_minus * theta(dm)) * INV_PI
@@ -213,11 +207,6 @@ def _rho_tilde_dots(state: State, coll, dp, dm, lz, clamp: bool = True) -> np.nd
     if clamp:
         return np.maximum(raw, 0.0)
     return raw
-
-
-def eval_rho(state: State, x: np.ndarray, lam) -> np.ndarray:
-    """The mixture density rho_x(lam) Alice must hand to Bob."""
-    return _rho_given(collapse(state, x), lam)
 
 
 def eval_rho_tilde(state: State, x: np.ndarray, lam, clamp: bool = True) -> np.ndarray:
@@ -272,17 +261,6 @@ def n_of_p(state) -> float:
     if p == 1.0:
         return 0.0
     return 2.0 * p * (1.0 - p) / (2.0 * p - 1.0) * np.log(p / (1.0 - p)) + 2.0 * (1.0 - p)
-
-
-def n_of_p_quadrature(state, epsabs: float = 1e-10) -> float:
-    """Independent oracle for n_of_p: adaptive quadrature of the envelope."""
-    from scipy import integrate  # the oracle alone loads scipy
-
-    p = _as_p(state)
-    val, _ = integrate.quad(
-        lambda c: rho_tilde_max_cos(p, c), -1.0, 1.0, epsabs=epsabs, epsrel=1e-12, limit=200
-    )
-    return TWO_PI * val
 
 
 def one_bit_threshold() -> float:
@@ -359,13 +337,13 @@ class _BufferedSampler:
     accepted rows to the buffer; ``proposed`` and ``accepted`` count the
     candidates it tested and kept."""
 
-    def __init__(self, state, rng: np.random.Generator, block: int, empty: str, width: int):
+    def __init__(self, state, rng: np.random.Generator, empty: str, width: int):
         p = _as_p(state)
         if p >= 1.0:
             raise DomainError(empty)  # the density is identically zero at p = 1
         self.state = State(p)
         self.rng = rng
-        self.block = int(block)
+        self.block = _BLOCK  # candidates read per stream access
         self.proposed = 0
         self.accepted = 0
         self._width = width  # columns of a buffered row
@@ -405,10 +383,8 @@ class RhoTildeMaxSampler(_BufferedSampler):
     it is consumed one sample at a time or in bulk.
     """
 
-    def __init__(self, state: State, rng: np.random.Generator, block: int = _BLOCK):
-        super().__init__(
-            state, rng, block, "the envelope density is identically zero at p = 1", width=2
-        )
+    def __init__(self, state: State, rng: np.random.Generator):
+        super().__init__(state, rng, "the envelope density is identically zero at p = 1", width=2)
         self.bound = rho_tilde_bound(self.state.p)
 
     def draw(self, n: int) -> np.ndarray:
@@ -490,11 +466,11 @@ class RhoTildeSampler(_BufferedSampler):
     per-round and bulk consumption coincide draw for draw.
     """
 
-    def __init__(self, state: State, x: np.ndarray, rng: np.random.Generator, block: int = _BLOCK):
-        super().__init__(state, rng, block, "rhot_x is identically zero at p = 1", width=3)
+    def __init__(self, state: State, x: np.ndarray, rng: np.random.Generator):
+        super().__init__(state, rng, "rhot_x is identically zero at p = 1", width=3)
         self.x = check_unit(x, "x")
         self._coll = collapse(self.state, self.x)
-        self._inner = RhoTildeMaxSampler(self.state, rng, block=block)
+        self._inner = RhoTildeMaxSampler(self.state, rng)
         p = self.state.p
         # a candidate is kept with probability 2(1-p) / N(p), and N -> 2 as p -> 1/2
         self._rate = 2.0 * (1.0 - p) / (2.0 if p == 0.5 else n_of_p(p))

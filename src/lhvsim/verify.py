@@ -1,14 +1,13 @@
 """Statistical certification of protocol runs against the Born oracle.
 
-Provides the comparison metrics (total variation distance, chi-square),
-communication-cost estimators, a CHSH estimator, deterministic setting
-grids, and the analytic property suites for the hemisphere law and for the
-sub-normalized density rhot_x.
+Provides the comparison metrics (total variation distance, chi-square), a
+CHSH estimator, deterministic setting grids, and the analytic property
+suites for the hemisphere law and for the sub-normalized density rhot_x.
 
 Tolerances are derived from the round count, never hard-coded: the default
 pass threshold for a table of M rounds is ``max(0.005, 5/sqrt(M))``.
 
-scipy is imported inside the functions that call it (the quadrature oracles
+scipy is imported inside the functions that call it (``area_quadrature``
 and ``Chi2Result.pvalue``), so a report never loads it.
 """
 
@@ -37,7 +36,6 @@ from .protocols import (
     CH_SHARED,
     CHUNK,
     ProtocolId,
-    SettingResult,
     SimulationResult,
     simulate,
 )
@@ -57,32 +55,15 @@ def pass_threshold(rounds: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tables and metrics
+# metrics of a (2, 2) count table n(a, b), index 0 -> outcome +1
 
 
-@dataclass
-class EmpiricalTable:
-    """Outcome counts n(a, b) for one setting pair (index 0 -> outcome +1)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    counts: np.ndarray
-    rounds: int
-
-    @classmethod
-    def from_setting(cls, s: SettingResult) -> "EmpiricalTable":
-        return cls(x=s.x, y=s.y, counts=s.counts, rounds=s.rounds)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        if self.rounds == 0:
-            raise ValidationError("empirical table has no rounds")
-        return self.counts / self.rounds
-
-
-def tvd(table: EmpiricalTable, oracle: JointDistribution) -> float:
-    """Total variation distance (1/2) sum |n(a,b)/M - p(a,b)|."""
-    return 0.5 * float(np.abs(table.frequencies - oracle.probs).sum())
+def tvd(counts: np.ndarray, oracle: JointDistribution) -> float:
+    """Total variation distance (1/2) sum |n(a,b)/M - p(a,b)|, M = counts.sum()."""
+    m = counts.sum()
+    if m == 0:
+        raise ValidationError("empirical table has no rounds")
+    return 0.5 * float(np.abs(counts / m - oracle.probs).sum())
 
 
 @dataclass
@@ -100,17 +81,17 @@ class Chi2Result:
         return float(stats.chi2.sf(self.statistic, self.dof))
 
 
-def chi2_stat(table: EmpiricalTable, oracle: JointDistribution) -> Chi2Result:
+def chi2_stat(counts: np.ndarray, oracle: JointDistribution) -> Chi2Result:
     """Pearson chi-square of the counts against the oracle probabilities.
 
     Cells with zero oracle probability contribute infinity if they were ever
     observed and are dropped from the degrees of freedom otherwise.
     """
-    m = table.rounds
+    m = counts.sum()
     if m == 0:
         raise ValidationError("chi-square needs at least one round")
     exp = m * oracle.probs.ravel()
-    return _pearson(table.counts.ravel().astype(float), exp, exp > 0.0)
+    return _pearson(counts.ravel().astype(float), exp, exp > 0.0)
 
 
 def _pearson(obs: np.ndarray, exp: np.ndarray, live: np.ndarray) -> Chi2Result:
@@ -119,28 +100,6 @@ def _pearson(obs: np.ndarray, exp: np.ndarray, live: np.ndarray) -> Chi2Result:
     if np.any(obs[~live] > 0):
         return Chi2Result(float("inf"), dof)
     return Chi2Result(float(np.sum((obs[live] - exp[live]) ** 2 / exp[live])), dof)
-
-
-@dataclass
-class CommStats:
-    mean_bits: float
-    stderr: float
-    worst_bits: float
-    no_message_fraction: float
-    total_rounds: int
-
-
-def comm_stats(result: SimulationResult) -> CommStats:
-    """Exact sample statistics of the communication cost of a run."""
-    if result.total_rounds == 0:
-        raise ValidationError("communication statistics need at least one round")
-    return CommStats(
-        mean_bits=result.mean_bits,
-        stderr=result.bits_stderr,
-        worst_bits=result.worst_bits,
-        no_message_fraction=result.no_message_fraction,
-        total_rounds=result.total_rounds,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,31 +185,6 @@ def _cos_marginal(coll, const: float):
         return rho - const * hemisphere_axis_marginal(Z_AXIS, c) if const else rho
 
     return g
-
-
-def rho_cos_bin_probs(state: State, x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Quadrature bin probabilities of the lam.z marginal under rho_x."""
-    from scipy import integrate
-
-    g = _cos_marginal(collapse(state, x), 0.0)
-    out = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, _ = integrate.quad(g, lo, hi, limit=200, epsabs=1e-11)
-        out.append(val)
-    return np.asarray(out)
-
-
-def lambda_chi2_check(
-    state: State,
-    x: np.ndarray,
-    lam: np.ndarray,
-    bins: int = 20,
-) -> Chi2Result:
-    """Chi-square of the empirical lam.z histogram against the rho_x marginal."""
-    edges = np.linspace(-1.0, 1.0, bins + 1)
-    want = rho_cos_bin_probs(state, x, edges)
-    counts, _ = np.histogram(lam[:, 2], bins=edges)
-    return _pearson(counts, lam.shape[0] * want, want > 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +273,6 @@ class DensityPropertyReport:
 
     def failures(self):
         return [m for m in self.margins if not m.passed] + [a for a in self.areas if not a.passed]
-
-
-def rho_tilde_cos_marginal(state: State, x: np.ndarray, c: float) -> float:
-    """Density of lam.z when lam ~ rhot_x (azimuth integrated in closed form)."""
-    return _cos_marginal(collapse(state, x), state.c)(c)
 
 
 def area_quadrature(state: State, x: np.ndarray, epsabs: float = 1e-9) -> float:
@@ -525,7 +454,7 @@ class VerificationReport:
     meta: dict
     rows: list
     max_tvd: float
-    comm: CommStats
+    comm: dict  # the run's communication cost, as report.json writes it
     tolerance: float
     chsh: Optional[ChshEstimate] = None
 
@@ -544,10 +473,9 @@ def verification_report(
     tol = pass_threshold(sim.rounds_per_setting) if tolerance is None else tolerance
     rows = []
     for s in sim.settings:
-        table = EmpiricalTable.from_setting(s)
         oracle = born_joint(sim.state, s.x, s.y)
-        dist = tvd(table, oracle)
-        chi = chi2_stat(table, oracle)
+        dist = tvd(s.counts, oracle)
+        chi = chi2_stat(s.counts, oracle)
         rows.append(
             SettingRow(
                 p=sim.state.p,
@@ -561,11 +489,19 @@ def verification_report(
                 passed=bool(dist <= tol),
             )
         )
+    if sim.total_rounds == 0:
+        raise ValidationError("communication statistics need at least one round")
     return VerificationReport(
         meta=dict(meta or {}),
         rows=rows,
         max_tvd=max((r.tvd for r in rows), default=0.0),
-        comm=comm_stats(sim),
+        comm={
+            "mean_bits": sim.mean_bits,
+            "stderr": sim.bits_stderr,
+            "worst_bits": sim.worst_bits,
+            "no_message_fraction": sim.no_message_fraction,
+            "total_rounds": sim.total_rounds,
+        },
         tolerance=tol,
         chsh=chsh,
     )
@@ -604,13 +540,7 @@ def report_to_json(report: VerificationReport) -> str:
         "tolerance": float(report.tolerance),
         "max_tvd": float(report.max_tvd),
         "pass": bool(report.passed),
-        "communication": {
-            "mean_bits": report.comm.mean_bits,
-            "stderr": report.comm.stderr,
-            "worst_bits": report.comm.worst_bits,
-            "no_message_fraction": report.comm.no_message_fraction,
-            "total_rounds": report.comm.total_rounds,
-        },
+        "communication": report.comm,
         "settings": [
             {
                 "x": [float(c) for c in r.x],

@@ -13,7 +13,11 @@ Frame format, little-endian, identical on every channel:
     [u64 round] [u8 kind] [u32 len] [payload]
 
 Kinds: SETTING (per-recipient setup, round = 2**64-1), SHARED_RANDOMNESS,
-MESSAGE (Alice to Bob only), OUTPUT (party to referee).  A setting pair's
+MESSAGE (Alice to Bob only), OUTPUT (party to referee).  Before the first
+pair, each party sends the referee a hello (its role; Bob adds the port he
+listens on), the referee sends Alice that port, and Alice connects to Bob.
+These bootstrap frames are not logged, so the log holds no ephemeral port
+and a re-run with the same config logs the same bytes.  A setting pair's
 rounds travel in the chunks [lo, hi) that ``protocols.simulate`` runs, and
 every frame of a chunk names lo as its round.  Per chunk:
 
@@ -53,6 +57,7 @@ from .protocols import (
     PROTOCOLS,
     BatchResult,
     ProtocolId,
+    VECTOR_MESSAGE_BITS,
     SharedDraw,
     SimulationResult,
     _aggregate,
@@ -71,7 +76,7 @@ from .protocols import (
 SETUP_ROUND = 2**64 - 1
 _HEADER = struct.Struct("<QBI")
 _SOCKET_TIMEOUT = 60.0
-VECTOR_PAYLOAD_BYTES = 24  # three float64 coordinates
+VECTOR_PAYLOAD_BYTES = int(VECTOR_MESSAGE_BITS) // 8  # three float64 coordinates
 
 
 class FrameKind(enum.IntEnum):
@@ -123,14 +128,13 @@ def recv_frame(sock: socket.socket) -> Frame:
 _PROTO_CODE = {pid: i + 1 for i, pid in enumerate(ProtocolId)}
 _CODE_PROTO = {v: k for k, v in _PROTO_CODE.items()}
 
-_ALICE_SETTING = struct.Struct("<QBdddd QQ H".replace(" ", ""))
+_ALICE_SETTING = struct.Struct("<QBdddd QQ".replace(" ", ""))
 _BOB_SETTING = struct.Struct("<QBddd Q".replace(" ", ""))
+_PORT = struct.Struct("<H")  # Bob's listening port, in the bootstrap frames
 
 
-def pack_alice_setting(pair, protocol, p, x, rounds, seed, bob_port) -> bytes:
-    return _ALICE_SETTING.pack(
-        pair, _PROTO_CODE[protocol], p, x[0], x[1], x[2], rounds, seed, bob_port
-    )
+def pack_alice_setting(pair, protocol, p, x, rounds, seed) -> bytes:
+    return _ALICE_SETTING.pack(pair, _PROTO_CODE[protocol], p, x[0], x[1], x[2], rounds, seed)
 
 
 def _unpack_setting(layout: struct.Struct, data: bytes, party: str) -> tuple:
@@ -145,10 +149,8 @@ def _unpack_setting(layout: struct.Struct, data: bytes, party: str) -> tuple:
 
 
 def unpack_alice_setting(data: bytes):
-    pair, protocol, p, x0, x1, x2, rounds, seed, bob_port = _unpack_setting(
-        _ALICE_SETTING, data, "alice"
-    )
-    return pair, protocol, p, np.array([x0, x1, x2]), rounds, seed, bob_port
+    pair, protocol, p, x0, x1, x2, rounds, seed = _unpack_setting(_ALICE_SETTING, data, "alice")
+    return pair, protocol, p, np.array([x0, x1, x2]), rounds, seed
 
 
 def pack_bob_setting(pair, protocol, y, rounds) -> bytes:
@@ -289,8 +291,8 @@ class Transcript:
             out.add(_CHANNELS[channel], Frame(rnd, FrameKind(kind), payload))
         return out
 
-    def summary(self) -> dict:
-        audit = audit_transcript(self)
+    def summary(self, audit: AuditReport) -> dict:
+        """The log's totals; ``audit`` is ``audit_transcript`` of this log."""
         return {
             "protocol": self.protocol.value,
             "p": self.state_p,
@@ -302,8 +304,8 @@ class Transcript:
             "frames": len(self.records),
         }
 
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True, separators=(",", ":")) + "\n"
+    def summary_json(self, audit: AuditReport) -> str:
+        return json.dumps(self.summary(audit), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +324,15 @@ def alice_main(host: str, referee_port: int) -> None:
     send_frame(ref, Frame(SETUP_ROUND, FrameKind.OUTPUT, b"\x01"))  # role: alice
     bob: Optional[socket.socket] = None
     try:
+        boot = recv_frame(ref)
+        if boot.kind != FrameKind.SETTING or len(boot.payload) != _PORT.size:
+            raise TransportError("alice expected Bob's port")
+        bob = _connect(host, _PORT.unpack(boot.payload)[0])
         while True:
             setting = recv_frame(ref)
             if setting.kind != FrameKind.SETTING:
                 raise TransportError(f"alice expected SETTING, got {setting.kind}")
-            pair, protocol, p, x, rounds, seed, bob_port = unpack_alice_setting(setting.payload)
-            if bob is None:
-                bob = _connect(host, bob_port)
+            pair, protocol, p, x, rounds, seed = unpack_alice_setting(setting.payload)
             state = State(p)
             sampler = _vector_sampler(protocol, state, x, seed, pair)
             for lo, hi in _chunks(rounds):
@@ -359,20 +363,18 @@ def bob_main(host: str, referee_port: int) -> None:
     lsock.listen(1)
     lsock.settimeout(_SOCKET_TIMEOUT)
     ref = _connect(host, referee_port)
-    send_frame(
-        ref, Frame(SETUP_ROUND, FrameKind.OUTPUT, b"\x02" + struct.pack("<H", lsock.getsockname()[1]))
-    )
+    hello = b"\x02" + _PORT.pack(lsock.getsockname()[1])  # role: bob, and his port
+    send_frame(ref, Frame(SETUP_ROUND, FrameKind.OUTPUT, hello))
     alice: Optional[socket.socket] = None
     try:
+        alice, _ = lsock.accept()
+        alice.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         while True:
             setting = recv_frame(ref)
             if setting.kind != FrameKind.SETTING:
                 raise TransportError(f"bob expected SETTING, got {setting.kind}")
             pair, protocol, y, rounds = unpack_bob_setting(setting.payload)
             y = check_unit(y, "y")
-            if alice is None:
-                alice, _ = lsock.accept()
-                alice.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             info = PROTOCOLS[protocol]
             for lo, hi in _chunks(rounds):
                 frame = recv_frame(ref)
@@ -468,15 +470,16 @@ def run_networked(
                 alice_sock = conn
             else:
                 bob_sock = conn
-                (bob_port,) = struct.unpack("<H", hello.payload[1:3])
+                (bob_port,) = _PORT.unpack(hello.payload[1:3])
         if alice_sock is None or bob_sock is None:
             raise TransportError("both parties must connect")
+        send_frame(alice_sock, Frame(SETUP_ROUND, FrameKind.SETTING, _PORT.pack(bob_port)))
 
         for k, (x, y) in enumerate(pairs):
             fa = Frame(
                 SETUP_ROUND,
                 FrameKind.SETTING,
-                pack_alice_setting(k, protocol, state.p, x, rounds, seed, bob_port),
+                pack_alice_setting(k, protocol, state.p, x, rounds, seed),
             )
             fb = Frame(SETUP_ROUND, FrameKind.SETTING, pack_bob_setting(k, protocol, y, rounds))
             send_frame(alice_sock, fa)

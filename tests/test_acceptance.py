@@ -28,7 +28,6 @@ from lhvsim.protocols import (
 )
 from lhvsim.sampling import n_of_p, one_bit_threshold
 from lhvsim.verify import (
-    EmpiricalTable,
     chsh_estimate,
     default_setting_pairs,
     hemisphere_law_check,
@@ -57,7 +56,7 @@ for _pid in ProtocolId:
 
 def _max_tvd(result):
     return max(
-        tvd(EmpiricalTable.from_setting(s), born_joint(result.state, s.x, s.y))
+        tvd(s.counts, born_joint(result.state, s.x, s.y))
         for s in result.settings
     )
 

@@ -20,12 +20,12 @@ from lhvsim.bloch import (
     collapse,
     correlation,
     dot3,
-    heaviside,
     sign_pm,
     theta,
     tsirelson_settings,
 )
 from lhvsim.errors import ValidationError
+from oracles import heaviside
 
 RNG = np.random.default_rng(20240811)
 
@@ -228,9 +228,9 @@ class TestBornJoint:
         rng = np.random.default_rng(3)
         state = State(0.81)
         x = random_unit(rng)
-        ref = born_joint(state, x, random_unit(rng)).marginal_a(1)
+        ref = born_joint(state, x, random_unit(rng)).probs[0].sum()
         for _ in range(100):
-            m = born_joint(state, x, random_unit(rng)).marginal_a(1)
+            m = born_joint(state, x, random_unit(rng)).probs[0].sum()
             assert abs(m - ref) < 1e-12
 
     def test_conditional_decomposition(self):

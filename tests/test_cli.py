@@ -188,6 +188,30 @@ class TestWireRunAndAudit:
         assert summary["rounds"] == 400 and summary["messages"] == 400
         assert run_cli("audit", str(out / "transcript.bin")) == 0
 
+    def test_wire_run_output_is_byte_identical_across_reruns(self, tmp_path):
+        args = [
+            "wire-run", "--protocol", "local-content", "--p", "0.7", "--rounds", "300",
+            "--seed", "8", "--settings", "grid:2",
+        ]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli(*args, "--out-dir", str(out1)) == 0
+        assert run_cli(*args, "--out-dir", str(out2)) == 0
+        for name in ("transcript.bin", "transcript.json", "report.json", "settings.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_wire_run_audits_once(self, tmp_path, monkeypatch):
+        # transcript.json and the exit code read one audit of the log
+        import lhvsim.cli as cli
+
+        calls, real = [], wire.audit_transcript
+        counting = lambda *args: calls.append(args) or real(*args)  # noqa: E731
+        monkeypatch.setattr(wire, "audit_transcript", counting)
+        monkeypatch.setattr(cli, "audit_transcript", counting)
+        argv = ["wire-run", "--protocol", "trit", "--rounds", "300", "--settings", "grid:1"]
+        assert run_cli(*argv, "--out-dir", str(tmp_path)) == 0
+        assert len(calls) == 1
+        assert json.loads((tmp_path / "transcript.json").read_text())["rounds"] == 300
+
     def test_wire_run_keeps_no_outcomes(self, tmp_path, monkeypatch):
         # no report reads the per-round sequences, so wire-run does not keep them
         import lhvsim.cli as cli

@@ -31,8 +31,6 @@ from lhvsim.protocols import (
     _play,
     _vector_sampler,
     alice_decide,
-    alice_output_weight,
-    bob_output,
     check_applicable,
     draw_alice_private,
     draw_shared,
@@ -47,7 +45,8 @@ from lhvsim.sampling import (
     n_of_p,
     sample_uniform_sphere,
 )
-from lhvsim.verify import EmpiricalTable, default_setting_pairs, tvd
+from lhvsim.verify import default_setting_pairs, tvd
+from oracles import alice_output_weight, bob_output, eval_rho
 
 
 # every protocol, and the two whose shared draw changes shape at p = 1
@@ -78,7 +77,7 @@ def choice_and_flip(lam1, lam2, v):
 def max_tvd(result):
     state = result.state
     return max(
-        tvd(EmpiricalTable.from_setting(s), born_joint(state, s.x, s.y))
+        tvd(s.counts, born_joint(state, s.x, s.y))
         for s in result.settings
     )
 
@@ -131,8 +130,6 @@ class TestAliceWeight:
             assert w == (1.0 if float(lam @ c.v_plus) >= 0.0 else 0.0)
 
     def test_in_unit_interval(self):
-        from lhvsim.sampling import eval_rho
-
         rng = np.random.default_rng(3)
         done = 0
         while done < 200:

@@ -23,20 +23,19 @@ from lhvsim.sampling import (
     RhoTildeSampler,
     brentq,
     check_bound,
-    eval_rho,
     eval_rho_tilde,
     eval_rho_tilde_max,
     improved_one_bit_threshold,
     generator_at,
     make_generator,
     n_of_p,
-    n_of_p_quadrature,
     one_bit_threshold,
     rho_tilde_bound,
     rho_tilde_max_cos,
     sample_theta_hemisphere,
     sample_uniform_sphere,
 )
+from oracles import eval_rho, n_of_p_quadrature, rho_tilde_cos_marginal
 
 M = 10**6
 
@@ -499,8 +498,6 @@ class TestRhoTildeSampler:
     def test_chi2_against_axis_marginal(self):
         # the lam.z histogram must match the quadrature of the density's
         # azimuthally-integrated marginal
-        from lhvsim.verify import rho_tilde_cos_marginal
-
         state, x = State(0.75), np.array([0.28, -0.45, 0.848528137423857])
         x = x / np.linalg.norm(x)
         m = 2 * 10**5

@@ -18,24 +18,21 @@ from lhvsim.errors import ValidationError
 from lhvsim.protocols import CH_SHARED, CHUNK, ProtocolId, simulate
 from lhvsim.sampling import make_generator, n_of_p, sample_theta_hemisphere
 from lhvsim.verify import (
-    EmpiricalTable,
     area_quadrature,
     chi2_stat,
     chsh_estimate,
-    comm_stats,
     default_setting_pairs,
     fibonacci_sphere,
     hemisphere_axis_marginal,
-    lambda_chi2_check,
     hemisphere_law_check,
     density_property_suite,
     pass_threshold,
     report_rows_csv,
     report_to_json,
-    rho_cos_bin_probs,
     tvd,
     verification_report,
 )
+from oracles import lambda_chi2_check, rho_cos_bin_probs
 
 
 def random_unit(rng):
@@ -43,9 +40,8 @@ def random_unit(rng):
     return v / np.linalg.norm(v)
 
 
-def table(counts, x=X_AXIS, y=Z_AXIS):
-    counts = np.asarray(counts, dtype=np.int64)
-    return EmpiricalTable(x=x, y=y, counts=counts, rounds=int(counts.sum()))
+def table(counts):
+    return np.asarray(counts, dtype=np.int64)
 
 
 class TestTvd:
@@ -67,11 +63,14 @@ class TestTvd:
         res = simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], 10**6, seed=40)
         from lhvsim.bloch import born_joint
 
-        t = EmpiricalTable.from_setting(res.settings[0])
-        assert tvd(t, born_joint(State(0.7), X_AXIS, Z_AXIS)) <= 0.005
+        assert tvd(res.settings[0].counts, born_joint(State(0.7), X_AXIS, Z_AXIS)) <= 0.005
 
 
 class TestChi2:
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValidationError, match="at least one round"):
+            chi2_stat(table([[0, 0], [0, 0]]), JointDistribution(np.full((2, 2), 0.25)))
+
     def test_perfect_match_has_high_pvalue(self):
         oracle = JointDistribution(np.full((2, 2), 0.25))
         r = chi2_stat(table([[250, 250], [250, 250]]), oracle)
@@ -100,22 +99,23 @@ class TestChi2:
 
 
 class TestCommStats:
+    # the report's communication block, as report.json writes it
     def test_one_bit_is_constant(self):
         res = simulate(ProtocolId.ONE_BIT, State(0.95), [(X_AXIS, Z_AXIS)], 20000, seed=41)
-        c = comm_stats(res)
-        assert c.mean_bits == 1.0 and c.worst_bits == 1.0 and c.stderr == 0.0
-        assert c.no_message_fraction == 0.0
+        c = verification_report(res).comm
+        assert c["mean_bits"] == 1.0 and c["worst_bits"] == 1.0 and c["stderr"] == 0.0
+        assert c["no_message_fraction"] == 0.0 and c["total_rounds"] == 20000
 
     def test_improved_one_bit_average(self):
         res = simulate(ProtocolId.IMPROVED_ONE_BIT, State(0.9), [(X_AXIS, Z_AXIS)], 10**5, seed=42)
-        c = comm_stats(res)
-        assert abs(c.mean_bits - n_of_p(0.9)) < 0.01
-        assert c.worst_bits == 1.0
+        c = verification_report(res).comm
+        assert abs(c["mean_bits"] - n_of_p(0.9)) < 0.01
+        assert c["worst_bits"] == 1.0
 
     def test_local_content_silent_fraction(self):
         res = simulate(ProtocolId.LOCAL_CONTENT, State(0.7), [(X_AXIS, Z_AXIS)], 10**5, seed=43)
-        c = comm_stats(res)
-        assert abs(c.no_message_fraction - 0.4) < 0.01
+        c = verification_report(res).comm
+        assert abs(c["no_message_fraction"] - 0.4) < 0.01
 
 
 class TestGrids:
@@ -309,6 +309,14 @@ class TestReports:
         fields = row.split(",")
         assert fields[1] == "degorre"
         assert fields[4] == "1000"
+
+    def test_zero_rounds_rejected(self):
+        res = simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], 0, seed=62)
+        with pytest.raises(ValidationError, match="empirical table has no rounds"):
+            verification_report(res)
+        res = simulate(ProtocolId.TRIT, State(0.7), [], 10, seed=62)
+        with pytest.raises(ValidationError, match="communication statistics"):
+            verification_report(res)
 
     def test_failed_row_fails_report(self):
         res = simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], 10**5, seed=61)

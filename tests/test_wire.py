@@ -160,13 +160,14 @@ class TestParserFuzz:
             transcript = Transcript.from_binary(bytes(blob))
         except ValidationError:
             return
-        assert isinstance(audit_transcript(transcript), AuditReport)
-        transcript.summary()
+        audit = audit_transcript(transcript)
+        assert isinstance(audit, AuditReport)
+        transcript.summary(audit)
 
     @given(
         data=st.one_of(
             st.binary(max_size=80),
-            st.binary(min_size=59, max_size=59),  # an Alice setting's size
+            st.binary(min_size=57, max_size=57),  # an Alice setting's size
             st.binary(min_size=41, max_size=41),  # a Bob setting's size
         )
     )
@@ -181,7 +182,7 @@ class TestParserFuzz:
 
     def test_malformed_setting_is_validation_error(self):
         x, y = PAIR[0]
-        alice = pack_alice_setting(3, ProtocolId.TRIT, 0.7, x, 100, 5, 4000)
+        alice = pack_alice_setting(3, ProtocolId.TRIT, 0.7, x, 100, 5)
         bob = pack_bob_setting(3, ProtocolId.TRIT, y, 100)
         assert unpack_alice_setting(alice)[1] is ProtocolId.TRIT
         assert unpack_bob_setting(bob)[1] is ProtocolId.TRIT
@@ -220,7 +221,7 @@ class TestIsolation:
         alice_settings = list(transcript.frames("referee->alice", FrameKind.SETTING))
         bob_settings = list(transcript.frames("referee->bob", FrameKind.SETTING))
         assert len(alice_settings) == 1 and len(bob_settings) == 1
-        _, _, _, ax, _, _, _ = unpack_alice_setting(alice_settings[0].frame.payload)
+        _, _, _, ax, _, _ = unpack_alice_setting(alice_settings[0].frame.payload)
         _, _, by, _ = unpack_bob_setting(bob_settings[0].frame.payload)
         np.testing.assert_array_equal(ax, x)
         np.testing.assert_array_equal(by, y)
@@ -256,7 +257,14 @@ class TestTranscript:
     def test_summary_deterministic(self):
         t1 = self._clean()
         t2 = self._clean()
-        assert t1.summary_json() == t2.summary_json()
+        assert t1.summary_json(audit_transcript(t1)) == t2.summary_json(audit_transcript(t2))
+
+    def test_setting_payloads_are_not_audited(self):
+        # older logs end each Alice setting with Bob's port; they still audit
+        transcript = self._clean()
+        for rec in transcript.frames("referee->alice", FrameKind.SETTING):
+            rec.frame = Frame(rec.frame.round, FrameKind.SETTING, rec.frame.payload + b"\x10\x27")
+        assert audit_transcript(Transcript.from_binary(transcript.to_binary())).passed
 
     def test_tampered_symbol_detected(self):
         transcript = self._clean()
