@@ -228,7 +228,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
     ok = report.passed
     if transcript is not None:
-        audit = audit_transcript(transcript, protocol)
+        audit = audit_transcript(transcript)
         (out / "transcript.bin").write_bytes(transcript.to_binary())
         _write(out / "transcript.json", transcript.summary_json(audit))
         for finding in audit.findings:

@@ -21,10 +21,12 @@ Alice and Bob are separate evaluators: ``alice_decide`` never receives y and
 never build the agreed vector: each shared field's dot products (lam.v_+-
 and lam_z for Alice, y.lam for Bob) are computed once per chunk and the rule
 selects among those per-round numbers, which are bit for bit the dot
-products of the selected vectors.  Alice's committed vectors are built only
-when ``AliceResult.lam`` is read.  The
-networked mode plays the same chunks as ``simulate``, drawn by the same
-functions, so it produces bit-identical results from the same streams.
+products of the selected vectors.  Alice's committed vectors are Bob's rule
+run on the shared fields' coordinates in place of their dot products with
+y, so they are by construction the vectors Bob uses; they are built only
+when ``AliceResult.lam`` is read.  The networked mode plays the same chunks
+as ``simulate``, drawn by the same functions, so it produces bit-identical
+results from the same streams.
 
 Stream layout per setting pair k of a run with seed s and n rounds:
 
@@ -284,11 +286,6 @@ def _one_or_two(first: np.ndarray) -> np.ndarray:
     return np.uint8(2) - first.view(np.uint8)
 
 
-def _pick(first: np.ndarray, lam1: np.ndarray, lam2: np.ndarray) -> np.ndarray:
-    """Per round, lam1 where ``first`` holds, else lam2."""
-    return np.where(first[:, None], lam1, lam2)
-
-
 def _select(mask: np.ndarray, if_true: tuple, if_false: tuple) -> tuple:
     """Per round, the arrays of ``if_true`` where ``mask`` holds, else those of
     ``if_false``; written over ``if_false``'s arrays, so no new array is made."""
@@ -298,13 +295,13 @@ def _select(mask: np.ndarray, if_true: tuple, if_false: tuple) -> tuple:
 
 
 # Alice's rules: (state, collapse(state, x), shared, private, sampler) ->
-# (a, msg, commit, payload).  msg is a uint8 symbol, 0 for a silent round;
-# commit() builds the vectors Alice committed to.  The rules never build
-# those vectors themselves: they select among the dot products of each
-# shared field with v_+ and v_-, which give the same bytes as the dot
-# products of the selected vectors.  Each array is dropped (``del``) once
-# read for the last time, so that a chunk holds no more round-length arrays
-# at once than selecting (n, 3) vectors did.
+# (a, msg, payload).  msg is a uint8 symbol, 0 for a silent round; payload
+# holds the vector messages, or is None.  The rules never build the vectors
+# they commit to: they select among the dot products of each shared field
+# with v_+ and v_-, which give the same bytes as the dot products of the
+# selected vectors.  Each array is dropped (``del``) once read for the last
+# time, so that a chunk holds no more round-length arrays at once than
+# selecting (n, 3) vectors did.
 
 
 def _alice_one_bit(state, coll, shared, priv, sampler):
@@ -320,7 +317,7 @@ def _alice_one_bit(state, coll, shared, priv, sampler):
     msg = _one_or_two(use1)
     d = _select(use1, d1, _dots(shared.lam2, coll))
     del d1
-    return _output(coll, *d, priv), msg, partial(_pick, use1, shared.lam1, shared.lam2), None
+    return _output(coll, *d, priv), msg, None
 
 
 def _alice_trit(state, coll, shared, priv, sampler):
@@ -347,18 +344,14 @@ def _alice_trit(state, coll, shared, priv, sampler):
     del ratio
     msg = np.where(keep, c, np.uint8(3))
     d = _select(keep, d, _dots(shared.lam3, coll))
-
-    def commit():
-        return _pick(keep, _pick(first, shared.lam1, shared.lam2), shared.lam3)
-
-    return _output(coll, *d, priv), msg, commit, None
+    return _output(coll, *d, priv), msg, None
 
 
 def _alice_degorre(state, coll, shared, priv, sampler):
     v = coll.v_plus
     c1, c2 = _choice_and_flip(dot3(shared.lam1, v), dot3(shared.lam2, v))
     # a = sgn(lam.v) of the chosen lam, which is the flip c2
-    return c2, c1, partial(_pick, c1 == 1, shared.lam1, shared.lam2), None
+    return c2, c1, None
 
 
 def _alice_teleportation(state, coll, shared, priv, sampler):
@@ -371,11 +364,7 @@ def _alice_teleportation(state, coll, shared, priv, sampler):
     del dp1, dp2
     c1, c2 = _choice_and_flip(d1, d2)
     msg = 2 * (c1 - 1) + (c2 == -1) + 1  # uint8, as c1 is
-
-    def commit():
-        return c2[:, None] * _pick(c1 == 1, shared.lam1, shared.lam2)
-
-    return a, msg, commit, None
+    return a, msg, None
 
 
 def _alice_improved_one_bit(state, coll, shared, priv, sampler):
@@ -394,7 +383,7 @@ def _alice_improved_one_bit(state, coll, shared, priv, sampler):
     d = _select(use1, d1, _dots(shared.lam2, coll))
     del d1
     msg = talk.view(np.uint8) * _one_or_two(use1)  # 0 in silent rounds
-    return _output(coll, *d, priv), msg, partial(_pick, use1, shared.lam1, shared.lam2), None
+    return _output(coll, *d, priv), msg, None
 
 
 def _alice_local_content(state, coll, shared, priv, sampler):
@@ -406,14 +395,7 @@ def _alice_local_content(state, coll, shared, priv, sampler):
             raise ValidationError("local-content protocol needs Alice's vector sampler")
         payload = sampler.draw(int(talk.sum()))
         dp[talk], dm[talk] = _dots(payload, coll)
-
-    def commit():
-        lam = shared.lam1.copy(order="K")
-        if payload is not None:
-            lam[talk] = payload
-        return lam
-
-    return _output(coll, dp, dm, priv), talk.view(np.uint8), commit, payload
+    return _output(coll, dp, dm, priv), talk.view(np.uint8), payload
 
 
 def _choice_and_flip(d1: np.ndarray, d2: np.ndarray):
@@ -429,37 +411,45 @@ def _choice_and_flip(d1: np.ndarray, d2: np.ndarray):
     return c1, c2
 
 
-# Bob's rules: (shared, msg, payload, y) -> y . lam for the agreed vector
-# lam, selected among the dot products of the shared fields.
+# Bob's rules: (shared, msg, payload, f) -> f(lam) for the agreed vector lam,
+# selected per round (last axis) among f of the shared fields.  f maps (n, 3)
+# vectors to a new array: y . lam for Bob (``partial(dot3, b=y)``), and for
+# Alice's commit the (3, n) coordinates (``_coordinates``), so the vectors
+# she commits to are by construction those Bob uses.
 
 
-def _bob_first_or_second(shared, msg, payload, y):
-    d = dot3(shared.lam2, y)
-    np.copyto(d, dot3(shared.lam1, y), where=msg == 1)
+def _coordinates(lam: np.ndarray) -> np.ndarray:
+    """The (3, n) coordinates of (n, 3) vectors, as a new array."""
+    return lam.T.copy()
+
+
+def _bob_first_or_second(shared, msg, payload, f):
+    d = f(shared.lam2)
+    np.copyto(d, f(shared.lam1), where=msg == 1)
     return d
 
 
-def _bob_trit(shared, msg, payload, y):
-    d = dot3(shared.lam3, y)
-    np.copyto(d, dot3(shared.lam2, y), where=msg == 2)
-    np.copyto(d, dot3(shared.lam1, y), where=msg == 1)
+def _bob_trit(shared, msg, payload, f):
+    d = f(shared.lam3)
+    np.copyto(d, f(shared.lam2), where=msg == 2)
+    np.copyto(d, f(shared.lam1), where=msg == 1)
     return d
 
 
-def _bob_teleportation(shared, msg, payload, y):
+def _bob_teleportation(shared, msg, payload, f):
     # symbols 1, 2 name lam1 and 3, 4 lam2; the even ones flip its sign.
     # c2 (lam.y) equals (c2 lam).y up to the sign of a zero, which sgn ignores
-    d = _bob_first_or_second(shared, (msg + 1) // 2, payload, y)
+    d = _bob_first_or_second(shared, (msg + 1) // 2, payload, f)
     return np.negative(d, out=d, where=msg % 2 == 0)
 
 
-def _bob_local_content(shared, msg, payload, y):
-    d = dot3(shared.lam1, y)
+def _bob_local_content(shared, msg, payload, f):
+    d = f(shared.lam1)
     got = msg == 1
     if np.any(got):
         if payload is None:
             raise ValidationError("vector message rounds present but no payload given")
-        d[got] = dot3(payload, y)
+        d[..., got] = f(payload)
     return d
 
 
@@ -569,18 +559,29 @@ def check_applicable(protocol: ProtocolId, state: State) -> None:
         )
 
 
+def _checked_run(protocol: ProtocolId, state: State, settings, rounds) -> tuple:
+    """A run's validated (x, y) pairs and rounds per pair; raises DomainError
+    or ValidationError."""
+    check_applicable(protocol, state)
+    pairs = [(check_unit(x, "x"), check_unit(y, "y")) for x, y in settings]
+    n = int(rounds)
+    if n < 0:
+        raise ValidationError("rounds_per_setting must be >= 0")
+    return pairs, n
+
+
 @dataclass
 class AliceResult:
     a: np.ndarray  # int8, +-1
     msg: np.ndarray  # uint8 symbol in {1..d}; 0 = no message this round
     bits: np.ndarray  # float64 bits charged per round: the cost of msg
-    commit: Callable[[], np.ndarray] = field(repr=False)  # builds ``lam``
+    commit: Callable[[], np.ndarray] = field(repr=False)  # Bob's rule on coordinates
     payload: Optional[np.ndarray] = None  # vector messages, in msg!=0 row order
 
     @cached_property
     def lam(self) -> np.ndarray:
-        """The vectors Alice committed to (for diagnostics), built on first read."""
-        return self.commit()
+        """The (n, 3) vectors Alice committed to (for diagnostics), built on first read."""
+        return self.commit().T
 
 
 def alice_decide(
@@ -594,7 +595,8 @@ def alice_decide(
     """Alice's whole round: commit to a vector, message Bob, output a."""
     info = PROTOCOLS[protocol]
     coll = collapse(state, x)  # validates x
-    a, msg, commit, payload = info.alice(state, coll, shared, priv, sampler)
+    a, msg, payload = info.alice(state, coll, shared, priv, sampler)
+    commit = partial(info.bob, shared, msg, payload, _coordinates)
     return AliceResult(a=a, msg=msg, bits=np.take(info.cost, msg), payload=payload, commit=commit)
 
 
@@ -607,7 +609,7 @@ def bob_decide(
 ) -> np.ndarray:
     """Bob's whole round: y . lam for the vector the message agrees on, and b = its sign."""
     y = check_unit(y, "y")
-    return sign_pm(PROTOCOLS[protocol].bob(shared, msg, payload, y))
+    return sign_pm(PROTOCOLS[protocol].bob(shared, msg, payload, partial(dot3, b=y)))
 
 
 # ---------------------------------------------------------------------------
@@ -846,11 +848,7 @@ def simulate(
     results are independent of worker count and of the order chunks are
     executed in.  ``workers`` threads run the chunks of all pairs.
     """
-    check_applicable(protocol, state)
-    pairs = [(check_unit(x, "x"), check_unit(y, "y")) for x, y in settings]
-    n = int(rounds_per_setting)
-    if n < 0:
-        raise ValidationError("rounds_per_setting must be >= 0")
+    pairs, n = _checked_run(protocol, state, settings, rounds_per_setting)
     out = SimulationResult(protocol, state, n, int(seed))
     runs = [
         _PairRun(protocol, state, x, y, n, int(seed), k, keep_outcomes, keep_lambdas)

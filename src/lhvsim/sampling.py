@@ -111,12 +111,10 @@ def _frame(v: np.ndarray):
     return e1, e2
 
 
-def sample_uniform_sphere(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Uniform unit vectors; one (z, phi) pair of uniforms per vector."""
-    m = 1 if n is None else int(n)
-    u = rng.random((m, 2))
-    out = _sphere_points(u[:, 0], u[:, 1])
-    return out[0] if n is None else out
+def sample_uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform unit vectors; one (z, phi) pair of uniforms per vector."""
+    u = rng.random((int(n), 2))
+    return _sphere_points(u[:, 0], u[:, 1])
 
 
 def _sphere_points(z_u: np.ndarray, phi_u: np.ndarray) -> np.ndarray:
@@ -139,10 +137,8 @@ def _sphere_points(z_u: np.ndarray, phi_u: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_theta_hemisphere(
-    rng: np.random.Generator, v: np.ndarray, n: int | None = None
-) -> np.ndarray:
-    """Vectors with density Theta(lam.v)/pi.
+def sample_theta_hemisphere(rng: np.random.Generator, v: np.ndarray, n: int) -> np.ndarray:
+    """n vectors with density Theta(lam.v)/pi.
 
     The cosine of the angle to v has density 2c on [0, 1] (drawn as sqrt of a
     uniform); the azimuth about v is uniform.  About ``Z_AXIS`` the frame
@@ -151,7 +147,7 @@ def sample_theta_hemisphere(
     turn -0.0 into +0.0 as the general sum does, so the bytes are the same.
     """
     v = check_unit(v, "v")
-    m = 1 if n is None else int(n)
+    m = int(n)
     u = rng.random((m, 2))
     out = np.empty((m, 3), order="F")
     x, y, c = out.T
@@ -168,7 +164,7 @@ def sample_theta_hemisphere(
         np.cos(y, out=y)
         y *= s
         np.subtract(0.0, y, out=y)
-        return out[0] if n is None else out
+        return out
     e1, e2 = _frame(v)
     s_cos = np.cos(y)
     s_cos *= s
@@ -178,7 +174,7 @@ def sample_theta_hemisphere(
         np.multiply(c, v[j], out=col)
         col += s_cos * e1[j]
         col += s * e2[j]
-    return out[0] if n is None else out
+    return out
 
 
 # ---------------------------------------------------------------------------

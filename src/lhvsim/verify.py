@@ -275,7 +275,7 @@ class DensityPropertyReport:
         return [m for m in self.margins if not m.passed] + [a for a in self.areas if not a.passed]
 
 
-def area_quadrature(state: State, x: np.ndarray, epsabs: float = 1e-9) -> float:
+def area_quadrature(state: State, x: np.ndarray) -> float:
     """Integral of rhot_x over the sphere by quadrature of its lam.z marginal.
 
     The marginal has derivative kinks at c = +-sin(angle(v)) for each of
@@ -290,7 +290,7 @@ def area_quadrature(state: State, x: np.ndarray, epsabs: float = 1e-9) -> float:
         s = float(np.sqrt(max(1.0 - min(v[2] * v[2], 1.0), 0.0)))
         kinks.update((-s, s))
     points = sorted(k for k in kinks if -1.0 < k < 1.0)
-    val, _ = integrate.quad(g, -1.0, 1.0, points=points or None, limit=400, epsabs=epsabs)
+    val, _ = integrate.quad(g, -1.0, 1.0, points=points or None, limit=400, epsabs=1e-9)
     return val
 
 
@@ -355,7 +355,7 @@ def density_property_suite(
             continue
         expected = 2.0 * (1.0 - p)
         mc_lam = sample_uniform_sphere(rng, area_samples)
-        mc_x = sample_uniform_sphere(rng)
+        mc_x = sample_uniform_sphere(rng, 1)[0]
         vals = 4.0 * np.pi * eval_rho_tilde(state, mc_x, mc_lam)
         mc = float(vals.mean())
         mc_stderr = float(vals.std() / np.sqrt(area_samples))

@@ -34,6 +34,11 @@ One chunk fully completes before the next begins.  The parties draw each
 chunk with the functions ``protocols.simulate`` uses and decide it in one
 call, so for a fixed seed a networked run reproduces the in-process outcome
 sequence bit for bit.
+
+A valid log is the frames in the order the referee writes them (per pair,
+Alice's SETTING and Bob's; per chunk, the shared frame, Alice's OUTPUT and
+Bob's), with every chunk passing ``_chunk_fault``, the check the referee
+runs on the frames as they arrive.
 """
 
 from __future__ import annotations
@@ -61,12 +66,12 @@ from .protocols import (
     SharedDraw,
     SimulationResult,
     _aggregate,
+    _checked_run,
     _chunks,
     _merge,
     _vector_sampler,
     alice_decide,
     bob_decide,
-    check_applicable,
     check_unit,
     envelope_scan,
     private_chunk,
@@ -201,6 +206,25 @@ def _message_fault(info, payload: bytes, talking: int) -> Optional[str]:
     if not info.vector_message and payload and max(payload) >= info.alphabet_size:
         return f"symbol {max(payload)} outside alphabet of {info.alphabet_size}"
     return None
+
+
+def _chunk_fault(info, lo: int, shared: SharedDraw, aout: Frame, bout: Frame) -> Optional[str]:
+    """Why the two OUTPUT frames of the chunk at round lo, played on the rows
+    ``shared``, are not a valid reply, or None."""
+    m = shared.rounds
+    for party, frame in (("alice", aout), ("bob", bout)):
+        if frame.kind != FrameKind.OUTPUT or frame.round != lo:
+            return f"{party} sent {frame.kind.name} of round {frame.round}, want OUTPUT"
+    if len(aout.payload) != m:
+        return f"alice's OUTPUT has {len(aout.payload)} bytes, want {m}"
+    if len(bout.payload) < 1 + m:
+        return f"bob's OUTPUT has {len(bout.payload)} bytes, want at least {1 + m}"
+    if bout.payload[0] != 0:
+        return f"bob rejected the message (status {bout.payload[0]})"
+    outputs = np.frombuffer(aout.payload + bout.payload[1 : 1 + m], dtype=np.int8)
+    if np.any(np.abs(outputs) != 1):
+        return "an a or b byte is not +-1"
+    return _message_fault(info, bout.payload[1 + m :], int(info.talks(shared).sum()))
 
 
 def _decode_message(info, talk: np.ndarray, payload: bytes):
@@ -433,11 +457,7 @@ def run_networked(
     whole chunk in one call.  A party that does not connect, answer or stay
     connected within ``_SOCKET_TIMEOUT`` ends the run with TransportError.
     """
-    check_applicable(protocol, state)
-    pairs = [(check_unit(x, "x"), check_unit(y, "y")) for x, y in settings]
-    rounds = int(rounds)
-    if rounds < 0:
-        raise ValidationError("rounds must be >= 0")
+    pairs, rounds = _checked_run(protocol, state, settings, rounds)
     info = PROTOCOLS[protocol]
     transcript = Transcript(protocol, state.p, rounds)
 
@@ -500,18 +520,11 @@ def run_networked(
                 bout = recv_frame(bob_sock)
                 transcript.add("alice->referee", aout)
                 transcript.add("bob->referee", bout)
-                m = hi - lo
-                if len(aout.payload) != m or len(bout.payload) < 1 + m:
-                    raise TransportError(f"round {lo}: malformed OUTPUT frame")
-                if bout.payload[0] != 0:
-                    raise ProtocolViolationError(
-                        f"round {lo}: bob rejected the message (status {bout.payload[0]})"
-                    )
-                talk, echo = info.talks(shared), bout.payload[1 + m :]
-                fault = _message_fault(info, echo, int(talk.sum()))
+                fault = _chunk_fault(info, lo, shared, aout, bout)
                 if fault:
-                    raise ProtocolViolationError(f"round {lo}: bob echoed a bad message: {fault}")
-                msg, _ = _decode_message(info, talk, echo)
+                    raise ProtocolViolationError(f"round {lo}: {fault}")
+                m = hi - lo
+                msg, _ = _decode_message(info, info.talks(shared), bout.payload[1 + m :])
                 a = np.frombuffer(aout.payload, dtype=np.int8)
                 b = np.frombuffer(bout.payload[1 : 1 + m], dtype=np.int8)
                 bits = np.take(info.cost, msg)  # each round costs its symbol's bits
@@ -549,77 +562,65 @@ class AuditReport:
         return not self.findings
 
 
-def _split_segments(transcript: Transcript):
-    """Group records between SETTING frames (rounds restart per setting pair)."""
-    segments = []
-    current = None
-    for rec in transcript.records:
-        if rec.frame.kind == FrameKind.SETTING and rec.channel == "referee->alice":
-            current = []
-            segments.append(current)
-        elif current is not None:
-            current.append(rec)
-    if current is None and transcript.records:
-        segments.append(list(transcript.records))  # tolerate logs without settings
-    return segments
-
-
-def audit_transcript(transcript: Transcript, protocol: Optional[ProtocolId] = None) -> AuditReport:
+def audit_transcript(transcript: Transcript) -> AuditReport:
     """Offline validation of a networked run's frame log.
 
-    Checks, per setting-pair segment: one shared-randomness frame per chunk,
-    the chunks in order; and exactly one Bob OUTPUT per chunk, whose echoed
-    Alice-to-Bob message holds one in-alphabet entry per round whose shared
-    row says Alice talks.  The histogram counts the sent bytes (symbol - 1).
+    A valid log is what the referee writes: per setting pair, Alice's
+    SETTING and Bob's SETTING, then per chunk [lo, hi) of the log's rounds
+    per pair the shared frame, Alice's OUTPUT and Bob's OUTPUT, all of round
+    lo; and each chunk passes ``_chunk_fault``, the referee's own check.  A
+    pair whose frames break that order is one finding: "missing message" if
+    it has fewer Bob OUTPUTs than chunks, "more than one message" if more,
+    else "frames out of order".  The histogram counts the sent bytes
+    (symbol - 1).
     """
-    protocol = protocol or transcript.protocol
+    protocol = transcript.protocol
     info = PROTOCOLS[protocol]
-    n = transcript.rounds_per_setting
+    # no pair can hold more chunks than the log has records, so a corrupt
+    # header's huge n gives every pair "missing message" at bounded cost
+    chunks = _chunks(min(transcript.rounds_per_setting, CHUNK * len(transcript.records)))
+    start = ("referee->alice", FrameKind.SETTING)
+    per_chunk = (
+        ("referee->parties", FrameKind.SHARED_RANDOMNESS),
+        ("alice->referee", FrameKind.OUTPUT),
+        ("bob->referee", FrameKind.OUTPUT),
+    )
+    order = [(*start, SETUP_ROUND), ("referee->bob", FrameKind.SETTING, SETUP_ROUND)]
+    order += [(*frame, lo) for lo, _ in chunks for frame in per_chunk]
+    pairs: list = []  # each Alice SETTING starts a pair; frames before the first form one
+    for rec in transcript.records:
+        if not pairs or (rec.channel, rec.frame.kind) == start:
+            pairs.append([])
+        pairs[-1].append(rec)
+
     findings: list = []
     hist: Counter = Counter()
     total_rounds = 0
     total_messages = 0
-
-    for seg_index, seg in enumerate(_split_segments(transcript)):
-        shared_rows: dict = {}
-        outputs: dict = {}  # Bob's OUTPUT payloads, which echo the messages
-        for rec in seg:
-            if rec.frame.kind == FrameKind.SHARED_RANDOMNESS and rec.channel == "referee->parties":
-                if rec.frame.round in shared_rows:
-                    findings.append(
-                        f"segment {seg_index} round {rec.frame.round}: duplicate shared frame"
-                    )
-                shared_rows[rec.frame.round] = rec.frame.payload
-            elif rec.frame.kind == FrameKind.OUTPUT and rec.channel == "bob->referee":
-                if rec.frame.round in outputs:
-                    findings.append(
-                        f"segment {seg_index} round {rec.frame.round}: more than one message"
-                    )
-                outputs[rec.frame.round] = rec.frame.payload
-
-        if sorted(shared_rows) != list(range(0, CHUNK * len(shared_rows), CHUNK)):
-            findings.append(f"segment {seg_index}: chunks are not the contiguous range")
-        for rnd in sorted(set(outputs) - set(shared_rows)):
-            findings.append(f"segment {seg_index} round {rnd}: message outside any chunk")
-
-        for lo, payload in shared_rows.items():
-            where = f"segment {seg_index} round {lo}"
+    for k, recs in enumerate(pairs):
+        if [(r.channel, r.frame.kind, r.frame.round) for r in recs] != order:
+            outputs = sum(r.channel == "bob->referee" for r in recs)
+            if outputs < len(chunks):
+                findings.append(f"pair {k}: missing message")
+            elif outputs > len(chunks):
+                findings.append(f"pair {k}: more than one message")
+            else:
+                findings.append(f"pair {k}: frames out of order")
+            continue
+        for j, (lo, hi) in enumerate(chunks):
+            sframe, aout, bout = (rec.frame for rec in recs[2 + 3 * j : 5 + 3 * j])
             try:
-                shared = unpack_shared(protocol, payload, min(lo + CHUNK, n) - lo)
+                shared = unpack_shared(protocol, sframe.payload, hi - lo)
             except TransportError as exc:
-                findings.append(f"{where}: {exc}")
+                findings.append(f"pair {k} round {lo}: {exc}")
                 continue
             total_rounds += shared.rounds
-            if lo not in outputs:
-                findings.append(f"{where}: missing message")
-                continue
-            message = outputs[lo][1 + shared.rounds :]
-            # one entry per round in which Alice talks, and none in the others
-            talking = int(info.talks(shared).sum())
-            fault = _message_fault(info, message, talking)
+            fault = _chunk_fault(info, lo, shared, aout, bout)
             if fault:
-                findings.append(f"{where}: {fault}")
+                findings.append(f"pair {k} round {lo}: {fault}")
                 continue
+            message = bout.payload[1 + shared.rounds :]
+            talking = int(info.talks(shared).sum())
             total_messages += talking
             if info.vector_message:
                 hist["vector"] += talking

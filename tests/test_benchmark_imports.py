@@ -70,6 +70,17 @@ def test_benchmark_wire_check_passes(monkeypatch):
     assert tracer.counters["wire.frames"] > 0
 
 
+def test_benchmark_traced_path_matches_untraced(monkeypatch):
+    # the traced grid-certify path, which rebuilds simulate from the
+    # library's own steps, runs and counts as the untraced one does
+    workloads, tracing = _load_benchmark(monkeypatch)
+    jobs = workloads.build_jobs("grid-certify", 1, scale=0.02)
+    traced = [workloads.run_job(job, tracing.Tracer()) for job in jobs]
+    untraced = [workloads.run_job(job, tracing.NullTracer()) for job in jobs]
+    assert traced and [o.job.name for o in traced + untraced if o.failed] == []
+    assert [o.counts for o in traced] == [o.counts for o in untraced]
+
+
 def test_golden_hashes_match(monkeypatch):
     # the settings.csv of every grid-certify job at the golden size has the
     # bytes the benchmark recorded, for each recorded seed

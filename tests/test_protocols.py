@@ -5,10 +5,12 @@ is 4-6 sigma for the round count used, so a correct implementation passes
 deterministically and an off-by-a-constant bug does not.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from lhvsim.bloch import State, X_AXIS, Z_AXIS, born_joint, collapse, dot3
+from lhvsim.bloch import State, X_AXIS, Z_AXIS, born_joint, collapse, dot3, sign_pm
 from lhvsim import protocols
 from lhvsim.errors import DomainError, InternalConsistencyError
 from lhvsim.protocols import (
@@ -458,6 +460,16 @@ class TestCostStatistics:
         assert res.worst_bits == 1.0
 
     @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
+    def test_bob_outputs_the_sign_on_the_committed_vector(self, pid, p):
+        # round by round, b = sgn(y . lam) for the vector lam Alice committed to
+        res = simulate(
+            pid, State(p), default_setting_pairs(2), 3000, seed=46,
+            keep_outcomes=True, keep_lambdas=True,
+        )
+        for s in res.settings:
+            assert np.array_equal(s.b_seq, sign_pm(dot3(s.lam_seq, s.y)))
+
+    @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
     def test_bits_are_the_cost_of_the_symbol(self, pid, p):
         res = simulate(pid, State(p), [(X_AXIS, Z_AXIS)], 2000, seed=45, keep_outcomes=True)
         s = res.settings[0]
@@ -625,7 +637,8 @@ class TestByteExactForms:
             return np.column_stack([v, np.full_like(v, -0.0), np.full_like(v, -0.0)])
 
         msg = np.tile(np.arange(1, 5, dtype=np.uint8), len(t))
-        got = _bob_teleportation(SharedDraw(rows(t1), rows(t2)), msg, None, X_AXIS)
+        shared = SharedDraw(rows(t1), rows(t2))
+        got = _bob_teleportation(shared, msg, None, partial(dot3, b=X_AXIS))
         want = np.where(msg <= 2, t1, t2) * np.where(msg % 2 == 1, 1.0, -1.0)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lhvsim import wire
 from lhvsim.bloch import State, X_AXIS, Z_AXIS
+from lhvsim.cli import main as cli_main
 from lhvsim.errors import ProtocolViolationError, ValidationError
 from lhvsim.protocols import CHUNK, ProtocolId, draw_shared, simulate
 from lhvsim.sampling import make_generator, n_of_p
 from lhvsim.wire import (
+    SETUP_ROUND,
     AuditReport,
     Frame,
     FrameKind,
@@ -214,6 +217,32 @@ class TestEnforcement:
         assert set(rep.symbol_histogram) == {"vector"}
 
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda frame: Frame(frame.round + 1, frame.kind, frame.payload),
+            lambda frame: Frame(frame.round, frame.kind, b"\x07" + frame.payload[1:]),
+        ],
+        ids=["wrong-round", "a-byte-7"],
+    )
+    def test_malformed_alice_output_aborts(self, monkeypatch, tamper):
+        # the forked Alice sends each chunk's OUTPUT tampered; nothing else changes
+        real_alice, real_send = wire.alice_main, wire.send_frame
+
+        def send(sock, frame):
+            if frame.kind == FrameKind.OUTPUT and frame.round != SETUP_ROUND:
+                frame = tamper(frame)
+            real_send(sock, frame)
+
+        def alice(host, port):
+            wire.send_frame = send  # in Alice's process only
+            real_alice(host, port)
+
+        monkeypatch.setattr(wire, "alice_main", alice)
+        with pytest.raises(ProtocolViolationError, match="round 0: "):
+            run_networked(ProtocolId.TRIT, State(0.7), PAIR, 200, seed=13)
+
+
 class TestIsolation:
     def test_settings_are_per_recipient(self):
         x, y = PAIR[0]
@@ -309,3 +338,57 @@ class TestTranscript:
                 break
         rep = audit_transcript(transcript)
         assert any("missing message" in f for f in rep.findings)
+
+
+def _drop(channel):
+    return lambda recs: [r for r in recs if r.channel != channel]
+
+
+def _alice_outputs_0x07(recs):
+    for rec in recs:
+        if rec.channel == "alice->referee":
+            rec.frame = Frame(rec.frame.round, rec.frame.kind, b"\x07")
+    return recs
+
+
+def _bob_status_2(recs):
+    rec = next(r for r in recs if r.channel == "bob->referee")
+    rec.frame = Frame(rec.frame.round, rec.frame.kind, b"\x02" + rec.frame.payload[1:])
+    return recs
+
+
+# each edit of a two-chunk trit log's records gives an invalid log
+TAMPERINGS = {
+    "alice-outputs-removed": _drop("alice->referee"),
+    "alice-outputs-0x07": _alice_outputs_0x07,
+    "bob-status-2": _bob_status_2,
+    "chunk-frames-reversed": lambda recs: recs[:2] + recs[2:5][::-1] + recs[5:],
+    "settings-removed": lambda recs: [r for r in recs if r.frame.kind != FrameKind.SETTING],
+    "last-chunk-dropped": lambda recs: recs[:-3],
+}
+
+
+@lru_cache(maxsize=None)
+def _two_chunk_log() -> bytes:
+    _, transcript = run_networked(ProtocolId.TRIT, State(0.7), PAIR, CHUNK + 3, seed=24)
+    assert len(transcript.records) == 2 + 3 * 2
+    return transcript.to_binary()
+
+
+class TestAuditCatches:
+    def test_untampered_log_passes(self):
+        assert audit_transcript(Transcript.from_binary(_two_chunk_log())).passed
+
+    @pytest.mark.parametrize("case", sorted(TAMPERINGS))
+    def test_tampered_log_has_findings(self, case):
+        transcript = Transcript.from_binary(_two_chunk_log())
+        transcript.records = TAMPERINGS[case](transcript.records)
+        assert audit_transcript(transcript).findings
+
+    def test_audit_command_fails_on_a_tampered_log(self, tmp_path, capsys):
+        transcript = Transcript.from_binary(_two_chunk_log())
+        transcript.records = TAMPERINGS["chunk-frames-reversed"](transcript.records)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(transcript.to_binary())
+        assert cli_main(["audit", str(path)]) == 1
+        assert "frames out of order" in capsys.readouterr().out
