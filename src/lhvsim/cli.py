@@ -54,7 +54,7 @@ from .verify import (
     report_to_json,
     verification_report,
 )
-from .wire import WireConfig, audit_transcript, run_networked, Transcript
+from .wire import audit_transcript, run_networked, Transcript
 
 DEFAULT_PROPS_PLIST = "0.5,0.7,0.835,0.933,0.99,1.0"
 # the JSON values a config file may give a field of each declared type
@@ -80,11 +80,8 @@ class RunConfig:
     rounds: int = 100000
     seed: int = 0
     settings: str = "grid:20"  # grid:N | chsh | file:PATH
-    mode: str = "in-process"  # in-process | networked
     workers: int = 1
-    port: int = 0  # networked mode: referee port (0 = ephemeral)
     out_dir: str = "lhvsim_out"
-    chsh: bool = False
     tolerance: Optional[float] = None
 
 
@@ -147,8 +144,8 @@ def _parse_protocol(name: str) -> ProtocolId:
     )
 
 
-def _parse_settings(spec: str, chsh: bool):
-    if chsh or spec == "chsh":
+def _parse_settings(spec: str):
+    if spec == "chsh":
         return chsh_setting_pairs(), True
     if spec.startswith("grid:"):
         size = spec.split(":", 1)[1]
@@ -184,15 +181,15 @@ def _write(path: Path, data: str) -> None:
     path.write_text(data)
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, networked: bool) -> int:
     protocol = _parse_protocol(cfg.protocol)
     state = State(float(cfg.p))
-    pairs, is_chsh = _parse_settings(cfg.settings, cfg.chsh)
+    pairs, is_chsh = _parse_settings(cfg.settings)
 
     meta = {
-        "command": "wire-run" if cfg.mode == "networked" else "simulate",
+        "command": "wire-run" if networked else "simulate",
         "config_hash": _config_hash(asdict(cfg)),
-        "mode": cfg.mode,
+        "mode": "networked" if networked else "in-process",
         "p": float(cfg.p),
         "protocol": protocol.value,
         "rounds": int(cfg.rounds),
@@ -202,22 +199,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
 
     transcript = None
-    if cfg.mode == "networked":
+    if networked:
         sim, transcript = run_networked(
-            protocol,
-            state,
-            pairs,
-            int(cfg.rounds),
-            int(cfg.seed),
-            config=WireConfig(referee_port=int(cfg.port)),
-            keep_outcomes=False,
+            protocol, state, pairs, int(cfg.rounds), int(cfg.seed), keep_outcomes=False
         )
-    elif cfg.mode == "in-process":
+    else:
         sim = simulate(
             protocol, state, pairs, int(cfg.rounds), int(cfg.seed), workers=int(cfg.workers)
         )
-    else:
-        raise ValidationError(f"bad mode {cfg.mode!r}; use in-process or networked")
 
     est = None
     if is_chsh:
@@ -246,8 +235,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: SweepConfig) -> int:
     if not (0.5 <= cfg.p_start <= cfg.p_stop <= 1.0):
         raise ValidationError("sweep range must satisfy 0.5 <= start <= stop <= 1")
-    if cfg.p_step <= 0:
-        raise ValidationError("sweep step must be positive")
+    if not cfg.p_step >= 1e-12:  # p is rounded to 12 decimals; a finer step never advances
+        raise ValidationError(f"sweep step must be at least 1e-12, got {cfg.p_step!r}")
     threshold = improved_one_bit_threshold()
     pair = default_setting_pairs(1)
     lines = ["p,protocol,alphabet,mean_bits,stderr,N_of_p"]
@@ -343,15 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--rounds", type=int, help="rounds per setting pair")
         sp.add_argument("--seed", type=int, help="base seed (default: $LHVSIM_SEED or 0)")
         sp.add_argument("--settings", help="grid:N | chsh | file:PATH (default grid:20)")
-        sp.add_argument("--chsh", action="store_const", const=True, default=None,
-                        help="use the CHSH preset settings and report S")
         sp.add_argument("--tolerance", type=float, help="override the TVD pass threshold")
         sp.add_argument("--out-dir", dest="out_dir", help="directory for report files")
-        sp.add_argument("--port", type=int, help="referee port for networked runs (0 = ephemeral)")
 
     sp = sub.add_parser("simulate", help="run a protocol and certify it")
     add_run_flags(sp)
-    sp.add_argument("--mode", choices=["in-process", "networked"], help="execution mode")
     sp.add_argument("--workers", type=int, help="worker threads (in-process mode)")
 
     sp = sub.add_parser("wire-run", help="networked run with transcript audit")
@@ -384,11 +369,9 @@ def main(argv=None) -> int:
         if args.command in ("simulate", "wire-run"):
             file_cfg = _load_config_file(args.config)
             cfg = _merge_config(RunConfig, file_cfg, args)
-            if args.command == "wire-run":
-                cfg.mode = "networked"
-            if getattr(args, "seed", None) is None and "seed" not in file_cfg:
+            if args.seed is None and "seed" not in file_cfg:
                 cfg.seed = _default_seed()
-            return cmd_simulate(cfg)
+            return cmd_simulate(cfg, networked=args.command == "wire-run")
         if args.command == "sweep":
             file_cfg = _load_config_file(args.config)
             cfg = _merge_config(SweepConfig, file_cfg, args)

@@ -214,6 +214,8 @@ def hemisphere_law_check(v: np.ndarray, y: np.ndarray, rounds: int, seed: int) -
     of one whole draw, and only the +1 outcomes are counted, so memory is
     O(CHUNK) and p_hat is the mean over the whole draw.
     """
+    if rounds < 1:
+        raise ValidationError(f"the hemisphere-law check needs at least one round, got {rounds}")
     v = check_unit(v, "v")
     y = check_unit(y, "y")
     rng = make_generator(seed, CH_SHARED)
@@ -309,6 +311,11 @@ def density_property_suite(
     (1 percent) and by marginal quadrature (1e-6); ``area_points``
     restricts those heavier checks to a subset of p.
     """
+    if trials < 1 or area_samples < 1:
+        raise ValidationError(
+            f"the density properties need at least one trial and one area sample, "
+            f"got {trials} and {area_samples}"
+        )
     guard = 1e-12
     worst = {
         k: -np.inf

@@ -3,21 +3,23 @@
 The in-process simulator keeps the parties apart by interface shape; this
 module keeps them apart with OS processes and sockets.  A referee process
 (the caller) distributes per-recipient settings and per-round shared
-randomness, Alice talks to Bob over a dedicated one-way TCP connection that
-may only carry symbols from the declared alphabet (Bob rejects anything
-else and the run aborts), and everything the referee sees goes into a
-transcript for offline audit, each byte once.
+randomness, Alice talks to Bob over a dedicated one-way channel that may
+only carry symbols from the declared alphabet (Bob rejects anything else
+and the run aborts), and everything the referee sees goes into a transcript
+for offline audit, each byte once.
+
+Before it forks the parties, the referee wires them with three socket
+pairs: referee-Alice, referee-Bob and Alice-to-Bob, whose Bob end is shut
+for writing, so that channel is one-way at the OS level.  Each party keeps
+only its own ends, and the referee only its two, so a party that exits is
+an end of file to everyone it talked to.
 
 Frame format, little-endian, identical on every channel:
 
     [u64 round] [u8 kind] [u32 len] [payload]
 
 Kinds: SETTING (per-recipient setup, round = 2**64-1), SHARED_RANDOMNESS,
-MESSAGE (Alice to Bob only), OUTPUT (party to referee).  Before the first
-pair, each party sends the referee a hello (its role; Bob adds the port he
-listens on), the referee sends Alice that port, and Alice connects to Bob.
-These bootstrap frames are not logged, so the log holds no ephemeral port
-and a re-run with the same config logs the same bytes.  A setting pair's
+MESSAGE (Alice to Bob only), OUTPUT (party to referee).  A setting pair's
 rounds travel in the chunks [lo, hi) that ``protocols.simulate`` runs, and
 every frame of a chunk names lo as its round.  Per chunk:
 
@@ -135,7 +137,6 @@ _CODE_PROTO = {v: k for k, v in _PROTO_CODE.items()}
 
 _ALICE_SETTING = struct.Struct("<QBdddd QQ".replace(" ", ""))
 _BOB_SETTING = struct.Struct("<QBddd Q".replace(" ", ""))
-_PORT = struct.Struct("<H")  # Bob's listening port, in the bootstrap frames
 
 
 def pack_alice_setting(pair, protocol, p, x, rounds, seed) -> bytes:
@@ -336,22 +337,9 @@ class Transcript:
 # the two party processes
 
 
-def _connect(host: str, port: int) -> socket.socket:
-    sock = socket.create_connection((host, port), timeout=_SOCKET_TIMEOUT)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
-
-
-def alice_main(host: str, referee_port: int) -> None:
+def alice_main(ref: socket.socket, bob: socket.socket) -> None:
     """Alice's process: settings and shared randomness in, message and a out."""
-    ref = _connect(host, referee_port)
-    send_frame(ref, Frame(SETUP_ROUND, FrameKind.OUTPUT, b"\x01"))  # role: alice
-    bob: Optional[socket.socket] = None
     try:
-        boot = recv_frame(ref)
-        if boot.kind != FrameKind.SETTING or len(boot.payload) != _PORT.size:
-            raise TransportError("alice expected Bob's port")
-        bob = _connect(host, _PORT.unpack(boot.payload)[0])
         while True:
             setting = recv_frame(ref)
             if setting.kind != FrameKind.SETTING:
@@ -376,23 +364,12 @@ def alice_main(host: str, referee_port: int) -> None:
         pass  # referee finished or aborted the run
     finally:
         ref.close()
-        if bob is not None:
-            bob.close()
+        bob.close()
 
 
-def bob_main(host: str, referee_port: int) -> None:
+def bob_main(ref: socket.socket, alice: socket.socket) -> None:
     """Bob's process: enforces the message alphabet, outputs b."""
-    lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    lsock.bind((host, 0))
-    lsock.listen(1)
-    lsock.settimeout(_SOCKET_TIMEOUT)
-    ref = _connect(host, referee_port)
-    hello = b"\x02" + _PORT.pack(lsock.getsockname()[1])  # role: bob, and his port
-    send_frame(ref, Frame(SETUP_ROUND, FrameKind.OUTPUT, hello))
-    alice: Optional[socket.socket] = None
     try:
-        alice, _ = lsock.accept()
-        alice.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         while True:
             setting = recv_frame(ref)
             if setting.kind != FrameKind.SETTING:
@@ -425,19 +402,19 @@ def bob_main(host: str, referee_port: int) -> None:
         pass  # referee finished or aborted the run
     finally:
         ref.close()
-        if alice is not None:
-            alice.close()
-        lsock.close()
+        alice.close()
+
+
+def _party(main, own: tuple, inherited: tuple) -> None:
+    """A forked party: close every inherited socket end but its own, then run."""
+    for sock in inherited:
+        if sock not in own:
+            sock.close()
+    main(*own)
 
 
 # ---------------------------------------------------------------------------
 # referee
-
-
-@dataclass(frozen=True)
-class WireConfig:
-    host: str = "127.0.0.1"
-    referee_port: int = 0  # 0 = ephemeral
 
 
 def run_networked(
@@ -446,7 +423,6 @@ def run_networked(
     settings,
     rounds: int,
     seed: int,
-    config: WireConfig = WireConfig(),
     keep_outcomes: bool = True,
 ):
     """Run the protocol across three processes; returns (result, transcript).
@@ -454,47 +430,33 @@ def run_networked(
     Statistically and bit-exactly identical to ``simulate`` with the same
     seed: the referee draws each chunk's shared rows, and Alice her private
     coins, with the functions ``simulate`` uses, and each party decides a
-    whole chunk in one call.  A party that does not connect, answer or stay
-    connected within ``_SOCKET_TIMEOUT`` ends the run with TransportError.
+    whole chunk in one call.  A party that exits, or does not answer within
+    ``_SOCKET_TIMEOUT``, ends the run with TransportError.
     """
     pairs, rounds = _checked_run(protocol, state, settings, rounds)
     info = PROTOCOLS[protocol]
     transcript = Transcript(protocol, state.p, rounds)
 
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind((config.host, config.referee_port))
-    listener.listen(2)
-    listener.settimeout(_SOCKET_TIMEOUT)
-    port = listener.getsockname()[1]
+    alice_sock, alice_ref = socket.socketpair()
+    bob_sock, bob_ref = socket.socketpair()
+    alice_bob, bob_alice = socket.socketpair()
+    bob_alice.shutdown(socket.SHUT_WR)  # Bob cannot write to Alice
+    ends = (alice_sock, alice_ref, bob_sock, bob_ref, alice_bob, bob_alice)
+    for sock in ends:
+        sock.settimeout(_SOCKET_TIMEOUT)
 
     ctx = multiprocessing.get_context("fork")
     procs = [
-        ctx.Process(target=bob_main, args=(config.host, port), daemon=True),
-        ctx.Process(target=alice_main, args=(config.host, port), daemon=True),
+        ctx.Process(target=_party, args=(bob_main, (bob_ref, bob_alice), ends), daemon=True),
+        ctx.Process(target=_party, args=(alice_main, (alice_ref, alice_bob), ends), daemon=True),
     ]
     for proc in procs:
         proc.start()
+    for sock in (alice_ref, bob_ref, alice_bob, bob_alice):
+        sock.close()  # the parties' ends: a party that exits is EOF here
 
-    alice_sock = bob_sock = None
-    bob_port = None
     result = SimulationResult(protocol, state, rounds, int(seed))
     try:
-        for _ in range(2):
-            conn, _ = listener.accept()
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.settimeout(_SOCKET_TIMEOUT)
-            hello = recv_frame(conn)
-            if hello.kind != FrameKind.OUTPUT or hello.round != SETUP_ROUND:
-                raise TransportError("malformed bootstrap frame")
-            if hello.payload[0] == 1:
-                alice_sock = conn
-            else:
-                bob_sock = conn
-                (bob_port,) = _PORT.unpack(hello.payload[1:3])
-        if alice_sock is None or bob_sock is None:
-            raise TransportError("both parties must connect")
-        send_frame(alice_sock, Frame(SETUP_ROUND, FrameKind.SETTING, _PORT.pack(bob_port)))
-
         for k, (x, y) in enumerate(pairs):
             fa = Frame(
                 SETUP_ROUND,
@@ -534,10 +496,8 @@ def run_networked(
     except (EOFError, ConnectionError, socket.timeout) as exc:
         raise TransportError(f"lost a party: {exc}") from exc
     finally:
-        for sock in (alice_sock, bob_sock):
-            if sock is not None:
-                sock.close()
-        listener.close()
+        alice_sock.close()
+        bob_sock.close()
         for proc in procs:
             proc.join(timeout=10.0)
             if proc.is_alive():

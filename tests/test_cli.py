@@ -59,7 +59,7 @@ class TestSimulate:
     def test_chsh_preset_reports_s(self, tmp_path, capsys):
         out = tmp_path / "chsh"
         code = run_cli(
-            "simulate", "--protocol", "degorre", "--p", "0.5", "--chsh",
+            "simulate", "--protocol", "degorre", "--p", "0.5", "--settings", "chsh",
             "--rounds", "50000", "--seed", "3", "--out-dir", str(out),
         )
         assert code == 0
@@ -297,6 +297,10 @@ def test_malformed_transcript_is_usage_error(case, tmp_path, capsys):
         (["simulate", "--settings", "file:{dir}"], None),
         (["simulate", "--config", "{path}"], b"\xff\xfe{}"),
         (["simulate", "--rounds", "10", "--settings", "grid:1", "--out-dir", "{path}"], None),
+        (["props", "--rounds", "0"], None),
+        (["props", "--rounds", "-5"], None),
+        (["props", "--trials", "0"], None),
+        (["sweep", "--p-step", "1e-13"], None),
     ],
     ids=[
         "grid-size",
@@ -310,6 +314,10 @@ def test_malformed_transcript_is_usage_error(case, tmp_path, capsys):
         "settings-directory",
         "config-not-utf8",
         "out-dir-is-file",
+        "props-zero-rounds",
+        "props-negative-rounds",
+        "props-zero-trials",
+        "sweep-step-below-rounding",
     ],
 )
 def test_malformed_input_is_usage_error(argv, content, tmp_path, monkeypatch, capsys):
@@ -324,9 +332,9 @@ def test_malformed_input_is_usage_error(argv, content, tmp_path, monkeypatch, ca
 
 
 def test_party_timeout_aborts_run(tmp_path, monkeypatch, capsys):
-    # Alice's process exits without connecting; the referee's accept times out
+    # Alice's process exits at once; the referee sees EOF or a timeout
     monkeypatch.setattr(wire, "_SOCKET_TIMEOUT", 1.0)
-    monkeypatch.setattr(wire, "alice_main", lambda host, port: None)
+    monkeypatch.setattr(wire, "alice_main", lambda ref, bob: None)
     with pytest.raises(TransportError):
         run_networked(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], 10, seed=1)
     code = run_cli(

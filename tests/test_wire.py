@@ -1,6 +1,7 @@
 """Tests for the networked referee/Alice/Bob execution and transcript audit."""
 
 from functools import lru_cache
+import socket
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from lhvsim import wire
 from lhvsim.bloch import State, X_AXIS, Z_AXIS
 from lhvsim.cli import main as cli_main
-from lhvsim.errors import ProtocolViolationError, ValidationError
+from lhvsim.errors import ProtocolViolationError, TransportError, ValidationError
 from lhvsim.protocols import CHUNK, ProtocolId, draw_shared, simulate
 from lhvsim.sampling import make_generator, n_of_p
 from lhvsim.wire import (
@@ -234,13 +235,38 @@ class TestEnforcement:
                 frame = tamper(frame)
             real_send(sock, frame)
 
-        def alice(host, port):
+        def alice(ref, bob):
             wire.send_frame = send  # in Alice's process only
-            real_alice(host, port)
+            real_alice(ref, bob)
 
         monkeypatch.setattr(wire, "alice_main", alice)
         with pytest.raises(ProtocolViolationError, match="round 0: "):
             run_networked(ProtocolId.TRIT, State(0.7), PAIR, 200, seed=13)
+
+
+class TestWiring:
+    def test_opens_no_listening_socket(self, monkeypatch):
+        # the referee wires its forked parties with socket pairs; nothing listens
+        def refuse(*args):
+            raise AssertionError("wire mode opened a listening socket")
+
+        monkeypatch.setattr(socket.socket, "listen", refuse)
+        net, transcript = run_networked(ProtocolId.TRIT, State(0.7), PAIR, 10, seed=25)
+        assert net.total_rounds == 10
+        assert audit_transcript(transcript).passed
+
+    def test_alice_to_bob_channel_is_one_way(self, monkeypatch):
+        # Bob's end of the Alice-to-Bob pair is shut for writing, so his first
+        # write raises EPIPE, his process dies and the referee loses him
+        real_bob = wire.bob_main
+
+        def bob(ref, alice):
+            alice.sendall(b"\x00")
+            real_bob(ref, alice)
+
+        monkeypatch.setattr(wire, "bob_main", bob)
+        with pytest.raises(TransportError):
+            run_networked(ProtocolId.TRIT, State(0.7), PAIR, 10, seed=25)
 
 
 class TestIsolation:
