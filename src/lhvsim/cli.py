@@ -42,8 +42,9 @@ from .errors import (
     ValidationError,
 )
 from .protocols import PROTOCOLS, ProtocolId, simulate
-from .sampling import improved_one_bit_threshold, n_of_p
+from .sampling import check_seed, improved_one_bit_threshold, n_of_p
 from .verify import (
+    check_tolerance,
     chsh_from_result,
     chsh_setting_pairs,
     default_setting_pairs,
@@ -68,7 +69,11 @@ _FILE_TYPES = {
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("LHVSIM_SEED", "0"))
+    text = os.environ.get("LHVSIM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"LHVSIM_SEED must be an integer, got {text!r}") from None
 
 
 @dataclass
@@ -80,7 +85,6 @@ class RunConfig:
     rounds: int = 100000
     seed: int = 0
     settings: str = "grid:20"  # grid:N | chsh | file:PATH
-    workers: int = 1
     out_dir: str = "lhvsim_out"
     tolerance: Optional[float] = None
 
@@ -98,9 +102,9 @@ class SweepConfig:
 
 
 def _config_hash(cfg: dict) -> str:
-    # hash only what determines the run's results: output locations and
-    # worker counts do not change a single byte of the reports
-    semantic = {k: v for k, v in cfg.items() if k not in ("out_dir", "out", "workers")}
+    # hash only what determines the run's results: output locations do not
+    # change a single byte of the reports
+    semantic = {k: v for k, v in cfg.items() if k not in ("out_dir", "out")}
     canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -116,8 +120,11 @@ def _load_config_file(path: Optional[str]) -> dict:
 
 
 def _merge_config(cls, file_cfg: dict, args: argparse.Namespace):
-    """File values first, then any flag the user actually passed."""
+    """File values first, then any flag the user actually passed; a seed
+    that neither gives comes from LHVSIM_SEED."""
     cfg = cls()
+    if args.seed is None and "seed" not in file_cfg:
+        cfg.seed = _default_seed()
     types = {f.name: f.type for f in fields(cls)}
     for key, val in file_cfg.items():
         if key not in types:
@@ -185,6 +192,7 @@ def cmd_simulate(cfg: RunConfig, networked: bool) -> int:
     protocol = _parse_protocol(cfg.protocol)
     state = State(float(cfg.p))
     pairs, is_chsh = _parse_settings(cfg.settings)
+    check_tolerance(cfg.tolerance)
 
     meta = {
         "command": "wire-run" if networked else "simulate",
@@ -205,7 +213,7 @@ def cmd_simulate(cfg: RunConfig, networked: bool) -> int:
         )
     else:
         sim = simulate(
-            protocol, state, pairs, int(cfg.rounds), int(cfg.seed), workers=int(cfg.workers)
+            protocol, state, pairs, int(cfg.rounds), int(cfg.seed), workers=os.cpu_count() or 1
         )
 
     est = None
@@ -271,6 +279,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
 
 
 def cmd_props(p_list, rounds: int, trials: int, seed: int) -> int:
+    seed = check_seed(seed)
     ok = True
 
     # hemisphere-law grid: deterministic pairs over the sphere
@@ -337,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="run a protocol and certify it")
     add_run_flags(sp)
-    sp.add_argument("--workers", type=int, help="worker threads (in-process mode)")
 
     sp = sub.add_parser("wire-run", help="networked run with transcript audit")
     add_run_flags(sp)
@@ -367,17 +375,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command in ("simulate", "wire-run"):
-            file_cfg = _load_config_file(args.config)
-            cfg = _merge_config(RunConfig, file_cfg, args)
-            if args.seed is None and "seed" not in file_cfg:
-                cfg.seed = _default_seed()
+            cfg = _merge_config(RunConfig, _load_config_file(args.config), args)
             return cmd_simulate(cfg, networked=args.command == "wire-run")
         if args.command == "sweep":
-            file_cfg = _load_config_file(args.config)
-            cfg = _merge_config(SweepConfig, file_cfg, args)
-            if args.seed is None and "seed" not in file_cfg:
-                cfg.seed = _default_seed()
-            return cmd_sweep(cfg)
+            return cmd_sweep(_merge_config(SweepConfig, _load_config_file(args.config), args))
         if args.command == "props":
             seed = args.seed if args.seed is not None else _default_seed()
             return cmd_props(_parse_p_list(args.p_list), args.rounds, args.trials, seed)

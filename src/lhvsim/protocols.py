@@ -34,25 +34,25 @@ Stream layout per setting pair k of a run with seed s and n rounds:
   field of the protocol's shared layout, in its order;
 * Alice's private coins come from (s, k, CH_ALICE), whole arrays per block
   in the order of the protocol's private layout;
-* Alice's rejection sampler (vector-message protocol only) owns stream
-  (s, k, CH_SAMPLER) and is consumed sample by sample.
+* Alice's rejection sampler (vector-message protocol only) for the pair's
+  chunk j owns stream (s, k, CH_SAMPLER) if j = 0, else (s, k, CH_SAMPLER,
+  j), and consumes it sample by sample from its start.
 
-The layout is that of one n-round draw, and ``simulate`` and the networked
-mode both read it in chunks of ``CHUNK`` rounds, through ``shared_chunk``
-and ``private_chunk``.  A pair's only chunk (n <= CHUNK) reads its streams
-straight through, block after block.  Any other chunk of rounds [lo, hi)
-opens each stream at the position where the n-round draw would reach round
-lo of each block (Philox is counter-based, so the jump is free) and reads
-only its own rows.  The envelope sampler of the improved one-bit protocol
-consumes a data-dependent number of candidate blocks; for a pair of more
-than one chunk, one counting pass over those blocks
+The shared and private layout is that of one n-round draw, and ``simulate``
+and the networked mode both read it in chunks of ``CHUNK`` rounds, through
+``shared_chunk`` and ``private_chunk``.  A pair's only chunk (n <= CHUNK)
+reads its streams straight through, block after block.  Any other chunk of
+rounds [lo, hi) opens each stream at the position where the n-round draw
+would reach round lo of each block (Philox is counter-based, so the jump is
+free) and reads only its own rows.  The envelope sampler of the improved
+one-bit protocol consumes a data-dependent number of candidate blocks; for a
+pair of more than one chunk, one counting pass over those blocks
 (``sampling.EnvelopeScan``) keeps each block's accept bits, from which a
-chunk finds and builds its own samples.  The vector-message sampler is
-consumed in order, so its chunks run one after another.  Outcomes and
-counts thus equal those of one n-round draw, whatever the chunking or the
-number of workers, and memory is O(CHUNK x workers), not O(n), apart from
-the accept bits: one bit per envelope candidate, under 3 bits per round for
-p <= 0.98.
+chunk finds and builds its own samples.  Every chunk is thus one independent
+unit of work, outcomes and counts do not depend on the number of workers or
+on the order chunks run in, and memory is O(CHUNK x workers), not O(n),
+apart from the accept bits: one bit per envelope candidate, under 3 bits per
+round for p <= 0.98.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .sampling import (
     RhoTildeSampler,
     _rho_tilde_dots,
     check_bound,
+    check_seed,
     generator_at,
     make_generator,
     n_of_p,
@@ -122,7 +123,7 @@ class SharedDraw:
 
 @dataclass
 class AlicePrivate:
-    """Alice's private uniforms, pre-drawn as whole blocks for a segment."""
+    """Alice's private uniforms, pre-drawn as whole blocks for a chunk."""
 
     u_msg: Optional[np.ndarray] = None
     u_out: Optional[np.ndarray] = None
@@ -203,10 +204,11 @@ def _bit_above_c(state: State, src) -> np.ndarray:
 def draw_shared(
     protocol: ProtocolId, state: State, rng: np.random.Generator, n: int
 ) -> SharedDraw:
-    """Draw the shared randomness block for ``n`` rounds.
+    """Draw the shared randomness of ``n`` rounds from ``rng`` in one pass.
 
-    Draw order (fixed; the wire referee relies on it) is the protocol's
-    shared layout: one bulk call per field.
+    Draw order is the protocol's shared layout: one bulk call per field.
+    This whole-n draw is the layout that ``shared_chunk`` reads in chunks,
+    and the reference that tests and the benchmark's traced run read.
     """
     return _draw_shared(protocol, state, _Whole(rng, n))
 
@@ -559,15 +561,15 @@ def check_applicable(protocol: ProtocolId, state: State) -> None:
         )
 
 
-def _checked_run(protocol: ProtocolId, state: State, settings, rounds) -> tuple:
-    """A run's validated (x, y) pairs and rounds per pair; raises DomainError
-    or ValidationError."""
+def _checked_run(protocol: ProtocolId, state: State, settings, rounds, seed) -> tuple:
+    """A run's validated (x, y) pairs, rounds per pair and seed; raises
+    DomainError or ValidationError."""
     check_applicable(protocol, state)
     pairs = [(check_unit(x, "x"), check_unit(y, "y")) for x, y in settings]
     n = int(rounds)
     if n < 0:
         raise ValidationError("rounds_per_setting must be >= 0")
-    return pairs, n
+    return pairs, n, check_seed(seed)
 
 
 @dataclass
@@ -625,20 +627,15 @@ class BatchResult:
     lam: Optional[np.ndarray]  # Alice's committed vectors, or None if not kept
 
 
-def _vector_sampler(protocol, state, x, seed, k) -> Optional[RhoTildeSampler]:
-    """Alice's sampler for pair k's vector messages, on stream (seed, k,
-    CH_SAMPLER); None, with no stream opened, if the pair sends none."""
+def _vector_sampler(protocol, state, x, seed, k, lo) -> Optional[RhoTildeSampler]:
+    """Alice's sampler for pair k's chunk j = lo // CHUNK, on stream (seed, k,
+    CH_SAMPLER) if j = 0, else (seed, k, CH_SAMPLER, j); None, with no
+    stream opened, if the pair sends no vectors."""
     if not PROTOCOLS[protocol].vector_message or state.p >= 1.0:
         return None
-    return RhoTildeSampler(state, x, make_generator(seed, k, CH_SAMPLER))
-
-
-def _play(protocol, state, x, y, shared, priv, sampler, keep_lambdas) -> BatchResult:
-    """One chunk of rounds; Alice's committed vectors are built only if kept."""
-    ares = alice_decide(protocol, state, x, shared, priv, sampler)
-    b = bob_decide(protocol, y, shared, ares.msg, ares.payload)
-    lam = ares.lam if keep_lambdas else None
-    return BatchResult(a=ares.a, b=b, msg=ares.msg, bits=ares.bits, lam=lam)
+    chunk = lo // CHUNK
+    path = (k, CH_SAMPLER, chunk) if chunk else (k, CH_SAMPLER)
+    return RhoTildeSampler(state, x, make_generator(seed, *path))
 
 
 # ---------------------------------------------------------------------------
@@ -776,61 +773,6 @@ def _chunks(n: int) -> list:
     return [(lo, min(lo + CHUNK, n)) for lo in range(0, max(n, 1), CHUNK)]
 
 
-@dataclass(frozen=True)
-class _PairRun:
-    """Setting pair ``index`` of a ``simulate`` call and its units of work."""
-
-    protocol: ProtocolId
-    state: State
-    x: np.ndarray
-    y: np.ndarray
-    n: int
-    seed: int
-    index: int
-    keep_outcomes: bool
-    keep_lambdas: bool
-
-    def _aggregate(self, res: BatchResult) -> SettingResult:
-        return _aggregate(
-            self.protocol, self.x, self.y, res, self.keep_outcomes, self.keep_lambdas
-        )
-
-    def chunk(self, lo: int, hi: int, envelope=None, sampler=None) -> SettingResult:
-        """Rounds [lo, hi), read from their positions in the n-round streams."""
-        pid, k, n = self.protocol, self.index, self.n
-        shared = shared_chunk(pid, self.state, self.seed, k, n, lo, hi, envelope)
-        priv = private_chunk(pid, self.seed, k, n, lo, hi)
-        res = _play(pid, self.state, self.x, self.y, shared, priv, sampler, self.keep_lambdas)
-        return self._aggregate(res)
-
-    def in_order(self) -> SettingResult:
-        """Every chunk in turn, with one vector sampler carried across them."""
-        sampler = _vector_sampler(self.protocol, self.state, self.x, self.seed, self.index)
-        return _merge([self.chunk(lo, hi, sampler=sampler) for lo, hi in _chunks(self.n)])
-
-    def envelope_scan(self) -> Optional[EnvelopeScan]:
-        return envelope_scan(self.protocol, self.state, self.seed, self.index, self.n)
-
-    @property
-    def unit_count(self) -> int:
-        return 1 if PROTOCOLS[self.protocol].vector_message else len(_chunks(self.n))
-
-
-def _run_pairs(runs: list, map_fn) -> list:
-    """Every pair's units through ``map_fn``, summed per pair in chunk order."""
-    scans = list(map_fn(_PairRun.envelope_scan, runs))
-    units = []  # (pair index, unit), in pair order, then chunk order
-    for k, (run, scan) in enumerate(zip(runs, scans)):
-        if run.unit_count == 1:
-            units.append((k, run.in_order))
-        else:
-            units.extend((k, partial(run.chunk, lo, hi, scan)) for lo, hi in _chunks(run.n))
-    parts = [[] for _ in runs]
-    for (k, _), part in zip(units, map_fn(lambda unit: unit[1](), units)):
-        parts[k].append(part)
-    return [_merge(p) for p in parts]
-
-
 def simulate(
     protocol: ProtocolId,
     state: State,
@@ -844,25 +786,44 @@ def simulate(
     """Run ``rounds_per_setting`` rounds for every (x, y) pair in ``settings``.
 
     Setting pair k draws from streams (seed, k, channel) in chunks of at most
-    ``CHUNK`` rounds, each read from its position in those streams, so
-    results are independent of worker count and of the order chunks are
-    executed in.  ``workers`` threads run the chunks of all pairs.
+    ``CHUNK`` rounds, each read from its position in those streams or, for
+    the vector sampler, from a stream of its own, so results are independent
+    of worker count and of the order chunks are executed in.  ``workers``
+    threads run the chunks of all pairs.
     """
-    pairs, n = _checked_run(protocol, state, settings, rounds_per_setting)
-    out = SimulationResult(protocol, state, n, int(seed))
-    runs = [
-        _PairRun(protocol, state, x, y, n, int(seed), k, keep_outcomes, keep_lambdas)
-        for k, (x, y) in enumerate(pairs)
-    ]
-    if workers and workers > 1 and sum(run.unit_count for run in runs) > 1:
+    pairs, n, seed = _checked_run(protocol, state, settings, rounds_per_setting, seed)
+    chunks = _chunks(n)
+    scan = partial(envelope_scan, protocol, state, seed, n=n)
+
+    def play(unit):
+        """One chunk; Alice's committed vectors are built only if kept."""
+        k, (lo, hi), envelope = unit
+        x, y = pairs[k]
+        shared = shared_chunk(protocol, state, seed, k, n, lo, hi, envelope)
+        priv = private_chunk(protocol, seed, k, n, lo, hi)
+        sampler = _vector_sampler(protocol, state, x, seed, k, lo)
+        ares = alice_decide(protocol, state, x, shared, priv, sampler)
+        b = bob_decide(protocol, y, shared, ares.msg, ares.payload)
+        lam = ares.lam if keep_lambdas else None
+        res = BatchResult(a=ares.a, b=b, msg=ares.msg, bits=ares.bits, lam=lam)
+        return _aggregate(protocol, x, y, res, keep_outcomes, keep_lambdas)
+
+    def run(map_fn):
+        """Every pair's envelope scan, then every (pair, chunk) unit, merged per pair."""
+        scans = list(map_fn(scan, range(len(pairs))))
+        parts = list(map_fn(play, [(k, c, scans[k]) for k in range(len(pairs)) for c in chunks]))
+        return [_merge(parts[i : i + len(chunks)]) for i in range(0, len(parts), len(chunks))]
+
+    out = SimulationResult(protocol, state, n, seed)
+    if workers and workers > 1 and len(pairs) * len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             try:
-                out.settings = _run_pairs(runs, pool.map)
+                out.settings = run(pool.map)
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
     else:
-        out.settings = _run_pairs(runs, map)
+        out.settings = run(map)
     return out

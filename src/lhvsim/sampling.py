@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .bloch import State, Z_AXIS, X_AXIS, check_unit, collapse, dot3, theta
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, ValidationError
 
 INV_PI = 1.0 / np.pi
 TWO_PI = 2.0 * np.pi
@@ -61,6 +61,14 @@ NEGATIVE_LIMIT = 1e-9
 # wrong here: where the bound tends to 0, e.g. |lam.v| ~ 1e-4, dividing by it
 # turns the absolute error of a few u into a relative error near 1e-12.
 BOUND_ATOL = 2.0**-45
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int; raises ValidationError unless it is an integer in
+    [0, 2**64), the range of the u64 seed field of the wire's SETTING frame."""
+    if isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64:
+        return int(seed)
+    raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def make_generator(seed: int, *path: int) -> np.random.Generator:

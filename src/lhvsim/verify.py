@@ -470,6 +470,13 @@ class VerificationReport:
         return all(r.passed for r in self.rows)
 
 
+def check_tolerance(tolerance: Optional[float]) -> None:
+    """Raise ValidationError unless ``tolerance`` is None (the default
+    threshold) or a finite number >= 0."""
+    if tolerance is not None and not 0.0 <= tolerance < np.inf:
+        raise ValidationError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+
+
 def verification_report(
     sim: SimulationResult,
     tolerance: Optional[float] = None,
@@ -477,6 +484,7 @@ def verification_report(
     chsh: Optional[ChshEstimate] = None,
 ) -> VerificationReport:
     """Compare every setting of a run against the Born oracle."""
+    check_tolerance(tolerance)
     tol = pass_threshold(sim.rounds_per_setting) if tolerance is None else tolerance
     rows = []
     for s in sim.settings:

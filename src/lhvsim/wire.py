@@ -346,13 +346,13 @@ def alice_main(ref: socket.socket, bob: socket.socket) -> None:
                 raise TransportError(f"alice expected SETTING, got {setting.kind}")
             pair, protocol, p, x, rounds, seed = unpack_alice_setting(setting.payload)
             state = State(p)
-            sampler = _vector_sampler(protocol, state, x, seed, pair)
             for lo, hi in _chunks(rounds):
                 frame = recv_frame(ref)
                 if frame.kind != FrameKind.SHARED_RANDOMNESS or frame.round != lo:
                     raise TransportError(f"alice desynchronized at round {lo}: {frame.kind}")
                 shared = unpack_shared(protocol, frame.payload, hi - lo)
                 priv = private_chunk(protocol, seed, pair, rounds, lo, hi)
+                sampler = _vector_sampler(protocol, state, x, seed, pair, lo)
                 res = alice_decide(protocol, state, x, shared, priv, sampler)
                 if res.payload is not None:
                     body = res.payload.tobytes()
@@ -433,7 +433,7 @@ def run_networked(
     whole chunk in one call.  A party that exits, or does not answer within
     ``_SOCKET_TIMEOUT``, ends the run with TransportError.
     """
-    pairs, rounds = _checked_run(protocol, state, settings, rounds)
+    pairs, rounds, seed = _checked_run(protocol, state, settings, rounds, seed)
     info = PROTOCOLS[protocol]
     transcript = Transcript(protocol, state.p, rounds)
 
@@ -455,7 +455,7 @@ def run_networked(
     for sock in (alice_ref, bob_ref, alice_bob, bob_alice):
         sock.close()  # the parties' ends: a party that exits is EOF here
 
-    result = SimulationResult(protocol, state, rounds, int(seed))
+    result = SimulationResult(protocol, state, rounds, seed)
     try:
         for k, (x, y) in enumerate(pairs):
             fa = Frame(

@@ -1,12 +1,13 @@
 """Tests for the command-line interface (driven through main(), no subprocess)."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from lhvsim import wire
-from lhvsim.cli import main
+from lhvsim.cli import RunConfig, _config_hash, main
 from lhvsim.protocols import ProtocolId
 from lhvsim.errors import TransportError, ValidationError
 from lhvsim.wire import Frame, FrameKind, FrameRecord, Transcript, run_networked
@@ -97,6 +98,14 @@ class TestSimulate:
         assert code == 0
         report = json.loads((tmp_path / "from_file" / "report.json").read_text())
         assert report["meta"]["p"] == 0.9  # flag wins over file
+
+    def test_config_hash_is_stable(self):
+        # recorded when RunConfig still had a ``workers`` field, which the
+        # hash always left out; dropping the field keeps every hash
+        cfg = RunConfig(protocol="local-content", p=0.8, rounds=5000, seed=7,
+                        settings="chsh", tolerance=0.01)
+        assert _config_hash(asdict(RunConfig())) == "e8a554711cd61978"
+        assert _config_hash(asdict(cfg)) == "76b1eace22a3cc35"
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LHVSIM_SEED", "123")
@@ -301,6 +310,14 @@ def test_malformed_transcript_is_usage_error(case, tmp_path, capsys):
         (["props", "--rounds", "-5"], None),
         (["props", "--trials", "0"], None),
         (["sweep", "--p-step", "1e-13"], None),
+        (["simulate", "--seed", "-1"], None),
+        (["sweep", "--seed", "-3"], None),
+        (["props", "--seed", "-2"], None),
+        (["wire-run", "--seed", str(2**64)], None),
+        (["LHVSIM_SEED=abc", "simulate"], None),
+        (["simulate", "--tolerance", "nan"], None),
+        (["simulate", "--tolerance", "-1"], None),
+        (["simulate", "--config", "{path}"], {"workers": 2}),
     ],
     ids=[
         "grid-size",
@@ -318,10 +335,22 @@ def test_malformed_transcript_is_usage_error(case, tmp_path, capsys):
         "props-negative-rounds",
         "props-zero-trials",
         "sweep-step-below-rounding",
+        "simulate-negative-seed",
+        "sweep-negative-seed",
+        "props-negative-seed",
+        "wire-run-seed-past-u64",
+        "env-seed-not-integer",
+        "tolerance-nan",
+        "tolerance-negative",
+        "config-workers",
     ],
 )
 def test_malformed_input_is_usage_error(argv, content, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    name, _, value = argv[0].partition("=")
+    if value:  # a shell-style VAR=value prefix
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     path = tmp_path / "input.json"
     if isinstance(content, bytes):
         path.write_bytes(content)

@@ -5,6 +5,7 @@ is 4-6 sigma for the round count used, so a correct implementation passes
 deterministically and an off-by-a-constant bug does not.
 """
 
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -23,16 +24,18 @@ from lhvsim.protocols import (
     SharedDraw,
     TRIT_BITS,
     VECTOR_MESSAGE_BITS,
+    BatchResult,
     _Chunk,
     _aggregate,
     _bob_teleportation,
     _choice_and_flip,
     _draw_alice_private,
     _draw_shared,
+    _merge,
     _one_or_two,
-    _play,
     _vector_sampler,
     alice_decide,
+    bob_decide,
     check_applicable,
     draw_alice_private,
     draw_shared,
@@ -397,6 +400,19 @@ class TestSimulate:
         simulate(pid, State(p), [(X_AXIS, Z_AXIS), (Z_AXIS, X_AXIS)], 100, seed=26)
         assert sorted(opened) == sorted((k, ch) for k in range(2) for ch in channels)
 
+    def test_vector_sampler_opens_one_stream_per_chunk(self, monkeypatch):
+        opened = []
+        real = protocols.make_generator
+        monkeypatch.setattr(
+            protocols, "make_generator", lambda seed, *path: opened.append(path) or real(seed, *path)
+        )
+        pairs = [(X_AXIS, Z_AXIS), (Z_AXIS, X_AXIS)]
+        simulate(ProtocolId.LOCAL_CONTENT, State(0.7), pairs, 2 * CHUNK + 3, seed=26, workers=2)
+        sampler_streams = sorted(path for path in opened if path[1] == CH_SAMPLER)
+        assert sampler_streams == sorted(
+            (k, CH_SAMPLER) + chunk for k in range(2) for chunk in ((), (1,), (2,))
+        )
+
     def test_deterministic_across_worker_counts(self):
         pairs = [(X_AXIS, Z_AXIS), (Z_AXIS, X_AXIS), (Z_AXIS, Z_AXIS)]
         a = simulate(ProtocolId.TRIT, State(0.7), pairs, 4000, seed=24, workers=1)
@@ -551,8 +567,15 @@ def _reference_draws(pid, state, seed, k, n):
     )
 
 
+def _rows(draw, lo, hi):
+    """Rows [lo, hi) of every array of a SharedDraw or AlicePrivate."""
+    arrays = {f.name: getattr(draw, f.name) for f in fields(draw)}
+    return type(draw)(**{name: a if a is None else a[lo:hi] for name, a in arrays.items()})
+
+
 class TestChunking:
-    """Chunked runs read the n-round streams in pieces and must equal one draw."""
+    """Chunked runs read the n-round streams in pieces and must equal one
+    draw, played chunk by chunk with each chunk's own vector sampler."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("pid,p,n", CHUNK_CASES)
@@ -565,9 +588,16 @@ class TestChunking:
         )
         for k, (x, y) in enumerate(pairs):
             shared, priv = _reference_draws(pid, state, 40, k, n)
-            sampler = _vector_sampler(pid, state, x, 40, k)
-            batch = _play(pid, state, x, y, shared, priv, sampler, True)
-            want = _aggregate(pid, x, y, batch, True, True)
+            parts = []
+            for lo in range(0, n, CHUNK):
+                hi = min(lo + CHUNK, n)
+                rows = _rows(shared, lo, hi)
+                sampler = _vector_sampler(pid, state, x, 40, k, lo)
+                ares = alice_decide(pid, state, x, rows, _rows(priv, lo, hi), sampler)
+                b = bob_decide(pid, y, rows, ares.msg, ares.payload)
+                batch = BatchResult(a=ares.a, b=b, msg=ares.msg, bits=ares.bits, lam=ares.lam)
+                parts.append(_aggregate(pid, x, y, batch, True, True))
+            want = _merge(parts)
             got = res.settings[k]
             assert got.rounds == want.rounds == n
             assert got.message_rounds == want.message_rounds
@@ -653,7 +683,7 @@ class TestByteExactForms:
                 lam = getattr(shared, name)
                 assert lam is None or lam.flags.f_contiguous, (n, name)
             priv = private_chunk(pid, 61, 0, n, lo, n)
-            sampler = _vector_sampler(pid, state, x, 61, 0)
+            sampler = _vector_sampler(pid, state, x, 61, 0, lo)
             res = alice_decide(pid, state, x, shared, priv, sampler)
             assert res.a.dtype == np.int8 and res.msg.dtype == np.uint8
             if res.payload is not None:

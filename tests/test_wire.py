@@ -105,14 +105,21 @@ class TestChunks:
         [(ProtocolId.IMPROVED_ONE_BIT, 0.9), (ProtocolId.LOCAL_CONTENT, 0.7)],
     )
     def test_two_chunks_equal_in_process(self, pid, p):
-        # the envelope scan and the in-order vector sampler carry across chunks
-        rounds = CHUNK + 3
+        # the envelope scan carries across chunks; the vector sampler is per chunk
+        self._equal_in_process(pid, p, CHUNK + 3)
+
+    def test_three_chunks_of_vector_messages_equal_in_process(self):
+        # chunks 1 and 2 each key their own vector sampler stream
+        self._equal_in_process(ProtocolId.LOCAL_CONTENT, 0.7, 2 * CHUNK + 3)
+
+    @staticmethod
+    def _equal_in_process(pid, p, rounds):
         net, transcript = run_networked(pid, State(p), PAIR, rounds, seed=21)
         ref = simulate(pid, State(p), PAIR, rounds, seed=21, keep_outcomes=True)
         for seq in ("a_seq", "b_seq", "msg_seq", "bits_seq"):
             assert np.array_equal(getattr(net.settings[0], seq), getattr(ref.settings[0], seq))
         # two settings, then three frames per chunk
-        assert len(transcript.records) == 2 + 3 * 2
+        assert len(transcript.records) == 2 + 3 * -(-rounds // CHUNK)
         rep = audit_transcript(transcript)
         assert rep.passed and rep.rounds == rounds
 
