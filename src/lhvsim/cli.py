@@ -245,6 +245,8 @@ def cmd_sweep(cfg: SweepConfig) -> int:
         raise ValidationError("sweep range must satisfy 0.5 <= start <= stop <= 1")
     if not cfg.p_step >= 1e-12:  # p is rounded to 12 decimals; a finer step never advances
         raise ValidationError(f"sweep step must be at least 1e-12, got {cfg.p_step!r}")
+    if cfg.rounds < 1:  # a point of no rounds would read as a mean cost of 0
+        raise ValidationError(f"sweep needs at least one round per point, got {cfg.rounds}")
     threshold = improved_one_bit_threshold()
     pair = default_setting_pairs(1)
     lines = ["p,protocol,alphabet,mean_bits,stderr,N_of_p"]

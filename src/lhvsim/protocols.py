@@ -49,10 +49,17 @@ one-bit protocol consumes a data-dependent number of candidate blocks; for a
 pair of more than one chunk, one counting pass over those blocks
 (``sampling.EnvelopeScan``) keeps each block's accept bits, from which a
 chunk finds and builds its own samples.  Every chunk is thus one independent
-unit of work, outcomes and counts do not depend on the number of workers or
-on the order chunks run in, and memory is O(CHUNK x workers), not O(n),
-apart from the accept bits: one bit per envelope candidate, under 3 bits per
-round for p <= 0.98.
+unit of work, and outcomes and counts do not depend on the number of workers
+or on the order chunks run in.
+
+``simulate`` plays such a chunk in tiles of ``TILE`` rounds: it opens each
+block once, at the chunk's first round, and reads it on tile by tile, as a
+block's rows are contiguous; the envelope rows of a tile come from the scan
+and the vector sampler is drawn from tile after tile.  A worker thus holds
+the arrays of at most one tile of a long pair's chunk, or of one pair of at
+most ``CHUNK`` rounds, plus its chunk's outcomes (a few bytes per round) and
+the accept bits: one bit per envelope candidate, under 3 bits per round for
+p <= 0.98.  Memory does not grow with n, apart from those bits.
 """
 
 from __future__ import annotations
@@ -87,8 +94,11 @@ CH_ALICE = 1
 CH_SAMPLER = 3
 
 RATIO_GUARD = 1e-12
-# rounds per unit of work in ``simulate``; bounds its memory per worker
+# rounds per unit of work in ``simulate`` and per wire frame set
 CHUNK = 1 << 16
+# rounds that ``simulate`` plays at once in a chunk of a longer pair; bounds
+# its memory per worker
+TILE = 1 << 14
 TRIT_BITS = float(np.log2(3.0))
 # vector messages are sent as three raw float64 coordinates
 VECTOR_MESSAGE_BITS = 3 * 64.0
@@ -144,6 +154,9 @@ class _Whole:
     def block(self, width: int) -> np.random.Generator:
         return self.rng
 
+    def tile(self, lo: int, hi: int) -> "_Whole":
+        return self  # a pair's only chunk is its only tile
+
     def envelope(self, state: State) -> np.ndarray:
         return RhoTildeMaxSampler(state, self.rng).draw(self.rounds)
 
@@ -153,7 +166,10 @@ class _Chunk:
 
     ``block(width)`` opens the stream where the n-round draw reaches round lo
     of its next block of ``width`` uniforms per round.  ``envelope`` needs
-    the ``EnvelopeScan`` of the stream's envelope draw.
+    the ``EnvelopeScan`` of the stream's envelope draw.  ``tile(a, b)``
+    narrows the reads to the chunk's next rounds [a, b): the first tile
+    opens each block, and later tiles read on from it, as a block's rows
+    are contiguous.
     """
 
     def __init__(self, seed: int, path: tuple, n: int, lo: int, hi: int, scan=None):
@@ -161,11 +177,19 @@ class _Chunk:
         self.rounds = hi - lo
         self.scan = scan
         self.start = 0  # stream position where the next block begins
+        self.opened = []  # the blocks' generators, in layout order
+        self.read = 0  # the blocks the current tile has read
+
+    def tile(self, lo: int, hi: int) -> "_Chunk":
+        self.lo, self.rounds, self.read = lo, hi - lo, 0
+        return self
 
     def block(self, width: int) -> np.random.Generator:
-        rng = generator_at(self.seed, self.path, self.start + self.lo * width)
-        self.start += self.n * width
-        return rng
+        if self.read == len(self.opened):
+            self.opened.append(generator_at(self.seed, self.path, self.start + self.lo * width))
+            self.start += self.n * width
+        self.read += 1
+        return self.opened[self.read - 1]
 
     def envelope(self, state: State) -> np.ndarray:
         self.start = self.scan.end
@@ -576,9 +600,14 @@ def _checked_run(protocol: ProtocolId, state: State, settings, rounds, seed) -> 
 class AliceResult:
     a: np.ndarray  # int8, +-1
     msg: np.ndarray  # uint8 symbol in {1..d}; 0 = no message this round
-    bits: np.ndarray  # float64 bits charged per round: the cost of msg
+    cost: tuple = field(repr=False)  # bits charged per symbol
     commit: Callable[[], np.ndarray] = field(repr=False)  # Bob's rule on coordinates
     payload: Optional[np.ndarray] = None  # vector messages, in msg!=0 row order
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """float64 bits charged per round, the cost of msg, built on first read."""
+        return np.take(self.cost, self.msg)
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -599,7 +628,7 @@ def alice_decide(
     coll = collapse(state, x)  # validates x
     a, msg, payload = info.alice(state, coll, shared, priv, sampler)
     commit = partial(info.bob, shared, msg, payload, _coordinates)
-    return AliceResult(a=a, msg=msg, bits=np.take(info.cost, msg), payload=payload, commit=commit)
+    return AliceResult(a=a, msg=msg, cost=info.cost, payload=payload, commit=commit)
 
 
 def bob_decide(
@@ -773,6 +802,14 @@ def _chunks(n: int) -> list:
     return [(lo, min(lo + CHUNK, n)) for lo in range(0, max(n, 1), CHUNK)]
 
 
+def _tiles(n: int, lo: int, hi: int) -> list:
+    """The tiles [a, b) that chunk [lo, hi) of an n-round pair is played in:
+    the whole chunk if it is the pair's only one, else ``TILE`` rounds each."""
+    if (lo, hi) == (0, n):
+        return [(0, n)]
+    return [(a, min(a + TILE, hi)) for a in range(lo, hi, TILE)]
+
+
 def simulate(
     protocol: ProtocolId,
     state: State,
@@ -789,23 +826,42 @@ def simulate(
     ``CHUNK`` rounds, each read from its position in those streams or, for
     the vector sampler, from a stream of its own, so results are independent
     of worker count and of the order chunks are executed in.  ``workers``
-    threads run the chunks of all pairs.
+    threads run the chunks of all pairs.  Each chunk of a pair longer than
+    ``CHUNK`` rounds is played ``TILE`` rounds at a time, so a worker holds
+    one tile's arrays, or those of a pair's only chunk, plus the chunk's
+    outcomes and the envelope's accept bits.  The counts and the cost are
+    summed over each chunk's whole outcome arrays, so the tiles change no
+    output byte.
     """
     pairs, n, seed = _checked_run(protocol, state, settings, rounds_per_setting, seed)
+    info = PROTOCOLS[protocol]
     chunks = _chunks(n)
     scan = partial(envelope_scan, protocol, state, seed, n=n)
 
     def play(unit):
-        """One chunk; Alice's committed vectors are built only if kept."""
+        """One chunk, tile by tile; a tile's arrays are dropped once it is played."""
         k, (lo, hi), envelope = unit
         x, y = pairs[k]
-        shared = shared_chunk(protocol, state, seed, k, n, lo, hi, envelope)
-        priv = private_chunk(protocol, seed, k, n, lo, hi)
+        shared_src = _source(seed, (k, CH_SHARED), n, lo, hi, envelope)
+        priv_src = _source(seed, (k, CH_ALICE), n, lo, hi) if info.private else None
         sampler = _vector_sampler(protocol, state, x, seed, k, lo)
-        ares = alice_decide(protocol, state, x, shared, priv, sampler)
-        b = bob_decide(protocol, y, shared, ares.msg, ares.payload)
-        lam = ares.lam if keep_lambdas else None
-        res = BatchResult(a=ares.a, b=b, msg=ares.msg, bits=ares.bits, lam=lam)
+
+        def tile(t_lo, t_hi):
+            """Rounds [t_lo, t_hi) as (a, b, msg, lam); lam is built only if kept."""
+            shared = _draw_shared(protocol, state, shared_src.tile(t_lo, t_hi))
+            priv = AlicePrivate()
+            if priv_src is not None:
+                priv = _draw_alice_private(protocol, priv_src.tile(t_lo, t_hi))
+            ares = alice_decide(protocol, state, x, shared, priv, sampler)
+            b = bob_decide(protocol, y, shared, ares.msg, ares.payload)
+            return ares.a, b, ares.msg, ares.lam if keep_lambdas else None
+
+        a, b, msg, lam = (
+            seqs[0] if len(seqs) == 1 or seqs[0] is None else np.concatenate(seqs)
+            for seqs in zip(*[tile(*t) for t in _tiles(n, lo, hi)])
+        )
+        # bits_sum is one pairwise sum over the whole chunk, whatever its tiles
+        res = BatchResult(a=a, b=b, msg=msg, bits=np.take(info.cost, msg), lam=lam)
         return _aggregate(protocol, x, y, res, keep_outcomes, keep_lambdas)
 
     def run(map_fn):

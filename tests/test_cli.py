@@ -310,6 +310,8 @@ def test_malformed_transcript_is_usage_error(case, tmp_path, capsys):
         (["props", "--rounds", "-5"], None),
         (["props", "--trials", "0"], None),
         (["sweep", "--p-step", "1e-13"], None),
+        (["sweep", "--rounds", "0"], None),
+        (["sweep", "--rounds", "-4"], None),
         (["simulate", "--seed", "-1"], None),
         (["sweep", "--seed", "-3"], None),
         (["props", "--seed", "-2"], None),
@@ -335,6 +337,8 @@ def test_malformed_transcript_is_usage_error(case, tmp_path, capsys):
         "props-negative-rounds",
         "props-zero-trials",
         "sweep-step-below-rounding",
+        "sweep-zero-rounds",
+        "sweep-negative-rounds",
         "simulate-negative-seed",
         "sweep-negative-seed",
         "props-negative-seed",

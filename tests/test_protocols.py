@@ -22,6 +22,7 @@ from lhvsim.protocols import (
     PROTOCOLS,
     ProtocolId,
     SharedDraw,
+    TILE,
     TRIT_BITS,
     VECTOR_MESSAGE_BITS,
     BatchResult,
@@ -413,6 +414,17 @@ class TestSimulate:
             (k, CH_SAMPLER) + chunk for k in range(2) for chunk in ((), (1,), (2,))
         )
 
+    def test_a_chunk_opens_each_block_once(self, monkeypatch):
+        # tiles read on from the generators their chunk opened
+        opened = []
+        real = protocols.generator_at
+        monkeypatch.setattr(
+            protocols, "generator_at", lambda seed, path, at: opened.append(path) or real(seed, path, at)
+        )
+        simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], CHUNK + TILE + 5, seed=26)
+        info = PROTOCOLS[ProtocolId.TRIT]
+        assert len(opened) == 2 * (len(info.shared) + len(info.private))  # two chunks
+
     def test_deterministic_across_worker_counts(self):
         pairs = [(X_AXIS, Z_AXIS), (Z_AXIS, X_AXIS), (Z_AXIS, Z_AXIS)]
         a = simulate(ProtocolId.TRIT, State(0.7), pairs, 4000, seed=24, workers=1)
@@ -538,11 +550,16 @@ class TestSingleRoundApi:
                 one_round(pid, 0.7, X_AXIS, Z_AXIS, seed)
 
 
-# three chunks, the last one short (ids as CASE_IDS), and a pair's only chunk
+# three chunks, the last one short (ids as CASE_IDS); two chunks, the second
+# ending inside its second tile; and a pair's only chunk
 CHUNK_CASES = [
     pytest.param(pid, p, n, id=case_id + suffix)
     for (pid, p), case_id in zip(CASES, CASE_IDS)
-    for n, suffix in ((2 * CHUNK + 3, ""), (2000, "-one-chunk"))
+    for n, suffix in (
+        (2 * CHUNK + 3, ""),
+        (CHUNK + TILE + 5, "-tile-tail"),
+        (2000, "-one-chunk"),
+    )
 ]
 
 
@@ -601,22 +618,31 @@ class TestChunking:
             got = res.settings[k]
             assert got.rounds == want.rounds == n
             assert got.message_rounds == want.message_rounds
-            assert got.bits_sum == pytest.approx(want.bits_sum, rel=1e-14)
+            assert got.bits_sum == want.bits_sum
             for name in ("counts", "symbol_counts", "a_seq", "b_seq", "msg_seq",
                          "bits_seq", "lam_seq"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
-    def test_trit_memory_is_bounded(self):
+    @staticmethod
+    def _traced_peak(pid, p):
+        """The traced memory peak of a one-pair 10^6-round run."""
         import tracemalloc
 
         tracemalloc.start()
         try:
-            simulate(ProtocolId.TRIT, State(0.7), default_setting_pairs(1), 10**6, seed=41)
-            peak = tracemalloc.get_traced_memory()[1]
+            simulate(pid, State(p), default_setting_pairs(1), 10**6, seed=41)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one 10^6-round draw held about 200 MiB; one chunk holds about 14 MiB
-        assert peak < 32 * 2**20
+
+    def test_trit_memory_is_bounded(self):
+        # one 10^6-round draw held about 200 MiB, one whole chunk about 9 MiB;
+        # one tile holds under 3 MiB
+        assert self._traced_peak(ProtocolId.TRIT, 0.7) < 4 * 2**20
+
+    def test_improved_one_bit_memory_is_bounded(self):
+        # the envelope's accept bits (about 0.2 MiB) and one tile
+        assert self._traced_peak(ProtocolId.IMPROVED_ONE_BIT, 0.9) < 4 * 2**20
 
     def test_trit_guard_regression(self):
         # at x_z = 0 the trit bound is tight where |lam.v| -> 0; a ratio test
