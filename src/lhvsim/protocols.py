@@ -40,13 +40,16 @@ Stream layout per setting pair k of a run with seed s and n rounds:
 
 The shared and private layout is that of one n-round draw, and ``simulate``
 and the networked mode both read it in chunks of ``CHUNK`` rounds, through
-``shared_chunk`` and ``private_chunk``.  A pair's only chunk (n <= CHUNK)
-reads its streams straight through, block after block.  Any other chunk of
-rounds [lo, hi) opens each stream at the position where the n-round draw
-would reach round lo of each block (Philox is counter-based, so the jump is
-free) and reads only its own rows.  The envelope sampler of the improved
-one-bit protocol consumes a data-dependent number of candidate blocks; for a
-pair of more than one chunk, one counting pass over those blocks
+``shared_chunk`` and ``private_chunk``.  These name a stream by its Philox
+key, ``sampling.stream_key(s, k, channel)``, which ``simulate`` derives once
+per pair; the key alone rebuilds the stream, so the networked mode hands Bob
+the shared key and never the seed.  A pair's only chunk (n <= CHUNK) reads
+its streams straight through, block after block.  Any other chunk of rounds
+[lo, hi) opens each stream at the position where the n-round draw would
+reach round lo of each block (Philox is counter-based, so the jump is free)
+and reads only its own rows.  The envelope sampler of the improved one-bit
+protocol consumes a data-dependent number of candidate blocks; for a pair of
+more than one chunk, one counting pass over those blocks
 (``sampling.EnvelopeScan``) keeps each block's accept bits, from which a
 chunk finds and builds its own samples.  Every chunk is thus one independent
 unit of work, and outcomes and counts do not depend on the number of workers
@@ -65,7 +68,7 @@ p <= 0.98.  Memory does not grow with n, apart from those bits.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Optional
 
@@ -87,6 +90,7 @@ from .sampling import (
     rho_tilde_max_cos,
     sample_theta_hemisphere,
     sample_uniform_sphere,
+    stream_key,
 )
 
 CH_SHARED = 0
@@ -162,7 +166,7 @@ class _Whole:
 
 
 class _Chunk:
-    """Rounds [lo, hi) of a stream laid out for n rounds.
+    """Rounds [lo, hi) of the stream of Philox key ``key``, laid out for n rounds.
 
     ``block(width)`` opens the stream where the n-round draw reaches round lo
     of its next block of ``width`` uniforms per round.  ``envelope`` needs
@@ -172,8 +176,8 @@ class _Chunk:
     are contiguous.
     """
 
-    def __init__(self, seed: int, path: tuple, n: int, lo: int, hi: int, scan=None):
-        self.seed, self.path, self.n, self.lo = seed, path, n, lo
+    def __init__(self, key: tuple, n: int, lo: int, hi: int, scan=None):
+        self.key, self.n, self.lo = key, n, lo
         self.rounds = hi - lo
         self.scan = scan
         self.start = 0  # stream position where the next block begins
@@ -186,7 +190,7 @@ class _Chunk:
 
     def block(self, width: int) -> np.random.Generator:
         if self.read == len(self.opened):
-            self.opened.append(generator_at(self.seed, self.path, self.start + self.lo * width))
+            self.opened.append(generator_at(self.key, self.start + self.lo * width))
             self.start += self.n * width
         self.read += 1
         return self.opened[self.read - 1]
@@ -251,27 +255,30 @@ def _draw_alice_private(protocol: ProtocolId, src) -> AlicePrivate:
     return AlicePrivate(**{name: src.block(1).random(src.rounds) for name in blocks})
 
 
-def _source(seed, path, n, lo, hi, scan=None):
-    """Where rounds [lo, hi) of stream (seed, *path) of an n-round pair are read."""
+def _source(key, n, lo, hi, scan=None):
+    """Where rounds [lo, hi) of the n-round stream of Philox key ``key`` are read."""
     if (lo, hi) == (0, n):
-        return _Whole(make_generator(seed, *path), n)
-    return _Chunk(seed, path, n, lo, hi, scan)
+        return _Whole(generator_at(key, 0), n)
+    return _Chunk(key, n, lo, hi, scan)
 
 
-def shared_chunk(protocol, state, seed, k, n, lo, hi, scan=None) -> SharedDraw:
-    """Rounds [lo, hi) of pair k's n-round shared draw; ``scan`` is its ``envelope_scan``."""
-    return _draw_shared(protocol, state, _source(seed, (k, CH_SHARED), n, lo, hi, scan))
+def shared_chunk(protocol, state, key, n, lo, hi, scan=None) -> SharedDraw:
+    """Rounds [lo, hi) of the n-round shared draw of Philox key ``key``, a
+    pair's ``stream_key(seed, k, CH_SHARED)``; ``scan`` is its ``envelope_scan``."""
+    return _draw_shared(protocol, state, _source(key, n, lo, hi, scan))
 
 
-def private_chunk(protocol, seed, k, n, lo, hi) -> AlicePrivate:
-    """Rounds [lo, hi) of Alice's private coins for pair k of n rounds."""
+def private_chunk(protocol, key, n, lo, hi) -> AlicePrivate:
+    """Rounds [lo, hi) of Alice's n-round private coins of Philox key ``key``,
+    a pair's ``stream_key(seed, k, CH_ALICE)``."""
     if not PROTOCOLS[protocol].private:
         return AlicePrivate()  # no coins to draw, so no stream is opened
-    return _draw_alice_private(protocol, _source(seed, (k, CH_ALICE), n, lo, hi))
+    return _draw_alice_private(protocol, _source(key, n, lo, hi))
 
 
-def envelope_scan(protocol, state, seed, k, n) -> Optional[EnvelopeScan]:
-    """The counting pass over pair k's envelope candidates.
+def envelope_scan(protocol, state, key, n) -> Optional[EnvelopeScan]:
+    """The counting pass over the envelope candidates of the n-round shared
+    draw of Philox key ``key``.
 
     None if the pair draws no envelope, or has at most ``CHUNK`` rounds: its
     only chunk draws the envelope straight through.  The candidates follow
@@ -279,7 +286,7 @@ def envelope_scan(protocol, state, seed, k, n) -> Optional[EnvelopeScan]:
     """
     if n <= CHUNK or not PROTOCOLS[protocol].draws_envelope(state):
         return None
-    return EnvelopeScan(state, seed, (k, CH_SHARED), n, n)
+    return EnvelopeScan(state, key, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +512,6 @@ class ProtocolInfo:
     @property
     def alphabet_size(self) -> int:
         return len(self.cost) - 1
-
-    @property
-    def shared_fields(self) -> tuple:
-        """The drawn SharedDraw fields, in field order (the wire row order)."""
-        drawn = {name for name, _ in self.shared}
-        return tuple(f.name for f in fields(SharedDraw) if f.name in drawn)
 
     def talks(self, shared: SharedDraw) -> np.ndarray:
         """The rounds in which Alice sends a symbol: all, or those with r = 1."""
@@ -836,14 +837,19 @@ def simulate(
     pairs, n, seed = _checked_run(protocol, state, settings, rounds_per_setting, seed)
     info = PROTOCOLS[protocol]
     chunks = _chunks(n)
-    scan = partial(envelope_scan, protocol, state, seed, n=n)
+
+    def streams(k):
+        """Pair k's shared key, private key (None without coins) and envelope scan."""
+        key = stream_key(seed, k, CH_SHARED)
+        priv_key = stream_key(seed, k, CH_ALICE) if info.private else None
+        return key, priv_key, envelope_scan(protocol, state, key, n)
 
     def play(unit):
         """One chunk, tile by tile; a tile's arrays are dropped once it is played."""
-        k, (lo, hi), envelope = unit
+        k, (lo, hi), (key, priv_key, scan) = unit
         x, y = pairs[k]
-        shared_src = _source(seed, (k, CH_SHARED), n, lo, hi, envelope)
-        priv_src = _source(seed, (k, CH_ALICE), n, lo, hi) if info.private else None
+        shared_src = _source(key, n, lo, hi, scan)
+        priv_src = None if priv_key is None else _source(priv_key, n, lo, hi)
         sampler = _vector_sampler(protocol, state, x, seed, k, lo)
 
         def tile(t_lo, t_hi):
@@ -865,9 +871,9 @@ def simulate(
         return _aggregate(protocol, x, y, res, keep_outcomes, keep_lambdas)
 
     def run(map_fn):
-        """Every pair's envelope scan, then every (pair, chunk) unit, merged per pair."""
-        scans = list(map_fn(scan, range(len(pairs))))
-        parts = list(map_fn(play, [(k, c, scans[k]) for k in range(len(pairs)) for c in chunks]))
+        """Every pair's streams, then every (pair, chunk) unit, merged per pair."""
+        keyed = list(map_fn(streams, range(len(pairs))))
+        parts = list(map_fn(play, [(k, c, keyed[k]) for k in range(len(pairs)) for c in chunks]))
         return [_merge(parts[i : i + len(chunks)]) for i in range(0, len(parts), len(chunks))]
 
     out = SimulationResult(protocol, state, n, seed)

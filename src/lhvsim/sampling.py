@@ -76,14 +76,21 @@ def make_generator(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
 
 
-def generator_at(seed: int, path: tuple, offset: int) -> np.random.Generator:
-    """Stream (seed, *path) positioned after its first ``offset`` 64-bit draws.
+def stream_key(seed: int, *path: int) -> tuple:
+    """The Philox key of stream (seed, *path) as two 64-bit words; it alone
+    rebuilds the stream that ``make_generator(seed, *path)`` draws."""
+    words = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+    return int(words[0]), int(words[1])
+
+
+def generator_at(key: tuple, offset: int) -> np.random.Generator:
+    """Stream ``key`` positioned after its first ``offset`` 64-bit draws.
 
     Every float64 uniform takes one 64-bit draw, and one Philox counter step
     yields four, so the counter jumps to ``offset // 4`` and the remainder is
     drawn and dropped.  The next uniform equals the stream's ``offset``-th.
     """
-    rng = make_generator(seed, *path)
+    rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
     steps, rest = divmod(int(offset), 4)
     rng.bit_generator.advance(steps)
     rng.random(rest)
@@ -412,7 +419,7 @@ class RhoTildeMaxSampler(_BufferedSampler):
 class EnvelopeScan:
     """Samples [lo, hi) of ``RhoTildeMaxSampler(state, rng).draw(n)``, by position.
 
-    ``rng`` is stream (seed, *path) after its first ``offset`` draws.  The
+    ``rng`` is stream ``key`` after its first ``offset`` draws.  The
     constructor reads the candidate blocks that ``draw(n)`` scans, with the
     same uniforms and the same accept test, but keeps only each block's
     accept bits (one bit per candidate) and the running count of samples.
@@ -422,9 +429,9 @@ class EnvelopeScan:
     where the stream's next draw begins.
     """
 
-    def __init__(self, state: State, seed: int, path: tuple, offset: int, n: int):
-        sampler = RhoTildeMaxSampler(state, generator_at(seed, path, offset))
-        self.seed, self.path, self.offset, self.n = seed, tuple(path), int(offset), int(n)
+    def __init__(self, state: State, key: tuple, offset: int, n: int):
+        sampler = RhoTildeMaxSampler(state, generator_at(key, offset))
+        self.key, self.offset, self.n = key, int(offset), int(n)
         self.block = sampler.block
         bits, counts, total = [], [], 0
         while total < self.n:
@@ -445,7 +452,7 @@ class EnvelopeScan:
             return np.zeros((0, 3))
         b = int(np.searchsorted(self.counts, lo, side="right"))  # holds sample lo
         done = int(self.counts[b - 1]) if b else 0
-        rng = generator_at(self.seed, self.path, self.offset + 3 * self.block * b)
+        rng = generator_at(self.key, self.offset + 3 * self.block * b)
         out = []
         while done < hi:
             u = rng.random((self.block, 3))

@@ -427,7 +427,6 @@ def chsh_estimate(
     settings,
     rounds: int,
     seed: int,
-    workers: int = 1,
 ) -> ChshEstimate:
     """Estimate the CHSH value S from simulated correlations.
 
@@ -435,7 +434,7 @@ def chsh_estimate(
     are run with ``rounds`` rounds each.
     """
     pairs = chsh_setting_pairs(settings)
-    sim = simulate(protocol, state, pairs, rounds, seed, workers=workers)
+    sim = simulate(protocol, state, pairs, rounds, seed)
     return chsh_from_result(sim, settings)
 
 

@@ -2,11 +2,10 @@
 
 The in-process simulator keeps the parties apart by interface shape; this
 module keeps them apart with OS processes and sockets.  A referee process
-(the caller) distributes per-recipient settings and per-round shared
-randomness, Alice talks to Bob over a dedicated one-way channel that may
-only carry symbols from the declared alphabet (Bob rejects anything else
-and the run aborts), and everything the referee sees goes into a transcript
-for offline audit, each byte once.
+(the caller) sends each party its own setting, Alice talks to Bob over a
+dedicated one-way channel that may only carry symbols from the declared
+alphabet (Bob rejects anything else and the run aborts), and everything the
+referee sees goes into a transcript for offline audit, each byte once.
 
 Before it forks the parties, the referee wires them with three socket
 pairs: referee-Alice, referee-Bob and Alice-to-Bob, whose Bob end is shut
@@ -14,17 +13,22 @@ for writing, so that channel is one-way at the OS level.  Each party keeps
 only its own ends, and the referee only its two, so a party that exits is
 an end of file to everyone it talked to.
 
+The parties get the shared randomness in advance, as a key: Bob's SETTING
+carries the pair's shared key ``stream_key(seed, k, CH_SHARED)``, 16 bytes
+of Philox key that rebuild the pair's shared stream bit for bit, and never
+the seed.  Alice's SETTING carries the seed, from which she derives the same
+key and her private streams.  After its SETTING each party plays the pair's
+chunks [lo, hi), those ``protocols.simulate`` runs, in order, drawing each
+chunk's shared rows with ``shared_chunk``; no referee frame paces them.
+
 Frame format, little-endian, identical on every channel:
 
     [u64 round] [u8 kind] [u32 len] [payload]
 
-Kinds: SETTING (per-recipient setup, round = 2**64-1), SHARED_RANDOMNESS,
-MESSAGE (Alice to Bob only), OUTPUT (party to referee).  A setting pair's
-rounds travel in the chunks [lo, hi) that ``protocols.simulate`` runs, and
-every frame of a chunk names lo as its round.  Per chunk:
+Kinds: SETTING (per-recipient setup, round = 2**64-1), MESSAGE (Alice to Bob
+only), OUTPUT (party to referee).  Every frame of a chunk names lo as its
+round.  Per chunk:
 
-* the referee sends both parties one SHARED_RANDOMNESS frame of hi-lo
-  packed rows;
 * Alice sends Bob exactly one MESSAGE, possibly empty, with one entry per
   round in which she talks: a byte (symbol - 1) or a 24-byte raw vector;
 * Alice's OUTPUT holds hi-lo bytes of a;
@@ -32,15 +36,16 @@ every frame of a chunk names lo as its round.  Per chunk:
   message.  The referee decodes each round's symbol from the echo, as Bob
   does, and charges the round the cost of that symbol.
 
-One chunk fully completes before the next begins.  The parties draw each
-chunk with the functions ``protocols.simulate`` uses and decide it in one
-call, so for a fixed seed a networked run reproduces the in-process outcome
-sequence bit for bit.
+The parties draw each chunk with the functions ``protocols.simulate`` uses
+and decide it in one call, so for a fixed seed a networked run reproduces
+the in-process outcome sequence bit for bit.  The referee draws the same
+shared rows, only to check each chunk's two OUTPUTs with ``_chunk_fault`` as
+they arrive.
 
-A valid log is the frames in the order the referee writes them (per pair,
-Alice's SETTING and Bob's; per chunk, the shared frame, Alice's OUTPUT and
-Bob's), with every chunk passing ``_chunk_fault``, the check the referee
-runs on the frames as they arrive.
+The log (format ``LHV3``) is the frames in the order the referee writes
+them: per pair, Alice's SETTING and Bob's; per chunk, Alice's OUTPUT and
+Bob's.  A valid log has that order, and every chunk passes ``_chunk_fault``
+on the shared rows replayed from the key in Bob's SETTING.
 """
 
 from __future__ import annotations
@@ -52,14 +57,15 @@ import multiprocessing
 import socket
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .bloch import State
-from .errors import ProtocolViolationError, TransportError, ValidationError
+from .errors import DomainError, ProtocolViolationError, TransportError, ValidationError
 from .protocols import (
+    CH_ALICE,
+    CH_SHARED,
     CHUNK,
     PROTOCOLS,
     BatchResult,
@@ -74,11 +80,13 @@ from .protocols import (
     _vector_sampler,
     alice_decide,
     bob_decide,
+    check_applicable,
     check_unit,
     envelope_scan,
     private_chunk,
     shared_chunk,
 )
+from .sampling import stream_key
 
 SETUP_ROUND = 2**64 - 1
 _HEADER = struct.Struct("<QBI")
@@ -88,7 +96,6 @@ VECTOR_PAYLOAD_BYTES = int(VECTOR_MESSAGE_BITS) // 8  # three float64 coordinate
 
 class FrameKind(enum.IntEnum):
     SETTING = 1
-    SHARED_RANDOMNESS = 2
     MESSAGE = 3
     OUTPUT = 4
 
@@ -135,8 +142,10 @@ def recv_frame(sock: socket.socket) -> Frame:
 _PROTO_CODE = {pid: i + 1 for i, pid in enumerate(ProtocolId)}
 _CODE_PROTO = {v: k for k, v in _PROTO_CODE.items()}
 
+# pair, protocol code, p, the setting vector, rounds, then Alice's seed or
+# the two words of Bob's shared key
 _ALICE_SETTING = struct.Struct("<QBdddd QQ".replace(" ", ""))
-_BOB_SETTING = struct.Struct("<QBddd Q".replace(" ", ""))
+_BOB_SETTING = struct.Struct("<QBdddd QQQ".replace(" ", ""))
 
 
 def pack_alice_setting(pair, protocol, p, x, rounds, seed) -> bytes:
@@ -159,41 +168,21 @@ def unpack_alice_setting(data: bytes):
     return pair, protocol, p, np.array([x0, x1, x2]), rounds, seed
 
 
-def pack_bob_setting(pair, protocol, y, rounds) -> bytes:
-    return _BOB_SETTING.pack(pair, _PROTO_CODE[protocol], y[0], y[1], y[2], rounds)
+def pack_bob_setting(pair, protocol, p, y, rounds, key) -> bytes:
+    return _BOB_SETTING.pack(pair, _PROTO_CODE[protocol], p, y[0], y[1], y[2], rounds, *key)
 
 
 def unpack_bob_setting(data: bytes):
-    pair, protocol, y0, y1, y2, rounds = _unpack_setting(_BOB_SETTING, data, "bob")
-    return pair, protocol, np.array([y0, y1, y2]), rounds
+    pair, protocol, p, y0, y1, y2, rounds, *key = _unpack_setting(_BOB_SETTING, data, "bob")
+    return pair, protocol, p, np.array([y0, y1, y2]), rounds, tuple(key)
 
 
-@lru_cache(maxsize=None)
-def _row_dtype(protocol: ProtocolId) -> np.dtype:
-    """One shared row on the wire: the drawn fields in field order, packed."""
-    return np.dtype(
-        [
-            (name, "u1") if name == "r" else (name, "<f8", (3,))
-            for name in PROTOCOLS[protocol].shared_fields
-        ]
-    )
-
-
-def pack_shared(protocol: ProtocolId, shared: SharedDraw) -> bytes:
-    rows = np.empty(shared.rounds, _row_dtype(protocol))
-    for name in rows.dtype.names:
-        rows[name] = getattr(shared, name)
-    return rows.tobytes()
-
-
-def unpack_shared(protocol: ProtocolId, data: bytes, rows: int) -> SharedDraw:
-    dtype = _row_dtype(protocol)
-    if len(data) != rows * dtype.itemsize:
-        raise TransportError(
-            f"shared-randomness payload has {len(data)} bytes, want {rows} rows of {dtype.itemsize}"
-        )
-    chunk = np.frombuffer(data, dtype)
-    return SharedDraw(**{name: chunk[name] for name in dtype.names})
+def _shared_rows(protocol: ProtocolId, state: State, key: tuple, n: int):
+    """(lo, hi, shared rows) of each chunk of the n-round shared draw of
+    Philox key ``key``, in chunk order."""
+    scan = envelope_scan(protocol, state, key, n)
+    for lo, hi in _chunks(n):
+        yield lo, hi, shared_chunk(protocol, state, key, n, lo, hi, scan)
 
 
 def _message_fault(info, payload: bytes, talking: int) -> Optional[str]:
@@ -240,8 +229,8 @@ def _decode_message(info, talk: np.ndarray, payload: bytes):
 # ---------------------------------------------------------------------------
 # transcript
 
-_CHANNELS = ("referee->alice", "referee->bob", "referee->parties", "alice->referee", "bob->referee")
-_MAGIC = b"LHV2"
+_CHANNELS = ("referee->alice", "referee->bob", "alice->referee", "bob->referee")
+_MAGIC = b"LHV3"
 _LOG_HEAD = struct.Struct("<BdQ")  # protocol code, p, rounds per setting
 
 
@@ -255,11 +244,10 @@ class FrameRecord:
 class Transcript:
     """Everything the referee saw, in order, each byte once.
 
-    A chunk is three records: the one SHARED_RANDOMNESS frame sent to both
-    parties (channel ``referee->parties``), Alice's OUTPUT and Bob's OUTPUT.
-    The referee never sits on the Alice-to-Bob channel; the chunk's message
-    is Bob's byte-exact echo, ``payload[1 + m:]`` of his OUTPUT for a chunk
-    of m rounds.
+    A pair starts with two records, Alice's SETTING and Bob's, and a chunk is
+    two, Alice's OUTPUT and Bob's.  The referee never sits on the
+    Alice-to-Bob channel; the chunk's message is Bob's byte-exact echo,
+    ``payload[1 + m:]`` of his OUTPUT for a chunk of m rounds.
     """
 
     protocol: ProtocolId
@@ -338,7 +326,7 @@ class Transcript:
 
 
 def alice_main(ref: socket.socket, bob: socket.socket) -> None:
-    """Alice's process: settings and shared randomness in, message and a out."""
+    """Alice's process: settings in, message and a out."""
     try:
         while True:
             setting = recv_frame(ref)
@@ -346,12 +334,9 @@ def alice_main(ref: socket.socket, bob: socket.socket) -> None:
                 raise TransportError(f"alice expected SETTING, got {setting.kind}")
             pair, protocol, p, x, rounds, seed = unpack_alice_setting(setting.payload)
             state = State(p)
-            for lo, hi in _chunks(rounds):
-                frame = recv_frame(ref)
-                if frame.kind != FrameKind.SHARED_RANDOMNESS or frame.round != lo:
-                    raise TransportError(f"alice desynchronized at round {lo}: {frame.kind}")
-                shared = unpack_shared(protocol, frame.payload, hi - lo)
-                priv = private_chunk(protocol, seed, pair, rounds, lo, hi)
+            key, priv_key = stream_key(seed, pair, CH_SHARED), stream_key(seed, pair, CH_ALICE)
+            for lo, hi, shared in _shared_rows(protocol, state, key, rounds):
+                priv = private_chunk(protocol, priv_key, rounds, lo, hi)
                 sampler = _vector_sampler(protocol, state, x, seed, pair, lo)
                 res = alice_decide(protocol, state, x, shared, priv, sampler)
                 if res.payload is not None:
@@ -374,14 +359,10 @@ def bob_main(ref: socket.socket, alice: socket.socket) -> None:
             setting = recv_frame(ref)
             if setting.kind != FrameKind.SETTING:
                 raise TransportError(f"bob expected SETTING, got {setting.kind}")
-            pair, protocol, y, rounds = unpack_bob_setting(setting.payload)
+            pair, protocol, p, y, rounds, key = unpack_bob_setting(setting.payload)
             y = check_unit(y, "y")
             info = PROTOCOLS[protocol]
-            for lo, hi in _chunks(rounds):
-                frame = recv_frame(ref)
-                if frame.kind != FrameKind.SHARED_RANDOMNESS or frame.round != lo:
-                    raise TransportError(f"bob desynchronized at round {lo}: {frame.kind}")
-                shared = unpack_shared(protocol, frame.payload, hi - lo)
+            for lo, hi, shared in _shared_rows(protocol, State(p), key, rounds):
                 talk = info.talks(shared)
                 mframe = recv_frame(alice)
                 status = 0
@@ -428,9 +409,9 @@ def run_networked(
     """Run the protocol across three processes; returns (result, transcript).
 
     Statistically and bit-exactly identical to ``simulate`` with the same
-    seed: the referee draws each chunk's shared rows, and Alice her private
-    coins, with the functions ``simulate`` uses, and each party decides a
-    whole chunk in one call.  A party that exits, or does not answer within
+    seed: each party draws each chunk's shared rows, and Alice her private
+    coins, with the functions ``simulate`` uses, and decides a whole chunk in
+    one call.  A party that exits, or does not answer within
     ``_SOCKET_TIMEOUT``, ends the run with TransportError.
     """
     pairs, rounds, seed = _checked_run(protocol, state, settings, rounds, seed)
@@ -458,26 +439,24 @@ def run_networked(
     result = SimulationResult(protocol, state, rounds, seed)
     try:
         for k, (x, y) in enumerate(pairs):
+            key = stream_key(seed, k, CH_SHARED)
             fa = Frame(
                 SETUP_ROUND,
                 FrameKind.SETTING,
                 pack_alice_setting(k, protocol, state.p, x, rounds, seed),
             )
-            fb = Frame(SETUP_ROUND, FrameKind.SETTING, pack_bob_setting(k, protocol, y, rounds))
+            fb = Frame(
+                SETUP_ROUND,
+                FrameKind.SETTING,
+                pack_bob_setting(k, protocol, state.p, y, rounds, key),
+            )
             send_frame(alice_sock, fa)
             transcript.add("referee->alice", fa)
             send_frame(bob_sock, fb)
             transcript.add("referee->bob", fb)
 
-            scan = envelope_scan(protocol, state, seed, k, rounds)
             parts = []
-            for lo, hi in _chunks(rounds):
-                shared = shared_chunk(protocol, state, seed, k, rounds, lo, hi, scan)
-                frame = Frame(lo, FrameKind.SHARED_RANDOMNESS, pack_shared(protocol, shared))
-                send_frame(alice_sock, frame)
-                send_frame(bob_sock, frame)
-                transcript.add("referee->parties", frame)
-
+            for lo, hi, shared in _shared_rows(protocol, state, key, rounds):
                 aout = recv_frame(alice_sock)
                 bout = recv_frame(bob_sock)
                 transcript.add("alice->referee", aout)
@@ -527,24 +506,28 @@ def audit_transcript(transcript: Transcript) -> AuditReport:
 
     A valid log is what the referee writes: per setting pair, Alice's
     SETTING and Bob's SETTING, then per chunk [lo, hi) of the log's rounds
-    per pair the shared frame, Alice's OUTPUT and Bob's OUTPUT, all of round
-    lo; and each chunk passes ``_chunk_fault``, the referee's own check.  A
-    pair whose frames break that order is one finding: "missing message" if
-    it has fewer Bob OUTPUTs than chunks, "more than one message" if more,
-    else "frames out of order".  The histogram counts the sent bytes
-    (symbol - 1).
+    per pair Alice's OUTPUT and Bob's OUTPUT, both of round lo.  Bob's
+    SETTING names the pair, the log's protocol, p and rounds per pair, and
+    each chunk passes ``_chunk_fault``, the referee's own check, on the
+    shared rows replayed from the key in that SETTING.  A header p that is
+    no valid state for the protocol is the log's only finding.  A pair whose
+    frames break that order is one finding, and is not replayed: "missing
+    message" if it has fewer Bob OUTPUTs than chunks, "more than one
+    message" if more, else "frames out of order".  The histogram counts the
+    sent bytes (symbol - 1).
     """
-    protocol = transcript.protocol
+    protocol, n = transcript.protocol, transcript.rounds_per_setting
     info = PROTOCOLS[protocol]
+    try:
+        state = State(transcript.state_p)
+        check_applicable(protocol, state)
+    except (ValidationError, DomainError) as exc:
+        return AuditReport([f"log header: {exc}"], 0, 0, 0.0, {})
     # no pair can hold more chunks than the log has records, so a corrupt
     # header's huge n gives every pair "missing message" at bounded cost
-    chunks = _chunks(min(transcript.rounds_per_setting, CHUNK * len(transcript.records)))
+    chunks = _chunks(min(n, CHUNK * len(transcript.records)))
     start = ("referee->alice", FrameKind.SETTING)
-    per_chunk = (
-        ("referee->parties", FrameKind.SHARED_RANDOMNESS),
-        ("alice->referee", FrameKind.OUTPUT),
-        ("bob->referee", FrameKind.OUTPUT),
-    )
+    per_chunk = (("alice->referee", FrameKind.OUTPUT), ("bob->referee", FrameKind.OUTPUT))
     order = [(*start, SETUP_ROUND), ("referee->bob", FrameKind.SETTING, SETUP_ROUND)]
     order += [(*frame, lo) for lo, _ in chunks for frame in per_chunk]
     pairs: list = []  # each Alice SETTING starts a pair; frames before the first form one
@@ -567,25 +550,27 @@ def audit_transcript(transcript: Transcript) -> AuditReport:
             else:
                 findings.append(f"pair {k}: frames out of order")
             continue
-        for j, (lo, hi) in enumerate(chunks):
-            sframe, aout, bout = (rec.frame for rec in recs[2 + 3 * j : 5 + 3 * j])
-            try:
-                shared = unpack_shared(protocol, sframe.payload, hi - lo)
-            except TransportError as exc:
-                findings.append(f"pair {k} round {lo}: {exc}")
-                continue
-            total_rounds += shared.rounds
-            fault = _chunk_fault(info, lo, shared, aout, bout)
+        try:
+            pair, proto, p, _, rounds, key = unpack_bob_setting(recs[1].frame.payload)
+        except ValidationError as exc:
+            findings.append(f"pair {k}: {exc}")
+            continue
+        if (pair, proto, p, rounds) != (k, protocol, state.p, n):
+            findings.append(f"pair {k}: bob's setting does not match the log header")
+            continue
+        rows = _shared_rows(protocol, state, key, n)
+        for (lo, hi, shared), arec, brec in zip(rows, recs[2::2], recs[3::2]):
+            total_rounds += hi - lo
+            fault = _chunk_fault(info, lo, shared, arec.frame, brec.frame)
             if fault:
                 findings.append(f"pair {k} round {lo}: {fault}")
                 continue
-            message = bout.payload[1 + shared.rounds :]
             talking = int(info.talks(shared).sum())
             total_messages += talking
             if info.vector_message:
                 hist["vector"] += talking
             else:
-                hist.update(str(s) for s in message)
+                hist.update(str(s) for s in brec.frame.payload[1 + hi - lo :])
 
     return AuditReport(
         findings=findings,

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import asdict
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -290,6 +291,65 @@ def test_malformed_transcript_is_usage_error(case, tmp_path, capsys):
     path.write_bytes(data)
     assert run_cli("audit", str(path)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@lru_cache(maxsize=None)
+def _log(pid: ProtocolId, p: float) -> bytes:
+    _, transcript = run_networked(pid, State(p), [(X_AXIS, Z_AXIS)], 40, seed=10)
+    return transcript.to_binary()
+
+
+def _forged(pid: ProtocolId, p: float, edit) -> bytes:
+    """A valid log of ``pid`` at ``p``, edited by ``edit(transcript)``."""
+    transcript = Transcript.from_binary(_log(pid, p))
+    edit(transcript)
+    return transcript.to_binary()
+
+
+def _truncate_bob_setting(transcript):
+    rec = next(transcript.frames("referee->bob", FrameKind.SETTING))
+    rec.frame = Frame(rec.frame.round, rec.frame.kind, rec.frame.payload[:-1])
+
+
+def _set(name, value):
+    return lambda transcript: setattr(transcript, name, value)
+
+
+# each forged log, and the start of a finding that its audit must report
+BAD_P = "log header: state parameter p must lie in [1/2, 1]"
+FORGED_LOGS = {
+    "p-nan": (ProtocolId.TRIT, 0.7, _set("state_p", float("nan")), BAD_P),
+    "p-below-half": (ProtocolId.TRIT, 0.7, _set("state_p", 0.3), BAD_P),
+    "p-above-one": (ProtocolId.TRIT, 0.7, _set("state_p", 1.5), BAD_P),
+    "improved-one-bit-at-half": (
+        ProtocolId.IMPROVED_ONE_BIT, 0.9, _set("state_p", 0.5),
+        "log header: protocol 'improved-one-bit' requires",
+    ),
+    "bob-setting-truncated": (
+        ProtocolId.TRIT, 0.7, _truncate_bob_setting, "pair 0: bob's setting has 64 bytes",
+    ),
+    # a pair that fails the frame-order check is never scanned or replayed
+    "2**63-rounds": (
+        ProtocolId.IMPROVED_ONE_BIT, 0.9, _set("rounds_per_setting", 2**63),
+        "pair 0: missing message",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_LOGS))
+def test_forged_log_is_a_finding(case, tmp_path, capsys):
+    pid, p, edit, finding = FORGED_LOGS[case]
+    path = tmp_path / "forged.bin"
+    path.write_bytes(_forged(pid, p, edit))
+    assert run_cli("audit", str(path)) == 1
+    assert f"finding: {finding}" in capsys.readouterr().out
+
+
+def test_lhv2_log_is_refused(tmp_path, capsys):
+    path = tmp_path / "old.bin"
+    path.write_bytes(b"LHV2" + _log(ProtocolId.TRIT, 0.7)[4:])
+    assert run_cli("audit", str(path)) == 2
+    assert "not an LHV3 transcript log" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

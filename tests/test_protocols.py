@@ -50,6 +50,7 @@ from lhvsim.sampling import (
     make_generator,
     n_of_p,
     sample_uniform_sphere,
+    stream_key,
 )
 from lhvsim.verify import default_setting_pairs, tvd
 from oracles import alice_output_weight, bob_output, eval_rho
@@ -393,11 +394,14 @@ class TestSimulate:
         ],
     )
     def test_opens_only_the_streams_it_reads(self, monkeypatch, pid, p, channels):
+        # a stream is opened by its seed and path, or named by its key
         opened = []
-        real = protocols.make_generator
-        monkeypatch.setattr(
-            protocols, "make_generator", lambda seed, *path: opened.append(path) or real(seed, *path)
-        )
+        for name in ("make_generator", "stream_key"):
+            real = getattr(protocols, name)
+            monkeypatch.setattr(
+                protocols, name,
+                lambda seed, *path, real=real: opened.append(path) or real(seed, *path),
+            )
         simulate(pid, State(p), [(X_AXIS, Z_AXIS), (Z_AXIS, X_AXIS)], 100, seed=26)
         assert sorted(opened) == sorted((k, ch) for k in range(2) for ch in channels)
 
@@ -419,7 +423,7 @@ class TestSimulate:
         opened = []
         real = protocols.generator_at
         monkeypatch.setattr(
-            protocols, "generator_at", lambda seed, path, at: opened.append(path) or real(seed, path, at)
+            protocols, "generator_at", lambda key, at: opened.append(key) or real(key, at)
         )
         simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], CHUNK + TILE + 5, seed=26)
         info = PROTOCOLS[ProtocolId.TRIT]
@@ -575,12 +579,13 @@ def _reference_draws(pid, state, seed, k, n):
             draw_shared(pid, state, make_generator(seed, k, CH_SHARED), n),
             draw_alice_private(pid, make_generator(seed, k, CH_ALICE), n),
         )
+    key = stream_key(seed, k, CH_SHARED)
     scan = None
     if PROTOCOLS[pid].draws_envelope(state):
-        scan = EnvelopeScan(state, seed, (k, CH_SHARED), n, n)  # after n shared-bit uniforms
+        scan = EnvelopeScan(state, key, n, n)  # after n shared-bit uniforms
     return (
-        _draw_shared(pid, state, _Chunk(seed, (k, CH_SHARED), n, 0, n, scan)),
-        _draw_alice_private(pid, _Chunk(seed, (k, CH_ALICE), n, 0, n)),
+        _draw_shared(pid, state, _Chunk(key, n, 0, n, scan)),
+        _draw_alice_private(pid, _Chunk(stream_key(seed, k, CH_ALICE), n, 0, n)),
     )
 
 
@@ -702,13 +707,14 @@ class TestByteExactForms:
     @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
     def test_draws_are_column_major(self, pid, p):
         state, x = State(p), default_setting_pairs(1)[0][0]
+        key = stream_key(61, 0, CH_SHARED)
         for n, lo in ((5000, 0), (CHUNK + 7, CHUNK)):
-            scan = envelope_scan(pid, state, 61, 0, n)
-            shared = shared_chunk(pid, state, 61, 0, n, lo, n, scan)
+            scan = envelope_scan(pid, state, key, n)
+            shared = shared_chunk(pid, state, key, n, lo, n, scan)
             for name in ("lam1", "lam2", "lam3"):
                 lam = getattr(shared, name)
                 assert lam is None or lam.flags.f_contiguous, (n, name)
-            priv = private_chunk(pid, 61, 0, n, lo, n)
+            priv = private_chunk(pid, stream_key(61, 0, CH_ALICE), n, lo, n)
             sampler = _vector_sampler(pid, state, x, 61, 0, lo)
             res = alice_decide(pid, state, x, shared, priv, sampler)
             assert res.a.dtype == np.int8 and res.msg.dtype == np.uint8

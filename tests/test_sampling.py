@@ -34,6 +34,7 @@ from lhvsim.sampling import (
     rho_tilde_max_cos,
     sample_theta_hemisphere,
     sample_uniform_sphere,
+    stream_key,
 )
 from oracles import eval_rho, n_of_p_quadrature, rho_tilde_cos_marginal
 
@@ -134,7 +135,7 @@ class TestColumnMajor:
     def test_draws(self, n):
         rng = np.random.default_rng(67)
         v, x = random_unit(rng), random_unit(rng)
-        scan = EnvelopeScan(State(0.7), 13, (1,), 0, n)
+        scan = EnvelopeScan(State(0.7), stream_key(13, 1), 0, n)
         draws = {
             "uniform": sample_uniform_sphere(make_generator(13, 0), n),
             "hemisphere z": sample_theta_hemisphere(make_generator(13, 0), Z_AXIS, n),
@@ -417,7 +418,7 @@ class TestRhoTildeMaxSampler:
     @pytest.mark.parametrize("p", [0.6, 0.9, 0.99])
     def test_envelope_scan_matches_draw(self, p):
         n = 50_000
-        scan = EnvelopeScan(State(p), 26, (0,), 5, n)
+        scan = EnvelopeScan(State(p), stream_key(26, 0), 5, n)
         rng = make_generator(26, 0)
         rng.random(5)
         s = RhoTildeMaxSampler(State(p), rng)
@@ -435,7 +436,7 @@ class TestRhoTildeMaxSampler:
             scan.samples(0, n + 1)
 
     def test_envelope_scan_of_zero_samples(self):
-        scan = EnvelopeScan(State(0.9), 26, (0,), 5, 0)
+        scan = EnvelopeScan(State(0.9), stream_key(26, 0), 5, 0)
         assert scan.end == 5
         assert scan.samples(0, 0).shape == (0, 3)
 
@@ -447,7 +448,7 @@ class TestPositionedStreams:
     def test_generator_at_reads_from_offset(self):
         ref = make_generator(28, 3, 1).random(40)
         for offset in range(20):
-            got = generator_at(28, (3, 1), offset).random(20)
+            got = generator_at(stream_key(28, 3, 1), offset).random(20)
             assert np.array_equal(got, ref[offset : offset + 20])
 
 

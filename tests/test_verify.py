@@ -1,5 +1,7 @@
 """Tests for the certification layer: metrics, grids, suites, reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from lhvsim.bloch import (
     tsirelson_settings,
 )
 from lhvsim.errors import ValidationError
-from lhvsim.protocols import CH_SHARED, CHUNK, ProtocolId, simulate
+from lhvsim.protocols import CH_SHARED, CHUNK, PROTOCOLS, ProtocolId, _envelope, _uniform, simulate
 from lhvsim.sampling import make_generator, n_of_p, sample_theta_hemisphere
 from lhvsim.verify import (
     area_quadrature,
@@ -322,3 +324,23 @@ class TestReports:
         res = simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], 10**5, seed=61)
         rep = verification_report(res, tolerance=1e-9)
         assert not rep.passed
+
+
+class TestGatePower:
+    """A known-wrong protocol fails the certification gate."""
+
+    def test_improved_one_bit_without_its_envelope_fails(self, monkeypatch):
+        # lam1 drawn uniformly in place of the envelope law: a max TVD of
+        # about 0.023 against the gate's 0.0112 at 2e5 rounds per pair, where
+        # the true protocol reads about 0.003 on the same streams
+        pid, state, pairs = ProtocolId.IMPROVED_ONE_BIT, State(0.9), default_setting_pairs(20)
+
+        def report():
+            return verification_report(simulate(pid, state, pairs, 2 * 10**5, seed=11, workers=2))
+
+        true = report()
+        info = PROTOCOLS[pid]
+        shared = tuple((name, _uniform if law is _envelope else law) for name, law in info.shared)
+        monkeypatch.setitem(PROTOCOLS, pid, dataclasses.replace(info, shared=shared))
+        mutant = report()
+        assert true.passed and not mutant.passed

@@ -12,8 +12,8 @@ from lhvsim import wire
 from lhvsim.bloch import State, X_AXIS, Z_AXIS
 from lhvsim.cli import main as cli_main
 from lhvsim.errors import ProtocolViolationError, TransportError, ValidationError
-from lhvsim.protocols import CHUNK, ProtocolId, draw_shared, simulate
-from lhvsim.sampling import make_generator, n_of_p
+from lhvsim.protocols import CH_SHARED, CHUNK, ProtocolId, draw_shared, shared_chunk, simulate
+from lhvsim.sampling import make_generator, n_of_p, stream_key
 from lhvsim.wire import (
     SETUP_ROUND,
     AuditReport,
@@ -24,13 +24,11 @@ from lhvsim.wire import (
     audit_transcript,
     pack_alice_setting,
     pack_bob_setting,
-    pack_shared,
     recv_frame,
     run_networked,
     send_frame,
     unpack_alice_setting,
     unpack_bob_setting,
-    unpack_shared,
 )
 
 PAIR = [(np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.6, 0.8]))]
@@ -66,9 +64,11 @@ class TestFraming:
 
     @pytest.mark.parametrize("pid,p", CASES)
     def test_shared_row_roundtrip(self, pid, p):
-        # one 16-row chunk; unpack_shared checks the payload holds 16 rows
-        shared = draw_shared(pid, State(p), make_generator(1, 0), 16)
-        back = unpack_shared(pid, pack_shared(pid, shared), 16)
+        # the key in Bob's setting rebuilds the rows that the seed draws
+        shared = draw_shared(pid, State(p), make_generator(1, 0, CH_SHARED), 16)
+        payload = pack_bob_setting(0, pid, p, Z_AXIS, 16, stream_key(1, 0, CH_SHARED))
+        *_, key = unpack_bob_setting(payload)
+        back = shared_chunk(pid, State(p), key, 16, 0, 16)
         for name in ("lam1", "lam2", "lam3", "r"):
             want = getattr(shared, name)
             got = getattr(back, name)
@@ -118,8 +118,8 @@ class TestChunks:
         ref = simulate(pid, State(p), PAIR, rounds, seed=21, keep_outcomes=True)
         for seq in ("a_seq", "b_seq", "msg_seq", "bits_seq"):
             assert np.array_equal(getattr(net.settings[0], seq), getattr(ref.settings[0], seq))
-        # two settings, then three frames per chunk
-        assert len(transcript.records) == 2 + 3 * -(-rounds // CHUNK)
+        # two settings, then two frames per chunk
+        assert len(transcript.records) == 2 + 2 * -(-rounds // CHUNK)
         rep = audit_transcript(transcript)
         assert rep.passed and rep.rounds == rounds
 
@@ -127,7 +127,7 @@ class TestChunks:
         net, transcript = run_networked(ProtocolId.TRIT, State(0.7), PAIR, 0, seed=22)
         got = net.settings[0]
         assert got.rounds == 0 and got.a_seq.size == got.b_seq.size == got.msg_seq.size == 0
-        assert len(transcript.records) == 2 + 3
+        assert len(transcript.records) == 2 + 2
         rep = audit_transcript(transcript)
         assert rep.passed and rep.rounds == 0
 
@@ -179,7 +179,7 @@ class TestParserFuzz:
         data=st.one_of(
             st.binary(max_size=80),
             st.binary(min_size=57, max_size=57),  # an Alice setting's size
-            st.binary(min_size=41, max_size=41),  # a Bob setting's size
+            st.binary(min_size=65, max_size=65),  # a Bob setting's size
         )
     )
     @settings(max_examples=300, deadline=None)
@@ -194,7 +194,7 @@ class TestParserFuzz:
     def test_malformed_setting_is_validation_error(self):
         x, y = PAIR[0]
         alice = pack_alice_setting(3, ProtocolId.TRIT, 0.7, x, 100, 5)
-        bob = pack_bob_setting(3, ProtocolId.TRIT, y, 100)
+        bob = pack_bob_setting(3, ProtocolId.TRIT, 0.7, y, 100, (5, 6))
         assert unpack_alice_setting(alice)[1] is ProtocolId.TRIT
         assert unpack_bob_setting(bob)[1] is ProtocolId.TRIT
         for unpack, payload in ((unpack_alice_setting, alice), (unpack_bob_setting, bob)):
@@ -284,13 +284,31 @@ class TestIsolation:
         bob_settings = list(transcript.frames("referee->bob", FrameKind.SETTING))
         assert len(alice_settings) == 1 and len(bob_settings) == 1
         _, _, _, ax, _, _ = unpack_alice_setting(alice_settings[0].frame.payload)
-        _, _, by, _ = unpack_bob_setting(bob_settings[0].frame.payload)
+        _, _, _, by, _, _ = unpack_bob_setting(bob_settings[0].frame.payload)
         np.testing.assert_array_equal(ax, x)
         np.testing.assert_array_equal(by, y)
         # the fixed-size setting structs physically cannot carry the other
-        # party's vector; nothing else flows toward the parties but shared
-        # randomness, one frame that the referee sends to both
-        assert not any(True for _ in transcript.frames("bob->alice"))
+        # party's vector, and nothing else flows toward the parties
+        assert {rec.channel for rec in transcript.records} == {
+            "referee->alice", "referee->bob", "alice->referee", "bob->referee"
+        }
+
+
+    def test_bob_never_receives_the_seed(self, tmp_path):
+        # Bob's setting carries the pair's shared key, never the seed it came from
+        seed = 2**63 + 12345
+        out = tmp_path / "run"
+        argv = ["wire-run", "--protocol", "improved-one-bit", "--p", "0.9", "--rounds", "50",
+                "--settings", "grid:3", "--seed", str(seed), "--out-dir", str(out)]
+        assert cli_main(argv) == 0
+        transcript = Transcript.from_binary((out / "transcript.bin").read_bytes())
+        settings = list(transcript.frames("referee->bob", FrameKind.SETTING))
+        assert len(settings) == 3
+        for k, rec in enumerate(settings):
+            pair, protocol, p, _, rounds, key = unpack_bob_setting(rec.frame.payload)
+            assert (pair, protocol, p, rounds) == (k, ProtocolId.IMPROVED_ONE_BIT, 0.9, 50)
+            assert key == stream_key(seed, k, CH_SHARED)
+            assert seed.to_bytes(8, "little") not in rec.frame.payload
 
 
 class TestTranscript:
@@ -322,7 +340,7 @@ class TestTranscript:
         assert t1.summary_json(audit_transcript(t1)) == t2.summary_json(audit_transcript(t2))
 
     def test_setting_payloads_are_not_audited(self):
-        # older logs end each Alice setting with Bob's port; they still audit
+        # the audit reads no field of Alice's setting, so bytes after it still pass
         transcript = self._clean()
         for rec in transcript.frames("referee->alice", FrameKind.SETTING):
             rec.frame = Frame(rec.frame.round, FrameKind.SETTING, rec.frame.payload + b"\x10\x27")
@@ -347,11 +365,11 @@ class TestTranscript:
         assert any("message has" in f for f in rep.findings)
 
     def test_tampered_shared_randomness_detected(self):
-        # zeroed rows clear every shared bit r, so the message has entries
-        # for rounds in which Alice is silent
+        # a zeroed key in Bob's setting replays other shared bits r, so the
+        # message has entries for rounds in which Alice is silent
         _, transcript = run_networked(ProtocolId.IMPROVED_ONE_BIT, State(0.9), PAIR, 300, seed=17)
-        (rec,) = transcript.frames("referee->parties", FrameKind.SHARED_RANDOMNESS)
-        rec.frame = Frame(rec.frame.round, FrameKind.SHARED_RANDOMNESS, bytes(len(rec.frame.payload)))
+        (rec,) = transcript.frames("referee->bob", FrameKind.SETTING)
+        rec.frame = Frame(rec.frame.round, FrameKind.SETTING, rec.frame.payload[:-16] + bytes(16))
         rep = audit_transcript(transcript)
         assert any("message has" in f for f in rep.findings)
 
@@ -395,16 +413,16 @@ TAMPERINGS = {
     "alice-outputs-removed": _drop("alice->referee"),
     "alice-outputs-0x07": _alice_outputs_0x07,
     "bob-status-2": _bob_status_2,
-    "chunk-frames-reversed": lambda recs: recs[:2] + recs[2:5][::-1] + recs[5:],
+    "chunk-frames-reversed": lambda recs: recs[:2] + recs[2:4][::-1] + recs[4:],
     "settings-removed": lambda recs: [r for r in recs if r.frame.kind != FrameKind.SETTING],
-    "last-chunk-dropped": lambda recs: recs[:-3],
+    "last-chunk-dropped": lambda recs: recs[:-2],
 }
 
 
 @lru_cache(maxsize=None)
 def _two_chunk_log() -> bytes:
     _, transcript = run_networked(ProtocolId.TRIT, State(0.7), PAIR, CHUNK + 3, seed=24)
-    assert len(transcript.records) == 2 + 3 * 2
+    assert len(transcript.records) == 2 + 2 * 2
     return transcript.to_binary()
 
 
