@@ -18,10 +18,14 @@ the protocol, so the two cannot drift apart.
 
 Alice and Bob are separate evaluators: ``alice_decide`` never receives y and
 ``bob_decide`` never receives x, so no-cross-talk is structural.  Their rules
-never build the agreed vector: each shared field's dot products (lam.v_+-
-and lam_z for Alice, y.lam for Bob) are computed once per chunk and the rule
-selects among those per-round numbers, which are bit for bit the dot
-products of the selected vectors.  Alice's committed vectors are Bob's rule
+never build the agreed vector: they take the dot products of the shared
+fields' vectors (lam.v_+- and lam_z for Alice, y.lam for Bob) and select
+among those per-round numbers, which are bit for bit the dot products of the
+selected vectors.  A uniform or envelope field's dot products are taken for
+every round of a tile.  A hemisphere field (``sampling.ZHemisphere``) serves
+the constant part (2p-1) Theta(lam.z)/pi of Alice's density; it builds its
+vectors, and the rules take their dot products, only in the rounds that
+agree on it, a 2p-1 share on average.  Alice's committed vectors are Bob's rule
 run on the shared fields' coordinates in place of their dot products with
 y, so they are by construction the vectors Bob uses; they are built only
 when ``AliceResult.lam`` is read.  The networked mode plays the same chunks
@@ -80,6 +84,7 @@ from .sampling import (
     EnvelopeScan,
     RhoTildeMaxSampler,
     RhoTildeSampler,
+    ZHemisphere,
     _rho_tilde_dots,
     check_bound,
     check_seed,
@@ -88,7 +93,6 @@ from .sampling import (
     n_of_p,
     one_bit_threshold,
     rho_tilde_max_cos,
-    sample_theta_hemisphere,
     sample_uniform_sphere,
     stream_key,
 )
@@ -208,8 +212,10 @@ def _uniform(state: State, src) -> np.ndarray:
     return sample_uniform_sphere(src.block(2), src.rounds)
 
 
-def _hemisphere(state: State, src) -> np.ndarray:
-    return sample_theta_hemisphere(src.block(2), Z_AXIS, src.rounds)
+def _hemisphere(state: State, src) -> ZHemisphere:
+    # the uniforms of sample_theta_hemisphere(rng, Z_AXIS, n); vectors are
+    # built only for the rounds that read them, 2p-1 of them on average
+    return ZHemisphere(src.block(2).random((src.rounds, 2)))
 
 
 def _envelope(state: State, src) -> np.ndarray:
@@ -276,6 +282,19 @@ def private_chunk(protocol, key, n, lo, hi) -> AlicePrivate:
     return _draw_alice_private(protocol, _source(key, n, lo, hi))
 
 
+def talk_chunk(protocol, state, key, n, lo, hi) -> np.ndarray:
+    """The rounds of [lo, hi) of the n-round shared draw of Philox key ``key``
+    in which Alice talks (``ProtocolInfo.talks``), read from the shared
+    layout up to and including r; every round, with no stream opened, for a
+    protocol without r.  r precedes the envelope, so none is drawn."""
+    layout = PROTOCOLS[protocol].shared
+    names = [name for name, _ in layout]
+    if "r" not in names:
+        return np.ones(hi - lo, dtype=bool)
+    src = _source(key, n, lo, hi)
+    return [law(state, src) for _, law in layout[: names.index("r") + 1]][-1] == 1
+
+
 def envelope_scan(protocol, state, key, n) -> Optional[EnvelopeScan]:
     """The counting pass over the envelope candidates of the n-round shared
     draw of Philox key ``key``.
@@ -319,12 +338,18 @@ def _one_or_two(first: np.ndarray) -> np.ndarray:
     return np.uint8(2) - first.view(np.uint8)
 
 
-def _select(mask: np.ndarray, if_true: tuple, if_false: tuple) -> tuple:
-    """Per round, the arrays of ``if_true`` where ``mask`` holds, else those of
-    ``if_false``; written over ``if_false``'s arrays, so no new array is made."""
-    for a, b in zip(if_true, if_false):
-        np.copyto(b, a, where=mask)
-    return if_false
+def _dots_where(mask: np.ndarray, d: tuple, lam, coll) -> tuple:
+    """d, the (lam.v_+, lam.v_-) of each round, with the rounds where ``mask``
+    holds taking those of ``lam``'s vectors there; written over d's arrays.
+    Only those rows of ``lam`` are read, so a ``ZHemisphere`` builds no
+    other."""
+    rows = np.flatnonzero(mask)  # row numbers gather and scatter faster than masks
+    if rows.size == mask.size:
+        return _dots(lam[rows], coll)
+    if rows.size:
+        for a, b in zip(d, _dots(lam[rows], coll)):
+            a[rows] = b
+    return d
 
 
 # Alice's rules: (state, collapse(state, x), shared, private, sampler) ->
@@ -332,9 +357,11 @@ def _select(mask: np.ndarray, if_true: tuple, if_false: tuple) -> tuple:
 # holds the vector messages, or is None.  The rules never build the vectors
 # they commit to: they select among the dot products of each shared field
 # with v_+ and v_-, which give the same bytes as the dot products of the
-# selected vectors.  Each array is dropped (``del``) once read for the last
-# time, so that a chunk holds no more round-length arrays at once than
-# selecting (n, 3) vectors did.
+# selected vectors.  The hemisphere field serves the constant part of rho_x,
+# so its dot products are taken only in the rounds that commit to it.  Each
+# array is dropped (``del``) once read for the last time, so that a chunk
+# holds no more round-length arrays at once than selecting (n, 3) vectors
+# did.
 
 
 def _alice_one_bit(state, coll, shared, priv, sampler):
@@ -348,8 +375,7 @@ def _alice_one_bit(state, coll, shared, priv, sampler):
     use1 = priv.u_msg < np.minimum(accept, 1.0)
     del accept
     msg = _one_or_two(use1)
-    d = _select(use1, d1, _dots(shared.lam2, coll))
-    del d1
+    d = _dots_where(~use1, d1, shared.lam2, coll)
     return _output(coll, *d, priv), msg, None
 
 
@@ -359,13 +385,19 @@ def _alice_trit(state, coll, shared, priv, sampler):
     abs1, d_c = np.abs(d1[k]), np.abs(d2[k])
     first = abs1 >= d_c
     c = _one_or_two(first)
-    np.copyto(d_c, abs1, where=first)  # |lam_c.v| of the chosen lam_c
+    # the chosen lam_c's numbers, written over lam2's where lam1 is chosen;
+    # row numbers copy faster than a mask that holds in half the rounds
+    pick = np.flatnonzero(first)
+    d_c[pick] = abs1[pick]  # |lam_c.v|
     del abs1
-    d = _select(first, d1, d2)  # lam_c.v_+-
+    d = d2  # lam_c.v_+-
+    for a, b in zip(d, d1):
+        a[pick] = b[pick]
     del d1, d2
-    rt = _rho_tilde_dots(
-        state, coll, *d, np.where(first, shared.lam1[:, 2], shared.lam2[:, 2])
-    )
+    lz = shared.lam2[:, 2].copy()
+    lz[pick] = shared.lam1[pick, 2]
+    rt = _rho_tilde_dots(state, coll, *d, lz)
+    del lz
     # the pointwise bound rhot_x <= |lam.v| / 2pi, checked with an
     # absolute tolerance (see sampling.BOUND_ATOL), never on the ratio
     check_bound(rt * (2.0 * np.pi), d_c, "trit choice density")
@@ -376,7 +408,7 @@ def _alice_trit(state, coll, shared, priv, sampler):
     keep = priv.u_msg < np.minimum(ratio, 1.0)
     del ratio
     msg = np.where(keep, c, np.uint8(3))
-    d = _select(keep, d, _dots(shared.lam3, coll))
+    d = _dots_where(~keep, d, shared.lam3, coll)
     return _output(coll, *d, priv), msg, None
 
 
@@ -402,33 +434,36 @@ def _alice_teleportation(state, coll, shared, priv, sampler):
 
 def _alice_improved_one_bit(state, coll, shared, priv, sampler):
     talk = shared.r == 1
+    rows = np.flatnonzero(talk)
     d1 = _dots(shared.lam1, coll)
     ratio = np.zeros(shared.rounds)
-    if np.any(talk):
-        lz = shared.lam1[talk, 2]
-        rt = _rho_tilde_dots(state, coll, d1[0][talk], d1[1][talk], lz)
+    if rows.size:
+        lz = shared.lam1[rows, 2]
+        rt = _rho_tilde_dots(state, coll, d1[0][rows], d1[1][rows], lz)
         rmax = rho_tilde_max_cos(state, lz)
         check_bound(rt * np.pi, rmax * np.pi, "improved one-bit envelope")
-        ratio[talk] = rt / rmax
+        ratio[rows] = rt / rmax
         del lz, rt, rmax
     use1 = talk & (priv.u_msg < np.minimum(ratio, 1.0))
     del ratio
-    d = _select(use1, d1, _dots(shared.lam2, coll))
-    del d1
+    d = _dots_where(~use1, d1, shared.lam2, coll)
     msg = talk.view(np.uint8) * _one_or_two(use1)  # 0 in silent rounds
     return _output(coll, *d, priv), msg, None
 
 
 def _alice_local_content(state, coll, shared, priv, sampler):
     talk = shared.r == 1
-    dp, dm = _dots(shared.lam1, coll)
+    m = shared.rounds
+    d = _dots_where(~talk, (np.empty(m), np.empty(m)), shared.lam1, coll)
     payload = None
-    if np.any(talk):
+    rows = np.flatnonzero(talk)
+    if rows.size:
         if sampler is None:
             raise ValidationError("local-content protocol needs Alice's vector sampler")
-        payload = sampler.draw(int(talk.sum()))
-        dp[talk], dm[talk] = _dots(payload, coll)
-    return _output(coll, dp, dm, priv), talk.view(np.uint8), payload
+        payload = sampler.draw(rows.size)
+        for a, b in zip(d, _dots(payload, coll)):
+            a[rows] = b
+    return _output(coll, *d, priv), talk.view(np.uint8), payload
 
 
 def _choice_and_flip(d1: np.ndarray, d2: np.ndarray):
@@ -448,7 +483,9 @@ def _choice_and_flip(d1: np.ndarray, d2: np.ndarray):
 # selected per round (last axis) among f of the shared fields.  f maps (n, 3)
 # vectors to a new array: y . lam for Bob (``partial(dot3, b=y)``), and for
 # Alice's commit the (3, n) coordinates (``_coordinates``), so the vectors
-# she commits to are by construction those Bob uses.
+# she commits to are by construction those Bob uses.  A hemisphere field is
+# read only in the rounds that agree on it, the rounds whose vectors Alice's
+# rule built.
 
 
 def _coordinates(lam: np.ndarray) -> np.ndarray:
@@ -456,17 +493,29 @@ def _coordinates(lam: np.ndarray) -> np.ndarray:
     return lam.T.copy()
 
 
-def _bob_first_or_second(shared, msg, payload, f):
-    d = f(shared.lam2)
-    np.copyto(d, f(shared.lam1), where=msg == 1)
+def _put(d: np.ndarray, mask: np.ndarray, lam, f) -> np.ndarray:
+    """d with f of ``lam``'s vectors in the rounds where ``mask`` holds.  Of a
+    ``ZHemisphere`` only those rows are read; an array's f is taken whole,
+    which costs less than gathering its rows."""
+    if not isinstance(lam, ZHemisphere):
+        np.copyto(d, f(lam), where=mask)
+        return d
+    rows = np.flatnonzero(mask)
+    if rows.size == mask.size:
+        return f(lam[rows])
+    if rows.size:
+        d[..., rows] = f(lam[rows])
     return d
+
+
+def _bob_first_or_second(shared, msg, payload, f):
+    return _put(f(shared.lam1), msg != 1, shared.lam2, f)
 
 
 def _bob_trit(shared, msg, payload, f):
-    d = f(shared.lam3)
-    np.copyto(d, f(shared.lam2), where=msg == 2)
+    d = f(shared.lam2)
     np.copyto(d, f(shared.lam1), where=msg == 1)
-    return d
+    return _put(d, msg == 3, shared.lam3, f)
 
 
 def _bob_teleportation(shared, msg, payload, f):
@@ -477,12 +526,16 @@ def _bob_teleportation(shared, msg, payload, f):
 
 
 def _bob_local_content(shared, msg, payload, f):
-    d = f(shared.lam1)
     got = msg == 1
-    if np.any(got):
-        if payload is None:
-            raise ValidationError("vector message rounds present but no payload given")
-        d[..., got] = f(payload)
+    quiet = np.flatnonzero(~got)
+    silent = f(shared.lam1[quiet])
+    if quiet.size == got.size:
+        return silent
+    if payload is None:
+        raise ValidationError("vector message rounds present but no payload given")
+    d = np.empty(silent.shape[:-1] + got.shape)
+    d[..., quiet] = silent
+    d[..., np.flatnonzero(got)] = f(payload)
     return d
 
 

@@ -22,8 +22,10 @@ rejection samplers read their streams in fixed blocks, buffer the uniforms
 of their candidates, and build and test vectors only as a draw needs them,
 in stream order; ``proposed`` and ``accepted`` count the candidates tested.
 
-Every draw of n vectors is an (n, 3) array stored column-major, so that each
-coordinate is one contiguous array for the dot products that read it.
+A draw of n vectors is an (n, 3) array stored column-major, so that each
+coordinate is one contiguous array for the dot products that read it.  The
+protocols' hemisphere fields are ``ZHemisphere``s instead: they keep the
+uniforms of the draw and build such an array of just the rows that are read.
 """
 
 from __future__ import annotations
@@ -152,34 +154,56 @@ def _sphere_points(z_u: np.ndarray, phi_u: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_theta_hemisphere(rng: np.random.Generator, v: np.ndarray, n: int) -> np.ndarray:
-    """n vectors with density Theta(lam.v)/pi.
-
-    The cosine of the angle to v has density 2c on [0, 1] (drawn as sqrt of a
-    uniform); the azimuth about v is uniform.  About ``Z_AXIS`` the frame
-    ``_frame`` gives is e1 = (0, -1, 0), e2 = (1, 0, 0), so a row is
-    (s sin phi, -s cos phi, c), written directly; ``+ 0.0`` and ``0.0 -``
-    turn -0.0 into +0.0 as the general sum does, so the bytes are the same.
-    """
-    v = check_unit(v, "v")
-    m = int(n)
-    u = rng.random((m, 2))
-    out = np.empty((m, 3), order="F")
-    x, y, c = out.T
-    np.sqrt(u[:, 0], out=c)
+def _polar(c_u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Write c = sqrt(c_u), the cosine to the axis with density 2c on [0, 1],
+    into ``c``; return s = sqrt(max(1 - c^2, 0)) as a new array."""
+    np.sqrt(c_u, out=c)
     s = c * c  # then s = sqrt(max(1 - c^2, 0)), in place
     np.subtract(1.0, s, out=s)
     np.maximum(s, 0.0, out=s)
     np.sqrt(s, out=s)
-    np.multiply(TWO_PI, u[:, 1], out=y)  # phi
+    return s
+
+
+def _hemisphere_points(c_u: np.ndarray, phi_u: np.ndarray) -> np.ndarray:
+    """Vectors of density Theta(lam_z)/pi from their uniforms (column-major).
+
+    lam_z = c = sqrt(c_u) and the azimuth is phi = 2pi phi_u.  The frame that
+    ``_frame`` gives about ``Z_AXIS`` is e1 = (0, -1, 0), e2 = (1, 0, 0), so a
+    row is (s sin phi, -s cos phi, c), written directly; ``+ 0.0`` and
+    ``0.0 -`` turn -0.0 into +0.0 as the general sum does, so the bytes are
+    those of the frame formula.  Every operation is elementwise, so a row's
+    bytes do not depend on which other rows are built with it.
+    """
+    out = np.empty((c_u.shape[0], 3), order="F")
+    x, y, c = out.T
+    s = _polar(c_u, c)
+    np.multiply(TWO_PI, phi_u, out=y)  # phi
+    np.sin(y, out=x)
+    x *= s
+    x += 0.0
+    np.cos(y, out=y)
+    y *= s
+    np.subtract(0.0, y, out=y)
+    return out
+
+
+def sample_theta_hemisphere(rng: np.random.Generator, v: np.ndarray, n: int) -> np.ndarray:
+    """n vectors with density Theta(lam.v)/pi.
+
+    The cosine of the angle to v has density 2c on [0, 1] (drawn as sqrt of a
+    uniform); the azimuth about v is uniform.  Each vector reads one (c, phi)
+    pair of uniforms; about ``Z_AXIS`` the rows are ``_hemisphere_points``.
+    """
+    v = check_unit(v, "v")
+    m = int(n)
+    u = rng.random((m, 2))
     if v.tobytes() == _Z_BYTES:
-        np.sin(y, out=x)
-        x *= s
-        x += 0.0
-        np.cos(y, out=y)
-        y *= s
-        np.subtract(0.0, y, out=y)
-        return out
+        return _hemisphere_points(u[:, 0], u[:, 1])
+    out = np.empty((m, 3), order="F")
+    x, y, c = out.T
+    s = _polar(u[:, 0], c)
+    np.multiply(TWO_PI, u[:, 1], out=y)  # phi
     e1, e2 = _frame(v)
     s_cos = np.cos(y)
     s_cos *= s
@@ -190,6 +214,43 @@ def sample_theta_hemisphere(rng: np.random.Generator, v: np.ndarray, n: int) -> 
         col += s_cos * e1[j]
         col += s * e2[j]
     return out
+
+
+class ZHemisphere:
+    """m vectors of density Theta(lam_z)/pi, kept as the (c, phi) uniforms
+    that ``sample_theta_hemisphere(rng, Z_AXIS, m)`` reads, in its layout.
+
+    Vectors are built only when read, by ``_hemisphere_points``, so a round
+    whose vector is never read costs two uniforms and no sqrt, sin or cos.
+    ``lam[rows]`` gives the vectors of ``rows``, an increasing array of row
+    numbers (``np.flatnonzero`` of a mask), or of the rows where a boolean
+    mask holds.  The vectors of the last rows read are kept, so readers that
+    ask for the same rows build them once, and every row is built in one
+    pass, with no gather.  ``np.asarray(lam)`` is the (m, 3) column-major
+    array of ``sample_theta_hemisphere``, and a row slice builds its rows.
+    """
+
+    def __init__(self, u: np.ndarray):
+        self.u = u  # (m, 2): each row's c and phi uniforms
+        self.shape = (u.shape[0], 3)
+        self._read = None  # the last rows read, and their vectors
+        self._lam = None
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            u = self.u[key]
+            return _hemisphere_points(u[:, 0], u[:, 1])
+        return self._take(np.flatnonzero(key) if key.dtype == bool else key)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._take(np.arange(self.shape[0])), dtype=dtype, copy=copy)
+
+    def _take(self, rows: np.ndarray) -> np.ndarray:
+        if self._read is None or not np.array_equal(rows, self._read):
+            # increasing rows, as many as there are, are every row
+            u = self.u if rows.size == self.shape[0] else np.take(self.u, rows, axis=0)
+            self._read, self._lam = rows.copy(), _hemisphere_points(u[:, 0], u[:, 1])
+        return self._lam
 
 
 # ---------------------------------------------------------------------------

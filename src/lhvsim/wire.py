@@ -38,14 +38,15 @@ round.  Per chunk:
 
 The parties draw each chunk with the functions ``protocols.simulate`` uses
 and decide it in one call, so for a fixed seed a networked run reproduces
-the in-process outcome sequence bit for bit.  The referee draws the same
-shared rows, only to check each chunk's two OUTPUTs with ``_chunk_fault`` as
-they arrive.
+the in-process outcome sequence bit for bit.  The referee reads the same
+stream only as far as the shared bit r, which names the rounds in which
+Alice talks (``protocols.talk_chunk``), to check each chunk's two OUTPUTs
+with ``_chunk_fault`` as they arrive.
 
 The log (format ``LHV3``) is the frames in the order the referee writes
 them: per pair, Alice's SETTING and Bob's; per chunk, Alice's OUTPUT and
 Bob's.  A valid log has that order, and every chunk passes ``_chunk_fault``
-on the shared rows replayed from the key in Bob's SETTING.
+on the talking rounds replayed from the key in Bob's SETTING.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ from .protocols import (
     BatchResult,
     ProtocolId,
     VECTOR_MESSAGE_BITS,
-    SharedDraw,
     SimulationResult,
     _aggregate,
     _checked_run,
@@ -85,6 +85,7 @@ from .protocols import (
     envelope_scan,
     private_chunk,
     shared_chunk,
+    talk_chunk,
 )
 from .sampling import stream_key
 
@@ -198,10 +199,10 @@ def _message_fault(info, payload: bytes, talking: int) -> Optional[str]:
     return None
 
 
-def _chunk_fault(info, lo: int, shared: SharedDraw, aout: Frame, bout: Frame) -> Optional[str]:
-    """Why the two OUTPUT frames of the chunk at round lo, played on the rows
-    ``shared``, are not a valid reply, or None."""
-    m = shared.rounds
+def _chunk_fault(info, lo: int, talk: np.ndarray, aout: Frame, bout: Frame) -> Optional[str]:
+    """Why the two OUTPUT frames of the chunk at round lo, whose rounds are
+    those of ``talk``, true where Alice talks, are not a valid reply, or None."""
+    m = talk.shape[0]
     for party, frame in (("alice", aout), ("bob", bout)):
         if frame.kind != FrameKind.OUTPUT or frame.round != lo:
             return f"{party} sent {frame.kind.name} of round {frame.round}, want OUTPUT"
@@ -214,7 +215,7 @@ def _chunk_fault(info, lo: int, shared: SharedDraw, aout: Frame, bout: Frame) ->
     outputs = np.frombuffer(aout.payload + bout.payload[1 : 1 + m], dtype=np.int8)
     if np.any(np.abs(outputs) != 1):
         return "an a or b byte is not +-1"
-    return _message_fault(info, bout.payload[1 + m :], int(info.talks(shared).sum()))
+    return _message_fault(info, bout.payload[1 + m :], int(talk.sum()))
 
 
 def _decode_message(info, talk: np.ndarray, payload: bytes):
@@ -411,8 +412,9 @@ def run_networked(
     Statistically and bit-exactly identical to ``simulate`` with the same
     seed: each party draws each chunk's shared rows, and Alice her private
     coins, with the functions ``simulate`` uses, and decides a whole chunk in
-    one call.  A party that exits, or does not answer within
-    ``_SOCKET_TIMEOUT``, ends the run with TransportError.
+    one call; the referee reads the shared stream only up to r.  A party that
+    exits, or does not answer within ``_SOCKET_TIMEOUT``, ends the run with
+    TransportError.
     """
     pairs, rounds, seed = _checked_run(protocol, state, settings, rounds, seed)
     info = PROTOCOLS[protocol]
@@ -456,16 +458,17 @@ def run_networked(
             transcript.add("referee->bob", fb)
 
             parts = []
-            for lo, hi, shared in _shared_rows(protocol, state, key, rounds):
+            for lo, hi in _chunks(rounds):
+                talk = talk_chunk(protocol, state, key, rounds, lo, hi)
                 aout = recv_frame(alice_sock)
                 bout = recv_frame(bob_sock)
                 transcript.add("alice->referee", aout)
                 transcript.add("bob->referee", bout)
-                fault = _chunk_fault(info, lo, shared, aout, bout)
+                fault = _chunk_fault(info, lo, talk, aout, bout)
                 if fault:
                     raise ProtocolViolationError(f"round {lo}: {fault}")
                 m = hi - lo
-                msg, _ = _decode_message(info, info.talks(shared), bout.payload[1 + m :])
+                msg, _ = _decode_message(info, talk, bout.payload[1 + m :])
                 a = np.frombuffer(aout.payload, dtype=np.int8)
                 b = np.frombuffer(bout.payload[1 : 1 + m], dtype=np.int8)
                 bits = np.take(info.cost, msg)  # each round costs its symbol's bits
@@ -509,7 +512,7 @@ def audit_transcript(transcript: Transcript) -> AuditReport:
     per pair Alice's OUTPUT and Bob's OUTPUT, both of round lo.  Bob's
     SETTING names the pair, the log's protocol, p and rounds per pair, and
     each chunk passes ``_chunk_fault``, the referee's own check, on the
-    shared rows replayed from the key in that SETTING.  A header p that is
+    talking rounds replayed from the key in that SETTING.  A header p that is
     no valid state for the protocol is the log's only finding.  A pair whose
     frames break that order is one finding, and is not replayed: "missing
     message" if it has fewer Bob OUTPUTs than chunks, "more than one
@@ -558,19 +561,24 @@ def audit_transcript(transcript: Transcript) -> AuditReport:
         if (pair, proto, p, rounds) != (k, protocol, state.p, n):
             findings.append(f"pair {k}: bob's setting does not match the log header")
             continue
-        rows = _shared_rows(protocol, state, key, n)
-        for (lo, hi, shared), arec, brec in zip(rows, recs[2::2], recs[3::2]):
+        # the order matched, so the pair's chunks are those of ``chunks``
+        for (lo, hi), arec, brec in zip(chunks, recs[2::2], recs[3::2]):
             total_rounds += hi - lo
-            fault = _chunk_fault(info, lo, shared, arec.frame, brec.frame)
+            talk = talk_chunk(protocol, state, key, n, lo, hi)
+            fault = _chunk_fault(info, lo, talk, arec.frame, brec.frame)
             if fault:
                 findings.append(f"pair {k} round {lo}: {fault}")
                 continue
-            talking = int(info.talks(shared).sum())
+            talking = int(talk.sum())
             total_messages += talking
             if info.vector_message:
                 hist["vector"] += talking
-            else:
-                hist.update(str(s) for s in brec.frame.payload[1 + hi - lo :])
+                continue
+            sent = np.frombuffer(brec.frame.payload[1 + hi - lo :], dtype=np.uint8)
+            counts = np.bincount(sent)
+            # symbols new to ``hist`` join it in the order of their first byte
+            for s in sorted(np.flatnonzero(counts), key=lambda s: np.argmax(sent == s)):
+                hist[str(s)] += int(counts[s])
 
     return AuditReport(
         findings=findings,

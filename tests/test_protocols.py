@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lhvsim.bloch import State, X_AXIS, Z_AXIS, born_joint, collapse, dot3, sign_pm
-from lhvsim import protocols
+from lhvsim import protocols, sampling
 from lhvsim.errors import DomainError, InternalConsistencyError
 from lhvsim.protocols import (
     CH_ALICE,
@@ -713,10 +713,56 @@ class TestByteExactForms:
             shared = shared_chunk(pid, state, key, n, lo, n, scan)
             for name in ("lam1", "lam2", "lam3"):
                 lam = getattr(shared, name)
-                assert lam is None or lam.flags.f_contiguous, (n, name)
+                assert lam is None or np.asarray(lam).flags.f_contiguous, (n, name)
             priv = private_chunk(pid, stream_key(61, 0, CH_ALICE), n, lo, n)
             sampler = _vector_sampler(pid, state, x, 61, 0, lo)
             res = alice_decide(pid, state, x, shared, priv, sampler)
             assert res.a.dtype == np.int8 and res.msg.dtype == np.uint8
             if res.payload is not None:
                 assert res.payload.shape[0] > 1 and res.payload.flags.f_contiguous
+
+
+class TestHemisphereRows:
+    """A hemisphere field serves the constant part of rho_x, so its vectors
+    are read, and built, only in the rounds that agree on it: a 2p-1 share.
+    Alice's rule, Bob's rule and Alice's commit all read them, and each row
+    is still built once."""
+
+    @staticmethod
+    def _reads(field, symbols):
+        """Which rounds read ``field``, from their symbols."""
+        return {"lam1": symbols == 0, "lam2": symbols != 1, "lam3": symbols == 3}[field]
+
+    @pytest.mark.parametrize("n", [5000, CHUNK + TILE + 5])
+    @pytest.mark.parametrize(
+        "pid,p,field",
+        [
+            (ProtocolId.TRIT, 0.5, "lam3"),
+            (ProtocolId.LOCAL_CONTENT, 0.5, "lam1"),
+            (ProtocolId.TRIT, 0.7, "lam3"),
+            (ProtocolId.ONE_BIT, 0.95, "lam2"),
+            (ProtocolId.IMPROVED_ONE_BIT, 0.9, "lam2"),
+            (ProtocolId.IMPROVED_ONE_BIT, 1.0, "lam2"),
+            (ProtocolId.LOCAL_CONTENT, 0.7, "lam1"),
+        ],
+    )
+    def test_built_once_where_read(self, monkeypatch, pid, p, field, n):
+        built = []  # the c uniform of every row the builder builds, in order
+        build = sampling._hemisphere_points
+
+        def counting(c_u, phi_u):
+            built.append(np.array(c_u))
+            return build(c_u, phi_u)
+
+        monkeypatch.setattr(sampling, "_hemisphere_points", counting)
+        state = State(p)
+        res = simulate(
+            pid, state, default_setting_pairs(1), n, seed=71,
+            keep_outcomes=True, keep_lambdas=True,
+        )
+        reads = self._reads(field, res.settings[0].msg_seq)
+        if p == 0.5:
+            assert not reads.any()
+        shared = draw_shared(pid, state, make_generator(71, 0, CH_SHARED), n)
+        got = np.concatenate([np.zeros(0)] + built)
+        assert np.array_equal(got, getattr(shared, field).u[reads, 0])

@@ -21,6 +21,7 @@ from lhvsim.sampling import (
     _sphere_points,
     RhoTildeMaxSampler,
     RhoTildeSampler,
+    ZHemisphere,
     brentq,
     check_bound,
     eval_rho_tilde,
@@ -168,6 +169,40 @@ class FixedUniforms:
     def random(self, shape):
         assert self.u.shape == shape
         return self.u
+
+
+class TestZHemisphere:
+    """The lazily built hemisphere field gives the rows, signed zeros included,
+    that ``sample_theta_hemisphere`` builds from the same uniforms."""
+
+    @staticmethod
+    def same(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 5000])
+    def test_rows_equal_the_sampler(self, n):
+        lam = ZHemisphere(make_generator(70, 2).random((n, 2)))
+        want = sample_theta_hemisphere(make_generator(70, 2), Z_AXIS, n)
+        subset = np.random.default_rng(n).random(n) < 0.4
+        self.same(lam[subset], want[subset])
+        self.same(lam[np.flatnonzero(subset)], want[subset])
+        self.same(lam[np.zeros(n, dtype=bool)], want[:0])
+        self.same(lam[np.ones(n, dtype=bool)], want)
+        self.same(lam[n // 3 : n - 1], want[n // 3 : n - 1])
+        full = np.asarray(lam)
+        self.same(full, want)
+        assert full.flags.f_contiguous
+
+    def test_signed_zeros_equal_the_sampler(self):
+        # the uniforms of test_z_axis_signed_zeros_equal_frame_formula
+        zs = np.array([0.0, 0.25, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        phis = np.array([0.0, 0.5, 0.0, 0.25, 0.5, 0.75, 0.1, 0.4, 0.9])
+        u = np.column_stack([zs, phis])
+        want = sample_theta_hemisphere(FixedUniforms(u), Z_AXIS, len(u))
+        for subset in (np.arange(len(u)) % 2 == 1, np.ones(len(u), dtype=bool)):
+            self.same(ZHemisphere(u)[subset], want[subset])
 
 
 def frame_hemisphere(rng, v, n):

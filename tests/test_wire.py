@@ -1,5 +1,6 @@
 """Tests for the networked referee/Alice/Bob execution and transcript audit."""
 
+from collections import Counter
 from functools import lru_cache
 import socket
 
@@ -435,6 +436,18 @@ class TestAuditCatches:
         transcript = Transcript.from_binary(_two_chunk_log())
         transcript.records = TAMPERINGS[case](transcript.records)
         assert audit_transcript(transcript).findings
+
+    def test_histogram_counts_each_sent_byte_in_order(self):
+        # the symbols as a byte-by-byte count over the echoes gives them,
+        # keys in order of first appearance included, as ``lhvsim audit`` prints
+        transcript = Transcript.from_binary(_two_chunk_log())
+        want = Counter()
+        for rec in transcript.frames("bob->referee", FrameKind.OUTPUT):
+            m = (len(rec.frame.payload) - 1) // 2  # trit talks in every round
+            want.update(str(s) for s in rec.frame.payload[1 + m :])
+        got = audit_transcript(transcript).symbol_histogram
+        assert list(got.items()) == list(want.items())
+        assert sum(got.values()) == CHUNK + 3
 
     def test_audit_command_fails_on_a_tampered_log(self, tmp_path, capsys):
         transcript = Transcript.from_binary(_two_chunk_log())
