@@ -212,10 +212,13 @@ def _uniform(state: State, src) -> np.ndarray:
     return sample_uniform_sphere(src.block(2), src.rounds)
 
 
-def _hemisphere(state: State, src) -> ZHemisphere:
+def _hemisphere(state: State, src):
     # the uniforms of sample_theta_hemisphere(rng, Z_AXIS, n); vectors are
-    # built only for the rounds that read them, 2p-1 of them on average
-    return ZHemisphere(src.block(2).random((src.rounds, 2)))
+    # built only for the rounds that read them, 2p-1 of them on average.  At
+    # p = 1 every round reads them: the (n, 3) array is built here, while the
+    # uniforms are in cache, and they are dropped
+    lam = ZHemisphere(src.block(2).random((src.rounds, 2)))
+    return lam.all() if state.p == 1.0 else lam
 
 
 def _envelope(state: State, src) -> np.ndarray:
@@ -338,14 +341,21 @@ def _one_or_two(first: np.ndarray) -> np.ndarray:
     return np.uint8(2) - first.view(np.uint8)
 
 
+def _select(mask: np.ndarray, if_true: tuple, if_false: tuple) -> tuple:
+    """Per round, the arrays of ``if_true`` where ``mask`` holds, else those of
+    ``if_false``; written over ``if_false``'s arrays, so no new array is made."""
+    for a, b in zip(if_true, if_false):
+        np.copyto(b, a, where=mask)
+    return if_false
+
+
 def _dots_where(mask: np.ndarray, d: tuple, lam, coll) -> tuple:
     """d, the (lam.v_+, lam.v_-) of each round, with the rounds where ``mask``
     holds taking those of ``lam``'s vectors there; written over d's arrays.
-    Only those rows of ``lam`` are read, so a ``ZHemisphere`` builds no
-    other."""
+    Only those rows of ``lam`` are built."""
+    if mask.all():
+        return _dots(np.asarray(lam), coll)
     rows = np.flatnonzero(mask)  # row numbers gather and scatter faster than masks
-    if rows.size == mask.size:
-        return _dots(lam[rows], coll)
     if rows.size:
         for a, b in zip(d, _dots(lam[rows], coll)):
             a[rows] = b
@@ -376,6 +386,7 @@ def _alice_one_bit(state, coll, shared, priv, sampler):
     del accept
     msg = _one_or_two(use1)
     d = _dots_where(~use1, d1, shared.lam2, coll)
+    del d1
     return _output(coll, *d, priv), msg, None
 
 
@@ -385,19 +396,13 @@ def _alice_trit(state, coll, shared, priv, sampler):
     abs1, d_c = np.abs(d1[k]), np.abs(d2[k])
     first = abs1 >= d_c
     c = _one_or_two(first)
-    # the chosen lam_c's numbers, written over lam2's where lam1 is chosen;
-    # row numbers copy faster than a mask that holds in half the rounds
-    pick = np.flatnonzero(first)
-    d_c[pick] = abs1[pick]  # |lam_c.v|
+    np.copyto(d_c, abs1, where=first)  # |lam_c.v| of the chosen lam_c
     del abs1
-    d = d2  # lam_c.v_+-
-    for a, b in zip(d, d1):
-        a[pick] = b[pick]
+    d = _select(first, d1, d2)  # lam_c.v_+-
     del d1, d2
-    lz = shared.lam2[:, 2].copy()
-    lz[pick] = shared.lam1[pick, 2]
-    rt = _rho_tilde_dots(state, coll, *d, lz)
-    del lz
+    rt = _rho_tilde_dots(
+        state, coll, *d, np.where(first, shared.lam1[:, 2], shared.lam2[:, 2])
+    )
     # the pointwise bound rhot_x <= |lam.v| / 2pi, checked with an
     # absolute tolerance (see sampling.BOUND_ATOL), never on the ratio
     check_bound(rt * (2.0 * np.pi), d_c, "trit choice density")
@@ -434,19 +439,19 @@ def _alice_teleportation(state, coll, shared, priv, sampler):
 
 def _alice_improved_one_bit(state, coll, shared, priv, sampler):
     talk = shared.r == 1
-    rows = np.flatnonzero(talk)
     d1 = _dots(shared.lam1, coll)
     ratio = np.zeros(shared.rounds)
-    if rows.size:
-        lz = shared.lam1[rows, 2]
-        rt = _rho_tilde_dots(state, coll, d1[0][rows], d1[1][rows], lz)
+    if np.any(talk):
+        lz = shared.lam1[talk, 2]
+        rt = _rho_tilde_dots(state, coll, d1[0][talk], d1[1][talk], lz)
         rmax = rho_tilde_max_cos(state, lz)
         check_bound(rt * np.pi, rmax * np.pi, "improved one-bit envelope")
-        ratio[rows] = rt / rmax
+        ratio[talk] = rt / rmax
         del lz, rt, rmax
     use1 = talk & (priv.u_msg < np.minimum(ratio, 1.0))
     del ratio
     d = _dots_where(~use1, d1, shared.lam2, coll)
+    del d1
     msg = talk.view(np.uint8) * _one_or_two(use1)  # 0 in silent rounds
     return _output(coll, *d, priv), msg, None
 
@@ -454,16 +459,14 @@ def _alice_improved_one_bit(state, coll, shared, priv, sampler):
 def _alice_local_content(state, coll, shared, priv, sampler):
     talk = shared.r == 1
     m = shared.rounds
-    d = _dots_where(~talk, (np.empty(m), np.empty(m)), shared.lam1, coll)
+    dp, dm = _dots_where(~talk, (np.empty(m), np.empty(m)), shared.lam1, coll)
     payload = None
-    rows = np.flatnonzero(talk)
-    if rows.size:
+    if np.any(talk):
         if sampler is None:
             raise ValidationError("local-content protocol needs Alice's vector sampler")
-        payload = sampler.draw(rows.size)
-        for a, b in zip(d, _dots(payload, coll)):
-            a[rows] = b
-    return _output(coll, *d, priv), talk.view(np.uint8), payload
+        payload = sampler.draw(int(talk.sum()))
+        dp[talk], dm[talk] = _dots(payload, coll)
+    return _output(coll, dp, dm, priv), talk.view(np.uint8), payload
 
 
 def _choice_and_flip(d1: np.ndarray, d2: np.ndarray):
@@ -494,15 +497,12 @@ def _coordinates(lam: np.ndarray) -> np.ndarray:
 
 
 def _put(d: np.ndarray, mask: np.ndarray, lam, f) -> np.ndarray:
-    """d with f of ``lam``'s vectors in the rounds where ``mask`` holds.  Of a
-    ``ZHemisphere`` only those rows are read; an array's f is taken whole,
-    which costs less than gathering its rows."""
-    if not isinstance(lam, ZHemisphere):
-        np.copyto(d, f(lam), where=mask)
-        return d
+    """d with f of ``lam``'s vectors in the rounds where ``mask`` holds, written
+    over d.  Only those rows of ``lam`` are read, so a ``ZHemisphere`` builds
+    no other."""
+    if mask.all():
+        return f(np.asarray(lam))
     rows = np.flatnonzero(mask)
-    if rows.size == mask.size:
-        return f(lam[rows])
     if rows.size:
         d[..., rows] = f(lam[rows])
     return d
@@ -527,16 +527,14 @@ def _bob_teleportation(shared, msg, payload, f):
 
 def _bob_local_content(shared, msg, payload, f):
     got = msg == 1
-    quiet = np.flatnonzero(~got)
-    silent = f(shared.lam1[quiet])
-    if quiet.size == got.size:
-        return silent
+    if not np.any(got):
+        return f(np.asarray(shared.lam1))
     if payload is None:
         raise ValidationError("vector message rounds present but no payload given")
-    d = np.empty(silent.shape[:-1] + got.shape)
-    d[..., quiet] = silent
-    d[..., np.flatnonzero(got)] = f(payload)
-    return d
+    sent = f(payload)
+    d = np.empty(sent.shape[:-1] + got.shape)
+    d[..., got] = sent
+    return _put(d, ~got, shared.lam1, f)
 
 
 # ---------------------------------------------------------------------------

@@ -223,11 +223,11 @@ class ZHemisphere:
     Vectors are built only when read, by ``_hemisphere_points``, so a round
     whose vector is never read costs two uniforms and no sqrt, sin or cos.
     ``lam[rows]`` gives the vectors of ``rows``, an increasing array of row
-    numbers (``np.flatnonzero`` of a mask), or of the rows where a boolean
-    mask holds.  The vectors of the last rows read are kept, so readers that
-    ask for the same rows build them once, and every row is built in one
-    pass, with no gather.  ``np.asarray(lam)`` is the (m, 3) column-major
-    array of ``sample_theta_hemisphere``, and a row slice builds its rows.
+    numbers (``np.flatnonzero`` of a mask), and a row slice builds its rows.
+    ``lam.all()``, which ``np.asarray(lam)`` returns, is the (m, 3)
+    column-major array of ``sample_theta_hemisphere``, built in one pass.
+    The last rows read and every row are each built once and kept, read-only,
+    so readers that ask for the same rows share them.
     """
 
     def __init__(self, u: np.ndarray):
@@ -235,22 +235,35 @@ class ZHemisphere:
         self.shape = (u.shape[0], 3)
         self._read = None  # the last rows read, and their vectors
         self._lam = None
+        self._all = None
 
     def __getitem__(self, key):
         if isinstance(key, slice):
             u = self.u[key]
             return _hemisphere_points(u[:, 0], u[:, 1])
-        return self._take(np.flatnonzero(key) if key.dtype == bool else key)
+        if key.dtype.kind not in "iu":
+            raise TypeError(f"rows must be row numbers, not {key.dtype}")
+        if key.size == self.shape[0]:  # increasing, as many as there are rows
+            return self.all()
+        if self._read is None or not np.array_equal(key, self._read):
+            u = np.take(self.u, key, axis=0)
+            self._read, self._lam = key.copy(), _frozen(u)
+        return self._lam
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self._take(np.arange(self.shape[0])), dtype=dtype, copy=copy)
+        return np.array(self.all(), dtype=dtype, copy=copy)
 
-    def _take(self, rows: np.ndarray) -> np.ndarray:
-        if self._read is None or not np.array_equal(rows, self._read):
-            # increasing rows, as many as there are, are every row
-            u = self.u if rows.size == self.shape[0] else np.take(self.u, rows, axis=0)
-            self._read, self._lam = rows.copy(), _hemisphere_points(u[:, 0], u[:, 1])
-        return self._lam
+    def all(self) -> np.ndarray:
+        if self._all is None:
+            self._all = _frozen(self.u)
+        return self._all
+
+
+def _frozen(u: np.ndarray) -> np.ndarray:
+    """The read-only vectors of the (c, phi) uniform rows ``u``."""
+    lam = _hemisphere_points(u[:, 0], u[:, 1])
+    lam.flags.writeable = False
+    return lam
 
 
 # ---------------------------------------------------------------------------

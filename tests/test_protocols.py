@@ -747,12 +747,13 @@ class TestHemisphereRows:
         ],
     )
     def test_built_once_where_read(self, monkeypatch, pid, p, field, n):
-        built = []  # the c uniform of every row the builder builds, in order
+        built = []  # lam_z of every row the builder builds, in order
         build = sampling._hemisphere_points
 
         def counting(c_u, phi_u):
-            built.append(np.array(c_u))
-            return build(c_u, phi_u)
+            lam = build(c_u, phi_u)
+            built.append(lam[:, 2].copy())
+            return lam
 
         monkeypatch.setattr(sampling, "_hemisphere_points", counting)
         state = State(p)
@@ -763,6 +764,6 @@ class TestHemisphereRows:
         reads = self._reads(field, res.settings[0].msg_seq)
         if p == 0.5:
             assert not reads.any()
-        shared = draw_shared(pid, state, make_generator(71, 0, CH_SHARED), n)
         got = np.concatenate([np.zeros(0)] + built)
-        assert np.array_equal(got, getattr(shared, field).u[reads, 0])
+        shared = draw_shared(pid, state, make_generator(71, 0, CH_SHARED), n)
+        assert np.array_equal(got, np.asarray(getattr(shared, field))[reads, 2])
