@@ -459,14 +459,16 @@ def _alice_improved_one_bit(state, coll, shared, priv, sampler):
 def _alice_local_content(state, coll, shared, priv, sampler):
     talk = shared.r == 1
     m = shared.rounds
-    dp, dm = _dots_where(~talk, (np.empty(m), np.empty(m)), shared.lam1, coll)
+    d = _dots_where(~talk, (np.empty(m), np.empty(m)), shared.lam1, coll)
     payload = None
-    if np.any(talk):
+    rows = np.flatnonzero(talk)
+    if rows.size:
         if sampler is None:
             raise ValidationError("local-content protocol needs Alice's vector sampler")
-        payload = sampler.draw(int(talk.sum()))
-        dp[talk], dm[talk] = _dots(payload, coll)
-    return _output(coll, dp, dm, priv), talk.view(np.uint8), payload
+        payload = sampler.draw(rows.size)
+        for a, b in zip(d, _dots(payload, coll)):
+            a[rows] = b
+    return _output(coll, *d, priv), talk.view(np.uint8), payload
 
 
 def _choice_and_flip(d1: np.ndarray, d2: np.ndarray):
@@ -533,7 +535,7 @@ def _bob_local_content(shared, msg, payload, f):
         raise ValidationError("vector message rounds present but no payload given")
     sent = f(payload)
     d = np.empty(sent.shape[:-1] + got.shape)
-    d[..., got] = sent
+    d[..., np.flatnonzero(got)] = sent
     return _put(d, ~got, shared.lam1, f)
 
 
