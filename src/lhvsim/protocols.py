@@ -53,16 +53,20 @@ its streams straight through, block after block.  Any other chunk of rounds
 reach round lo of each block (Philox is counter-based, so the jump is free)
 and reads only its own rows.  The envelope sampler of the improved one-bit
 protocol consumes a data-dependent number of candidate blocks; for a pair of
-more than one chunk, one counting pass over those blocks
+more than one chunk, a counting pass over those blocks
 (``sampling.EnvelopeScan``) keeps each block's accept bits, from which a
-chunk finds and builds its own samples.  Every chunk is thus one independent
-unit of work, and outcomes and counts do not depend on the number of workers
-or on the order chunks run in.
+chunk finds and builds its own samples.  Each candidate block has a fixed
+stream position, so the pass runs in ranges of blocks, and ``simulate``
+maps the ranges of all pairs on its workers before it maps the chunks.
+Every chunk is thus one independent unit of work, and outcomes and counts
+do not depend on the number of workers or on the order chunks run in.
 
 ``simulate`` plays such a chunk in tiles of ``TILE`` rounds: it opens each
 block once, at the chunk's first round, and reads it on tile by tile, as a
-block's rows are contiguous; the envelope rows of a tile come from the scan
-and the vector sampler is drawn from tile after tile.  A worker thus holds
+block's rows are contiguous; the envelope rows of a tile come from one
+cursor over the scan, which generates each candidate block once per chunk
+and keeps the current block's accepted uniforms from tile to tile, and the
+vector sampler is drawn from tile after tile.  A worker thus holds
 the arrays of at most one tile of a long pair's chunk, or of one pair of at
 most ``CHUNK`` rounds, plus its chunk's outcomes (a few bytes per round) and
 the accept bits: one bit per envelope candidate, under 3 bits per round for
@@ -81,6 +85,7 @@ import numpy as np
 from .bloch import State, Z_AXIS, check_unit, collapse, dot3, pm, sign_pm, theta
 from .errors import DomainError, InternalConsistencyError, ValidationError
 from .sampling import (
+    EnvelopeCursor,
     EnvelopeScan,
     RhoTildeMaxSampler,
     RhoTildeSampler,
@@ -94,6 +99,7 @@ from .sampling import (
     one_bit_threshold,
     rho_tilde_max_cos,
     sample_uniform_sphere,
+    scan_envelopes,
     stream_key,
 )
 
@@ -174,16 +180,18 @@ class _Chunk:
 
     ``block(width)`` opens the stream where the n-round draw reaches round lo
     of its next block of ``width`` uniforms per round.  ``envelope`` needs
-    the ``EnvelopeScan`` of the stream's envelope draw.  ``tile(a, b)``
-    narrows the reads to the chunk's next rounds [a, b): the first tile
-    opens each block, and later tiles read on from it, as a block's rows
-    are contiguous.
+    the ``EnvelopeScan`` of the stream's envelope draw, and reads it through
+    one cursor from the chunk's first sample.  ``tile(a, b)`` narrows the
+    reads to the chunk's next rounds [a, b): the first tile opens each block
+    and the cursor, and later tiles read on from them, as a block's rows
+    and the envelope's samples are contiguous.
     """
 
     def __init__(self, key: tuple, n: int, lo: int, hi: int, scan=None):
         self.key, self.n, self.lo = key, n, lo
         self.rounds = hi - lo
         self.scan = scan
+        self.cursor = None  # the envelope's, opened by the first tile
         self.start = 0  # stream position where the next block begins
         self.opened = []  # the blocks' generators, in layout order
         self.read = 0  # the blocks the current tile has read
@@ -201,7 +209,9 @@ class _Chunk:
 
     def envelope(self, state: State) -> np.ndarray:
         self.start = self.scan.end
-        return self.scan.samples(self.lo, self.lo + self.rounds)
+        if self.cursor is None:
+            self.cursor = EnvelopeCursor(self.scan, self.lo)
+        return self.cursor.take(self.rounds)
 
 
 # The laws of the shared layouts.  Each reads its own blocks from ``src``
@@ -298,17 +308,21 @@ def talk_chunk(protocol, state, key, n, lo, hi) -> np.ndarray:
     return [law(state, src) for _, law in layout[: names.index("r") + 1]][-1] == 1
 
 
-def envelope_scan(protocol, state, key, n) -> Optional[EnvelopeScan]:
+def envelope_scans(protocol, state, keys, n, map_fn=map) -> list:
     """The counting pass over the envelope candidates of the n-round shared
-    draw of Philox key ``key``.
+    draw of each Philox key in ``keys``, its block ranges mapped with
+    ``map_fn`` (``sampling.scan_envelopes``).
 
-    None if the pair draws no envelope, or has at most ``CHUNK`` rounds: its
-    only chunk draws the envelope straight through.  The candidates follow
-    the n shared-bit uniforms that the shared layout reads first.
+    None for each key if the pairs draw no envelope, or have at most
+    ``CHUNK`` rounds: a pair's only chunk draws the envelope straight
+    through.  The candidates follow the n shared-bit uniforms that the
+    shared layout reads first.
     """
     if n <= CHUNK or not PROTOCOLS[protocol].draws_envelope(state):
-        return None
-    return EnvelopeScan(state, key, n, n)
+        return [None] * len(keys)
+    scans = [EnvelopeScan(state, key, n, n, map_fn=None) for key in keys]
+    scan_envelopes(scans, map_fn)
+    return scans
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +894,8 @@ def simulate(
     ``CHUNK`` rounds, each read from its position in those streams or, for
     the vector sampler, from a stream of its own, so results are independent
     of worker count and of the order chunks are executed in.  ``workers``
-    threads run the chunks of all pairs.  Each chunk of a pair longer than
+    threads, an integer >= 1, run the envelope's counting pass in block
+    ranges and then the chunks of all pairs.  Each chunk of a pair longer than
     ``CHUNK`` rounds is played ``TILE`` rounds at a time, so a worker holds
     one tile's arrays, or those of a pair's only chunk, plus the chunk's
     outcomes and the envelope's accept bits.  The counts and the cost are
@@ -888,21 +903,19 @@ def simulate(
     output byte.
     """
     pairs, n, seed = _checked_run(protocol, state, settings, rounds_per_setting, seed)
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
     info = PROTOCOLS[protocol]
     chunks = _chunks(n)
-
-    def streams(k):
-        """Pair k's shared key, private key (None without coins) and envelope scan."""
-        key = stream_key(seed, k, CH_SHARED)
-        priv_key = stream_key(seed, k, CH_ALICE) if info.private else None
-        return key, priv_key, envelope_scan(protocol, state, key, n)
+    keys = [stream_key(seed, k, CH_SHARED) for k in range(len(pairs))]
+    priv_keys = [stream_key(seed, k, CH_ALICE) if info.private else None for k in range(len(pairs))]
 
     def play(unit):
         """One chunk, tile by tile; a tile's arrays are dropped once it is played."""
-        k, (lo, hi), (key, priv_key, scan) = unit
+        k, (lo, hi), scan = unit
         x, y = pairs[k]
-        shared_src = _source(key, n, lo, hi, scan)
-        priv_src = None if priv_key is None else _source(priv_key, n, lo, hi)
+        shared_src = _source(keys[k], n, lo, hi, scan)
+        priv_src = None if priv_keys[k] is None else _source(priv_keys[k], n, lo, hi)
         sampler = _vector_sampler(protocol, state, x, seed, k, lo)
 
         def tile(t_lo, t_hi):
@@ -924,13 +937,15 @@ def simulate(
         return _aggregate(protocol, x, y, res, keep_outcomes, keep_lambdas)
 
     def run(map_fn):
-        """Every pair's streams, then every (pair, chunk) unit, merged per pair."""
-        keyed = list(map_fn(streams, range(len(pairs))))
-        parts = list(map_fn(play, [(k, c, keyed[k]) for k in range(len(pairs)) for c in chunks]))
+        """Every pair's envelope scan, then every (pair, chunk) unit, merged per
+        pair.  Only this thread calls ``map_fn``: a task that waited on the
+        pool could starve it."""
+        scans = envelope_scans(protocol, state, keys, n, map_fn)
+        parts = list(map_fn(play, [(k, c, scans[k]) for k in range(len(pairs)) for c in chunks]))
         return [_merge(parts[i : i + len(chunks)]) for i in range(0, len(parts), len(chunks))]
 
     out = SimulationResult(protocol, state, n, seed)
-    if workers and workers > 1 and len(pairs) * len(chunks) > 1:
+    if workers > 1 and len(pairs) * len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:

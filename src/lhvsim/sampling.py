@@ -490,52 +490,143 @@ class RhoTildeMaxSampler(_BufferedSampler):
         self._buffer.append(_rows(u[:, :2], keep))
 
 
+# candidate blocks per unit of work of the envelope's counting pass
+SCAN_BLOCKS = 16
+
+
+def envelope_blocks(p: float, n: int) -> int:
+    """The blocks that a draw of n envelope samples is expected to read,
+    n / (block * N(p) / (4 sqrt(p(1-p)))), plus one; 0 for n = 0."""
+    if n <= 0:
+        return 0
+    # accepted per candidate; N -> 2 as p -> 1/2
+    rate = (2.0 if p == 0.5 else n_of_p(p)) / (4.0 * math.sqrt(p * (1.0 - p)))
+    return int(math.ceil(n / (_BLOCK * rate))) + 1
+
+
 class EnvelopeScan:
     """Samples [lo, hi) of ``RhoTildeMaxSampler(state, rng).draw(n)``, by position.
 
-    ``rng`` is stream ``key`` after its first ``offset`` draws.  The
-    constructor reads the candidate blocks that ``draw(n)`` scans, with the
-    same uniforms and the same accept test, but keeps only each block's
-    accept bits (one bit per candidate) and the running count of samples.
-    ``samples(lo, hi)`` re-reads just the blocks that hold samples lo..hi-1
-    and builds only their vectors, so pieces of the draw can be made in any
-    order, in parallel.  ``end`` is the stream position after the last block,
+    ``rng`` is stream ``key`` after its first ``offset`` draws.  The counting
+    pass reads the candidate blocks that ``draw(n)`` scans, with the same
+    uniforms and the same accept test, but keeps only each block's accept
+    bits (one bit per candidate) and the running count of samples.  Block b
+    starts at stream position ``offset + 3 * block * b``, so the pass runs
+    in ranges of ``SCAN_BLOCKS`` blocks, each from its own position, mapped
+    with ``map_fn`` (see ``scan_envelopes``); ``map_fn=None`` leaves the
+    pass to ``scan_envelopes``.  An ``EnvelopeCursor`` reads the samples
+    from any position on, in order, generating each block once, so pieces
+    of the draw can be made in any order, in parallel; ``samples(lo, hi)``
+    is one such read.  ``end`` is the stream position after the last block,
     where the stream's next draw begins.
     """
 
-    def __init__(self, state: State, key: tuple, offset: int, n: int):
-        sampler = RhoTildeMaxSampler(state, generator_at(key, offset))
+    def __init__(self, state: State, key: tuple, offset: int, n: int, map_fn=map):
+        self.state = State(_as_p(state))
+        if self.state.p >= 1.0:
+            raise DomainError("the envelope density is identically zero at p = 1")
         self.key, self.offset, self.n = key, int(offset), int(n)
-        self.block = sampler.block
-        bits, counts, total = [], [], 0
-        while total < self.n:
-            keep = sampler._keep(sampler.rng.random((self.block, 3)))
-            total += int(keep.sum())
-            bits.append(np.packbits(keep))
-            counts.append(total)
-        self.bits = bits  # packed, one array per block
-        # counts[b]: samples in blocks 0..b
-        self.counts = np.array(counts, dtype=np.int64)
-        self.end = self.offset + 3 * self.block * len(counts)
+        self.block = _BLOCK
+        self.bits = []  # packed, one array per block
+        self.counts = np.zeros(0, dtype=np.int64)  # counts[b]: samples in blocks 0..b
+        self.end = self.offset
+        if map_fn is not None:
+            scan_envelopes([self], map_fn)
 
     def samples(self, lo: int, hi: int) -> np.ndarray:
         lo, hi = int(lo), int(hi)
         if not 0 <= lo <= hi <= self.n:
             raise ValueError(f"samples [{lo}, {hi}) lie outside [0, {self.n})")
-        if lo == hi:
-            return np.zeros((0, 3))
-        b = int(np.searchsorted(self.counts, lo, side="right"))  # holds sample lo
-        done = int(self.counts[b - 1]) if b else 0
-        rng = generator_at(self.key, self.offset + 3 * self.block * b)
-        out = []
-        while done < hi:
-            u = rng.random((self.block, 3))
-            rows = np.flatnonzero(np.unpackbits(self.bits[b], count=self.block))
-            rows = rows[max(lo - done, 0) : hi - done]
-            out.append(_sphere_points(u[rows, 0], u[rows, 1]))
-            done = int(self.counts[b])
-            b += 1
-        return out[0] if len(out) == 1 else np.concatenate(out)
+        return EnvelopeCursor(self, lo).take(hi - lo)
+
+
+def _scan_range(unit) -> tuple:
+    """The packed accept bits and accepted counts of candidate blocks
+    [b_lo, b_hi) of ``scan``, for ``unit = (scan, b_lo, b_hi)``."""
+    scan, b_lo, b_hi = unit
+    rng = generator_at(scan.key, scan.offset + 3 * scan.block * b_lo)
+    sampler = RhoTildeMaxSampler(scan.state, rng)
+    bits, counts = [], []
+    for _ in range(b_lo, b_hi):
+        keep = sampler._keep(rng.random((scan.block, 3)))
+        bits.append(np.packbits(keep))
+        counts.append(int(np.count_nonzero(keep)))
+    return bits, counts
+
+
+def scan_envelopes(scans: list, map_fn=map) -> None:
+    """Run the counting pass of every ``EnvelopeScan`` in ``scans``.
+
+    The block ranges of all the scans are mapped with ``map_fn`` in one flat
+    list.  The first wave covers ``envelope_blocks`` of each draw; a scan
+    whose count falls short gets another wave for the samples it still
+    needs.  Each scan is then cut at the first block where its running count
+    reaches n, so its bits, counts and end are those of one pass in order.
+    ``map_fn`` must not run on a pool that one of its own tasks waits on.
+    """
+    bits, counts = [[] for _ in scans], [[] for _ in scans]  # the blocks read so far
+    pending = [i for i, scan in enumerate(scans) if scan.n > 0]
+    while pending:
+        units, owners = [], []
+        for i in pending:
+            lo = len(counts[i])
+            hi = lo + envelope_blocks(scans[i].state.p, scans[i].n - sum(counts[i]))
+            for b in range(lo, hi, SCAN_BLOCKS):
+                units.append((scans[i], b, min(b + SCAN_BLOCKS, hi)))
+                owners.append(i)
+        for i, (more_bits, more_counts) in zip(owners, map_fn(_scan_range, units)):
+            bits[i] += more_bits
+            counts[i] += more_counts
+        pending = [i for i in pending if sum(counts[i]) < scans[i].n]
+    for scan, scan_bits, scan_counts in zip(scans, bits, counts):
+        running = np.cumsum(np.array(scan_counts, dtype=np.int64))
+        used = int(np.searchsorted(running, scan.n)) + 1 if scan.n > 0 else 0
+        scan.bits, scan.counts = scan_bits[:used], running[:used]
+        scan.end = scan.offset + 3 * scan.block * used
+
+
+class EnvelopeCursor:
+    """Reads the samples of an ``EnvelopeScan`` in order, from sample lo on.
+
+    It opens the stream once, at the block that holds sample lo, and reads
+    on block after block: each block is generated once, and the (z, phi)
+    uniforms of its accepted candidates are kept until they are all taken,
+    so successive ``take`` calls never draw a block twice.
+    """
+
+    def __init__(self, scan: EnvelopeScan, lo: int):
+        self.scan = scan
+        self.pos = int(lo)  # the next sample to take
+        self.next = int(np.searchsorted(scan.counts, self.pos, side="right"))  # its block
+        self.rows = np.zeros((0, 2))  # accepted (z, phi) uniforms of the current block
+        self.first = self.pos  # the sample number of rows[0]
+        self.rng = None  # opened at the first block read
+
+    def take(self, m: int) -> np.ndarray:
+        """The next ``m`` samples, as vectors."""
+        u = np.empty((int(m), 2), order="F")
+        at = 0
+        while at < u.shape[0]:
+            left = self.first + self.rows.shape[0] - self.pos
+            if left == 0:
+                self._read_block()
+                continue
+            k = min(left, u.shape[0] - at)
+            i = self.pos - self.first
+            u[at : at + k] = self.rows[i : i + k]
+            at += k
+            self.pos += k
+        return _sphere_points(u[:, 0], u[:, 1])
+
+    def _read_block(self):
+        scan, b = self.scan, self.next
+        if self.rng is None:
+            self.rng = generator_at(scan.key, scan.offset + 3 * scan.block * b)
+        u = self.rng.random((scan.block, 3))
+        keep = np.unpackbits(scan.bits[b], count=scan.block).view(bool)
+        self.rows = _rows(u[:, :2], keep)
+        self.first = int(scan.counts[b - 1]) if b else 0
+        self.next = b + 1
 
 
 class RhoTildeSampler(_BufferedSampler):

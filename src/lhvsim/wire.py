@@ -82,7 +82,7 @@ from .protocols import (
     bob_decide,
     check_applicable,
     check_unit,
-    envelope_scan,
+    envelope_scans,
     private_chunk,
     shared_chunk,
     talk_chunk,
@@ -181,7 +181,7 @@ def unpack_bob_setting(data: bytes):
 def _shared_rows(protocol: ProtocolId, state: State, key: tuple, n: int):
     """(lo, hi, shared rows) of each chunk of the n-round shared draw of
     Philox key ``key``, in chunk order."""
-    scan = envelope_scan(protocol, state, key, n)
+    (scan,) = envelope_scans(protocol, state, [key], n)
     for lo, hi in _chunks(n):
         yield lo, hi, shared_chunk(protocol, state, key, n, lo, hi, scan)
 

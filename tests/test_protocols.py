@@ -13,7 +13,7 @@ import pytest
 
 from lhvsim.bloch import State, X_AXIS, Z_AXIS, born_joint, collapse, dot3, sign_pm
 from lhvsim import protocols, sampling
-from lhvsim.errors import DomainError, InternalConsistencyError
+from lhvsim.errors import DomainError, InternalConsistencyError, ValidationError
 from lhvsim.protocols import (
     CH_ALICE,
     CH_SAMPLER,
@@ -40,7 +40,7 @@ from lhvsim.protocols import (
     check_applicable,
     draw_alice_private,
     draw_shared,
-    envelope_scan,
+    envelope_scans,
     private_chunk,
     shared_chunk,
     simulate,
@@ -369,6 +369,11 @@ class TestSimulate:
         with pytest.raises(DomainError, match="<= p <= 1"):
             simulate(ProtocolId.ONE_BIT, State(0.6), [(X_AXIS, Z_AXIS)], 10, seed=22)
 
+    @pytest.mark.parametrize("workers", [0, -1, "2", 2.5, None, True])
+    def test_rejects_workers_that_are_no_count(self, workers):
+        with pytest.raises(ValidationError, match="workers"):
+            simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)] * 2, 10, 22, workers)
+
     def test_alphabet_soundness(self):
         for pid, p in [
             (ProtocolId.ONE_BIT, 0.95),
@@ -428,6 +433,67 @@ class TestSimulate:
         simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], CHUNK + TILE + 5, seed=26)
         info = PROTOCOLS[ProtocolId.TRIT]
         assert len(opened) == 2 * (len(info.shared) + len(info.private))  # two chunks
+
+    def test_a_chunk_reads_each_envelope_block_once(self, monkeypatch):
+        # the envelope is opened once per chunk, through one cursor that reads
+        # on from tile to tile, and once per range of the counting pass
+        opened, ranges, read = [], [], []
+        real_at, real_range = sampling.generator_at, sampling._scan_range
+        real_block = sampling.EnvelopeCursor._read_block
+        monkeypatch.setattr(
+            sampling, "generator_at", lambda key, at: opened.append(at) or real_at(key, at)
+        )
+        monkeypatch.setattr(
+            sampling, "_scan_range", lambda unit: ranges.append(unit) or real_range(unit)
+        )
+
+        def read_block(cursor):
+            read.append((id(cursor), cursor.next))
+            real_block(cursor)
+
+        monkeypatch.setattr(sampling.EnvelopeCursor, "_read_block", read_block)
+        in_protocols = []
+        monkeypatch.setattr(
+            protocols, "generator_at", lambda key, at: in_protocols.append(at) or real_at(key, at)
+        )
+        n = CHUNK + TILE + 5
+        res = simulate(ProtocolId.IMPROVED_ONE_BIT, State(0.9), [(X_AXIS, Z_AXIS)], n, seed=26)
+        assert res.total_rounds == n
+        info = PROTOCOLS[ProtocolId.IMPROVED_ONE_BIT]
+        # r and lam2, and the two private blocks, per chunk
+        assert len(in_protocols) == 2 * (len(info.shared) - 1 + len(info.private))
+        assert len(opened) == 2 + len(ranges)  # two chunks, and the ranges
+        assert sorted(opened[len(ranges):]) == sorted(set(opened[len(ranges):]))
+        assert len(read) == len(set(read))  # no cursor reads a block twice
+        for cursor in {c for c, _ in read}:
+            blocks = [b for c, b in read if c == cursor]
+            assert blocks == list(range(blocks[0], blocks[0] + len(blocks)))
+
+    def test_many_pairs_on_few_workers(self):
+        # more pairs than workers: the counting pass and the chunks share one
+        # pool, and no task waits on it
+        import threading
+
+        pairs = default_setting_pairs(3)
+        n = CHUNK + TILE + 5
+        runs = {}
+
+        def run(w):
+            runs[w] = simulate(
+                ProtocolId.IMPROVED_ONE_BIT, State(0.9), pairs, n, seed=27, workers=w,
+                keep_outcomes=True, keep_lambdas=True,
+            )
+
+        for w in (1, 2):
+            thread = threading.Thread(target=run, args=(w,), daemon=True)
+            thread.start()
+            thread.join(timeout=120)
+            assert not thread.is_alive() and w in runs, f"workers={w} did not finish"
+        a, b = runs[1], runs[2]
+        for sa, sb in zip(a.settings, b.settings):
+            assert np.array_equal(sa.counts, sb.counts) and sa.bits_sum == sb.bits_sum
+            for name in ("a_seq", "b_seq", "msg_seq", "lam_seq"):
+                assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
 
     def test_deterministic_across_worker_counts(self):
         pairs = [(X_AXIS, Z_AXIS), (Z_AXIS, X_AXIS), (Z_AXIS, Z_AXIS)]
@@ -629,13 +695,13 @@ class TestChunking:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     @staticmethod
-    def _traced_peak(pid, p):
+    def _traced_peak(pid, p, workers=1):
         """The traced memory peak of a one-pair 10^6-round run."""
         import tracemalloc
 
         tracemalloc.start()
         try:
-            simulate(pid, State(p), default_setting_pairs(1), 10**6, seed=41)
+            simulate(pid, State(p), default_setting_pairs(1), 10**6, seed=41, workers=workers)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -648,6 +714,13 @@ class TestChunking:
     def test_improved_one_bit_memory_is_bounded(self):
         # the envelope's accept bits (about 0.2 MiB) and one tile
         assert self._traced_peak(ProtocolId.IMPROVED_ONE_BIT, 0.9) < 4 * 2**20
+
+    @pytest.mark.parametrize("p,workers", [(0.99, 1), (0.9, 2), (0.99, 2)])
+    def test_improved_one_bit_memory_is_bounded_per_worker(self, p, workers):
+        # the counting pass is longest near p = 1 (about 0.5 MiB of bits at
+        # 0.99); its ranges run on the workers, and each worker holds one tile
+        peak = self._traced_peak(ProtocolId.IMPROVED_ONE_BIT, p, workers)
+        assert peak < workers * 4 * 2**20
 
     def test_trit_guard_regression(self):
         # at x_z = 0 the trit bound is tight where |lam.v| -> 0; a ratio test
@@ -709,7 +782,7 @@ class TestByteExactForms:
         state, x = State(p), default_setting_pairs(1)[0][0]
         key = stream_key(61, 0, CH_SHARED)
         for n, lo in ((5000, 0), (CHUNK + 7, CHUNK)):
-            scan = envelope_scan(pid, state, key, n)
+            (scan,) = envelope_scans(pid, state, [key], n)
             shared = shared_chunk(pid, state, key, n, lo, n, scan)
             for name in ("lam1", "lam2", "lam3"):
                 lam = getattr(shared, name)

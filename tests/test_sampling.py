@@ -5,15 +5,19 @@ correct implementation passes deterministically; analytic references are
 computed in-test (moment integrals, quadrature of the density formulas).
 """
 
+from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
+from lhvsim import sampling
 from lhvsim.bloch import State, Z_AXIS, collapse, dot3, sign_pm, theta
 from lhvsim.errors import DomainError, InternalConsistencyError
-from lhvsim.protocols import _choice_and_flip
+from lhvsim.protocols import CHUNK, TILE, _choice_and_flip
 from lhvsim.sampling import (
     BOUND_ATOL,
     EnvelopeScan,
@@ -489,6 +493,73 @@ class TestRhoTildeMaxSampler:
 
     def test_draw_zero(self):
         assert RhoTildeMaxSampler(State(0.9), make_generator(27, 0)).draw(0).shape == (0, 3)
+
+
+@lru_cache(maxsize=None)
+def one_pass_scan(p, n):
+    """The counting pass of n envelope samples from stream (26, 0) after 5
+    draws, block after block in one thread, and the samples themselves."""
+    key = stream_key(26, 0)
+    sampler = RhoTildeMaxSampler(State(p), generator_at(key, 5))
+    bits, counts, total = [], [], 0
+    while total < n:
+        keep = sampler._keep(sampler.rng.random((sampler.block, 3)))
+        total += int(keep.sum())
+        bits.append(np.packbits(keep))
+        counts.append(total)
+    whole = RhoTildeMaxSampler(State(p), generator_at(key, 5)).draw(n)
+    return bits, counts, 5 + 3 * sampler.block * len(counts), whole
+
+
+class TestRangedEnvelopeScan:
+    """The counting pass runs in block ranges, wave after wave, on any map;
+    its bits, counts and end, and the samples read from them, equal one pass
+    in order, whether the block estimate is right, far too low (more
+    waves) or far too high (blocks read and cut)."""
+
+    @pytest.mark.parametrize("estimate", ["analytic", "too-low", "too-high"])
+    @pytest.mark.parametrize("pool", [False, True], ids=["map", "pool"])
+    @pytest.mark.parametrize("p", [0.84, 0.9, 0.99, 0.999])
+    def test_equals_one_pass(self, monkeypatch, p, pool, estimate):
+        real = sampling.envelope_blocks
+        if estimate == "too-low":
+            monkeypatch.setattr(sampling, "envelope_blocks", lambda p, n: min(real(p, n), 1))
+        elif estimate == "too-high":
+            monkeypatch.setattr(sampling, "envelope_blocks", lambda p, n: 4 * real(p, n) + 20)
+        read = []  # (first, last) block of every range read
+        scan_range = sampling._scan_range
+        monkeypatch.setattr(
+            sampling, "_scan_range", lambda unit: read.append(unit[1:]) or scan_range(unit)
+        )
+        on_block = one_pass_scan(p, 50_000)[1][2]  # the last sample of block 2
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            waves = []
+
+            def map_fn(fn, units):
+                waves.append(len(units))
+                return (executor.map if pool else map)(fn, units)
+
+            for n in (0, 1, on_block, 50_000, CHUNK + TILE + 5):
+                bits, counts, end, whole = one_pass_scan(p, n)
+                read.clear()
+                waves.clear()
+                scan = EnvelopeScan(State(p), stream_key(26, 0), 5, n, map_fn=map_fn)
+                assert scan.counts.tolist() == counts, n
+                assert len(scan.bits) == len(bits)
+                assert all(np.array_equal(a, b) for a, b in zip(scan.bits, bits)), n
+                assert scan.end == end, n
+                blocks = sum(hi - lo for lo, hi in read)
+                if n == 0:
+                    assert not read and not waves
+                elif estimate == "too-low" and len(counts) > 1:
+                    assert len(waves) == len(counts) and blocks == len(counts)
+                elif estimate == "too-high":
+                    assert len(waves) == 1 and blocks > len(counts)
+                cuts = sorted({0, 1, n // 3, n // 3 + 1, int(counts[0]) if n else 0, n - 1, n})
+                for lo in cuts:
+                    for hi in cuts:
+                        if 0 <= lo <= hi <= n:
+                            assert np.array_equal(scan.samples(lo, hi), whole[lo:hi]), (n, lo, hi)
 
 
 class TestPositionedStreams:
