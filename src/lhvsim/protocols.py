@@ -283,7 +283,7 @@ def _source(key, n, lo, hi, scan=None):
 
 def shared_chunk(protocol, state, key, n, lo, hi, scan=None) -> SharedDraw:
     """Rounds [lo, hi) of the n-round shared draw of Philox key ``key``, a
-    pair's ``stream_key(seed, k, CH_SHARED)``; ``scan`` is its ``envelope_scan``."""
+    pair's ``stream_key(seed, k, CH_SHARED)``; ``scan`` is its ``envelope_scans`` entry."""
     return _draw_shared(protocol, state, _source(key, n, lo, hi, scan))
 
 
