@@ -36,15 +36,21 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
-def theta(z):
-    """Theta(z) = H(z) * z, the positive part (elementwise).
+def theta(z, out=None):
+    """Theta(z) = H(z) * z, the positive part (elementwise), into ``out`` if given.
 
     ``np.maximum(0.0, z)`` returns its second operand on a tie, so
     Theta(-0.0) = -0.0, the bytes of ``where(z >= 0, z, 0)``; the operand
     order matters, as ``np.maximum(z, 0.0)`` gives +0.0 there.  The two
     forms differ only on NaN, which ``check_unit`` keeps out of every draw.
     """
-    return np.maximum(0.0, np.asarray(z))
+    return np.maximum(0.0, np.asarray(z), out=out)
+
+
+def unwrap_0d(a: np.ndarray):
+    """``a``, or its one value as a numpy scalar if it is 0-d: what the plain
+    expression of an in-place kernel returns for scalar inputs."""
+    return a if a.ndim else a[()]
 
 
 def pm(mask):
@@ -61,11 +67,19 @@ def dot3(a, b):
     """Row-wise dot product of (..., 3) arrays.
 
     Written out componentwise so a batch evaluation and a single-row
-    evaluation produce bit-identical floats (no BLAS dispatch).
+    evaluation produce bit-identical floats (no BLAS dispatch).  The sum is
+    (a0 b0 + a1 b1) + a2 b2, accumulated in the first product's array with
+    one more for the other two products.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    out = a[..., 0] * b[..., 0]
+    if out.ndim == 0:  # numpy scalars: no array to accumulate in
+        return out + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    term = np.multiply(a[..., 1], b[..., 1])
+    out += term
+    out += np.multiply(a[..., 2], b[..., 2], out=term)
+    return out
 
 
 def check_unit(v, name: str = "vector") -> np.ndarray:

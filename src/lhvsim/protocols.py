@@ -82,7 +82,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bloch import State, Z_AXIS, check_unit, collapse, dot3, pm, sign_pm, theta
+from .bloch import State, Z_AXIS, check_unit, collapse, dot3, pm, sign_pm, theta, unwrap_0d
 from .errors import DomainError, InternalConsistencyError, ValidationError
 from .sampling import (
     EnvelopeCursor,
@@ -335,14 +335,22 @@ def _dots(lam: np.ndarray, coll) -> tuple:
 
 
 def _weight_given(coll, dp, dm) -> np.ndarray:
-    """The +1 share of rho_x, from dp = lam.v_+ and dm = lam.v_-."""
-    num = coll.p_plus * theta(dp)
-    den = num + coll.p_minus * theta(dm)
+    """The +1 share of rho_x, from dp = lam.v_+ and dm = lam.v_-.
+
+    clip(num / (num + p_- Theta(dm)), 0, 1) with num = p_+ Theta(dp),
+    accumulated in two arrays.
+    """
+    num = theta(dp, out=np.empty_like(dp, dtype=float))
+    num *= coll.p_plus
+    den = theta(dm, out=np.empty_like(dm, dtype=float))
+    den *= coll.p_minus
+    den += num
     if np.any(den <= 0.0):
         raise InternalConsistencyError(
             "rho_x(lam) = 0: this lam cannot come from a correct sampling step"
         )
-    return np.clip(num / den, 0.0, 1.0)
+    np.divide(num, den, out=num)
+    return unwrap_0d(np.clip(num, 0.0, 1.0, out=num))
 
 
 def _output(coll, dp, dm, priv: AlicePrivate) -> np.ndarray:
@@ -357,10 +365,8 @@ def _one_or_two(first: np.ndarray) -> np.ndarray:
 
 def _select(mask: np.ndarray, if_true: tuple, if_false: tuple) -> tuple:
     """Per round, the arrays of ``if_true`` where ``mask`` holds, else those of
-    ``if_false``; written over ``if_false``'s arrays, so no new array is made."""
-    for a, b in zip(if_true, if_false):
-        np.copyto(b, a, where=mask)
-    return if_false
+    ``if_false``, as new arrays (``np.where`` beats a masked copy at any density)."""
+    return tuple(np.where(mask, a, b) for a, b in zip(if_true, if_false))
 
 
 def _dots_where(mask: np.ndarray, d: tuple, lam, coll) -> tuple:
@@ -378,25 +384,31 @@ def _dots_where(mask: np.ndarray, d: tuple, lam, coll) -> tuple:
 
 # Alice's rules: (state, collapse(state, x), shared, private, sampler) ->
 # (a, msg, payload).  msg is a uint8 symbol, 0 for a silent round; payload
-# holds the vector messages, or is None.  The rules never build the vectors
-# they commit to: they select among the dot products of each shared field
-# with v_+ and v_-, which give the same bytes as the dot products of the
-# selected vectors.  The hemisphere field serves the constant part of rho_x,
-# so its dot products are taken only in the rounds that commit to it.  Each
-# array is dropped (``del``) once read for the last time, so that a chunk
-# holds no more round-length arrays at once than selecting (n, 3) vectors
-# did.
+# holds the vector messages, or is None.  ``simulate`` collapses x once per
+# chunk and hands the result to every tile.  The rules never build the
+# vectors they commit to: they select among the dot products of each shared
+# field with v_+ and v_-, which give the same bytes as the dot products of
+# the selected vectors.  The hemisphere field serves the constant part of
+# rho_x, so its dot products are taken only in the rounds that commit to it.
+# Each step does the IEEE operations of its plain expression, in its order,
+# in fewer passes: arithmetic accumulates in place (``out=``), a choice
+# between two arrays is ``np.where`` or ``np.maximum``, never a masked copy,
+# and a subset of rounds is read and written by row number (``flatnonzero``)
+# or through a ufunc's ``where=``, never by a boolean gather.  Each array is
+# dropped (``del``) once read for the last time, so that a chunk holds no
+# more round-length arrays at once than selecting (n, 3) vectors did.
 
 
 def _alice_one_bit(state, coll, shared, priv, sampler):
     d1 = _dots(shared.lam1, coll)
-    accept = (4.0 * np.pi) * _rho_tilde_dots(state, coll, *d1, shared.lam1[:, 2])
+    accept = _rho_tilde_dots(state, coll, *d1, shared.lam1[:, 2])
+    accept *= 4.0 * np.pi
     top = float(np.max(accept, initial=0.0))
     if top > 1.0 + RATIO_GUARD:
         raise DomainError(
             f"one-bit acceptance probability reached {top}: p is below the threshold"
         )
-    use1 = priv.u_msg < np.minimum(accept, 1.0)
+    use1 = priv.u_msg < np.minimum(accept, 1.0, out=accept)
     del accept
     msg = _one_or_two(use1)
     d = _dots_where(~use1, d1, shared.lam2, coll)
@@ -410,7 +422,8 @@ def _alice_trit(state, coll, shared, priv, sampler):
     abs1, d_c = np.abs(d1[k]), np.abs(d2[k])
     first = abs1 >= d_c
     c = _one_or_two(first)
-    np.copyto(d_c, abs1, where=first)  # |lam_c.v| of the chosen lam_c
+    # |lam_c.v| of the chosen lam_c; abs gives no -0.0, so ties are one value
+    np.maximum(abs1, d_c, out=d_c)
     del abs1
     d = _select(first, d1, d2)  # lam_c.v_+-
     del d1, d2
@@ -420,11 +433,11 @@ def _alice_trit(state, coll, shared, priv, sampler):
     # the pointwise bound rhot_x <= |lam.v| / 2pi, checked with an
     # absolute tolerance (see sampling.BOUND_ATOL), never on the ratio
     check_bound(rt * (2.0 * np.pi), d_c, "trit choice density")
-    ratio = np.zeros(shared.rounds)
     pos = d_c > 0.0
-    ratio[pos] = rt[pos] / (d_c[pos] / (2.0 * np.pi))
+    d_c /= 2.0 * np.pi
+    ratio = np.divide(rt, d_c, out=np.zeros(shared.rounds), where=pos)  # 0 where d_c = 0
     del rt, d_c, pos
-    keep = priv.u_msg < np.minimum(ratio, 1.0)
+    keep = priv.u_msg < np.minimum(ratio, 1.0, out=ratio)
     del ratio
     msg = np.where(keep, c, np.uint8(3))
     d = _dots_where(~keep, d, shared.lam3, coll)
@@ -439,13 +452,9 @@ def _alice_degorre(state, coll, shared, priv, sampler):
 
 
 def _alice_teleportation(state, coll, shared, priv, sampler):
-    a = pm(priv.u_out < coll.p_plus)
-    plus = a == 1  # lam.v for Bob's state v: v_+ where plus, else v_-
-    dp1, d1 = _dots(shared.lam1, coll)
-    dp2, d2 = _dots(shared.lam2, coll)
-    np.copyto(d1, dp1, where=plus)
-    np.copyto(d2, dp2, where=plus)
-    del dp1, dp2
+    plus = priv.u_out < coll.p_plus  # lam.v for Bob's state v: v_+ where plus, else v_-
+    a = pm(plus)
+    d1, d2 = (np.where(plus, *_dots(lam, coll)) for lam in (shared.lam1, shared.lam2))
     c1, c2 = _choice_and_flip(d1, d2)
     msg = 2 * (c1 - 1) + (c2 == -1) + 1  # uint8, as c1 is
     return a, msg, None
@@ -454,16 +463,16 @@ def _alice_teleportation(state, coll, shared, priv, sampler):
 def _alice_improved_one_bit(state, coll, shared, priv, sampler):
     talk = shared.r == 1
     d1 = _dots(shared.lam1, coll)
-    ratio = np.zeros(shared.rounds)
-    if np.any(talk):
-        lz = shared.lam1[talk, 2]
-        rt = _rho_tilde_dots(state, coll, d1[0][talk], d1[1][talk], lz)
+    use1 = np.zeros(shared.rounds, dtype=bool)  # no silent round uses lam1
+    rows = np.flatnonzero(talk)
+    if rows.size:
+        lz = shared.lam1[:, 2][rows]
+        rt = _rho_tilde_dots(state, coll, d1[0][rows], d1[1][rows], lz)
         rmax = rho_tilde_max_cos(state, lz)
         check_bound(rt * np.pi, rmax * np.pi, "improved one-bit envelope")
-        ratio[talk] = rt / rmax
-        del lz, rt, rmax
-    use1 = talk & (priv.u_msg < np.minimum(ratio, 1.0))
-    del ratio
+        ratio = np.divide(rt, rmax, out=rt)
+        use1[rows] = priv.u_msg[rows] < np.minimum(ratio, 1.0, out=ratio)
+        del lz, rt, rmax, ratio
     d = _dots_where(~use1, d1, shared.lam2, coll)
     del d1
     msg = talk.view(np.uint8) * _one_or_two(use1)  # 0 in silent rounds
@@ -529,8 +538,7 @@ def _bob_first_or_second(shared, msg, payload, f):
 
 
 def _bob_trit(shared, msg, payload, f):
-    d = f(shared.lam2)
-    np.copyto(d, f(shared.lam1), where=msg == 1)
+    d = np.where(msg == 1, f(shared.lam1), f(shared.lam2))
     return _put(d, msg == 3, shared.lam3, f)
 
 
@@ -692,8 +700,12 @@ def alice_decide(
     sampler: Optional[RhoTildeSampler] = None,
 ) -> AliceResult:
     """Alice's whole round: commit to a vector, message Bob, output a."""
-    info = PROTOCOLS[protocol]
     coll = collapse(state, x)  # validates x
+    return _alice(PROTOCOLS[protocol], state, coll, shared, priv, sampler)
+
+
+def _alice(info: ProtocolInfo, state, coll, shared, priv, sampler) -> AliceResult:
+    """``alice_decide`` given ``coll = collapse(state, x)``."""
     a, msg, payload = info.alice(state, coll, shared, priv, sampler)
     commit = partial(info.bob, shared, msg, payload, _coordinates)
     return AliceResult(a=a, msg=msg, cost=info.cost, payload=payload, commit=commit)
@@ -708,7 +720,12 @@ def bob_decide(
 ) -> np.ndarray:
     """Bob's whole round: y . lam for the vector the message agrees on, and b = its sign."""
     y = check_unit(y, "y")
-    return sign_pm(PROTOCOLS[protocol].bob(shared, msg, payload, partial(dot3, b=y)))
+    return _bob(PROTOCOLS[protocol], partial(dot3, b=y), shared, msg, payload)
+
+
+def _bob(info: ProtocolInfo, y_dot, shared, msg, payload) -> np.ndarray:
+    """``bob_decide`` given ``y_dot = partial(dot3, b=y)``."""
+    return sign_pm(info.bob(shared, msg, payload, y_dot))
 
 
 # ---------------------------------------------------------------------------
@@ -911,12 +928,14 @@ def simulate(
     priv_keys = [stream_key(seed, k, CH_ALICE) if info.private else None for k in range(len(pairs))]
 
     def play(unit):
-        """One chunk, tile by tile; a tile's arrays are dropped once it is played."""
+        """One chunk, tile by tile; a tile's arrays are dropped once it is played.
+        The setting set-up of both rules is made once, for all the tiles."""
         k, (lo, hi), scan = unit
         x, y = pairs[k]
         shared_src = _source(keys[k], n, lo, hi, scan)
         priv_src = None if priv_keys[k] is None else _source(priv_keys[k], n, lo, hi)
         sampler = _vector_sampler(protocol, state, x, seed, k, lo)
+        coll, y_dot = collapse(state, x), partial(dot3, b=y)
 
         def tile(t_lo, t_hi):
             """Rounds [t_lo, t_hi) as (a, b, msg, lam); lam is built only if kept."""
@@ -924,8 +943,8 @@ def simulate(
             priv = AlicePrivate()
             if priv_src is not None:
                 priv = _draw_alice_private(protocol, priv_src.tile(t_lo, t_hi))
-            ares = alice_decide(protocol, state, x, shared, priv, sampler)
-            b = bob_decide(protocol, y, shared, ares.msg, ares.payload)
+            ares = _alice(info, state, coll, shared, priv, sampler)
+            b = _bob(info, y_dot, shared, ares.msg, ares.payload)
             return ares.a, b, ares.msg, ares.lam if keep_lambdas else None
 
         a, b, msg, lam = (

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .bloch import State, Z_AXIS, X_AXIS, check_unit, collapse, dot3, theta
+from .bloch import State, Z_AXIS, X_AXIS, check_unit, collapse, dot3, theta, unwrap_0d
 from .errors import DomainError, InternalConsistencyError, ValidationError
 
 INV_PI = 1.0 / np.pi
@@ -270,11 +270,6 @@ def _frozen(u: np.ndarray) -> np.ndarray:
 # densities
 
 
-def _rho_dots(coll, dp, dm) -> np.ndarray:
-    """rho_x from the dot products dp = lam.v_+ and dm = lam.v_-."""
-    return (coll.p_plus * theta(dp) + coll.p_minus * theta(dm)) * INV_PI
-
-
 def _rho_tilde_given(state: State, coll, lam, clamp: bool = True) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     dp, dm = dot3(lam, coll.v_plus), dot3(lam, coll.v_minus)
@@ -282,16 +277,29 @@ def _rho_tilde_given(state: State, coll, lam, clamp: bool = True) -> np.ndarray:
 
 
 def _rho_tilde_dots(state: State, coll, dp, dm, lz, clamp: bool = True) -> np.ndarray:
-    """rhot_x from lam.v_+, lam.v_- and lam_z, with its rounding guard."""
-    raw = _rho_dots(coll, dp, dm) - state.c * theta(lz) * INV_PI
+    """rhot_x from dp = lam.v_+, dm = lam.v_- and lz = lam_z, with its
+    rounding guard: rho_x minus its constant part, (p_+ Theta(dp) + p_-
+    Theta(dm)) / pi - c Theta(lz) / pi, with the operations of that
+    expression in its order, accumulated in two arrays.
+    """
+    raw = theta(dp, out=np.empty_like(dp, dtype=float))
+    raw *= coll.p_plus
+    term = theta(dm, out=np.empty_like(dm, dtype=float))
+    term *= coll.p_minus
+    raw += term
+    raw *= INV_PI
+    theta(lz, out=term)
+    term *= state.c
+    term *= INV_PI
+    raw -= term
     low = float(np.min(raw, initial=0.0))
     if low < -NEGATIVE_LIMIT:
         raise InternalConsistencyError(
             f"rho_tilde evaluated to {low}, beyond the -{NEGATIVE_LIMIT} rounding limit"
         )
     if clamp:
-        return np.maximum(raw, 0.0)
-    return raw
+        np.maximum(raw, 0.0, out=raw)
+    return unwrap_0d(raw)
 
 
 def eval_rho_tilde(state: State, x: np.ndarray, lam, clamp: bool = True) -> np.ndarray:
@@ -304,18 +312,27 @@ def eval_rho_tilde(state: State, x: np.ndarray, lam, clamp: bool = True) -> np.n
 
 
 def rho_tilde_max_cos(state, cos_theta) -> np.ndarray:
-    """The envelope density as a function of cos(theta) = lam.z."""
+    """The envelope density as a function of cos(theta) = lam.z.
+
+    (1 - C^2) / (sqrt(1 - C^2 (1 - c^2)) + C |c|) / 2pi with C = 2p - 1,
+    operation for operation, accumulated in two arrays.
+    """
     p = _as_p(state)
     c = np.asarray(cos_theta, dtype=float)
     big_c = 2.0 * p - 1.0
     if p >= 1.0:
         return np.zeros_like(c)
-    sin2 = 1.0 - c * c
-    return (
-        (1.0 - big_c * big_c)
-        / (np.sqrt(1.0 - big_c * big_c * sin2) + big_c * np.abs(c))
-        / TWO_PI
-    )
+    out = np.multiply(c, c, out=np.empty_like(c))
+    np.subtract(1.0, out, out=out)  # sin^2
+    out *= big_c * big_c
+    np.subtract(1.0, out, out=out)
+    np.sqrt(out, out=out)
+    term = np.abs(c, out=np.empty_like(c))
+    term *= big_c
+    out += term
+    np.divide(1.0 - big_c * big_c, out, out=out)
+    out /= TWO_PI
+    return unwrap_0d(out)
 
 
 def eval_rho_tilde_max(state, lam) -> np.ndarray:
@@ -479,8 +496,11 @@ class RhoTildeMaxSampler(_BufferedSampler):
 
     def _keep(self, u: np.ndarray) -> np.ndarray:
         """The accept test of the candidates with uniforms ``u`` (rows z, phi, accept)."""
-        z = 2.0 * u[:, 0] - 1.0
-        return u[:, 2] < rho_tilde_max_cos(self.state, z) / self.bound
+        z = np.multiply(2.0, u[:, 0])
+        z -= 1.0
+        ratio = rho_tilde_max_cos(self.state, z)
+        ratio /= self.bound
+        return u[:, 2] < ratio
 
     def _refill(self, need: int):
         u = self.rng.random((self.block, 3))

@@ -7,9 +7,9 @@ No simulation, report, command or benchmark runs them, so they are not in
 import numpy as np
 from scipy import integrate
 
-from lhvsim.bloch import State, check_unit, collapse, dot3, sign_pm
+from lhvsim.bloch import State, check_unit, collapse, dot3, sign_pm, theta
 from lhvsim.protocols import _weight_given
-from lhvsim.sampling import TWO_PI, _rho_dots, rho_tilde_max_cos
+from lhvsim.sampling import INV_PI, TWO_PI, rho_tilde_max_cos
 from lhvsim.verify import Chi2Result, _cos_marginal, _pearson
 
 
@@ -18,11 +18,23 @@ def heaviside(z):
     return np.where(np.asarray(z) >= 0.0, 1.0, 0.0)
 
 
+def same_bytes(got, want) -> bool:
+    """Equal dtype, shape and bytes: values, the sign of every zero and the
+    bits of every NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        got.dtype == want.dtype
+        and got.shape == want.shape
+        and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    )
+
+
 def eval_rho(state: State, x: np.ndarray, lam) -> np.ndarray:
     """The mixture density rho_x(lam) Alice must hand to Bob."""
     coll = collapse(state, x)
     lam = np.asarray(lam, dtype=float)
-    return _rho_dots(coll, dot3(lam, coll.v_plus), dot3(lam, coll.v_minus))
+    dp, dm = dot3(lam, coll.v_plus), dot3(lam, coll.v_minus)
+    return (coll.p_plus * theta(dp) + coll.p_minus * theta(dm)) * INV_PI
 
 
 def n_of_p_quadrature(p: float, epsabs: float = 1e-10) -> float:

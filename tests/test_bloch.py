@@ -25,7 +25,7 @@ from lhvsim.bloch import (
     tsirelson_settings,
 )
 from lhvsim.errors import ValidationError
-from oracles import heaviside
+from oracles import heaviside, same_bytes
 
 RNG = np.random.default_rng(20240811)
 
@@ -97,17 +97,6 @@ CRAFTED = np.concatenate(
 )
 
 
-def same_bytes(got, want):
-    """Equal dtype, shape and values, the sign of every zero included."""
-    got, want = np.asarray(got), np.asarray(want)
-    return (
-        got.dtype == want.dtype
-        and got.shape == want.shape
-        and np.array_equal(got, want)
-        and np.array_equal(np.signbit(got), np.signbit(want))
-    )
-
-
 def theta_where(z):
     z = np.asarray(z)
     return np.where(z >= 0.0, z, 0.0)
@@ -117,8 +106,23 @@ def sign_where(z):
     return np.where(np.asarray(z) >= 0.0, 1, -1).astype(np.int8)
 
 
+def dot3_sum(a, b):
+    """dot3 as one expression, the form its in-place accumulation keeps."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def crafted_rows():
+    """(n, 3) rows of CRAFTED values, column-major as the draws are, with
+    rows whose three products are signed zeros, subnormals and infinities."""
+    rows = np.asfortranarray(np.resize(CRAFTED, (CRAFTED.size // 3 * 3,)).reshape(-1, 3))
+    zeros = [[0.0, -0.0, -0.0], [-0.0, -0.0, -0.0], [5e-324, -5e-324, 0.0], [np.inf, 1.0, -np.inf]]
+    return np.asfortranarray(np.vstack([zeros, rows]))
+
+
 class TestByteExactKernels:
-    """The kernels equal their ``np.where`` forms byte for byte."""
+    """The kernels equal their ``np.where`` forms, and ``dot3`` its one-line
+    sum, byte for byte."""
 
     @pytest.mark.parametrize("kernel,ref", [(theta, theta_where), (sign_pm, sign_where)])
     def test_crafted_values(self, kernel, ref):
@@ -135,6 +139,37 @@ class TestByteExactKernels:
     def test_theta_keeps_the_sign_of_zero(self):
         # np.maximum(z, 0.0) would give +0.0 here
         assert np.signbit(theta(-0.0)) and not np.signbit(theta(0.0))
+
+    def test_theta_into_a_buffer(self):
+        for z in (CRAFTED, CRAFTED[::-3], np.array(-0.0)):
+            out = np.empty(z.shape)
+            assert theta(z, out=out) is out
+            assert same_bytes(out, theta_where(z))
+
+    def test_dot3_keeps_its_sum(self):
+        rows = crafted_rows()
+        units = [Z_AXIS, np.array([0.6, 0.0, -0.8]), np.array([-0.0, 1.0, -0.0])]
+        cases = [(rows, u) for u in units] + [(u, rows) for u in units] + [
+            (rows, rows),
+            (rows, rows[::-1]),  # strided rows
+            (rows[:-2:3], rows[1::3]),
+            (np.ascontiguousarray(rows), rows),  # row-major against column-major
+            (rows[:0], Z_AXIS),  # no rows
+            (rows[:, None, :], rows[None, :5, :]),  # broadcast to (n, 5)
+        ]
+        with np.errstate(invalid="ignore"):  # inf * 0 is a NaN on both sides
+            for a, b in cases:
+                assert same_bytes(dot3(a, b), dot3_sum(a, b)), (a.shape, b.shape)
+
+    def test_dot3_of_single_rows(self):
+        # one row gives a numpy scalar, as the plain expression does
+        rows = crafted_rows()
+        with np.errstate(invalid="ignore"):
+            for a, b in zip(rows[:12], rows[12:24]):
+                for args in ((a, b), (list(a), tuple(b)), (a, Z_AXIS)):
+                    got = dot3(*args)
+                    assert isinstance(got, np.float64) and same_bytes(got, dot3_sum(*args))
+                assert same_bytes(dot3(a[None], b), dot3_sum(a[None], b))  # (1,)
 
     def test_pm_of_masks(self):
         mask = CRAFTED >= 0.5

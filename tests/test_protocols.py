@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from lhvsim.bloch import State, X_AXIS, Z_AXIS, born_joint, collapse, dot3, sign_pm
+from lhvsim.bloch import State, X_AXIS, Z_AXIS, born_joint, collapse, dot3, pm, sign_pm, theta
 from lhvsim import protocols, sampling
 from lhvsim.errors import DomainError, InternalConsistencyError, ValidationError
 from lhvsim.protocols import (
@@ -30,10 +30,13 @@ from lhvsim.protocols import (
     _aggregate,
     _bob_teleportation,
     _choice_and_flip,
+    _dots,
+    _dots_where,
     _draw_alice_private,
     _draw_shared,
     _merge,
     _one_or_two,
+    _put,
     _vector_sampler,
     alice_decide,
     bob_decide,
@@ -46,14 +49,19 @@ from lhvsim.protocols import (
     simulate,
 )
 from lhvsim.sampling import (
+    INV_PI,
+    NEGATIVE_LIMIT,
+    TWO_PI,
     EnvelopeScan,
+    check_bound,
     make_generator,
     n_of_p,
+    rho_tilde_max_cos,
     sample_uniform_sphere,
     stream_key,
 )
 from lhvsim.verify import default_setting_pairs, tvd
-from oracles import alice_output_weight, bob_output, eval_rho
+from oracles import alice_output_weight, bob_output, eval_rho, same_bytes
 
 
 # every protocol, and the two whose shared draw changes shape at p = 1
@@ -448,7 +456,9 @@ class TestSimulate:
         )
 
         def read_block(cursor):
-            read.append((id(cursor), cursor.next))
+            # the cursor itself, not its id: a later chunk's cursor may reuse
+            # the id of a freed one and read the same block
+            read.append((cursor, cursor.next))
             real_block(cursor)
 
         monkeypatch.setattr(sampling.EnvelopeCursor, "_read_block", read_block)
@@ -696,9 +706,13 @@ class TestChunking:
 
     @staticmethod
     def _traced_peak(pid, p, workers=1):
-        """The traced memory peak of a one-pair 10^6-round run."""
+        """The traced memory peak of a one-pair 10^6-round run.  A small run of
+        two chunks goes first, so the modules that a run imports on first use
+        (about 0.7 MiB) are loaded before tracing starts, whichever tests ran
+        before."""
         import tracemalloc
 
+        simulate(pid, State(p), default_setting_pairs(1), CHUNK + 1, seed=41, workers=workers)
         tracemalloc.start()
         try:
             simulate(pid, State(p), default_setting_pairs(1), 10**6, seed=41, workers=workers)
@@ -736,6 +750,192 @@ class TestChunking:
 def crafted_masks():
     rng = np.random.default_rng(60)
     return [rng.random(1000) < 0.5, np.ones(5, bool), np.zeros(5, bool), np.zeros(0, bool)]
+
+
+# The forms the hot kernels had before they accumulated in place, selected
+# with np.where or np.maximum and read rows by number.  The kernels must keep
+# their bytes, so each is compared with its form here.
+
+
+def rho_tilde_dots_form(state, coll, dp, dm, lz, clamp=True):
+    raw = (coll.p_plus * theta(dp) + coll.p_minus * theta(dm)) * INV_PI - state.c * theta(
+        lz
+    ) * INV_PI
+    low = float(np.min(raw, initial=0.0))
+    if low < -NEGATIVE_LIMIT:
+        raise InternalConsistencyError(f"rho_tilde evaluated to {low}")
+    return np.maximum(raw, 0.0) if clamp else raw
+
+
+def rho_tilde_max_cos_form(state, cos_theta):
+    p = state.p if isinstance(state, State) else float(state)
+    c = np.asarray(cos_theta, dtype=float)
+    big_c = 2.0 * p - 1.0
+    if p >= 1.0:
+        return np.zeros_like(c)
+    sin2 = 1.0 - c * c
+    return (
+        (1.0 - big_c * big_c)
+        / (np.sqrt(1.0 - big_c * big_c * sin2) + big_c * np.abs(c))
+        / TWO_PI
+    )
+
+
+def weight_given_form(coll, dp, dm):
+    num = coll.p_plus * theta(dp)
+    den = num + coll.p_minus * theta(dm)
+    if np.any(den <= 0.0):
+        raise InternalConsistencyError("rho_x(lam) = 0")
+    return np.clip(num / den, 0.0, 1.0)
+
+
+def select_form(mask, if_true, if_false):
+    for a, b in zip(if_true, if_false):
+        np.copyto(b, a, where=mask)
+    return if_false
+
+
+def output_form(coll, dp, dm, priv):
+    return pm(priv.u_out < weight_given_form(coll, dp, dm))
+
+
+def alice_one_bit_form(state, coll, shared, priv, sampler):
+    d1 = _dots(shared.lam1, coll)
+    accept = (4.0 * np.pi) * rho_tilde_dots_form(state, coll, *d1, shared.lam1[:, 2])
+    if float(np.max(accept, initial=0.0)) > 1.0 + protocols.RATIO_GUARD:
+        raise DomainError("one-bit acceptance probability above 1")
+    use1 = priv.u_msg < np.minimum(accept, 1.0)
+    d = _dots_where(~use1, d1, shared.lam2, coll)
+    return output_form(coll, *d, priv), _one_or_two(use1), None
+
+
+def alice_trit_form(state, coll, shared, priv, sampler):
+    d1, d2 = _dots(shared.lam1, coll), _dots(shared.lam2, coll)
+    k = 0 if coll.p_plus <= 0.5 else 1
+    abs1, d_c = np.abs(d1[k]), np.abs(d2[k])
+    first = abs1 >= d_c
+    c = _one_or_two(first)
+    np.copyto(d_c, abs1, where=first)
+    d = select_form(first, d1, d2)
+    rt = rho_tilde_dots_form(
+        state, coll, *d, np.where(first, shared.lam1[:, 2], shared.lam2[:, 2])
+    )
+    check_bound(rt * (2.0 * np.pi), d_c, "trit choice density")
+    ratio = np.zeros(shared.rounds)
+    pos = d_c > 0.0
+    ratio[pos] = rt[pos] / (d_c[pos] / (2.0 * np.pi))
+    keep = priv.u_msg < np.minimum(ratio, 1.0)
+    msg = np.where(keep, c, np.uint8(3))
+    d = _dots_where(~keep, d, shared.lam3, coll)
+    return output_form(coll, *d, priv), msg, None
+
+
+def alice_teleportation_form(state, coll, shared, priv, sampler):
+    a = pm(priv.u_out < coll.p_plus)
+    plus = a == 1
+    dp1, d1 = _dots(shared.lam1, coll)
+    dp2, d2 = _dots(shared.lam2, coll)
+    np.copyto(d1, dp1, where=plus)
+    np.copyto(d2, dp2, where=plus)
+    c1, c2 = _choice_and_flip(d1, d2)
+    return a, 2 * (c1 - 1) + (c2 == -1) + 1, None
+
+
+def alice_improved_one_bit_form(state, coll, shared, priv, sampler):
+    talk = shared.r == 1
+    d1 = _dots(shared.lam1, coll)
+    ratio = np.zeros(shared.rounds)
+    if np.any(talk):
+        lz = shared.lam1[talk, 2]
+        rt = rho_tilde_dots_form(state, coll, d1[0][talk], d1[1][talk], lz)
+        rmax = rho_tilde_max_cos_form(state, lz)
+        check_bound(rt * np.pi, rmax * np.pi, "improved one-bit envelope")
+        ratio[talk] = rt / rmax
+    use1 = talk & (priv.u_msg < np.minimum(ratio, 1.0))
+    d = _dots_where(~use1, d1, shared.lam2, coll)
+    msg = talk.view(np.uint8) * _one_or_two(use1)
+    return output_form(coll, *d, priv), msg, None
+
+
+def bob_trit_form(shared, msg, payload, f):
+    d = f(shared.lam2)
+    np.copyto(d, f(shared.lam1), where=msg == 1)
+    return _put(d, msg == 3, shared.lam3, f)
+
+
+RULE_FORMS = [
+    (ProtocolId.ONE_BIT, 0.95, protocols._alice_one_bit, alice_one_bit_form),
+    (ProtocolId.ONE_BIT, 1.0, protocols._alice_one_bit, alice_one_bit_form),
+    (ProtocolId.TRIT, 0.5, protocols._alice_trit, alice_trit_form),
+    (ProtocolId.TRIT, 0.7, protocols._alice_trit, alice_trit_form),
+    (ProtocolId.TRIT, 1.0, protocols._alice_trit, alice_trit_form),
+    (ProtocolId.TELEPORTATION, 0.7, protocols._alice_teleportation, alice_teleportation_form),
+    (ProtocolId.TELEPORTATION, 1.0, protocols._alice_teleportation, alice_teleportation_form),
+    (ProtocolId.IMPROVED_ONE_BIT, 0.84, protocols._alice_improved_one_bit,
+     alice_improved_one_bit_form),
+    (ProtocolId.IMPROVED_ONE_BIT, 0.9, protocols._alice_improved_one_bit,
+     alice_improved_one_bit_form),
+    (ProtocolId.IMPROVED_ONE_BIT, 1.0, protocols._alice_improved_one_bit,
+     alice_improved_one_bit_form),
+]
+
+# signed zeros, subnormals and infinities, then random values
+CRAFTED = np.concatenate(
+    [[0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.0, -1.0],
+     np.random.default_rng(63).normal(size=1000)]
+)
+
+
+def outcome(f, *args):
+    """f(*args) as a tuple of arrays, or the type of the error it raises."""
+    try:
+        got = f(*args)
+    except (InternalConsistencyError, DomainError) as exc:
+        return type(exc)
+    return got if isinstance(got, tuple) else (got,)
+
+
+def same_outcome(got, want):
+    if not isinstance(want, tuple) or not isinstance(got, tuple):
+        return got is want
+    return len(got) == len(want) and all(
+        (g is None and w is None) or same_bytes(g, w) for g, w in zip(got, want)
+    )
+
+
+def crafted_shared(pid, state, x, n=3000, seed=64):
+    """An n-round shared draw whose first rows are crafted against x's v_+-:
+    vectors at right angles to both (|lam.v| = 0, signed zeros), ties
+    |lam1.v| = |lam2.v| with either sign, and lam_z = -0.0."""
+    shared = draw_shared(pid, state, make_generator(seed, 0, CH_SHARED), n)
+    coll = collapse(state, x)
+    rng = np.random.default_rng(seed)
+    crafted = []
+    for v in (coll.v_plus, coll.v_minus):
+        w = np.cross(coll.v_plus, coll.v_minus)
+        w = w if np.linalg.norm(w) > 1e-6 else np.cross(v, X_AXIS if abs(v[0]) < 0.9 else Z_AXIS)
+        w /= np.linalg.norm(w)
+        crafted += [w, -w, np.cross(v, w) / np.linalg.norm(np.cross(v, w))]
+    crafted += [[1.0, 0.0, -0.0], [0.0, -1.0, -0.0], [-0.0, 0.0, 1.0], [0.6, -0.0, -0.8]]
+    crafted = np.array(crafted)
+    for name in ("lam1", "lam2"):
+        lam = getattr(shared, name)
+        if isinstance(lam, np.ndarray) and lam.flags.writeable:
+            m = len(crafted)
+            lam[:m] = crafted  # one field crafted, the other drawn
+            lam[m : 2 * m] = crafted  # both crafted: exact ties
+            if name == "lam2":
+                lam[2 * m : 3 * m] = -crafted  # ties of the other sign
+                lam[:m] = rng.permutation(crafted)
+    return shared
+
+
+def crafted_private(pid, n=3000, seed=65):
+    priv = draw_alice_private(pid, make_generator(seed, 0, CH_ALICE), n)
+    for name in PROTOCOLS[pid].private:
+        u = getattr(priv, name)
+        u[:6] = [0.0, 0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 0.0]
+    return priv
 
 
 class TestByteExactForms:
@@ -776,6 +976,138 @@ class TestByteExactForms:
         want = np.where(msg <= 2, t1, t2) * np.where(msg % 2 == 1, 1.0, -1.0)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("pid,p,rule,form", RULE_FORMS,
+                             ids=[f"{pid.value}-p{p}" for pid, p, _, _ in RULE_FORMS])
+    def test_rules_keep_their_forms(self, pid, p, rule, form):
+        state = State(p)
+        xs = [Z_AXIS, X_AXIS, -Z_AXIS, np.array([0.6, 0.0, 0.8])]
+        xs += [x for x, _ in default_setting_pairs(3)]
+        for x in xs:
+            coll = collapse(state, x)
+            args = [(state, coll, crafted_shared(pid, state, x), crafted_private(pid), None)
+                    for _ in range(2)]
+            want = outcome(form, *args[0])
+            assert isinstance(want, tuple), (x, want)  # the crafted rows are no error
+            assert same_outcome(outcome(rule, *args[1]), want), x
+
+    @pytest.mark.parametrize("p", [0.5, 0.7, 1.0])
+    def test_bob_trit_keeps_its_form(self, p):
+        state, rng = State(p), np.random.default_rng(66)
+        for y in (Z_AXIS, X_AXIS, default_setting_pairs(2)[1][1]):
+            shared = crafted_shared(ProtocolId.TRIT, state, y)
+            msg = rng.integers(1, 4, shared.rounds).astype(np.uint8)
+            for f in (partial(dot3, b=y), protocols._coordinates):
+                want = bob_trit_form(shared, msg, None, f)
+                assert same_bytes(protocols._bob_trit(shared, msg, None, f), want)
+
+    def test_select(self):
+        rng = np.random.default_rng(67)
+        for mask in crafted_masks():
+            m = mask.size
+            a = (CRAFTED[:m].copy(), -CRAFTED[:m])
+            b = (rng.normal(size=m), CRAFTED[::-1][:m].copy())
+            want = select_form(mask, a, tuple(x.copy() for x in b))
+            got = protocols._select(mask, a, b)
+            assert all(same_bytes(g, w) for g, w in zip(got, want))
+
+    def test_trit_choice_forms(self):
+        # |lam_c.v| as a maximum, and the ratio as a divide where d_c > 0,
+        # with ties of either sign, zeros of both signs and subnormal d_c
+        d1 = np.concatenate([CRAFTED, CRAFTED, -CRAFTED[::-1]])
+        d2 = np.concatenate([CRAFTED, -CRAFTED, CRAFTED])
+        abs1, abs2 = np.abs(d1), np.abs(d2)
+        first = abs1 >= abs2
+        want = abs2.copy()
+        np.copyto(want, abs1, where=first)
+        d_c = np.maximum(abs1, abs2)
+        assert same_bytes(d_c, want)
+        rt = np.abs(CRAFTED[np.arange(d_c.size) % 7]) * 1e-3
+        ratio = np.zeros(d_c.size)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            pos = d_c > 0.0
+            ratio[pos] = rt[pos] / (d_c[pos] / (2.0 * np.pi))
+            got = np.divide(rt, d_c / (2.0 * np.pi), out=np.zeros(d_c.size), where=pos)
+        assert same_bytes(got, ratio)
+
+    @pytest.mark.parametrize("p", [0.5, 0.7, 0.95, 1.0])
+    def test_rho_tilde_dots(self, p):
+        state, rng = State(p), np.random.default_rng(68)
+        for x in (Z_AXIS, X_AXIS, np.array([0.6, 0.0, 0.8])):
+            coll = collapse(state, x)
+            lam = sample_uniform_sphere(rng, 2000)
+            dp, dm = dot3(lam, coll.v_plus), dot3(lam, coll.v_minus)
+            lz = lam[:, 2]
+            cases = [
+                (dp, dm, lz),
+                (dp[::-3], dm[::-3], lz[::-3]),  # strided
+                (np.abs(CRAFTED), -CRAFTED, -np.abs(CRAFTED)),  # signed zeros, no error
+                (CRAFTED, CRAFTED, np.abs(CRAFTED) + 1.0),  # an error where p > 1/2
+                (float(dp[0]), float(dm[0]), float(lz[0])),  # Python floats
+                (np.array(dp[1]), np.array(dm[1]), np.array(lz[1])),  # 0-d
+                (dp[2], dm[2], lz[2]),  # numpy scalars
+                (0.0, -0.0, -0.0),
+            ]
+            with np.errstate(invalid="ignore"):
+                for args in cases:
+                    for clamp in (True, False):
+                        want = outcome(rho_tilde_dots_form, state, coll, *args, clamp)
+                        got = outcome(sampling._rho_tilde_dots, state, coll, *args, clamp)
+                        assert same_outcome(got, want), (args, clamp)
+                        if isinstance(want, tuple):
+                            assert isinstance(got[0], np.ndarray) == isinstance(
+                                want[0], np.ndarray
+                            )
+
+    @pytest.mark.parametrize("p", [0.5, 0.7, 0.9, 0.999, 1.0])
+    def test_rho_tilde_max_cos(self, p):
+        c = np.concatenate([CRAFTED, np.linspace(-1.0, 1.0, 101)])
+        inputs = [c, c[::-3], np.asfortranarray(np.column_stack([c, c]))[:, 1], 0.3, -0.0,
+                  1.0, np.array(0.25), np.float64(-0.5), [0.1, -0.2]]
+        with np.errstate(invalid="ignore"):
+            for state in (State(p), p):
+                for arg in inputs:
+                    got = rho_tilde_max_cos(state, arg)
+                    want = rho_tilde_max_cos_form(state, arg)
+                    assert same_bytes(got, want), arg
+                    assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray), arg
+
+    @pytest.mark.parametrize("p", [0.5, 0.84, 0.9, 0.999])
+    def test_envelope_accept_test(self, p):
+        sampler = sampling.RhoTildeMaxSampler(State(p), make_generator(69, 0))
+        u = make_generator(69, 1).random((sampling._BLOCK, 3))
+        u[:6] = [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [5e-324, 0.2, 5e-324],
+                 [1.0 - 2.0**-53, 0.7, 0.5], [0.25, 0.0, 1.0 - 2.0**-53], [0.75, 1.0, 0.9]]
+        ratio = rho_tilde_max_cos_form(sampler.state, 2.0 * u[:, 0] - 1.0) / sampler.bound
+        # accept uniforms on the ratio and one ulp either side, so a ratio
+        # rounded another way changes some accept bit
+        for k, towards in enumerate((ratio, np.zeros_like(ratio), np.ones_like(ratio))):
+            rows = slice(6 + k, 3000, 3)
+            u[rows, 2] = np.nextafter(ratio[rows], towards[rows])
+        want = u[:, 2] < ratio
+        assert same_bytes(sampler._keep(u), want)
+        assert same_bytes(sampler._keep(u[::-2]), want[::-2])  # strided rows
+
+    @pytest.mark.parametrize("p", [0.5, 0.8, 1.0])
+    def test_weight_given(self, p):
+        state = State(p)
+        for x in (Z_AXIS, X_AXIS, np.array([0.6, 0.0, 0.8])):
+            coll = collapse(state, x)
+            cases = [
+                (CRAFTED, 1.0 - CRAFTED),  # signed zeros, infinities, no error
+                (CRAFTED[::-3], 1.0 - CRAFTED[::-3]),  # strided
+                (CRAFTED, -np.abs(CRAFTED)),  # rho_x = 0 where CRAFTED <= 0: an error
+                (0.3, -0.2), (-0.0, 0.5), (0.0, 0.0),  # Python floats, one an error
+                (np.array(0.25), np.array(-0.0)),  # 0-d
+                (np.float64(0.7), np.float64(0.1)),
+            ]
+            with np.errstate(invalid="ignore"):
+                for dp, dm in cases:
+                    want = outcome(weight_given_form, coll, dp, dm)
+                    got = outcome(protocols._weight_given, coll, dp, dm)
+                    assert same_outcome(got, want), (dp, dm)
+                    if isinstance(want, tuple):
+                        assert isinstance(got[0], np.ndarray) == isinstance(want[0], np.ndarray)
 
     @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
     def test_draws_are_column_major(self, pid, p):
