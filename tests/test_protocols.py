@@ -752,9 +752,9 @@ def crafted_masks():
     return [rng.random(1000) < 0.5, np.ones(5, bool), np.zeros(5, bool), np.zeros(0, bool)]
 
 
-# The forms the hot kernels had before they accumulated in place, selected
-# with np.where or np.maximum and read rows by number.  The kernels must keep
-# their bytes, so each is compared with its form here.
+# Reference forms of the hot kernels and rules: plain expressions, masked
+# copies and boolean gathers.  Each kernel does the same IEEE operations in
+# fewer passes, so it must equal its form byte for byte.
 
 
 def rho_tilde_dots_form(state, coll, dp, dm, lz, clamp=True):
@@ -909,24 +909,26 @@ def crafted_shared(pid, state, x, n=3000, seed=64):
     |lam1.v| = |lam2.v| with either sign, and lam_z = -0.0."""
     shared = draw_shared(pid, state, make_generator(seed, 0, CH_SHARED), n)
     coll = collapse(state, x)
-    rng = np.random.default_rng(seed)
-    crafted = []
+    w = np.cross(coll.v_plus, coll.v_minus)  # at right angles to both
+    if np.linalg.norm(w) < 1e-6:  # v_- = -v_+
+        w = np.cross(coll.v_plus, X_AXIS if abs(coll.v_plus[0]) < 0.9 else Z_AXIS)
+    w /= np.linalg.norm(w)
+    crafted = [w, -w]
     for v in (coll.v_plus, coll.v_minus):
-        w = np.cross(coll.v_plus, coll.v_minus)
-        w = w if np.linalg.norm(w) > 1e-6 else np.cross(v, X_AXIS if abs(v[0]) < 0.9 else Z_AXIS)
-        w /= np.linalg.norm(w)
-        crafted += [w, -w, np.cross(v, w) / np.linalg.norm(np.cross(v, w))]
+        crafted.append(np.cross(v, w) / np.linalg.norm(np.cross(v, w)))
     crafted += [[1.0, 0.0, -0.0], [0.0, -1.0, -0.0], [-0.0, 0.0, 1.0], [0.6, -0.0, -0.8]]
     crafted = np.array(crafted)
-    for name in ("lam1", "lam2"):
+    rng = np.random.default_rng(seed)
+    # rows against drawn ones (a hemisphere field is not crafted), exact
+    # ties and ties of the other sign
+    blocks = {
+        "lam1": [crafted, crafted, crafted],
+        "lam2": [rng.permutation(crafted), crafted, -crafted],
+    }
+    for name, rows in blocks.items():
         lam = getattr(shared, name)
         if isinstance(lam, np.ndarray) and lam.flags.writeable:
-            m = len(crafted)
-            lam[:m] = crafted  # one field crafted, the other drawn
-            lam[m : 2 * m] = crafted  # both crafted: exact ties
-            if name == "lam2":
-                lam[2 * m : 3 * m] = -crafted  # ties of the other sign
-                lam[:m] = rng.permutation(crafted)
+            lam[: 3 * len(crafted)] = np.vstack(rows)
     return shared
 
 
@@ -939,7 +941,8 @@ def crafted_private(pid, n=3000, seed=65):
 
 
 class TestByteExactForms:
-    """The symbol and sign forms of the rules equal their ``np.where`` forms."""
+    """The symbol and sign forms of the rules equal their ``np.where`` forms,
+    and each in-place kernel and rule equals its reference form above."""
 
     def test_one_or_two(self):
         for mask in crafted_masks() + [np.array(True), np.array(False)]:
