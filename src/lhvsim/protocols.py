@@ -47,24 +47,26 @@ and the networked mode both read it in chunks of ``CHUNK`` rounds, through
 ``shared_chunk`` and ``private_chunk``.  These name a stream by its Philox
 key, ``sampling.stream_key(s, k, channel)``, which ``simulate`` derives once
 per pair; the key alone rebuilds the stream, so the networked mode hands Bob
-the shared key and never the seed.  A pair's only chunk (n <= CHUNK) reads
-its streams straight through, block after block.  Any other chunk of rounds
-[lo, hi) opens each stream at the position where the n-round draw would
-reach round lo of each block (Philox is counter-based, so the jump is free)
-and reads only its own rows.  The envelope sampler of the improved one-bit
-protocol consumes a data-dependent number of candidate blocks; for a pair of
-more than one chunk, a counting pass over those blocks
+the shared key and never the seed.  One reader, ``_Chunk``, reads every
+chunk: a chunk of rounds [lo, hi) opens each stream block at the position
+where the n-round draw would reach round lo of it (Philox is counter-based,
+so the jump is free) and reads only its own rows, and a pair's only chunk
+(n <= CHUNK) opens one generator per stream and reads every block on from
+it, as the n-round draw does.  The envelope sampler of the improved one-bit
+protocol consumes a data-dependent number of candidate blocks; for a pair
+of more than one chunk, a counting pass over those blocks
 (``sampling.EnvelopeScan``) keeps each block's accept bits, from which a
-chunk finds and builds its own samples.  Each candidate block has a fixed
-stream position, so the pass runs in ranges of blocks, and ``simulate``
-maps the ranges of all pairs on its workers before it maps the chunks.
+chunk's envelope sampler finds and builds its own samples.  Each candidate
+block has a fixed stream position, so the pass runs in ranges of blocks,
+and ``simulate`` maps the ranges of all pairs on its workers before it maps
+the chunks.
 Every chunk is thus one independent unit of work, and outcomes and counts
 do not depend on the number of workers or on the order chunks run in.
 
 ``simulate`` plays such a chunk in tiles of ``TILE`` rounds: it opens each
 block once, at the chunk's first round, and reads it on tile by tile, as a
 block's rows are contiguous; the envelope rows of a tile come from one
-cursor over the scan, which generates each candidate block once per chunk
+sampler over the scan, which generates each candidate block once per chunk
 and keeps the current block's accepted uniforms from tile to tile, and the
 vector sampler is drawn from tile after tile.  A worker thus holds
 the arrays of at most one tile of a long pair's chunk, or of one pair of at
@@ -85,7 +87,6 @@ import numpy as np
 from .bloch import State, Z_AXIS, check_unit, collapse, dot3, pm, sign_pm, theta, unwrap_0d
 from .errors import DomainError, InternalConsistencyError, ValidationError
 from .sampling import (
-    EnvelopeCursor,
     EnvelopeScan,
     RhoTildeMaxSampler,
     RhoTildeSampler,
@@ -153,45 +154,29 @@ class AlicePrivate:
     u_out: Optional[np.ndarray] = None
 
 
-class _Whole:
-    """All n rounds of a stream, read in order from one generator.
-
-    A pair's only chunk reads through it: rounds [0, n) read straight
-    through give the bytes of the one-draw layout, and the envelope is drawn
-    directly, with no counting pass.
-    """
-
-    def __init__(self, rng: np.random.Generator, n: int):
-        self.rng = rng
-        self.rounds = int(n)
-
-    def block(self, width: int) -> np.random.Generator:
-        return self.rng
-
-    def tile(self, lo: int, hi: int) -> "_Whole":
-        return self  # a pair's only chunk is its only tile
-
-    def envelope(self, state: State) -> np.ndarray:
-        return RhoTildeMaxSampler(state, self.rng).draw(self.rounds)
-
-
 class _Chunk:
-    """Rounds [lo, hi) of the stream of Philox key ``key``, laid out for n rounds.
+    """Rounds [lo, hi) of a stream laid out for n rounds; ``at(offset)``
+    opens the stream at position ``offset``.
 
     ``block(width)`` opens the stream where the n-round draw reaches round lo
-    of its next block of ``width`` uniforms per round.  ``envelope`` needs
-    the ``EnvelopeScan`` of the stream's envelope draw, and reads it through
-    one cursor from the chunk's first sample.  ``tile(a, b)`` narrows the
-    reads to the chunk's next rounds [a, b): the first tile opens each block
-    and the cursor, and later tiles read on from them, as a block's rows
-    and the envelope's samples are contiguous.
+    of its next block of ``width`` uniforms per round.  ``envelope`` reads
+    the ``EnvelopeScan`` of the stream's envelope draw through one sampler
+    from the chunk's first sample.  ``tile(a, b)`` narrows the reads to the
+    chunk's next rounds [a, b): the first tile opens each block and the
+    sampler, and later tiles read on from them, as a block's rows and the
+    envelope's samples are contiguous.  A pair's only chunk with no scan
+    reads the n-round draw in order: it opens one generator, at the start,
+    reads every block on from it, and draws the envelope whole.
     """
 
-    def __init__(self, key: tuple, n: int, lo: int, hi: int, scan=None):
-        self.key, self.n, self.lo = key, n, lo
+    def __init__(self, at: Callable, n: int, lo: int, hi: int, scan=None):
+        if scan is None and (lo, hi) == (0, n):
+            rng = at(0)
+            at = lambda offset: rng
+        self.at, self.n, self.lo = at, n, lo
         self.rounds = hi - lo
         self.scan = scan
-        self.cursor = None  # the envelope's, opened by the first tile
+        self.sampler = None  # the envelope's, opened by the first tile
         self.start = 0  # stream position where the next block begins
         self.opened = []  # the blocks' generators, in layout order
         self.read = 0  # the blocks the current tile has read
@@ -202,20 +187,23 @@ class _Chunk:
 
     def block(self, width: int) -> np.random.Generator:
         if self.read == len(self.opened):
-            self.opened.append(generator_at(self.key, self.start + self.lo * width))
+            self.opened.append(self.at(self.start + self.lo * width))
             self.start += self.n * width
         self.read += 1
         return self.opened[self.read - 1]
 
     def envelope(self, state: State) -> np.ndarray:
-        self.start = self.scan.end
-        if self.cursor is None:
-            self.cursor = EnvelopeCursor(self.scan, self.lo)
-        return self.cursor.take(self.rounds)
+        if self.sampler is None:  # the first tile's
+            if self.scan is None:  # a pair's only chunk: drawn whole, on from its generator
+                self.sampler = RhoTildeMaxSampler(state, self.at(self.start))
+            else:
+                self.sampler = self.scan.sampler(self.lo)
+                self.start = self.sampler.end
+        return self.sampler.draw(self.rounds)
 
 
-# The laws of the shared layouts.  Each reads its own blocks from ``src``
-# (a ``_Whole`` or a ``_Chunk``), one bulk call per block.
+# The laws of the shared layouts.  Each reads its own blocks from ``src``,
+# a ``_Chunk``, one bulk call per block.
 
 
 def _uniform(state: State, src) -> np.ndarray:
@@ -257,7 +245,7 @@ def draw_shared(
     This whole-n draw is the layout that ``shared_chunk`` reads in chunks,
     and the reference that tests and the benchmark's traced run read.
     """
-    return _draw_shared(protocol, state, _Whole(rng, n))
+    return _draw_shared(protocol, state, _Chunk(lambda offset: rng, n, 0, n))
 
 
 def _draw_shared(protocol: ProtocolId, state: State, src) -> SharedDraw:
@@ -266,7 +254,7 @@ def _draw_shared(protocol: ProtocolId, state: State, src) -> SharedDraw:
 
 def draw_alice_private(protocol: ProtocolId, rng: np.random.Generator, n: int) -> AlicePrivate:
     """Alice's private uniforms: message-decision block first, output block second."""
-    return _draw_alice_private(protocol, _Whole(rng, n))
+    return _draw_alice_private(protocol, _Chunk(lambda offset: rng, n, 0, n))
 
 
 def _draw_alice_private(protocol: ProtocolId, src) -> AlicePrivate:
@@ -274,17 +262,10 @@ def _draw_alice_private(protocol: ProtocolId, src) -> AlicePrivate:
     return AlicePrivate(**{name: src.block(1).random(src.rounds) for name in blocks})
 
 
-def _source(key, n, lo, hi, scan=None):
-    """Where rounds [lo, hi) of the n-round stream of Philox key ``key`` are read."""
-    if (lo, hi) == (0, n):
-        return _Whole(generator_at(key, 0), n)
-    return _Chunk(key, n, lo, hi, scan)
-
-
 def shared_chunk(protocol, state, key, n, lo, hi, scan=None) -> SharedDraw:
     """Rounds [lo, hi) of the n-round shared draw of Philox key ``key``, a
     pair's ``stream_key(seed, k, CH_SHARED)``; ``scan`` is its ``envelope_scans`` entry."""
-    return _draw_shared(protocol, state, _source(key, n, lo, hi, scan))
+    return _draw_shared(protocol, state, _Chunk(partial(generator_at, key), n, lo, hi, scan))
 
 
 def private_chunk(protocol, key, n, lo, hi) -> AlicePrivate:
@@ -292,20 +273,21 @@ def private_chunk(protocol, key, n, lo, hi) -> AlicePrivate:
     a pair's ``stream_key(seed, k, CH_ALICE)``."""
     if not PROTOCOLS[protocol].private:
         return AlicePrivate()  # no coins to draw, so no stream is opened
-    return _draw_alice_private(protocol, _source(key, n, lo, hi))
+    return _draw_alice_private(protocol, _Chunk(partial(generator_at, key), n, lo, hi))
 
 
 def talk_chunk(protocol, state, key, n, lo, hi) -> np.ndarray:
     """The rounds of [lo, hi) of the n-round shared draw of Philox key ``key``
     in which Alice talks (``ProtocolInfo.talks``), read from the shared
-    layout up to and including r; every round, with no stream opened, for a
-    protocol without r.  r precedes the envelope, so none is drawn."""
-    layout = PROTOCOLS[protocol].shared
-    names = [name for name, _ in layout]
-    if "r" not in names:
-        return np.ones(hi - lo, dtype=bool)
-    src = _source(key, n, lo, hi)
-    return [law(state, src) for _, law in layout[: names.index("r") + 1]][-1] == 1
+    layout up to and including r, with no stream opened for a protocol
+    without r.  r precedes the envelope, so none is drawn."""
+    info = PROTOCOLS[protocol]
+    names = [name for name, _ in info.shared]
+    r = None
+    if "r" in names:
+        src = _Chunk(partial(generator_at, key), n, lo, hi)
+        r = [law(state, src) for _, law in info.shared[: names.index("r") + 1]][-1]
+    return info.talks(r, hi - lo)
 
 
 def envelope_scans(protocol, state, keys, n, map_fn=map) -> list:
@@ -314,13 +296,13 @@ def envelope_scans(protocol, state, keys, n, map_fn=map) -> list:
     ``map_fn`` (``sampling.scan_envelopes``).
 
     None for each key if the pairs draw no envelope, or have at most
-    ``CHUNK`` rounds: a pair's only chunk draws the envelope straight
-    through.  The candidates follow the n shared-bit uniforms that the
-    shared layout reads first.
+    ``CHUNK`` rounds: a pair's only chunk draws the envelope whole, testing
+    each candidate.  The candidates follow the n shared-bit uniforms that
+    the shared layout reads first.
     """
     if n <= CHUNK or not PROTOCOLS[protocol].draws_envelope(state):
         return [None] * len(keys)
-    scans = [EnvelopeScan(state, key, n, n, map_fn=None) for key in keys]
+    scans = [EnvelopeScan(state, key, n, n) for key in keys]
     scan_envelopes(scans, map_fn)
     return scans
 
@@ -588,9 +570,10 @@ class ProtocolInfo:
     def alphabet_size(self) -> int:
         return len(self.cost) - 1
 
-    def talks(self, shared: SharedDraw) -> np.ndarray:
-        """The rounds in which Alice sends a symbol: all, or those with r = 1."""
-        return np.ones(shared.rounds, dtype=bool) if shared.r is None else shared.r == 1
+    def talks(self, r: Optional[np.ndarray], rounds: int) -> np.ndarray:
+        """The rounds in which Alice sends a symbol, given the shared bits r of
+        ``rounds`` rounds: those with r = 1, or all with no r in the layout."""
+        return np.ones(rounds, dtype=bool) if r is None else r == 1
 
     def draws_envelope(self, state: State) -> bool:
         return state.p < 1.0 and any(law is _envelope for _, law in self.shared)
@@ -932,8 +915,10 @@ def simulate(
         The setting set-up of both rules is made once, for all the tiles."""
         k, (lo, hi), scan = unit
         x, y = pairs[k]
-        shared_src = _source(keys[k], n, lo, hi, scan)
-        priv_src = None if priv_keys[k] is None else _source(priv_keys[k], n, lo, hi)
+        shared_src = _Chunk(partial(generator_at, keys[k]), n, lo, hi, scan)
+        priv_src = None
+        if priv_keys[k] is not None:
+            priv_src = _Chunk(partial(generator_at, priv_keys[k]), n, lo, hi)
         sampler = _vector_sampler(protocol, state, x, seed, k, lo)
         coll, y_dot = collapse(state, x), partial(dot3, b=y)
 

@@ -435,9 +435,10 @@ def _rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 class _BufferedSampler:
     """A rejection sampler that buffers its accepted candidates in stream
-    order, so ``draw`` granularity does not matter.  ``_refill(need)`` adds
-    accepted rows to the buffer; ``proposed`` and ``accepted`` count the
-    candidates it tested and kept."""
+    order, so ``draw`` granularity does not matter.  ``_refill(need)``
+    returns the accepted rows of the next candidates it tests, which replace
+    the used-up buffer; ``proposed`` and ``accepted`` count the candidates
+    it tested and kept."""
 
     def __init__(self, state, rng: np.random.Generator, empty: str, width: int):
         p = _as_p(state)
@@ -448,22 +449,23 @@ class _BufferedSampler:
         self.block = _BLOCK  # candidates read per stream access
         self.proposed = 0
         self.accepted = 0
-        self._width = width  # columns of a buffered row
-        self._buffer: list[np.ndarray] = []
+        self._buffer = np.zeros((0, width))  # accepted rows, column-major
+        self._used = 0  # the buffer's rows already taken
 
     def _take(self, n: int) -> np.ndarray:
-        """The next ``n`` buffered rows, refilling as needed; the rest is kept."""
-        n = int(n)
-        have = sum(b.shape[0] for b in self._buffer)
-        while have < n:
-            self._refill(n - have)
-            have = sum(b.shape[0] for b in self._buffer)
-        if not self._buffer:
-            return np.zeros((0, self._width))
-        stacked = self._buffer[0] if len(self._buffer) == 1 else np.concatenate(self._buffer)
-        out, rest = stacked[:n], stacked[n:]
-        self._buffer = [rest] if rest.shape[0] else []
-        return out.copy(order="K")  # keeps the buffer's column-major layout
+        """The next ``n`` buffered rows, as one column-major array, refilling
+        as needed; the rest is kept."""
+        out = np.empty((int(n), self._buffer.shape[1]), order="F")
+        at = 0
+        while at < out.shape[0]:
+            if self._used == self._buffer.shape[0]:
+                self._buffer, self._used = self._refill(out.shape[0] - at), 0
+                continue
+            k = min(self._buffer.shape[0] - self._used, out.shape[0] - at)
+            out[at : at + k] = self._buffer[self._used : self._used + k]
+            at += k
+            self._used += k
+        return out
 
     def draw(self, n: int) -> np.ndarray:
         """The next ``n`` samples; the rest of the buffer is kept."""
@@ -483,16 +485,26 @@ class RhoTildeMaxSampler(_BufferedSampler):
     uniforms of the accepted ones are buffered; ``draw`` turns into vectors
     only the rows it returns.  So the accepted sequence is the same whether
     it is consumed one sample at a time or in bulk.
+
+    A sampler that ``EnvelopeScan.sampler`` opens reads that scan's draw:
+    it takes each block's accept bits from ``scan`` in place of the test,
+    and ``end`` is the stream position after the draw's last block.
     """
 
     def __init__(self, state: State, rng: np.random.Generator):
         super().__init__(state, rng, "the envelope density is identically zero at p = 1", width=2)
         self.bound = rho_tilde_bound(self.state.p)
+        self.scan = None  # the EnvelopeScan whose accept bits it reads, if any
+        self.next_block = 0  # the scan's block that the next refill reads
 
     def draw(self, n: int) -> np.ndarray:
         """The next ``n`` accepted samples; the rest of the last block is kept."""
         u = self._take(n)
         return _sphere_points(u[:, 0], u[:, 1])
+
+    @property
+    def end(self) -> int:
+        return self.scan.end
 
     def _keep(self, u: np.ndarray) -> np.ndarray:
         """The accept test of the candidates with uniforms ``u`` (rows z, phi, accept)."""
@@ -502,12 +514,16 @@ class RhoTildeMaxSampler(_BufferedSampler):
         ratio /= self.bound
         return u[:, 2] < ratio
 
-    def _refill(self, need: int):
+    def _refill(self, need: int) -> np.ndarray:
         u = self.rng.random((self.block, 3))
-        keep = self._keep(u)
+        if self.scan is None:
+            keep = self._keep(u)
+        else:
+            keep = np.unpackbits(self.scan.bits[self.next_block], count=self.block).view(bool)
+            self.next_block += 1
         self.proposed += self.block
         self.accepted += int(keep.sum())
-        self._buffer.append(_rows(u[:, :2], keep))
+        return _rows(u[:, :2], keep)
 
 
 # candidate blocks per unit of work of the envelope's counting pass
@@ -528,20 +544,19 @@ class EnvelopeScan:
     """Samples [lo, hi) of ``RhoTildeMaxSampler(state, rng).draw(n)``, by position.
 
     ``rng`` is stream ``key`` after its first ``offset`` draws.  The counting
-    pass reads the candidate blocks that ``draw(n)`` scans, with the same
-    uniforms and the same accept test, but keeps only each block's accept
-    bits (one bit per candidate) and the running count of samples.  Block b
-    starts at stream position ``offset + 3 * block * b``, so the pass runs
-    in ranges of ``SCAN_BLOCKS`` blocks, each from its own position, mapped
-    with ``map_fn`` (see ``scan_envelopes``); ``map_fn=None`` leaves the
-    pass to ``scan_envelopes``.  An ``EnvelopeCursor`` reads the samples
-    from any position on, in order, generating each block once, so pieces
-    of the draw can be made in any order, in parallel; ``samples(lo, hi)``
-    is one such read.  ``end`` is the stream position after the last block,
-    where the stream's next draw begins.
+    pass, ``scan_envelopes``, reads the candidate blocks that ``draw(n)``
+    scans, with the same uniforms and the same accept test, but keeps only
+    each block's accept bits (one bit per candidate) and the running count
+    of samples.  Block b starts at stream position ``offset + 3 * block *
+    b``, so the pass runs in ranges of ``SCAN_BLOCKS`` blocks, each from its
+    own position.  ``sampler(lo)`` then reads the samples from any position
+    on, in order, generating each block once, so pieces of the draw can be
+    made in any order, in parallel; ``samples(lo, hi)`` is one such read.
+    ``end`` is the stream position after the last block, where the stream's
+    next draw begins.
     """
 
-    def __init__(self, state: State, key: tuple, offset: int, n: int, map_fn=map):
+    def __init__(self, state: State, key: tuple, offset: int, n: int):
         self.state = State(_as_p(state))
         if self.state.p >= 1.0:
             raise DomainError("the envelope density is identically zero at p = 1")
@@ -550,14 +565,23 @@ class EnvelopeScan:
         self.bits = []  # packed, one array per block
         self.counts = np.zeros(0, dtype=np.int64)  # counts[b]: samples in blocks 0..b
         self.end = self.offset
-        if map_fn is not None:
-            scan_envelopes([self], map_fn)
+
+    def sampler(self, lo: int) -> RhoTildeMaxSampler:
+        """A sampler of the scanned draw from sample ``lo`` on.  It opens the
+        stream once, at the block that holds sample lo, drops that block's
+        samples before lo, and reads on block after block."""
+        b = int(np.searchsorted(self.counts, int(lo), side="right"))
+        rng = generator_at(self.key, self.offset + 3 * self.block * b)
+        sampler = RhoTildeMaxSampler(self.state, rng)
+        sampler.scan, sampler.next_block = self, b
+        sampler._take(int(lo) - (int(self.counts[b - 1]) if b else 0))
+        return sampler
 
     def samples(self, lo: int, hi: int) -> np.ndarray:
         lo, hi = int(lo), int(hi)
         if not 0 <= lo <= hi <= self.n:
             raise ValueError(f"samples [{lo}, {hi}) lie outside [0, {self.n})")
-        return EnvelopeCursor(self, lo).take(hi - lo)
+        return self.sampler(lo).draw(hi - lo)
 
 
 def _scan_range(unit) -> tuple:
@@ -605,50 +629,6 @@ def scan_envelopes(scans: list, map_fn=map) -> None:
         scan.end = scan.offset + 3 * scan.block * used
 
 
-class EnvelopeCursor:
-    """Reads the samples of an ``EnvelopeScan`` in order, from sample lo on.
-
-    It opens the stream once, at the block that holds sample lo, and reads
-    on block after block: each block is generated once, and the (z, phi)
-    uniforms of its accepted candidates are kept until they are all taken,
-    so successive ``take`` calls never draw a block twice.
-    """
-
-    def __init__(self, scan: EnvelopeScan, lo: int):
-        self.scan = scan
-        self.pos = int(lo)  # the next sample to take
-        self.next = int(np.searchsorted(scan.counts, self.pos, side="right"))  # its block
-        self.rows = np.zeros((0, 2))  # accepted (z, phi) uniforms of the current block
-        self.first = self.pos  # the sample number of rows[0]
-        self.rng = None  # opened at the first block read
-
-    def take(self, m: int) -> np.ndarray:
-        """The next ``m`` samples, as vectors."""
-        u = np.empty((int(m), 2), order="F")
-        at = 0
-        while at < u.shape[0]:
-            left = self.first + self.rows.shape[0] - self.pos
-            if left == 0:
-                self._read_block()
-                continue
-            k = min(left, u.shape[0] - at)
-            i = self.pos - self.first
-            u[at : at + k] = self.rows[i : i + k]
-            at += k
-            self.pos += k
-        return _sphere_points(u[:, 0], u[:, 1])
-
-    def _read_block(self):
-        scan, b = self.scan, self.next
-        if self.rng is None:
-            self.rng = generator_at(scan.key, scan.offset + 3 * scan.block * b)
-        u = self.rng.random((scan.block, 3))
-        keep = np.unpackbits(scan.bits[b], count=scan.block).view(bool)
-        self.rows = _rows(u[:, :2], keep)
-        self.first = int(scan.counts[b - 1]) if b else 0
-        self.next = b + 1
-
-
 class RhoTildeSampler(_BufferedSampler):
     """Draws lam ~ rhot_x / (2(1-p)) by thinning RhoTildeMaxSampler output.
 
@@ -674,7 +654,7 @@ class RhoTildeSampler(_BufferedSampler):
         self._thin = np.zeros(0)  # their thinning uniforms
         self._next = 0  # the first untested candidate
 
-    def _refill(self, need: int):
+    def _refill(self, need: int) -> np.ndarray:
         if self._next == self._thin.shape[0]:
             self._cand = self._inner._take(self.block)
             self._thin = self.rng.random(self.block)
@@ -689,4 +669,4 @@ class RhoTildeSampler(_BufferedSampler):
         keep = self._thin[lo:hi] < rt / rmax
         self.proposed += hi - lo
         self.accepted += int(keep.sum())
-        self._buffer.append(_rows(cand, keep))
+        return _rows(cand, keep)

@@ -405,6 +405,8 @@ def chsh_from_result(sim: SimulationResult, settings) -> ChshEstimate:
     x1, x2, y1, y2 = (check_unit(v) for v in settings)
     if len(sim.settings) != 4:
         raise ValidationError("a CHSH estimate needs exactly the four correlation pairs")
+    if any(s.rounds == 0 for s in sim.settings):
+        raise ValidationError("a CHSH estimate needs at least one round per pair")
     es = []
     var = 0.0
     for s in sim.settings:

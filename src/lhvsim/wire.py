@@ -364,7 +364,7 @@ def bob_main(ref: socket.socket, alice: socket.socket) -> None:
             y = check_unit(y, "y")
             info = PROTOCOLS[protocol]
             for lo, hi, shared in _shared_rows(protocol, State(p), key, rounds):
-                talk = info.talks(shared)
+                talk = info.talks(shared.r, hi - lo)
                 mframe = recv_frame(alice)
                 status = 0
                 if mframe.kind != FrameKind.MESSAGE or mframe.round != lo:

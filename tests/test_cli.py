@@ -1,6 +1,7 @@
 """Tests for the command-line interface (driven through main(), no subprocess)."""
 
 import json
+import warnings
 from dataclasses import asdict
 from functools import lru_cache
 
@@ -68,6 +69,18 @@ class TestSimulate:
         report = json.loads((out / "report.json").read_text())
         assert abs(report["chsh"]["value"] - 2.828) < 0.03
         assert "CHSH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["simulate", "wire-run"])
+    def test_chsh_of_zero_rounds_is_usage_error(self, command, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no 0/0 on the way
+            code = run_cli(
+                command, "--protocol", "trit", "--p", "0.7", "--settings", "chsh",
+                "--rounds", "0", "--out-dir", str(tmp_path),
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_internal_consistency_error_aborts_cleanly(self, tmp_path, monkeypatch, capsys):
         import lhvsim.cli as cli

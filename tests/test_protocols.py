@@ -26,14 +26,11 @@ from lhvsim.protocols import (
     TRIT_BITS,
     VECTOR_MESSAGE_BITS,
     BatchResult,
-    _Chunk,
     _aggregate,
     _bob_teleportation,
     _choice_and_flip,
     _dots,
     _dots_where,
-    _draw_alice_private,
-    _draw_shared,
     _merge,
     _one_or_two,
     _put,
@@ -58,6 +55,7 @@ from lhvsim.sampling import (
     n_of_p,
     rho_tilde_max_cos,
     sample_uniform_sphere,
+    scan_envelopes,
     stream_key,
 )
 from lhvsim.verify import default_setting_pairs, tvd
@@ -442,12 +440,26 @@ class TestSimulate:
         info = PROTOCOLS[ProtocolId.TRIT]
         assert len(opened) == 2 * (len(info.shared) + len(info.private))  # two chunks
 
+    @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
+    def test_a_pairs_only_chunk_opens_each_stream_once(self, monkeypatch, pid, p):
+        # it reads every block, and the envelope, on from one generator per stream
+        opened = []
+        for module in (protocols, sampling):
+            real = module.generator_at
+            monkeypatch.setattr(
+                module, "generator_at",
+                lambda key, at, real=real: opened.append((key, at)) or real(key, at),
+            )
+        simulate(pid, State(p), [(X_AXIS, Z_AXIS)], CHUNK, seed=26)
+        channels = (CH_SHARED, CH_ALICE) if PROTOCOLS[pid].private else (CH_SHARED,)
+        assert sorted(opened) == sorted((stream_key(26, 0, ch), 0) for ch in channels)
+
     def test_a_chunk_reads_each_envelope_block_once(self, monkeypatch):
-        # the envelope is opened once per chunk, through one cursor that reads
+        # the envelope is opened once per chunk, through one sampler that reads
         # on from tile to tile, and once per range of the counting pass
         opened, ranges, read = [], [], []
         real_at, real_range = sampling.generator_at, sampling._scan_range
-        real_block = sampling.EnvelopeCursor._read_block
+        real_refill = sampling.RhoTildeMaxSampler._refill
         monkeypatch.setattr(
             sampling, "generator_at", lambda key, at: opened.append(at) or real_at(key, at)
         )
@@ -455,13 +467,14 @@ class TestSimulate:
             sampling, "_scan_range", lambda unit: ranges.append(unit) or real_range(unit)
         )
 
-        def read_block(cursor):
-            # the cursor itself, not its id: a later chunk's cursor may reuse
+        def refill(sampler, need):
+            # the sampler itself, not its id: a later chunk's sampler may reuse
             # the id of a freed one and read the same block
-            read.append((cursor, cursor.next))
-            real_block(cursor)
+            if sampler.scan is not None:
+                read.append((sampler, sampler.next_block))
+            return real_refill(sampler, need)
 
-        monkeypatch.setattr(sampling.EnvelopeCursor, "_read_block", read_block)
+        monkeypatch.setattr(sampling.RhoTildeMaxSampler, "_refill", refill)
         in_protocols = []
         monkeypatch.setattr(
             protocols, "generator_at", lambda key, at: in_protocols.append(at) or real_at(key, at)
@@ -474,9 +487,9 @@ class TestSimulate:
         assert len(in_protocols) == 2 * (len(info.shared) - 1 + len(info.private))
         assert len(opened) == 2 + len(ranges)  # two chunks, and the ranges
         assert sorted(opened[len(ranges):]) == sorted(set(opened[len(ranges):]))
-        assert len(read) == len(set(read))  # no cursor reads a block twice
-        for cursor in {c for c, _ in read}:
-            blocks = [b for c, b in read if c == cursor]
+        assert len(read) == len(set(read))  # no sampler reads a block twice
+        for sampler in {s for s, _ in read}:
+            blocks = [b for s, b in read if s == sampler]
             assert blocks == list(range(blocks[0], blocks[0] + len(blocks)))
 
     def test_many_pairs_on_few_workers(self):
@@ -646,23 +659,36 @@ CHUNK_CASES = [
 def _reference_draws(pid, state, seed, k, n):
     """Pair k's shared and private n-round draws, read the way simulate does not.
 
-    simulate reads a pair of one chunk straight through (``_Whole``) and a
-    pair of more chunks chunk by chunk (``_Chunk``); the reference reads a
-    one-chunk pair as one ``_Chunk`` of [0, n) and a longer pair as one draw.
+    simulate reads a pair of one chunk in order, from one generator per
+    stream, and a pair of more chunks chunk by chunk; the reference reads a
+    one-chunk pair in two pieces, each of which opens every block at its own
+    position and reads the envelope through a counting pass, and a longer
+    pair as one draw.
     """
     if n > CHUNK:
         return (
             draw_shared(pid, state, make_generator(seed, k, CH_SHARED), n),
             draw_alice_private(pid, make_generator(seed, k, CH_ALICE), n),
         )
-    key = stream_key(seed, k, CH_SHARED)
+    key, priv_key = stream_key(seed, k, CH_SHARED), stream_key(seed, k, CH_ALICE)
     scan = None
     if PROTOCOLS[pid].draws_envelope(state):
         scan = EnvelopeScan(state, key, n, n)  # after n shared-bit uniforms
+        scan_envelopes([scan])
+    pieces = [(0, n // 2), (n // 2, n)]
     return (
-        _draw_shared(pid, state, _Chunk(key, n, 0, n, scan)),
-        _draw_alice_private(pid, _Chunk(stream_key(seed, k, CH_ALICE), n, 0, n)),
+        _joined([shared_chunk(pid, state, key, n, lo, hi, scan) for lo, hi in pieces]),
+        _joined([private_chunk(pid, priv_key, n, lo, hi) for lo, hi in pieces]),
     )
+
+
+def _joined(draws):
+    """The rows of a list of SharedDraws or AlicePrivates, in order, as one."""
+    arrays = {f.name: [getattr(d, f.name) for d in draws] for f in fields(draws[0])}
+    return type(draws[0])(**{
+        name: None if a[0] is None else np.concatenate([np.asarray(b) for b in a])
+        for name, a in arrays.items()
+    })
 
 
 def _rows(draw, lo, hi):

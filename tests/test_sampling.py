@@ -39,6 +39,7 @@ from lhvsim.sampling import (
     rho_tilde_max_cos,
     sample_theta_hemisphere,
     sample_uniform_sphere,
+    scan_envelopes,
     stream_key,
 )
 from oracles import eval_rho, n_of_p_quadrature, rho_tilde_cos_marginal
@@ -141,6 +142,7 @@ class TestColumnMajor:
         rng = np.random.default_rng(67)
         v, x = random_unit(rng), random_unit(rng)
         scan = EnvelopeScan(State(0.7), stream_key(13, 1), 0, n)
+        scan_envelopes([scan])
         draws = {
             "uniform": sample_uniform_sphere(make_generator(13, 0), n),
             "hemisphere z": sample_theta_hemisphere(make_generator(13, 0), Z_AXIS, n),
@@ -160,7 +162,7 @@ class TestColumnMajor:
             RhoTildeSampler(State(0.7), Z_AXIS, make_generator(13, 3)),
         ):
             sampler.draw(5)
-            assert sampler._buffer and all(b.strides[0] == 8 for b in sampler._buffer)
+            assert sampler._buffer.shape[0] > sampler._used and sampler._buffer.strides[0] == 8
             assert sampler.draw(1000).flags.f_contiguous
 
 
@@ -470,6 +472,7 @@ class TestRhoTildeMaxSampler:
     def test_envelope_scan_matches_draw(self, p):
         n = 50_000
         scan = EnvelopeScan(State(p), stream_key(26, 0), 5, n)
+        scan_envelopes([scan])
         rng = make_generator(26, 0)
         rng.random(5)
         s = RhoTildeMaxSampler(State(p), rng)
@@ -488,6 +491,7 @@ class TestRhoTildeMaxSampler:
 
     def test_envelope_scan_of_zero_samples(self):
         scan = EnvelopeScan(State(0.9), stream_key(26, 0), 5, 0)
+        scan_envelopes([scan])
         assert scan.end == 5
         assert scan.samples(0, 0).shape == (0, 3)
 
@@ -543,7 +547,8 @@ class TestRangedEnvelopeScan:
                 bits, counts, end, whole = one_pass_scan(p, n)
                 read.clear()
                 waves.clear()
-                scan = EnvelopeScan(State(p), stream_key(26, 0), 5, n, map_fn=map_fn)
+                scan = EnvelopeScan(State(p), stream_key(26, 0), 5, n)
+                scan_envelopes([scan], map_fn)
                 assert scan.counts.tolist() == counts, n
                 assert len(scan.bits) == len(bits)
                 assert all(np.array_equal(a, b) for a, b in zip(scan.bits, bits)), n
