@@ -55,24 +55,26 @@ so the jump is free) and reads only its own rows, and a pair's only chunk
 it, as the n-round draw does.  The envelope sampler of the improved one-bit
 protocol consumes a data-dependent number of candidate blocks; for a pair
 of more than one chunk, a counting pass over those blocks
-(``sampling.EnvelopeScan``) keeps each block's accept bits, from which a
-chunk's envelope sampler finds and builds its own samples.  Each candidate
-block has a fixed stream position, so the pass runs in ranges of blocks,
-and ``simulate`` maps the ranges of all pairs on its workers before it maps
-the chunks.
+(``sampling.EnvelopeScan``) keeps the running count of samples per block,
+from which a chunk's envelope sampler finds the block that holds its first
+sample; it tests that block's candidates and those of the blocks after it
+again.  Each candidate block has a fixed stream position, so the pass runs
+in ranges of blocks, and ``simulate`` maps the ranges of all pairs on its
+workers before it maps the chunks.
 Every chunk is thus one independent unit of work, and outcomes and counts
 do not depend on the number of workers or on the order chunks run in.
 
 ``simulate`` plays such a chunk in tiles of ``TILE`` rounds: it opens each
 block once, at the chunk's first round, and reads it on tile by tile, as a
 block's rows are contiguous; the envelope rows of a tile come from one
-sampler over the scan, which generates each candidate block once per chunk
-and keeps the current block's accepted uniforms from tile to tile, and the
-vector sampler is drawn from tile after tile.  A worker thus holds
-the arrays of at most one tile of a long pair's chunk, or of one pair of at
-most ``CHUNK`` rounds, plus its chunk's outcomes (a few bytes per round) and
-the accept bits: one bit per envelope candidate, under 3 bits per round for
-p <= 0.98.  Memory does not grow with n, apart from those bits.
+sampler opened through the scan, which generates and tests each candidate
+block once per chunk and keeps the current block's accepted uniforms from
+tile to tile, and the vector sampler is drawn from tile after tile.  A
+worker thus holds the arrays of at most one tile of a long pair's chunk, or
+of one pair of at most ``CHUNK`` rounds, plus its chunk's outcomes (a few
+bytes per round).  Each pair's scan holds 8 bytes per block of 8192
+candidates, about 3.4 KiB per 10^6 rounds at p = 0.99; nothing else grows
+with n.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ class _Chunk:
                 self.sampler = RhoTildeMaxSampler(state, self.at(self.start))
             else:
                 self.sampler = self.scan.sampler(self.lo)
-                self.start = self.sampler.end
+                self.start = self.scan.end
         return self.sampler.draw(self.rounds)
 
 
@@ -589,7 +591,7 @@ PROTOCOLS = {
         alice=_alice_one_bit,
         bob=_bob_first_or_second,
         p_range="1/2 + sqrt(3)/4 <= p <= 1 (>= 0.9330127)",
-        applies=lambda p: p >= one_bit_threshold() - 1e-12,
+        applies=lambda p: p >= one_bit_threshold(),
     ),
     ProtocolId.TRIT: ProtocolInfo(
         shared=_TWO_UNIFORM + (("lam3", _hemisphere),),
@@ -898,9 +900,10 @@ def simulate(
     ranges and then the chunks of all pairs.  Each chunk of a pair longer than
     ``CHUNK`` rounds is played ``TILE`` rounds at a time, so a worker holds
     one tile's arrays, or those of a pair's only chunk, plus the chunk's
-    outcomes and the envelope's accept bits.  The counts and the cost are
-    summed over each chunk's whole outcome arrays, so the tiles change no
-    output byte.
+    outcomes; each pair's envelope scan holds one count per candidate
+    block, and a chunk tests its blocks' candidates again.  The counts and
+    the cost are summed over each chunk's whole outcome arrays, so the tiles
+    change no output byte.
     """
     pairs, n, seed = _checked_run(protocol, state, settings, rounds_per_setting, seed)
     if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:

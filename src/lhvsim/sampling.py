@@ -100,8 +100,13 @@ def generator_at(key: tuple, offset: int) -> np.random.Generator:
 
 
 def check_bound(value: np.ndarray, bound: np.ndarray, what: str) -> None:
-    """Raise if ``value <= bound`` fails anywhere by more than ``BOUND_ATOL``."""
-    excess = float(np.max(value - bound, initial=0.0))
+    """Raise if ``value <= bound`` fails anywhere by more than ``BOUND_ATOL``.
+
+    ``value`` must be a float array made for the check, as every caller's
+    scaled temporary is: it is overwritten with ``value - bound``, so the
+    check makes no array of its own.
+    """
+    excess = float(np.max(np.subtract(value, bound, out=value), initial=0.0))
     if excess > BOUND_ATOL:
         raise InternalConsistencyError(
             f"{what}: pointwise bound exceeded by {excess} (tolerance {BOUND_ATOL})"
@@ -487,27 +492,19 @@ class RhoTildeMaxSampler(_BufferedSampler):
     are tested a whole block at a time, in generator order, and the (z, phi)
     uniforms of the accepted ones are buffered; ``draw`` turns into vectors
     only the rows it returns.  So the accepted sequence is the same whether
-    it is consumed one sample at a time or in bulk.
-
-    A sampler that ``EnvelopeScan.sampler`` opens reads that scan's draw:
-    it takes each block's accept bits from ``scan`` in place of the test,
-    and ``end`` is the stream position after the draw's last block.
+    it is consumed one sample at a time or in bulk, and a sampler opened at
+    any block's start (``EnvelopeScan.sampler``) reads on as one from the
+    start would.
     """
 
     def __init__(self, state: State, rng: np.random.Generator):
         super().__init__(state, rng, "the envelope density is identically zero at p = 1", width=2)
         self.bound = rho_tilde_bound(self.state.p)
-        self.scan = None  # the EnvelopeScan whose accept bits it reads, if any
-        self.next_block = 0  # the scan's block that the next refill reads
 
     def draw(self, n: int) -> np.ndarray:
         """The next ``n`` accepted samples; the rest of the last block is kept."""
         u = self._take(n)
         return _sphere_points(u[:, 0], u[:, 1])
-
-    @property
-    def end(self) -> int:
-        return self.scan.end
 
     def _keep(self, u: np.ndarray) -> np.ndarray:
         """The accept test of the candidates with uniforms ``u`` (rows z, phi, accept)."""
@@ -519,11 +516,7 @@ class RhoTildeMaxSampler(_BufferedSampler):
 
     def _refill(self, need: int) -> np.ndarray:
         u = self.rng.random((self.block, 3))
-        if self.scan is None:
-            keep = self._keep(u)
-        else:
-            keep = np.unpackbits(self.scan.bits[self.next_block], count=self.block).view(bool)
-            self.next_block += 1
+        keep = self._keep(u)
         self.proposed += self.block
         self.accepted += int(keep.sum())
         return _rows(u[:, :2], keep)
@@ -544,19 +537,18 @@ def envelope_blocks(p: float, n: int) -> int:
 
 
 class EnvelopeScan:
-    """Samples [lo, hi) of ``RhoTildeMaxSampler(state, rng).draw(n)``, by position.
+    """Where the samples of ``RhoTildeMaxSampler(state, rng).draw(n)`` lie.
 
     ``rng`` is stream ``key`` after its first ``offset`` draws.  The counting
     pass, ``scan_envelopes``, reads the candidate blocks that ``draw(n)``
-    scans, with the same uniforms and the same accept test, but keeps only
-    each block's accept bits (one bit per candidate) and the running count
-    of samples.  Block b starts at stream position ``offset + 3 * block *
-    b``, so the pass runs in ranges of ``SCAN_BLOCKS`` blocks, each from its
-    own position.  ``sampler(lo)`` then reads the samples from any position
-    on, in order, generating each block once, so pieces of the draw can be
-    made in any order, in parallel; ``samples(lo, hi)`` is one such read.
-    ``end`` is the stream position after the last block, where the stream's
-    next draw begins.
+    scans, with the same uniforms and the same accept test, and keeps only
+    ``counts``, the running count of samples per block: 8 bytes per block
+    of ``block`` candidates.  Block b starts at stream position ``offset +
+    3 * block * b``, so the pass runs in ranges of ``SCAN_BLOCKS`` blocks,
+    each from its own position.  ``sampler(lo)`` then reads the samples from
+    any position on, in order, testing each block again, so pieces of the
+    draw can be made in any order, in parallel.  ``end`` is the stream
+    position after the last block, where the stream's next draw begins.
     """
 
     def __init__(self, state: State, key: tuple, offset: int, n: int):
@@ -565,7 +557,6 @@ class EnvelopeScan:
             raise DomainError("the envelope density is identically zero at p = 1")
         self.key, self.offset, self.n = key, int(offset), int(n)
         self.block = _BLOCK
-        self.bits = []  # packed, one array per block
         self.counts = np.zeros(0, dtype=np.int64)  # counts[b]: samples in blocks 0..b
         self.end = self.offset
 
@@ -576,29 +567,17 @@ class EnvelopeScan:
         b = int(np.searchsorted(self.counts, int(lo), side="right"))
         rng = generator_at(self.key, self.offset + 3 * self.block * b)
         sampler = RhoTildeMaxSampler(self.state, rng)
-        sampler.scan, sampler.next_block = self, b
         sampler._take(int(lo) - (int(self.counts[b - 1]) if b else 0))
         return sampler
 
-    def samples(self, lo: int, hi: int) -> np.ndarray:
-        lo, hi = int(lo), int(hi)
-        if not 0 <= lo <= hi <= self.n:
-            raise ValueError(f"samples [{lo}, {hi}) lie outside [0, {self.n})")
-        return self.sampler(lo).draw(hi - lo)
 
-
-def _scan_range(unit) -> tuple:
-    """The packed accept bits and accepted counts of candidate blocks
-    [b_lo, b_hi) of ``scan``, for ``unit = (scan, b_lo, b_hi)``."""
+def _scan_range(unit) -> list:
+    """The accepted counts of candidate blocks [b_lo, b_hi) of ``scan``,
+    for ``unit = (scan, b_lo, b_hi)``."""
     scan, b_lo, b_hi = unit
     rng = generator_at(scan.key, scan.offset + 3 * scan.block * b_lo)
-    sampler = RhoTildeMaxSampler(scan.state, rng)
-    bits, counts = [], []
-    for _ in range(b_lo, b_hi):
-        keep = sampler._keep(rng.random((scan.block, 3)))
-        bits.append(np.packbits(keep))
-        counts.append(int(np.count_nonzero(keep)))
-    return bits, counts
+    keep = RhoTildeMaxSampler(scan.state, rng)._keep
+    return [int(np.count_nonzero(keep(rng.random((scan.block, 3))))) for _ in range(b_lo, b_hi)]
 
 
 def scan_envelopes(scans: list, map_fn=map) -> None:
@@ -608,10 +587,10 @@ def scan_envelopes(scans: list, map_fn=map) -> None:
     list.  The first wave covers ``envelope_blocks`` of each draw; a scan
     whose count falls short gets another wave for the samples it still
     needs.  Each scan is then cut at the first block where its running count
-    reaches n, so its bits, counts and end are those of one pass in order.
+    reaches n, so its counts and end are those of one pass in order.
     ``map_fn`` must not run on a pool that one of its own tasks waits on.
     """
-    bits, counts = [[] for _ in scans], [[] for _ in scans]  # the blocks read so far
+    counts = [[] for _ in scans]  # the blocks read so far
     pending = [i for i, scan in enumerate(scans) if scan.n > 0]
     while pending:
         units, owners = [], []
@@ -621,14 +600,13 @@ def scan_envelopes(scans: list, map_fn=map) -> None:
             for b in range(lo, hi, SCAN_BLOCKS):
                 units.append((scans[i], b, min(b + SCAN_BLOCKS, hi)))
                 owners.append(i)
-        for i, (more_bits, more_counts) in zip(owners, map_fn(_scan_range, units)):
-            bits[i] += more_bits
-            counts[i] += more_counts
+        for i, more in zip(owners, map_fn(_scan_range, units)):
+            counts[i] += more
         pending = [i for i in pending if sum(counts[i]) < scans[i].n]
-    for scan, scan_bits, scan_counts in zip(scans, bits, counts):
+    for scan, scan_counts in zip(scans, counts):
         running = np.cumsum(np.array(scan_counts, dtype=np.int64))
         used = int(np.searchsorted(running, scan.n)) + 1 if scan.n > 0 else 0
-        scan.bits, scan.counts = scan_bits[:used], running[:used]
+        scan.counts = running[:used]
         scan.end = scan.offset + 3 * scan.block * used
 
 

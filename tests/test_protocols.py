@@ -15,6 +15,7 @@ from lhvsim.bloch import State, X_AXIS, Z_AXIS, born_joint, collapse, dot3, pm, 
 from lhvsim import protocols, sampling
 from lhvsim.errors import DomainError, InternalConsistencyError, ValidationError
 from lhvsim.protocols import (
+    AlicePrivate,
     CH_ALICE,
     CH_SAMPLER,
     CH_SHARED,
@@ -51,8 +52,10 @@ from lhvsim.sampling import (
     TWO_PI,
     EnvelopeScan,
     check_bound,
+    ZHemisphere,
     make_generator,
     n_of_p,
+    one_bit_threshold,
     rho_tilde_max_cos,
     sample_uniform_sphere,
     scan_envelopes,
@@ -95,6 +98,12 @@ def max_tvd(result):
     )
 
 
+def stream_position(rng):
+    """The draws that Philox generator ``rng`` has made from its stream's start."""
+    state = rng.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) - (4 - state["buffer_pos"])
+
+
 class TestApplicability:
     def test_one_bit_range(self):
         check_applicable(ProtocolId.ONE_BIT, State(0.95))
@@ -104,6 +113,21 @@ class TestApplicability:
             check_applicable(ProtocolId.ONE_BIT, State(0.933))
         with pytest.raises(DomainError):
             check_applicable(ProtocolId.ONE_BIT, State(0.6))
+
+    def test_one_bit_domain_agrees_with_its_guard(self):
+        # x = lam = (1, 0, 0) peaks one-bit's acceptance 4 pi rhot_x: at
+        # threshold - 1e-12 it computes to 1 + 6.9e-12, above the guard, so
+        # that p is refused; at the float threshold it computes to 1
+        thr = one_bit_threshold()
+        with pytest.raises(DomainError, match="0.9330127"):
+            check_applicable(ProtocolId.ONE_BIT, State(thr - 1e-12))
+        check_applicable(ProtocolId.ONE_BIT, State(thr))
+        shared = SharedDraw(
+            lam1=np.asfortranarray(X_AXIS[None, :]), lam2=ZHemisphere(np.full((1, 2), 0.5))
+        )
+        priv = AlicePrivate(u_msg=np.array([0.5]), u_out=np.array([0.5]))
+        res = alice_decide(ProtocolId.ONE_BIT, State(thr), X_AXIS, shared, priv)
+        assert res.msg.tolist() == [1]  # accepted with probability 1
 
     def test_degorre_only_at_half(self):
         check_applicable(ProtocolId.DEGORRE, State(0.5))
@@ -470,8 +494,7 @@ class TestSimulate:
         def refill(sampler, need):
             # the sampler itself, not its id: a later chunk's sampler may reuse
             # the id of a freed one and read the same block
-            if sampler.scan is not None:
-                read.append((sampler, sampler.next_block))
+            read.append((sampler, stream_position(sampler.rng)))
             return real_refill(sampler, need)
 
         monkeypatch.setattr(sampling.RhoTildeMaxSampler, "_refill", refill)
@@ -488,8 +511,12 @@ class TestSimulate:
         assert len(opened) == 2 + len(ranges)  # two chunks, and the ranges
         assert sorted(opened[len(ranges):]) == sorted(set(opened[len(ranges):]))
         assert len(read) == len(set(read))  # no sampler reads a block twice
+        width = 3 * sampling._BLOCK  # uniforms per candidate block
         for sampler in {s for s, _ in read}:
-            blocks = [b for s, b in read if s == sampler]
+            # block b starts at position n + width * b, after the n shared-bit uniforms
+            starts = [at - n for s, at in read if s == sampler]
+            assert all(at % width == 0 for at in starts)
+            blocks = [at // width for at in starts]
             assert blocks == list(range(blocks[0], blocks[0] + len(blocks)))
 
     def test_many_pairs_on_few_workers(self):

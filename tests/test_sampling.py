@@ -148,8 +148,8 @@ class TestColumnMajor:
             "hemisphere z": sample_theta_hemisphere(make_generator(13, 0), Z_AXIS, n),
             "hemisphere v": sample_theta_hemisphere(make_generator(13, 0), v, n),
             "envelope": RhoTildeMaxSampler(State(0.7), make_generator(13, 1)).draw(n),
-            "envelope scan": scan.samples(0, n),
-            "envelope scan piece": scan.samples(1, n),
+            "envelope scan": scan.sampler(0).draw(n),
+            "envelope scan piece": scan.sampler(1).draw(n - 1),
             "rhot_x": RhoTildeSampler(State(0.7), x, make_generator(13, 2)).draw(n),
         }
         for name, lam in draws.items():
@@ -485,15 +485,36 @@ class TestRhoTildeMaxSampler:
         for lo in cuts:
             for hi in cuts:
                 if lo <= hi:
-                    assert np.array_equal(scan.samples(lo, hi), whole[lo:hi]), (lo, hi)
-        with pytest.raises(ValueError):
-            scan.samples(0, n + 1)
+                    assert np.array_equal(scan.sampler(lo).draw(hi - lo), whole[lo:hi]), (lo, hi)
+        # past the scanned draw, a sampler reads on as the stream's own sampler does
+        assert np.array_equal(scan.sampler(n - 1).draw(5), np.concatenate([whole[-1:], s.draw(4)]))
 
     def test_envelope_scan_of_zero_samples(self):
         scan = EnvelopeScan(State(0.9), stream_key(26, 0), 5, 0)
         scan_envelopes([scan])
         assert scan.end == 5
-        assert scan.samples(0, 0).shape == (0, 3)
+        assert scan.counts.size == 0
+        assert scan.sampler(0).draw(0).shape == (0, 3)
+
+    def test_a_finished_scan_holds_its_counts_only(self):
+        # 8 bytes per block of 8192 candidates: about 34 KiB at n = 10^7 and
+        # p = 0.99 (4306 blocks), where one accept bit per candidate took
+        # 4.85 MiB.  The pass's 263 block-range tuples add about 16 KiB that
+        # the interpreter keeps on its tuple free list for later passes
+        import tracemalloc
+
+        warm = EnvelopeScan(State(0.99), stream_key(29, 0), 0, 10_000)
+        scan_envelopes([warm])  # one-time allocations are made here, not counted
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scan = EnvelopeScan(State(0.99), stream_key(29, 1), 0, 10**7)
+            scan_envelopes([scan])
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert scan.counts[-1] >= 10**7
+        assert held < 64 * 1024, held
 
     def test_draw_zero(self):
         assert RhoTildeMaxSampler(State(0.9), make_generator(27, 0)).draw(0).shape == (0, 3)
@@ -505,19 +526,17 @@ def one_pass_scan(p, n):
     draws, block after block in one thread, and the samples themselves."""
     key = stream_key(26, 0)
     sampler = RhoTildeMaxSampler(State(p), generator_at(key, 5))
-    bits, counts, total = [], [], 0
+    counts, total = [], 0
     while total < n:
-        keep = sampler._keep(sampler.rng.random((sampler.block, 3)))
-        total += int(keep.sum())
-        bits.append(np.packbits(keep))
+        total += int(sampler._keep(sampler.rng.random((sampler.block, 3))).sum())
         counts.append(total)
     whole = RhoTildeMaxSampler(State(p), generator_at(key, 5)).draw(n)
-    return bits, counts, 5 + 3 * sampler.block * len(counts), whole
+    return counts, 5 + 3 * sampler.block * len(counts), whole
 
 
 class TestRangedEnvelopeScan:
     """The counting pass runs in block ranges, wave after wave, on any map;
-    its bits, counts and end, and the samples read from them, equal one pass
+    its counts and end, and the samples read from them, equal one pass
     in order, whether the block estimate is right, far too low (more
     waves) or far too high (blocks read and cut)."""
 
@@ -535,7 +554,7 @@ class TestRangedEnvelopeScan:
         monkeypatch.setattr(
             sampling, "_scan_range", lambda unit: read.append(unit[1:]) or scan_range(unit)
         )
-        on_block = one_pass_scan(p, 50_000)[1][2]  # the last sample of block 2
+        on_block = one_pass_scan(p, 50_000)[0][2]  # the last sample of block 2
         with ThreadPoolExecutor(max_workers=2) as executor:
             waves = []
 
@@ -544,14 +563,12 @@ class TestRangedEnvelopeScan:
                 return (executor.map if pool else map)(fn, units)
 
             for n in (0, 1, on_block, 50_000, CHUNK + TILE + 5):
-                bits, counts, end, whole = one_pass_scan(p, n)
+                counts, end, whole = one_pass_scan(p, n)
                 read.clear()
                 waves.clear()
                 scan = EnvelopeScan(State(p), stream_key(26, 0), 5, n)
                 scan_envelopes([scan], map_fn)
                 assert scan.counts.tolist() == counts, n
-                assert len(scan.bits) == len(bits)
-                assert all(np.array_equal(a, b) for a, b in zip(scan.bits, bits)), n
                 assert scan.end == end, n
                 blocks = sum(hi - lo for lo, hi in read)
                 if n == 0:
@@ -564,7 +581,8 @@ class TestRangedEnvelopeScan:
                 for lo in cuts:
                     for hi in cuts:
                         if 0 <= lo <= hi <= n:
-                            assert np.array_equal(scan.samples(lo, hi), whole[lo:hi]), (n, lo, hi)
+                            got = scan.sampler(lo).draw(hi - lo)
+                            assert np.array_equal(got, whole[lo:hi]), (n, lo, hi)
 
 
 class TestPositionedStreams:
