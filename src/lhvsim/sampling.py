@@ -518,7 +518,7 @@ class RhoTildeMaxSampler(_BufferedSampler):
         u = self.rng.random((self.block, 3))
         keep = self._keep(u)
         self.proposed += self.block
-        self.accepted += int(keep.sum())
+        self.accepted += int(np.count_nonzero(keep))
         return _rows(u[:, :2], keep)
 
 
