@@ -51,8 +51,8 @@ from lhvsim.sampling import (
     NEGATIVE_LIMIT,
     TWO_PI,
     EnvelopeScan,
-    check_bound,
     ZHemisphere,
+    check_bound,
     make_generator,
     n_of_p,
     one_bit_threshold,
