@@ -97,6 +97,7 @@ from .sampling import (
     check_bound,
     check_seed,
     generator_at,
+    improved_one_bit_threshold,
     make_generator,
     n_of_p,
     one_bit_threshold,
@@ -278,18 +279,28 @@ def private_chunk(protocol, key, n, lo, hi) -> AlicePrivate:
     return _draw_alice_private(protocol, _Chunk(partial(generator_at, key), n, lo, hi))
 
 
+class _NoStream:
+    """The stream of a chunk of no rounds, whose laws ask it for no uniforms."""
+
+    random = staticmethod(np.empty)
+
+
 def talk_chunk(protocol, state, key, n, lo, hi) -> np.ndarray:
     """The rounds of [lo, hi) of the n-round shared draw of Philox key ``key``
-    in which Alice talks (``ProtocolInfo.talks``), read from the shared
-    layout up to and including r, with no stream opened for a protocol
-    without r.  r precedes the envelope, so none is drawn."""
+    in which Alice talks (``ProtocolInfo.talks``).  Only r's block is opened:
+    the fields before r are drawn for no rounds, from no stream, to find
+    where that block starts.  A protocol without r opens no stream, and r
+    precedes the envelope, so none is drawn."""
     info = PROTOCOLS[protocol]
     names = [name for name, _ in info.shared]
-    r = None
-    if "r" in names:
-        src = _Chunk(partial(generator_at, key), n, lo, hi)
-        r = [law(state, src) for _, law in info.shared[: names.index("r") + 1]][-1]
-    return info.talks(r, hi - lo)
+    if "r" not in names:
+        return info.talks(None, hi - lo)
+    k = names.index("r")
+    before = _Chunk(lambda offset: _NoStream, n, 0, 0)
+    for _, law in info.shared[:k]:
+        law(state, before)
+    src = _Chunk(lambda offset: generator_at(key, before.start + offset), n, lo, hi)
+    return info.talks(info.shared[k][1](state, src), hi - lo)
 
 
 def envelope_scans(protocol, state, keys, n, map_fn=map) -> list:
@@ -624,7 +635,7 @@ PROTOCOLS = {
         alice=_alice_improved_one_bit,
         bob=_bob_first_or_second,
         p_range="n_of_p(p) <= 1 (>= 0.8342618)",
-        applies=lambda p: p > 0.5 and (p >= 1.0 or n_of_p(p) <= 1.0 + 1e-12),
+        applies=lambda p: p >= improved_one_bit_threshold(),
     ),
     ProtocolId.LOCAL_CONTENT: ProtocolInfo(
         shared=(("lam1", _hemisphere), ("r", _bit_above_c)),

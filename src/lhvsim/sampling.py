@@ -121,9 +121,6 @@ def _as_p(state) -> float:
 # samplers
 
 
-_Z_BYTES = Z_AXIS.tobytes()  # sample_theta_hemisphere's fast path: +0.0, +0.0, 1.0 exactly
-
-
 def _frame(v: np.ndarray):
     """Deterministic right-handed orthonormal frame (e1, e2, v)."""
     helper = Z_AXIS if abs(v[2]) <= 0.9 else X_AXIS
@@ -198,13 +195,12 @@ def sample_theta_hemisphere(rng: np.random.Generator, v: np.ndarray, n: int) -> 
 
     The cosine of the angle to v has density 2c on [0, 1] (drawn as sqrt of a
     uniform); the azimuth about v is uniform.  Each vector reads one (c, phi)
-    pair of uniforms; about ``Z_AXIS`` the rows are ``_hemisphere_points``.
+    pair of uniforms; about ``Z_AXIS`` the rows are those of
+    ``_hemisphere_points``, signed zeros included.
     """
     v = check_unit(v, "v")
     m = int(n)
     u = rng.random((m, 2))
-    if v.tobytes() == _Z_BYTES:
-        return _hemisphere_points(u[:, 0], u[:, 1])
     out = np.empty((m, 3), order="F")
     x, y, c = out.T
     s = _polar(u[:, 0], c)
@@ -376,55 +372,9 @@ def one_bit_threshold() -> float:
 
 
 def improved_one_bit_threshold() -> float:
-    """Smallest p with n_of_p(p) <= 1 (about 0.835), to full float precision."""
-    return brentq(lambda p: n_of_p(p) - 1.0, 0.75, 0.95, xtol=1e-14, rtol=8.9e-16)
-
-
-def brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
-
-    The loop of scipy's ``optimize.brentq``, step for step, so it returns
-    the same float bit for bit without loading scipy.  The root is bracketed
-    by xcur and xblk; each step interpolates (secant or inverse quadratic)
-    when that shrinks the bracket fast enough, and bisects otherwise.
-    """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):  # scipy's default maxiter
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise InternalConsistencyError("brentq did not converge in 100 iterations")
+    """Smallest p with n_of_p(p) <= 1, about 0.835: the float that
+    ``scipy.optimize.brentq`` returns for n_of_p(p) = 1, as the tests check."""
+    return 0.834261756691355
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,15 @@ suites for the hemisphere law and for the sub-normalized density rhot_x.
 Tolerances are derived from the round count, never hard-coded: the default
 pass threshold for a table of M rounds is ``max(0.005, 5/sqrt(M))``.
 
-scipy is imported inside the functions that call it (``area_quadrature``
-and ``Chi2Result.pvalue``), so a report never loads it.
+numpy is the only dependency.  ``area_quadrature`` sums fixed 64-node
+Gauss-Legendre rules between the kinks of its integrand, and
+``Chi2Result.pvalue`` is the closed-form chi-square tail of an integer dof.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -76,9 +78,24 @@ class Chi2Result:
         """The chi2(dof) upper tail at ``statistic``, computed on first read."""
         if self.statistic == float("inf"):
             return 0.0  # a cell the oracle rules out was hit
-        from scipy import stats
+        return _chi2_tail(self.statistic, self.dof)
 
-        return float(stats.chi2.sf(self.statistic, self.dof))
+
+def _chi2_tail(x: float, dof: int) -> float:
+    """P(chi2(dof) > x) for an integer dof, nan for dof < 1 (Abramowitz &
+    Stegun 26.4.4-5): with h = (dof % 2) / 2, the sum over j < dof // 2 of
+    exp(-x/2) (x/2)^(j+h) / Gamma(j+h+1), plus erfc(sqrt(x/2)) for odd dof.
+    Each term is the exp of its log: exp(-x/2) alone underflows past x = 1490.
+    """
+    if dof < 1:
+        return float("nan")
+    if x <= 0.0:
+        return 1.0
+    h, half = 0.5 * (dof % 2), 0.5 * x
+    terms = [math.erfc(math.sqrt(half))] if h else []
+    for j in range(dof // 2):
+        terms.append(math.exp((j + h) * math.log(half) - half - math.lgamma(j + h + 1.0)))
+    return math.fsum(terms)
 
 
 def chi2_stat(counts: np.ndarray, oracle: JointDistribution) -> Chi2Result:
@@ -280,20 +297,24 @@ class DensityPropertyReport:
 def area_quadrature(state: State, x: np.ndarray) -> float:
     """Integral of rhot_x over the sphere by quadrature of its lam.z marginal.
 
-    The marginal has derivative kinks at c = +-sin(angle(v)) for each of
-    v_+, v_-, z; those breakpoints are handed to the integrator.
+    The marginal g(c) has derivative kinks at c = +-sin(angle(v)) for each of
+    v_+, v_-, z, and sqrt(1 - c^2) terms whose slope is infinite at c = +-1.
+    With c = sin u these become u = +-arccos(|v_z|) and cos u, so the
+    integral of g(sin u) cos u over [-pi/2, pi/2] is summed by 64-node
+    Gauss-Legendre between consecutive kinks.
     """
-    from scipy import integrate
+    from numpy.polynomial.legendre import leggauss
 
     coll = collapse(state, x)
     g = _cos_marginal(coll, state.c)
-    kinks = set()
-    for v in (coll.v_plus, coll.v_minus, Z_AXIS):
-        s = float(np.sqrt(max(1.0 - min(v[2] * v[2], 1.0), 0.0)))
-        kinks.update((-s, s))
-    points = sorted(k for k in kinks if -1.0 < k < 1.0)
-    val, _ = integrate.quad(g, -1.0, 1.0, points=points or None, limit=400, epsabs=1e-9)
-    return val
+    nodes, weights = leggauss(64)
+    kinks = {float(np.arccos(min(abs(v[2]), 1.0))) for v in (coll.v_plus, coll.v_minus, Z_AXIS)}
+    edges = sorted({sign * u for u in kinks | {0.5 * np.pi} for sign in (-1.0, 1.0)})
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        us = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        total += 0.5 * (b - a) * sum(w * g(np.sin(u)) * np.cos(u) for w, u in zip(weights, us))
+    return float(total)
 
 
 def density_property_suite(

@@ -1,8 +1,7 @@
-"""The hot path loads no scipy.
+"""The library runs on numpy alone.
 
-scipy's optimize, integrate and stats modules cost about a second and 70 MiB
-at import, so the package loads them only inside the oracles, p-values and
-property suites that call them.  The check runs in a fresh interpreter,
+scipy is a test dependency only: the tests use it as an independent oracle.
+Each check runs in a fresh interpreter in which scipy cannot be imported,
 because this test session has imported scipy already.
 """
 
@@ -15,38 +14,47 @@ import lhvsim
 
 SRC = Path(lhvsim.__file__).resolve().parent.parent
 
-HOT_PATH = r"""
+# every subcommand on small inputs, in one interpreter; the tmp dir is argv[1]
+NO_SCIPY = r"""
 import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
 import lhvsim
-from lhvsim import ProtocolId, State
-from lhvsim.sampling import improved_one_bit_threshold
-from lhvsim.verify import report_rows_csv, report_to_json, verification_report
-
-P = {
-    ProtocolId.ONE_BIT: 0.95,
-    ProtocolId.TRIT: 0.7,
-    ProtocolId.DEGORRE: 0.5,
-    ProtocolId.TELEPORTATION: 0.7,
-    ProtocolId.IMPROVED_ONE_BIT: 0.9,
-    ProtocolId.LOCAL_CONTENT: 0.7,
+loaded = sorted(
+    m for m in sys.modules
+    if m.split(".")[0] == "scipy" and sys.modules[m] is not None
+    or m == "numpy.polynomial" or m.startswith("numpy.polynomial.")
+)
+print("loaded at import:", loaded)
+from lhvsim.cli import main
+out = sys.argv[1]
+commands = {
+    "simulate": ["simulate", "--protocol", "improved-one-bit", "--p", "0.9", "--rounds", "2000",
+                 "--settings", "grid:2", "--out-dir", out + "/sim"],
+    "wire-run": ["wire-run", "--protocol", "local-content", "--p", "0.7", "--rounds", "300",
+                 "--settings", "grid:1", "--out-dir", out + "/wire"],
+    "audit": ["audit", out + "/wire/transcript.bin"],
+    "sweep": ["sweep", "--p-start", "0.8", "--p-stop", "1.0", "--p-step", "0.1", "--rounds", "2000",
+              "--out", out + "/sweep.csv"],
+    "props": ["props", "--p-list", "0.5,0.7", "--rounds", "2000", "--trials", "2000"],
 }
-pairs = lhvsim.default_setting_pairs(2)
-for pid in ProtocolId:
-    report = verification_report(lhvsim.simulate(pid, State(P[pid]), pairs, 200, seed=3))
-    report_rows_csv(report)
-    report_to_json(report)
-improved_one_bit_threshold()
-_, log = lhvsim.run_networked(ProtocolId.LOCAL_CONTENT, State(0.7), pairs[:1], 50, 3)
-lhvsim.audit_transcript(log)
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+for name, argv in commands.items():
+    print("exit", name, main(argv))
 """
 
 
-def test_hot_path_loads_no_scipy():
+def test_hot_path_loads_no_scipy(tmp_path):
+    # import lhvsim and every command, on small inputs, with scipy blocked
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", HOT_PATH], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    lines = proc.stdout.splitlines()
+    # import lhvsim loads no scipy, and no numpy.polynomial (props loads it later)
+    assert "loaded at import: []" in lines, proc.stdout
+    exits = [line for line in lines if line.startswith("exit ")]
+    assert exits == [
+        f"exit {name} 0" for name in ("simulate", "wire-run", "audit", "sweep", "props")
+    ], proc.stdout

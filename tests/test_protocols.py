@@ -5,6 +5,7 @@ is 4-6 sigma for the round count used, so a correct implementation passes
 deterministically and an off-by-a-constant bug does not.
 """
 
+import math
 from dataclasses import fields
 from functools import partial
 
@@ -45,6 +46,7 @@ from lhvsim.protocols import (
     private_chunk,
     shared_chunk,
     simulate,
+    talk_chunk,
 )
 from lhvsim.sampling import (
     INV_PI,
@@ -53,6 +55,7 @@ from lhvsim.sampling import (
     EnvelopeScan,
     ZHemisphere,
     check_bound,
+    improved_one_bit_threshold,
     make_generator,
     n_of_p,
     one_bit_threshold,
@@ -140,6 +143,18 @@ class TestApplicability:
         for p in (0.5, 0.7, 0.834):
             with pytest.raises(DomainError, match="0.83426"):
                 check_applicable(ProtocolId.IMPROVED_ONE_BIT, State(p))
+
+    def test_improved_one_bit_domain_agrees_with_its_bit(self):
+        # the shared bit talks with probability n_of_p(p): at the float
+        # threshold that computes to at most 1, and at the float below it to
+        # 1 + 4.4e-16, where the probability would be clipped, so that p is
+        # refused
+        thr = improved_one_bit_threshold()
+        below = math.nextafter(thr, 0.0)
+        assert n_of_p(thr) <= 1.0 < n_of_p(below)
+        check_applicable(ProtocolId.IMPROVED_ONE_BIT, State(thr))
+        with pytest.raises(DomainError, match="0.83426"):
+            check_applicable(ProtocolId.IMPROVED_ONE_BIT, State(below))
 
     def test_unrestricted_protocols(self):
         for pid in (ProtocolId.TRIT, ProtocolId.TELEPORTATION, ProtocolId.LOCAL_CONTENT):
@@ -477,6 +492,21 @@ class TestSimulate:
         simulate(pid, State(p), [(X_AXIS, Z_AXIS)], CHUNK, seed=26)
         channels = (CH_SHARED, CH_ALICE) if PROTOCOLS[pid].private else (CH_SHARED,)
         assert sorted(opened) == sorted((stream_key(26, 0, ch), 0) for ch in channels)
+
+    @pytest.mark.parametrize("n,lo,hi", [(CHUNK, 0, CHUNK), (3 * CHUNK + 5, CHUNK, 2 * CHUNK)])
+    def test_talk_chunk_opens_only_the_bit_block(self, monkeypatch, n, lo, hi):
+        # local-content's r follows its hemisphere block of two uniforms per
+        # round, which is skipped, not drawn
+        opened = []
+        real = protocols.generator_at
+        monkeypatch.setattr(
+            protocols, "generator_at", lambda key, at: opened.append(at) or real(key, at)
+        )
+        pid, state, key = ProtocolId.LOCAL_CONTENT, State(0.7), stream_key(26, 0, CH_SHARED)
+        talk = talk_chunk(pid, state, key, n, lo, hi)
+        assert opened == [2 * n + lo]
+        monkeypatch.setattr(protocols, "generator_at", real)
+        assert np.array_equal(talk, shared_chunk(pid, state, key, n, lo, hi).r == 1)
 
     def test_a_chunk_reads_each_envelope_block_once(self, monkeypatch):
         # the envelope is opened once per chunk, through one sampler that reads

@@ -26,7 +26,6 @@ from lhvsim.sampling import (
     RhoTildeMaxSampler,
     RhoTildeSampler,
     ZHemisphere,
-    brentq,
     check_bound,
     eval_rho_tilde,
     eval_rho_tilde_max,
@@ -392,22 +391,6 @@ class TestNofP:
         root = improved_one_bit_threshold()
         assert type(root) is float and root == want
         assert repr(root) == "0.834261756691355"  # the ``lhvsim sweep`` header prints this
-
-    @pytest.mark.parametrize("xtol,rtol", [(1e-14, 8.9e-16), (2e-12, 8.9e-16), (1e-4, 1e-6)])
-    def test_brentq_matches_scipy_on_other_roots(self, xtol, rtol):
-        cases = [
-            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
-            (np.cos, 1.0, 2.0),
-            (lambda x: np.exp(x) - 3.0, 0.0, 2.0),
-            (lambda x: np.arctan(x - 0.3), -1.0, 2.0),
-            (lambda x: (x - 0.25) ** 5 + 0.1 * np.sin(x), -2.0, 2.5),
-        ]
-        for f, a, b in cases:
-            assert brentq(f, a, b, xtol, rtol) == optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
-
-    def test_brentq_needs_a_sign_change(self):
-        with pytest.raises(ValueError):
-            brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
 
     def test_one_bit_threshold_constant(self):
         t = one_bit_threshold()

@@ -16,10 +16,12 @@ from lhvsim.bloch import (
     theta,
     tsirelson_settings,
 )
+from lhvsim import verify
 from lhvsim.errors import ValidationError
 from lhvsim.protocols import CH_SHARED, CHUNK, PROTOCOLS, ProtocolId, _envelope, _uniform, simulate
 from lhvsim.sampling import make_generator, n_of_p, sample_theta_hemisphere
 from lhvsim.verify import (
+    Chi2Result,
     area_quadrature,
     chi2_stat,
     chsh_estimate,
@@ -86,18 +88,33 @@ class TestChi2:
         assert bad.statistic == float("inf") and bad.pvalue == 0.0
 
     def test_pvalue_is_computed_on_first_read(self, monkeypatch):
-        from scipy import stats  # verify loads it on the first p-value read
+        from scipy import stats
 
         calls = []
-        sf = stats.chi2.sf
-        monkeypatch.setattr(stats.chi2, "sf", lambda *a: calls.append(a) or sf(*a))
+        tail = verify._chi2_tail
+        monkeypatch.setattr(verify, "_chi2_tail", lambda *a: calls.append(a) or tail(*a))
         res = simulate(ProtocolId.TRIT, State(0.7), default_setting_pairs(3), 1000, seed=42)
         verification_report(res)
         assert calls == []  # the report reads statistics only
         r = chi2_stat(table([[240, 260], [255, 245]]), JointDistribution(np.full((2, 2), 0.25)))
         first = r.pvalue
         assert r.pvalue == first and len(calls) == 1  # cached after the first read
-        assert first == float(sf(r.statistic, 3))
+        assert first == pytest.approx(float(stats.chi2.sf(r.statistic, 3)), rel=1e-12, abs=0.0)
+
+    def test_pvalue_is_scipys_tail(self):
+        # past x = 1490 exp(-x/2) underflows, so a product with it would read 0
+        from scipy import stats
+
+        xs = np.concatenate([[1e-9, 0.01, 0.5], np.geomspace(1.0, 2000.0, 60)])
+        for dof in range(1, 61):
+            for x in xs:
+                want = float(stats.chi2.sf(x, dof))
+                if want >= 1e-300:
+                    got = Chi2Result(float(x), dof).pvalue
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (dof, x)
+        assert Chi2Result(0.0, 5).pvalue == 1.0
+        assert np.isnan(Chi2Result(3.0, 0).pvalue)
+        assert Chi2Result(float("inf"), 0).pvalue == 0.0
 
 
 class TestCommStats:
@@ -234,9 +251,20 @@ class TestDensityProperties:
 
     def test_area_quadrature_precision(self):
         rng = np.random.default_rng(54)
-        for p in (0.5, 0.7, 0.9, 0.99, 1.0):
-            x = random_unit(rng)
+        cases = [(p, random_unit(rng)) for p in (0.5, 0.7, 0.9, 0.99, 1.0)]
+        # the marginal's slope is infinite at c = +-1 for x on the equator at
+        # p = 1/2; x = +-z puts the kinks of v_+- on the poles
+        cases += [(0.5, X_AXIS), (0.9, Z_AXIS), (0.9, -Z_AXIS), (1.0, X_AXIS)]
+        for p, x in cases:
             assert area_quadrature(State(p), x) == pytest.approx(2 * (1 - p), abs=1e-6)
+
+    def test_area_quadrature_is_exact_to_1e_9(self):
+        rng = np.random.default_rng(56)
+        xs = [X_AXIS, np.array([0.0, 1.0, 0.0]), Z_AXIS, -Z_AXIS]
+        xs += [random_unit(rng) for _ in range(36)]
+        for p in (0.5, 0.6, 0.7, 0.835, 0.9, 0.933, 0.99, 0.999, 1.0):
+            for x in xs:
+                assert abs(area_quadrature(State(p), x) - 2 * (1 - p)) <= 1e-9, (p, x)
 
     def test_product_state_has_zero_density(self):
         rep = density_property_suite([1.0], trials=5000, seed=55, area_samples=10**4)
