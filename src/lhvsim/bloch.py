@@ -2,7 +2,9 @@
 
 This module is the ground truth the simulation protocols are certified
 against: Born-rule joint distributions, Alice's marginal probabilities,
-Bob's post-measurement states, and the CHSH value.
+Bob's post-measurement states, and the CHSH value.  It also builds the
+deterministic setting grids the runs are certified over, so that building
+settings loads neither the simulator nor the certifier.
 
 Projective measurements are unit Bloch vectors.  The joint distribution is
 computed twice, on purpose:
@@ -289,3 +291,48 @@ def tsirelson_settings():
         np.array([s, 0.0, s]),
         np.array([-s, 0.0, s]),
     )
+
+
+# ---------------------------------------------------------------------------
+# deterministic setting grids
+
+
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """n deterministic, roughly equidistributed unit vectors."""
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * i
+    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+
+
+def _grid_rotation() -> np.ndarray:
+    # fixed rotation applied to the y grid so x and y settings never coincide
+    a, b = 0.7, 0.4
+    ry = np.array(
+        [[np.cos(a), 0.0, np.sin(a)], [0.0, 1.0, 0.0], [-np.sin(a), 0.0, np.cos(a)]]
+    )
+    rz = np.array(
+        [[np.cos(b), -np.sin(b), 0.0], [np.sin(b), np.cos(b), 0.0], [0.0, 0.0, 1.0]]
+    )
+    return ry @ rz
+
+
+def default_setting_pairs(n: int = 20):
+    """The standard verification grid: n pairs subsampled from an n x n grid.
+
+    Alice's settings are a Fibonacci sphere; Bob's are the same sphere under
+    a fixed rotation; pair k combines x_k with y_((7k+3) mod n).
+    """
+    xs = fibonacci_sphere(n)
+    ys = fibonacci_sphere(n) @ _grid_rotation().T
+    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    return [(xs[k], ys[(7 * k + 3) % n]) for k in range(n)]
+
+
+def chsh_setting_pairs(settings=None):
+    """The four CHSH correlation pairs [(x1,y1), (x1,y2), (x2,y1), (x2,y2)]."""
+    if settings is None:
+        settings = tsirelson_settings()
+    x1, x2, y1, y2 = (check_unit(v) for v in settings)
+    return [(x1, y1), (x1, y2), (x2, y1), (x2, y2)]

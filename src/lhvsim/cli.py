@@ -33,7 +33,13 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .bloch import State, tsirelson_settings
+from .bloch import (
+    State,
+    chsh_setting_pairs,
+    default_setting_pairs,
+    fibonacci_sphere,
+    tsirelson_settings,
+)
 from .errors import (
     DomainError,
     InternalConsistencyError,
@@ -46,16 +52,12 @@ from .sampling import check_seed, improved_one_bit_threshold, n_of_p
 from .verify import (
     check_tolerance,
     chsh_from_result,
-    chsh_setting_pairs,
-    default_setting_pairs,
-    fibonacci_sphere,
     hemisphere_law_check,
     density_property_suite,
     report_rows_csv,
     report_to_json,
     verification_report,
 )
-from .wire import audit_transcript, run_networked, Transcript
 
 DEFAULT_PROPS_PLIST = "0.5,0.7,0.835,0.933,0.99,1.0"
 # the JSON values a config file may give a field of each declared type
@@ -208,7 +210,9 @@ def cmd_simulate(cfg: RunConfig, networked: bool) -> int:
 
     transcript = None
     if networked:
-        sim, transcript = run_networked(
+        from . import wire  # only wire-run and audit load the wire layer
+
+        sim, transcript = wire.run_networked(
             protocol, state, pairs, int(cfg.rounds), int(cfg.seed), keep_outcomes=False
         )
     else:
@@ -225,7 +229,7 @@ def cmd_simulate(cfg: RunConfig, networked: bool) -> int:
 
     ok = report.passed
     if transcript is not None:
-        audit = audit_transcript(transcript)
+        audit = wire.audit_transcript(transcript)
         (out / "transcript.bin").write_bytes(transcript.to_binary())
         _write(out / "transcript.json", transcript.summary_json(audit))
         for finding in audit.findings:
@@ -316,8 +320,10 @@ def cmd_props(p_list, rounds: int, trials: int, seed: int) -> int:
 
 
 def cmd_audit(path: str) -> int:
-    transcript = Transcript.from_binary(Path(path).read_bytes())
-    rep = audit_transcript(transcript)
+    from . import wire
+
+    transcript = wire.Transcript.from_binary(Path(path).read_bytes())
+    rep = wire.audit_transcript(transcript)
     print(
         f"{rep.rounds} rounds, {rep.messages} messages "
         f"(fraction {rep.message_fraction:.4f}), symbols {rep.symbol_histogram}"

@@ -40,9 +40,12 @@ from .errors import DomainError, InternalConsistencyError, ValidationError
 INV_PI = 1.0 / np.pi
 TWO_PI = 2.0 * np.pi
 
-# Densities that are >= 0 exactly in real arithmetic may round to tiny
-# negatives in floats; clamp them to 0, and error beyond the limit.
-NEGATIVE_LIMIT = 1e-9
+# rhot_x >= 0 in real arithmetic, but may round to a tiny negative in floats;
+# clamp such values to 0, and raise beyond this limit.  BOUND_ATOL's argument
+# below shows that the computed 2pi rhot_x is off by < 51u, so rhot_x itself
+# is off by < 51u / 2pi < 9u.  2^-48 = 32u is over 3x that bound, so a value
+# below -2^-48 is no rounding error.
+NEGATIVE_LIMIT = 2.0**-48
 
 # Absolute slack for a pointwise bound "f(lam) <= g(lam)" that holds in real
 # arithmetic and is tight on whole regions (trit: 2pi rhot_x <= |lam.v|;

@@ -1,8 +1,10 @@
 """Statistical certification of protocol runs against the Born oracle.
 
 Provides the comparison metrics (total variation distance, chi-square), a
-CHSH estimator, deterministic setting grids, and the analytic property
-suites for the hemisphere law and for the sub-normalized density rhot_x.
+CHSH estimator, and the analytic property suites for the hemisphere law and
+for the sub-normalized density rhot_x.  The setting grids the runs use live
+in ``bloch``, so building settings loads neither this module nor the
+simulator.
 
 Tolerances are derived from the round count, never hard-coded: the default
 pass threshold for a table of M rounds is ``max(0.005, 5/sqrt(M))``.
@@ -28,10 +30,13 @@ from .bloch import (
     Z_AXIS,
     born_joint,
     check_unit,
+    chsh_setting_pairs,
     chsh_value,
     collapse,
     dot3,
     sign_pm,
+    theta,
+    unwrap_0d,
 )
 from .errors import ValidationError
 from .protocols import (
@@ -120,82 +125,37 @@ def _pearson(obs: np.ndarray, exp: np.ndarray, live: np.ndarray) -> Chi2Result:
 
 
 # ---------------------------------------------------------------------------
-# deterministic setting grids
-
-
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n deterministic, roughly equidistributed unit vectors."""
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    phi = np.pi * (3.0 - np.sqrt(5.0)) * i
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
-
-
-def _grid_rotation() -> np.ndarray:
-    # fixed rotation applied to the y grid so x and y settings never coincide
-    a, b = 0.7, 0.4
-    ry = np.array(
-        [[np.cos(a), 0.0, np.sin(a)], [0.0, 1.0, 0.0], [-np.sin(a), 0.0, np.cos(a)]]
-    )
-    rz = np.array(
-        [[np.cos(b), -np.sin(b), 0.0], [np.sin(b), np.cos(b), 0.0], [0.0, 0.0, 1.0]]
-    )
-    return ry @ rz
-
-
-def default_setting_pairs(n: int = 20):
-    """The standard verification grid: n pairs subsampled from an n x n grid.
-
-    Alice's settings are a Fibonacci sphere; Bob's are the same sphere under
-    a fixed rotation; pair k combines x_k with y_((7k+3) mod n).
-    """
-    xs = fibonacci_sphere(n)
-    ys = fibonacci_sphere(n) @ _grid_rotation().T
-    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-    return [(xs[k], ys[(7 * k + 3) % n]) for k in range(n)]
-
-
-def chsh_setting_pairs(settings=None):
-    """The four CHSH correlation pairs [(x1,y1), (x1,y2), (x2,y1), (x2,y2)]."""
-    if settings is None:
-        from .bloch import tsirelson_settings
-
-        settings = tsirelson_settings()
-    x1, x2, y1, y2 = (check_unit(v) for v in settings)
-    return [(x1, y1), (x1, y2), (x2, y1), (x2, y2)]
-
-
-# ---------------------------------------------------------------------------
 # quadrature oracles for the cos(theta) marginals
 
 
-def hemisphere_axis_marginal(v: np.ndarray, c: float) -> float:
+def hemisphere_axis_marginal(v: np.ndarray, c):
     """Azimuthal integral of Theta(lam.v)/pi over the circle lam.z = c.
 
     With A = c*v_z and B = sqrt(1-c^2)*sqrt(1-v_z^2) the integrand is
     max(0, A + B cos phi)/pi, which integrates to 2A if A >= B, 0 if
     A <= -B, and (2A*phi0 + 2B*sin(phi0))/pi with phi0 = arccos(-A/B)
     in between.  Integrating the result over c in [-1, 1] gives 1.
+    ``c`` may be an array; the result then has its shape.
     """
     vz = float(np.clip(v[2], -1.0, 1.0))
+    c = np.asarray(c, dtype=float)
     a = c * vz
-    b = float(np.sqrt(max(1.0 - c * c, 0.0)) * np.sqrt(max(1.0 - vz * vz, 0.0)))
-    if a >= b:
-        return 2.0 * a
-    if a <= -b:
-        return 0.0
-    phi0 = float(np.arccos(-a / b))
-    return (2.0 * a * phi0 + 2.0 * b * np.sin(phi0)) / np.pi
+    b = np.sqrt(np.maximum(1.0 - c * c, 0.0)) * np.sqrt(max(1.0 - vz * vz, 0.0))
+    inside = np.abs(a) < b  # the circle crosses the plane lam.v = 0
+    phi0 = np.arccos(np.divide(-a, b, out=np.zeros_like(a), where=inside))
+    # outside, Theta(A + B cos phi) is A + B cos phi (A >= B) or 0 (A <= -B)
+    out = np.where(inside, (2.0 * a * phi0 + 2.0 * b * np.sin(phi0)) / np.pi, 2.0 * theta(a))
+    return unwrap_0d(out)
 
 
 def _cos_marginal(coll, const: float):
     """lam.z density of rho_x - const * Theta(lam.z)/pi, azimuth integrated out.
 
-    ``const`` = 0 gives rho_x, ``const`` = 2p-1 gives rhot_x.
+    ``const`` = 0 gives rho_x, ``const`` = 2p-1 gives rhot_x.  ``g`` takes a
+    value of lam.z or an array of them.
     """
 
-    def g(c: float) -> float:
+    def g(c):
         rho = coll.p_plus * hemisphere_axis_marginal(coll.v_plus, c) + (
             coll.p_minus * hemisphere_axis_marginal(coll.v_minus, c)
         )
@@ -301,7 +261,8 @@ def area_quadrature(state: State, x: np.ndarray) -> float:
     v_+, v_-, z, and sqrt(1 - c^2) terms whose slope is infinite at c = +-1.
     With c = sin u these become u = +-arccos(|v_z|) and cos u, so the
     integral of g(sin u) cos u over [-pi/2, pi/2] is summed by 64-node
-    Gauss-Legendre between consecutive kinks.
+    Gauss-Legendre between consecutive kinks, each interval's nodes as one
+    array.
     """
     from numpy.polynomial.legendre import leggauss
 
@@ -313,7 +274,7 @@ def area_quadrature(state: State, x: np.ndarray) -> float:
     total = 0.0
     for a, b in zip(edges, edges[1:]):
         us = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        total += 0.5 * (b - a) * sum(w * g(np.sin(u)) * np.cos(u) for w, u in zip(weights, us))
+        total += 0.5 * (b - a) * float(weights @ (g(np.sin(us)) * np.cos(us)))
     return float(total)
 
 

@@ -54,7 +54,6 @@ from __future__ import annotations
 from collections import Counter
 import enum
 import json
-import multiprocessing
 import socket
 import struct
 from dataclasses import dataclass, field
@@ -416,6 +415,8 @@ def run_networked(
     exits, or does not answer within ``_SOCKET_TIMEOUT``, ends the run with
     TransportError.
     """
+    import multiprocessing  # only here: importing wire loads no process machinery
+
     pairs, rounds, seed = _checked_run(protocol, state, settings, rounds, seed)
     info = PROTOCOLS[protocol]
     transcript = Transcript(protocol, state.p, rounds)

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from lhvsim.bloch import State, born_joint, tsirelson_settings
+from lhvsim.bloch import State, born_joint, default_setting_pairs, tsirelson_settings
 from lhvsim.errors import DomainError, ProtocolViolationError
 from lhvsim.protocols import (
     ProtocolId,
@@ -29,7 +29,6 @@ from lhvsim.protocols import (
 from lhvsim.sampling import n_of_p, one_bit_threshold
 from lhvsim.verify import (
     chsh_estimate,
-    default_setting_pairs,
     hemisphere_law_check,
     density_property_suite,
     tvd,

@@ -19,6 +19,7 @@ from lhvsim.bloch import (
     chsh_value,
     collapse,
     correlation,
+    default_setting_pairs,
     dot3,
     sign_pm,
     theta,
@@ -236,8 +237,6 @@ class TestBornJoint:
                     probs[i, j] = np.trace(op @ rho).real
             probs[probs < 0.0] = 0.0
             return probs
-
-        from lhvsim.verify import default_setting_pairs
 
         cases = [
             (p, x, y)

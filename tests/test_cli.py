@@ -224,12 +224,9 @@ class TestWireRunAndAudit:
 
     def test_wire_run_audits_once(self, tmp_path, monkeypatch):
         # transcript.json and the exit code read one audit of the log
-        import lhvsim.cli as cli
-
         calls, real = [], wire.audit_transcript
         counting = lambda *args: calls.append(args) or real(*args)  # noqa: E731
         monkeypatch.setattr(wire, "audit_transcript", counting)
-        monkeypatch.setattr(cli, "audit_transcript", counting)
         argv = ["wire-run", "--protocol", "trit", "--rounds", "300", "--settings", "grid:1"]
         assert run_cli(*argv, "--out-dir", str(tmp_path)) == 0
         assert len(calls) == 1
@@ -237,9 +234,7 @@ class TestWireRunAndAudit:
 
     def test_wire_run_keeps_no_outcomes(self, tmp_path, monkeypatch):
         # no report reads the per-round sequences, so wire-run does not keep them
-        import lhvsim.cli as cli
-
-        real = cli.run_networked
+        real = wire.run_networked
         flags = []
 
         def recording(*args, **kwargs):
@@ -253,10 +248,10 @@ class TestWireRunAndAudit:
             "wire-run", "--protocol", "improved-one-bit", "--p", "0.9", "--rounds", "300",
             "--seed", "8", "--settings", "grid:2",
         ]
-        monkeypatch.setattr(cli, "run_networked", recording)
+        monkeypatch.setattr(wire, "run_networked", recording)
         assert run_cli(*argv, "--out-dir", str(tmp_path / "new")) == 0
         assert flags == [False]
-        monkeypatch.setattr(cli, "run_networked", keeping)
+        monkeypatch.setattr(wire, "run_networked", keeping)
         assert run_cli(*argv, "--out-dir", str(tmp_path / "kept")) == 0
         for name in ("report.json", "settings.csv"):
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "kept" / name).read_bytes()

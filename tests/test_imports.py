@@ -1,8 +1,9 @@
-"""The library runs on numpy alone.
+"""The library runs on numpy alone, and its start-up loads only what it runs.
 
 scipy is a test dependency only: the tests use it as an independent oracle.
 Each check runs in a fresh interpreter in which scipy cannot be imported,
-because this test session has imported scipy already.
+because this test session has imported scipy already.  A fresh interpreter
+also shows which modules ``import lhvsim`` and building settings load.
 """
 
 import os
@@ -25,6 +26,13 @@ loaded = sorted(
     or m == "numpy.polynomial" or m.startswith("numpy.polynomial.")
 )
 print("loaded at import:", loaded)
+# building settings loads neither the simulator, the certifier nor the wire layer
+from lhvsim.sampling import improved_one_bit_threshold
+lhvsim.default_setting_pairs(20)
+improved_one_bit_threshold()
+heavy = ("lhvsim.protocols", "lhvsim.verify", "lhvsim.wire", "multiprocessing")
+print("loaded by set-up:", [m for m in heavy if m in sys.modules])
+print("unresolved names:", [name for name in lhvsim.__all__ if not hasattr(lhvsim, name)])
 from lhvsim.cli import main
 out = sys.argv[1]
 commands = {
@@ -54,6 +62,8 @@ def test_hot_path_loads_no_scipy(tmp_path):
     lines = proc.stdout.splitlines()
     # import lhvsim loads no scipy, and no numpy.polynomial (props loads it later)
     assert "loaded at import: []" in lines, proc.stdout
+    # the package's names load on first use, and every one of them resolves
+    assert {"loaded by set-up: []", "unresolved names: []"} <= set(lines), proc.stdout
     exits = [line for line in lines if line.startswith("exit ")]
     assert exits == [
         f"exit {name} 0" for name in ("simulate", "wire-run", "audit", "sweep", "props")

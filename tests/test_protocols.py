@@ -12,7 +12,18 @@ from functools import partial
 import numpy as np
 import pytest
 
-from lhvsim.bloch import State, X_AXIS, Z_AXIS, born_joint, collapse, dot3, pm, sign_pm, theta
+from lhvsim.bloch import (
+    State,
+    X_AXIS,
+    Z_AXIS,
+    born_joint,
+    collapse,
+    default_setting_pairs,
+    dot3,
+    pm,
+    sign_pm,
+    theta,
+)
 from lhvsim import protocols, sampling
 from lhvsim.errors import DomainError, InternalConsistencyError, ValidationError
 from lhvsim.protocols import (
@@ -64,7 +75,7 @@ from lhvsim.sampling import (
     scan_envelopes,
     stream_key,
 )
-from lhvsim.verify import default_setting_pairs, tvd
+from lhvsim.verify import tvd
 from oracles import alice_output_weight, bob_output, eval_rho, same_bytes
 
 

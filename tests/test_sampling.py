@@ -345,6 +345,21 @@ class TestRhoDensities:
             assert np.max(rt) <= rho_tilde_bound(state) + 1e-12
             assert np.max(rt - eval_rho_tilde_max(state, lam)) <= 1e-12
 
+    def test_negative_density_beyond_the_rounding_limit_raises(self):
+        # with lam.v_+- = 0, rhot_x = -c Theta(lam_z) / pi: 10 limits below 0
+        # is no rounding error and raises, half a limit below 0 is clamped
+        state = State(0.75)
+        coll, zero = collapse(state, Z_AXIS), np.zeros(1)
+
+        def rho_tilde(depth, clamp=True):
+            lz = np.array([depth * sampling.NEGATIVE_LIMIT * np.pi / state.c])
+            return sampling._rho_tilde_dots(state, coll, zero, zero, lz, clamp)[0]
+
+        with pytest.raises(InternalConsistencyError, match="rounding limit"):
+            rho_tilde(10.0)
+        assert rho_tilde(0.5, clamp=False) == pytest.approx(-0.5 * sampling.NEGATIVE_LIMIT)
+        assert rho_tilde(0.5) == 0.0
+
     def test_rho_tilde_max_constant_at_half(self):
         lam = sample_uniform_sphere(make_generator(18, 0), 1000)
         np.testing.assert_allclose(

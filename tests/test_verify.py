@@ -11,13 +11,15 @@ from lhvsim.bloch import (
     X_AXIS,
     Z_AXIS,
     chsh_value,
+    default_setting_pairs,
     dot3,
+    fibonacci_sphere,
     sign_pm,
     theta,
     tsirelson_settings,
 )
-from lhvsim import verify
-from lhvsim.errors import ValidationError
+from lhvsim import protocols, verify
+from lhvsim.errors import DomainError, ValidationError
 from lhvsim.protocols import CH_SHARED, CHUNK, PROTOCOLS, ProtocolId, _envelope, _uniform, simulate
 from lhvsim.sampling import make_generator, n_of_p, sample_theta_hemisphere
 from lhvsim.verify import (
@@ -25,8 +27,6 @@ from lhvsim.verify import (
     area_quadrature,
     chi2_stat,
     chsh_estimate,
-    default_setting_pairs,
-    fibonacci_sphere,
     hemisphere_axis_marginal,
     hemisphere_law_check,
     density_property_suite,
@@ -372,3 +372,16 @@ class TestGatePower:
         monkeypatch.setitem(PROTOCOLS, pid, dataclasses.replace(info, shared=shared))
         mutant = report()
         assert true.passed and not mutant.passed
+
+    def test_one_bit_clamped_below_its_threshold_fails(self, monkeypatch):
+        # one-bit run at p = 0.7, below its domain, with its acceptance
+        # probability clamped to 1 where it exceeds 1: a max TVD of about
+        # 0.044 against the gate's 0.0224 at 5e4 rounds per pair
+        pid, state, pairs = ProtocolId.ONE_BIT, State(0.7), default_setting_pairs(20)
+        with pytest.raises(DomainError):
+            simulate(pid, state, pairs, 5 * 10**4, seed=11)
+        info = PROTOCOLS[pid]
+        monkeypatch.setitem(PROTOCOLS, pid, dataclasses.replace(info, applies=lambda p: True))
+        monkeypatch.setattr(protocols, "RATIO_GUARD", np.inf)
+        mutant = verification_report(simulate(pid, state, pairs, 5 * 10**4, seed=11, workers=2))
+        assert not mutant.passed
