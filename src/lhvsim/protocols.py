@@ -29,7 +29,7 @@ agree on it, a 2p-1 share on average.  Alice's committed vectors are Bob's rule
 run on the shared fields' coordinates in place of their dot products with
 y, so they are by construction the vectors Bob uses; they are built only
 when ``AliceResult.lam`` is read.  The networked mode plays the same chunks
-as ``simulate``, drawn by the same functions, so it produces bit-identical
+as ``simulate``, drawn by the same reader, so it produces bit-identical
 results from the same streams.
 
 Stream layout per setting pair k of a run with seed s and n rounds:
@@ -43,38 +43,34 @@ Stream layout per setting pair k of a run with seed s and n rounds:
   j), and consumes it sample by sample from its start.
 
 The shared and private layout is that of one n-round draw, and ``simulate``
-and the networked mode both read it in chunks of ``CHUNK`` rounds, through
-``shared_chunk`` and ``private_chunk``.  These name a stream by its Philox
-key, ``sampling.stream_key(s, k, channel)``, which ``simulate`` derives once
-per pair; the key alone rebuilds the stream, so the networked mode hands Bob
-the shared key and never the seed.  One reader, ``_Chunk``, reads every
-chunk: a chunk of rounds [lo, hi) opens each stream block at the position
-where the n-round draw would reach round lo of it (Philox is counter-based,
-so the jump is free) and reads only its own rows, and a pair's only chunk
-(n <= CHUNK) opens one generator per stream and reads every block on from
-it, as the n-round draw does.  The envelope sampler of the improved one-bit
-protocol consumes a data-dependent number of candidate blocks; for a pair
-of more than one chunk, a counting pass over those blocks
+and both parties of the networked mode read it through one reader,
+``_play_tiles``, in chunks of ``CHUNK`` rounds.  It names a stream by its
+Philox key, ``sampling.stream_key(s, k, channel)``, which alone rebuilds the
+stream, so the networked mode hands Bob the shared key and never the seed.
+A chunk of rounds [lo, hi) opens each stream block (``_Chunk``) at the
+position where the n-round draw would reach round lo of it (Philox is
+counter-based, so the jump is free) and reads only its own rows; a pair's
+only chunk (n <= CHUNK) opens one generator per stream and reads every block
+on from it, as the n-round draw does.  The envelope sampler of the improved
+one-bit protocol consumes a data-dependent number of candidate blocks; for a
+pair of more than one chunk, a counting pass over those blocks
 (``sampling.EnvelopeScan``) keeps the running count of samples per block,
 from which a chunk's envelope sampler finds the block that holds its first
-sample; it tests that block's candidates and those of the blocks after it
-again.  Each candidate block has a fixed stream position, so the pass runs
-in ranges of blocks, and ``simulate`` maps the ranges of all pairs on its
-workers before it maps the chunks.
-Every chunk is thus one independent unit of work, and outcomes and counts
-do not depend on the number of workers or on the order chunks run in.
+sample and tests the candidates from there again.  Each candidate block has
+a fixed stream position, so the pass runs in ranges of blocks, which
+``simulate`` maps on its workers before the chunks.  Every chunk is thus one
+independent unit of work, and outcomes and counts do not depend on the
+number of workers or on the order chunks run in.
 
-``simulate`` plays such a chunk in tiles of ``TILE`` rounds: it opens each
-block once, at the chunk's first round, and reads it on tile by tile, as a
-block's rows are contiguous; the envelope rows of a tile come from one
-sampler opened through the scan, which generates and tests each candidate
-block once per chunk and keeps the current block's accepted uniforms from
-tile to tile, and the vector sampler is drawn from tile after tile.  A
-worker thus holds the arrays of at most one tile of a long pair's chunk, or
-of one pair of at most ``CHUNK`` rounds, plus its chunk's outcomes (a few
-bytes per round).  Each pair's scan holds 8 bytes per block of 8192
-candidates, about 3.4 KiB per 10^6 rounds at p = 0.99; nothing else grows
-with n.
+A chunk of a longer pair is played in tiles of ``TILE`` rounds, each drawn
+inside the call that plays it: each block is opened once, at the chunk's
+first round, and read on tile by tile, as are the envelope sampler, which
+keeps the current candidate block's accepted uniforms, and the vector
+sampler.  A worker or a party thus holds the arrays of at most one tile of a
+long pair's chunk, or of one pair of at most ``CHUNK`` rounds, plus the
+chunk's outcomes (a few bytes per round).  Each pair's scan holds 8 bytes
+per block of 8192 candidates, about 3.4 KiB per 10^6 rounds at p = 0.99;
+nothing else grows with n.
 """
 
 from __future__ import annotations
@@ -151,7 +147,7 @@ class SharedDraw:
 
 @dataclass
 class AlicePrivate:
-    """Alice's private uniforms, pre-drawn as whole blocks for a chunk."""
+    """Alice's private uniforms, pre-drawn as whole blocks for a tile."""
 
     u_msg: Optional[np.ndarray] = None
     u_out: Optional[np.ndarray] = None
@@ -245,7 +241,7 @@ def draw_shared(
     """Draw the shared randomness of ``n`` rounds from ``rng`` in one pass.
 
     Draw order is the protocol's shared layout: one bulk call per field.
-    This whole-n draw is the layout that ``shared_chunk`` reads in chunks,
+    This whole-n draw is the layout that ``_play_tiles`` reads in tiles,
     and the reference that tests and the benchmark's traced run read.
     """
     return _draw_shared(protocol, state, _Chunk(lambda offset: rng, n, 0, n))
@@ -265,18 +261,28 @@ def _draw_alice_private(protocol: ProtocolId, src) -> AlicePrivate:
     return AlicePrivate(**{name: src.block(1).random(src.rounds) for name in blocks})
 
 
-def shared_chunk(protocol, state, key, n, lo, hi, scan=None) -> SharedDraw:
-    """Rounds [lo, hi) of the n-round shared draw of Philox key ``key``, a
-    pair's ``stream_key(seed, k, CH_SHARED)``; ``scan`` is its ``envelope_scans`` entry."""
-    return _draw_shared(protocol, state, _Chunk(partial(generator_at, key), n, lo, hi, scan))
+def _play_tiles(protocol, state, n, lo, hi, key, scan, priv_key, play) -> list:
+    """``play(t_lo, t_hi, shared, priv)`` of each tile [t_lo, t_hi) of chunk
+    [lo, hi) of pair k's n-round draws, in order: the whole chunk if it is the
+    pair's only one, else ``TILE`` rounds each.  ``key`` is ``stream_key(seed,
+    k, CH_SHARED)``, ``scan`` its ``envelope_scans`` entry, and ``priv_key``
+    ``stream_key(seed, k, CH_ALICE)``, or None to draw no private coins.  Each
+    stream is opened once and read on tile by tile, and each tile is drawn in
+    the call that plays it, so its draws are dropped before the next tile's.
+    """
+    src = _Chunk(partial(generator_at, key), n, lo, hi, scan)
+    priv_src = None if priv_key is None else _Chunk(partial(generator_at, priv_key), n, lo, hi)
 
+    def private(a, b):
+        if priv_src is None:
+            return AlicePrivate()
+        return _draw_alice_private(protocol, priv_src.tile(a, b))
 
-def private_chunk(protocol, key, n, lo, hi) -> AlicePrivate:
-    """Rounds [lo, hi) of Alice's n-round private coins of Philox key ``key``,
-    a pair's ``stream_key(seed, k, CH_ALICE)``."""
-    if not PROTOCOLS[protocol].private:
-        return AlicePrivate()  # no coins to draw, so no stream is opened
-    return _draw_alice_private(protocol, _Chunk(partial(generator_at, key), n, lo, hi))
+    whole = (lo, hi) == (0, n)
+    tiles = [(lo, hi)] if whole else [(a, min(a + TILE, hi)) for a in range(lo, hi, TILE)]
+    return [
+        play(a, b, _draw_shared(protocol, state, src.tile(a, b)), private(a, b)) for a, b in tiles
+    ]
 
 
 class _NoStream:
@@ -287,20 +293,20 @@ class _NoStream:
 
 def talk_chunk(protocol, state, key, n, lo, hi) -> np.ndarray:
     """The rounds of [lo, hi) of the n-round shared draw of Philox key ``key``
-    in which Alice talks (``ProtocolInfo.talks``).  Only r's block is opened:
-    the fields before r are drawn for no rounds, from no stream, to find
-    where that block starts.  A protocol without r opens no stream, and r
-    precedes the envelope, so none is drawn."""
+    in which Alice talks: those with shared bit r = 1, or all with no r.  Only
+    r's block is opened: the fields before r are drawn for no rounds, from no
+    stream, to find where it starts.  A protocol without r opens no stream,
+    and r precedes the envelope, so none is drawn."""
     info = PROTOCOLS[protocol]
     names = [name for name, _ in info.shared]
     if "r" not in names:
-        return info.talks(None, hi - lo)
+        return np.ones(hi - lo, dtype=bool)
     k = names.index("r")
     before = _Chunk(lambda offset: _NoStream, n, 0, 0)
     for _, law in info.shared[:k]:
         law(state, before)
     src = _Chunk(lambda offset: generator_at(key, before.start + offset), n, lo, hi)
-    return info.talks(info.shared[k][1](state, src), hi - lo)
+    return info.shared[k][1](state, src) == 1
 
 
 def envelope_scans(protocol, state, keys, n, map_fn=map) -> list:
@@ -583,11 +589,6 @@ class ProtocolInfo:
     def alphabet_size(self) -> int:
         return len(self.cost) - 1
 
-    def talks(self, r: Optional[np.ndarray], rounds: int) -> np.ndarray:
-        """The rounds in which Alice sends a symbol, given the shared bits r of
-        ``rounds`` rounds: those with r = 1, or all with no r in the layout."""
-        return np.ones(rounds, dtype=bool) if r is None else r == 1
-
     def draws_envelope(self, state: State) -> bool:
         return state.p < 1.0 and any(law is _envelope for _, law in self.shared)
 
@@ -618,7 +619,7 @@ PROTOCOLS = {
         alice=_alice_degorre,
         bob=_bob_first_or_second,
         p_range="p = 1/2",
-        applies=lambda p: abs(p - 0.5) <= 1e-12,
+        applies=lambda p: p == 0.5,  # the choice method is the exact model only there
     ),
     ProtocolId.TELEPORTATION: ProtocolInfo(
         shared=_TWO_UNIFORM,
@@ -883,14 +884,6 @@ def _chunks(n: int) -> list:
     return [(lo, min(lo + CHUNK, n)) for lo in range(0, max(n, 1), CHUNK)]
 
 
-def _tiles(n: int, lo: int, hi: int) -> list:
-    """The tiles [a, b) that chunk [lo, hi) of an n-round pair is played in:
-    the whole chunk if it is the pair's only one, else ``TILE`` rounds each."""
-    if (lo, hi) == (0, n):
-        return [(0, n)]
-    return [(a, min(a + TILE, hi)) for a in range(lo, hi, TILE)]
-
-
 def simulate(
     protocol: ProtocolId,
     state: State,
@@ -909,12 +902,10 @@ def simulate(
     of worker count and of the order chunks are executed in.  ``workers``
     threads, an integer >= 1, run the envelope's counting pass in block
     ranges and then the chunks of all pairs.  Each chunk of a pair longer than
-    ``CHUNK`` rounds is played ``TILE`` rounds at a time, so a worker holds
-    one tile's arrays, or those of a pair's only chunk, plus the chunk's
-    outcomes; each pair's envelope scan holds one count per candidate
-    block, and a chunk tests its blocks' candidates again.  The counts and
-    the cost are summed over each chunk's whole outcome arrays, so the tiles
-    change no output byte.
+    ``CHUNK`` rounds is played ``TILE`` rounds at a time (``_play_tiles``), so
+    a worker holds one tile's arrays, or those of a pair's only chunk, plus
+    the chunk's outcomes.  The counts and the cost are summed over each
+    chunk's whole outcome arrays, so the tiles change no output byte.
     """
     pairs, n, seed = _checked_run(protocol, state, settings, rounds_per_setting, seed)
     if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
@@ -929,26 +920,19 @@ def simulate(
         The setting set-up of both rules is made once, for all the tiles."""
         k, (lo, hi), scan = unit
         x, y = pairs[k]
-        shared_src = _Chunk(partial(generator_at, keys[k]), n, lo, hi, scan)
-        priv_src = None
-        if priv_keys[k] is not None:
-            priv_src = _Chunk(partial(generator_at, priv_keys[k]), n, lo, hi)
         sampler = _vector_sampler(protocol, state, x, seed, k, lo)
         coll, y_dot = collapse(state, x), partial(dot3, b=y)
 
-        def tile(t_lo, t_hi):
+        def tile(t_lo, t_hi, shared, priv):
             """Rounds [t_lo, t_hi) as (a, b, msg, lam); lam is built only if kept."""
-            shared = _draw_shared(protocol, state, shared_src.tile(t_lo, t_hi))
-            priv = AlicePrivate()
-            if priv_src is not None:
-                priv = _draw_alice_private(protocol, priv_src.tile(t_lo, t_hi))
             ares = _alice(info, state, coll, shared, priv, sampler)
             b = _bob(info, y_dot, shared, ares.msg, ares.payload)
             return ares.a, b, ares.msg, ares.lam if keep_lambdas else None
 
+        tiles = _play_tiles(protocol, state, n, lo, hi, keys[k], scan, priv_keys[k], tile)
         a, b, msg, lam = (
             seqs[0] if len(seqs) == 1 or seqs[0] is None else np.concatenate(seqs)
-            for seqs in zip(*[tile(*t) for t in _tiles(n, lo, hi)])
+            for seqs in zip(*tiles)
         )
         # bits_sum is one pairwise sum over the whole chunk, whatever its tiles
         res = BatchResult(a=a, b=b, msg=msg, bits=np.take(info.cost, msg), lam=lam)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -49,10 +49,12 @@ from .protocols import (
 from .sampling import (
     eval_rho_tilde,
     eval_rho_tilde_max,
+    generator_at,
     make_generator,
     rho_tilde_bound,
     sample_theta_hemisphere,
     sample_uniform_sphere,
+    stream_key,
 )
 
 
@@ -254,6 +256,14 @@ class DensityPropertyReport:
         return [m for m in self.margins if not m.passed] + [a for a in self.areas if not a.passed]
 
 
+@cache
+def _gauss_legendre() -> tuple:
+    """The nodes and weights of the 64-node Gauss-Legendre rule on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(64)
+
+
 def area_quadrature(state: State, x: np.ndarray) -> float:
     """Integral of rhot_x over the sphere by quadrature of its lam.z marginal.
 
@@ -264,11 +274,9 @@ def area_quadrature(state: State, x: np.ndarray) -> float:
     Gauss-Legendre between consecutive kinks, each interval's nodes as one
     array.
     """
-    from numpy.polynomial.legendre import leggauss
-
     coll = collapse(state, x)
     g = _cos_marginal(coll, state.c)
-    nodes, weights = leggauss(64)
+    nodes, weights = _gauss_legendre()
     kinks = {float(np.arccos(min(abs(v[2]), 1.0))) for v in (coll.v_plus, coll.v_minus, Z_AXIS)}
     edges = sorted({sign * u for u in kinks | {0.5 * np.pi} for sign in (-1.0, 1.0)})
     total = 0.0
@@ -306,17 +314,19 @@ def density_property_suite(
     witness = {k: None for k in worst}
     max_density: dict = {}
     areas = []
-    rng = make_generator(seed, 0)
+    # per p, the settings, the trials' lam and the area samples follow one another
+    # on stream (seed, 0), two uniforms per vector; each is read on from its place
+    key, at = stream_key(seed, 0), 0
     for p in p_list:
         state = State(float(p))
-        xs = sample_uniform_sphere(rng, max(trials // 100, 1))
-        lams = sample_uniform_sphere(rng, trials)
-        block = trials // xs.shape[0]
+        settings = max(trials // 100, 1)
+        xs, lams = generator_at(key, at), generator_at(key, at + 2 * settings)
+        at += 2 * (settings + trials)
+        block = trials // settings  # the last trials % settings lam go unread
         max_rt = 0.0
-        for j, x in enumerate(xs):
-            lam = lams[j * block : (j + 1) * block]
-            if lam.shape[0] == 0:
-                continue
+        for _ in range(settings):
+            x = sample_uniform_sphere(xs, 1)[0]
+            lam = sample_uniform_sphere(lams, block)
             coll = collapse(state, x)
             rt = eval_rho_tilde(state, x, lam, clamp=False)
             rt_neg = eval_rho_tilde(state, x, -lam, clamp=False)
@@ -333,16 +343,18 @@ def density_property_suite(
                 "envelope_bound": rt - eval_rho_tilde_max(state, lam),
                 "constant_bound": rt - rho_tilde_bound(state),
             }
-            for key, vals in checks.items():
+            for name, vals in checks.items():
                 k = int(np.argmax(vals))
-                if float(vals[k]) > worst[key]:
-                    worst[key] = float(vals[k])
-                    witness[key] = (float(p), tuple(x), tuple(lam[k]))
+                if float(vals[k]) > worst[name]:
+                    worst[name] = float(vals[k])
+                    witness[name] = (float(p), tuple(x), tuple(lam[k]))
         max_density[float(p)] = max_rt
 
         if area_points is not None and p not in area_points:
             continue
         expected = 2.0 * (1.0 - p)
+        rng = generator_at(key, at)
+        at += 2 * (area_samples + 1)
         mc_lam = sample_uniform_sphere(rng, area_samples)
         mc_x = sample_uniform_sphere(rng, 1)[0]
         vals = 4.0 * np.pi * eval_rho_tilde(state, mc_x, mc_lam)

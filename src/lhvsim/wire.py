@@ -18,8 +18,8 @@ carries the pair's shared key ``stream_key(seed, k, CH_SHARED)``, 16 bytes
 of Philox key that rebuild the pair's shared stream bit for bit, and never
 the seed.  Alice's SETTING carries the seed, from which she derives the same
 key and her private streams.  After its SETTING each party plays the pair's
-chunks [lo, hi), those ``protocols.simulate`` runs, in order, drawing each
-chunk's shared rows with ``shared_chunk``; no referee frame paces them.
+chunks [lo, hi), those ``protocols.simulate`` runs, in order and through its
+reader, ``protocols._play_tiles``, tile by tile; no referee frame paces them.
 
 Frame format, little-endian, identical on every channel:
 
@@ -36,12 +36,12 @@ round.  Per chunk:
   message.  The referee decodes each round's symbol from the echo, as Bob
   does, and charges the round the cost of that symbol.
 
-The parties draw each chunk with the functions ``protocols.simulate`` uses
-and decide it in one call, so for a fixed seed a networked run reproduces
-the in-process outcome sequence bit for bit.  The referee reads the same
-stream only as far as the shared bit r, which names the rounds in which
-Alice talks (``protocols.talk_chunk``), to check each chunk's two OUTPUTs
-with ``_chunk_fault`` as they arrive.
+The parties draw and decide each tile as ``protocols.simulate`` does, so for
+a fixed seed a networked run reproduces the in-process outcome sequence bit
+for bit.  Bob, the referee and the audit read the shared stream only as far
+as the shared bit r, which names the rounds in which Alice talks
+(``protocols.talk_chunk``): Bob to check and decode a chunk's message, the
+others to check each chunk's two OUTPUTs with ``_chunk_fault``.
 
 The log (format ``LHV3``) is the frames in the order the referee writes
 them: per pair, Alice's SETTING and Bob's; per chunk, Alice's OUTPUT and
@@ -57,6 +57,7 @@ import json
 import socket
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -73,17 +74,18 @@ from .protocols import (
     VECTOR_MESSAGE_BITS,
     SimulationResult,
     _aggregate,
+    _alice,
+    _bob,
     _checked_run,
     _chunks,
     _merge,
+    _play_tiles,
     _vector_sampler,
-    alice_decide,
-    bob_decide,
     check_applicable,
     check_unit,
+    collapse,
+    dot3,
     envelope_scans,
-    private_chunk,
-    shared_chunk,
     talk_chunk,
 )
 from .sampling import stream_key
@@ -175,14 +177,6 @@ def pack_bob_setting(pair, protocol, p, y, rounds, key) -> bytes:
 def unpack_bob_setting(data: bytes):
     pair, protocol, p, y0, y1, y2, rounds, *key = _unpack_setting(_BOB_SETTING, data, "bob")
     return pair, protocol, p, np.array([y0, y1, y2]), rounds, tuple(key)
-
-
-def _shared_rows(protocol: ProtocolId, state: State, key: tuple, n: int):
-    """(lo, hi, shared rows) of each chunk of the n-round shared draw of
-    Philox key ``key``, in chunk order."""
-    (scan,) = envelope_scans(protocol, state, [key], n)
-    for lo, hi in _chunks(n):
-        yield lo, hi, shared_chunk(protocol, state, key, n, lo, hi, scan)
 
 
 def _message_fault(info, payload: bytes, talking: int) -> Optional[str]:
@@ -333,18 +327,24 @@ def alice_main(ref: socket.socket, bob: socket.socket) -> None:
             if setting.kind != FrameKind.SETTING:
                 raise TransportError(f"alice expected SETTING, got {setting.kind}")
             pair, protocol, p, x, rounds, seed = unpack_alice_setting(setting.payload)
-            state = State(p)
-            key, priv_key = stream_key(seed, pair, CH_SHARED), stream_key(seed, pair, CH_ALICE)
-            for lo, hi, shared in _shared_rows(protocol, state, key, rounds):
-                priv = private_chunk(protocol, priv_key, rounds, lo, hi)
+            state, info = State(p), PROTOCOLS[protocol]
+            coll = collapse(state, x)  # validates x
+            key = stream_key(seed, pair, CH_SHARED)
+            priv_key = stream_key(seed, pair, CH_ALICE) if info.private else None
+            (scan,) = envelope_scans(protocol, state, [key], rounds)
+            for lo, hi in _chunks(rounds):
                 sampler = _vector_sampler(protocol, state, x, seed, pair, lo)
-                res = alice_decide(protocol, state, x, shared, priv, sampler)
-                if res.payload is not None:
-                    body = res.payload.tobytes()
-                else:
-                    body = (res.msg[res.msg != 0] - 1).tobytes()
+
+                def tile(t_lo, t_hi, shared, priv):
+                    """The tile's a and its message entries, as bytes."""
+                    res = _alice(info, state, coll, shared, priv, sampler)
+                    sent = res.msg[res.msg != 0] - 1 if res.payload is None else res.payload
+                    return res.a.tobytes(), sent.tobytes()
+
+                tiles = _play_tiles(protocol, state, rounds, lo, hi, key, scan, priv_key, tile)
+                a, body = (b"".join(parts) for parts in zip(*tiles))
                 send_frame(bob, Frame(lo, FrameKind.MESSAGE, body))
-                send_frame(ref, Frame(lo, FrameKind.OUTPUT, res.a.tobytes()))
+                send_frame(ref, Frame(lo, FrameKind.OUTPUT, a))
     except (EOFError, ConnectionError, socket.timeout):
         pass  # referee finished or aborted the run
     finally:
@@ -360,10 +360,11 @@ def bob_main(ref: socket.socket, alice: socket.socket) -> None:
             if setting.kind != FrameKind.SETTING:
                 raise TransportError(f"bob expected SETTING, got {setting.kind}")
             pair, protocol, p, y, rounds, key = unpack_bob_setting(setting.payload)
-            y = check_unit(y, "y")
-            info = PROTOCOLS[protocol]
-            for lo, hi, shared in _shared_rows(protocol, State(p), key, rounds):
-                talk = info.talks(shared.r, hi - lo)
+            state, info = State(p), PROTOCOLS[protocol]
+            y_dot = partial(dot3, b=check_unit(y, "y"))
+            (scan,) = envelope_scans(protocol, state, [key], rounds)
+            for lo, hi in _chunks(rounds):
+                talk = talk_chunk(protocol, state, key, rounds, lo, hi)
                 mframe = recv_frame(alice)
                 status = 0
                 if mframe.kind != FrameKind.MESSAGE or mframe.round != lo:
@@ -375,8 +376,16 @@ def bob_main(ref: socket.socket, alice: socket.socket) -> None:
                     send_frame(ref, Frame(lo, FrameKind.OUTPUT, out))
                     raise ProtocolViolationError("message rejected; aborting")
                 msg, vectors = _decode_message(info, talk, mframe.payload)
-                b = bob_decide(protocol, y, shared, msg, vectors)
-                send_frame(ref, Frame(lo, FrameKind.OUTPUT, b"\x00" + b.tobytes() + mframe.payload))
+
+                def tile(t_lo, t_hi, shared, priv):
+                    """The tile's b, from its rounds' symbols and the vectors sent in them."""
+                    i, j = t_lo - lo, t_hi - lo
+                    rows = slice(np.count_nonzero(talk[:i]), np.count_nonzero(talk[:j]))
+                    sent = None if vectors is None else vectors[rows]
+                    return _bob(info, y_dot, shared, msg[i:j], sent).tobytes()
+
+                b = b"".join(_play_tiles(protocol, state, rounds, lo, hi, key, scan, None, tile))
+                send_frame(ref, Frame(lo, FrameKind.OUTPUT, b"\x00" + b + mframe.payload))
     except ProtocolViolationError:
         pass  # already reported to the referee
     except (EOFError, ConnectionError, socket.timeout):
@@ -409,11 +418,10 @@ def run_networked(
     """Run the protocol across three processes; returns (result, transcript).
 
     Statistically and bit-exactly identical to ``simulate`` with the same
-    seed: each party draws each chunk's shared rows, and Alice her private
-    coins, with the functions ``simulate`` uses, and decides a whole chunk in
-    one call; the referee reads the shared stream only up to r.  A party that
-    exits, or does not answer within ``_SOCKET_TIMEOUT``, ends the run with
-    TransportError.
+    seed: each party draws and decides each chunk tile by tile through
+    ``simulate``'s reader; the referee reads the shared stream only up to r.
+    A party that exits, or does not answer within ``_SOCKET_TIMEOUT``, ends
+    the run with TransportError.
     """
     import multiprocessing  # only here: importing wire loads no process machinery
 
@@ -443,20 +451,15 @@ def run_networked(
     try:
         for k, (x, y) in enumerate(pairs):
             key = stream_key(seed, k, CH_SHARED)
-            fa = Frame(
-                SETUP_ROUND,
-                FrameKind.SETTING,
-                pack_alice_setting(k, protocol, state.p, x, rounds, seed),
-            )
-            fb = Frame(
-                SETUP_ROUND,
-                FrameKind.SETTING,
-                pack_bob_setting(k, protocol, state.p, y, rounds, key),
-            )
-            send_frame(alice_sock, fa)
-            transcript.add("referee->alice", fa)
-            send_frame(bob_sock, fb)
-            transcript.add("referee->bob", fb)
+            to_alice = pack_alice_setting(k, protocol, state.p, x, rounds, seed)
+            to_bob = pack_bob_setting(k, protocol, state.p, y, rounds, key)
+            for sock, channel, payload in (
+                (alice_sock, "referee->alice", to_alice),
+                (bob_sock, "referee->bob", to_bob),
+            ):
+                frame = Frame(SETUP_ROUND, FrameKind.SETTING, payload)
+                send_frame(sock, frame)
+                transcript.add(channel, frame)
 
             parts = []
             for lo, hi in _chunks(rounds):

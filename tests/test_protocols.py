@@ -46,6 +46,7 @@ from lhvsim.protocols import (
     _dots_where,
     _merge,
     _one_or_two,
+    _play_tiles,
     _put,
     _vector_sampler,
     alice_decide,
@@ -54,8 +55,6 @@ from lhvsim.protocols import (
     draw_alice_private,
     draw_shared,
     envelope_scans,
-    private_chunk,
-    shared_chunk,
     simulate,
     talk_chunk,
 )
@@ -145,8 +144,9 @@ class TestApplicability:
 
     def test_degorre_only_at_half(self):
         check_applicable(ProtocolId.DEGORRE, State(0.5))
-        with pytest.raises(DomainError, match="1/2"):
-            check_applicable(ProtocolId.DEGORRE, State(0.7))
+        for p in (0.7, np.nextafter(0.5, 1.0)):
+            with pytest.raises(DomainError, match="1/2"):
+                check_applicable(ProtocolId.DEGORRE, State(p))
 
     def test_improved_one_bit_threshold(self):
         check_applicable(ProtocolId.IMPROVED_ONE_BIT, State(0.835))
@@ -517,7 +517,8 @@ class TestSimulate:
         talk = talk_chunk(pid, state, key, n, lo, hi)
         assert opened == [2 * n + lo]
         monkeypatch.setattr(protocols, "generator_at", real)
-        assert np.array_equal(talk, shared_chunk(pid, state, key, n, lo, hi).r == 1)
+        r = _play_tiles(pid, state, n, lo, hi, key, None, None, lambda a, b, shared, priv: shared.r)
+        assert np.array_equal(talk, np.concatenate(r) == 1)
 
     def test_a_chunk_reads_each_envelope_block_once(self, monkeypatch):
         # the envelope is opened once per chunk, through one sampler that reads
@@ -743,11 +744,17 @@ def _reference_draws(pid, state, seed, k, n):
     if PROTOCOLS[pid].draws_envelope(state):
         scan = EnvelopeScan(state, key, n, n)  # after n shared-bit uniforms
         scan_envelopes([scan])
-    pieces = [(0, n // 2), (n // 2, n)]
-    return (
-        _joined([shared_chunk(pid, state, key, n, lo, hi, scan) for lo, hi in pieces]),
-        _joined([private_chunk(pid, priv_key, n, lo, hi) for lo, hi in pieces]),
-    )
+    draws = [
+        draw
+        for lo, hi in ((0, n // 2), (n // 2, n))
+        for draw in _play_tiles(pid, state, n, lo, hi, key, scan, priv_key, _tile_draws)
+    ]
+    return _joined([shared for shared, _ in draws]), _joined([priv for _, priv in draws])
+
+
+def _tile_draws(lo, hi, shared, priv):
+    """A ``_play_tiles`` play that keeps the tile's draws."""
+    return shared, priv
 
 
 def _joined(draws):
@@ -797,6 +804,34 @@ class TestChunking:
             for name in ("counts", "symbol_counts", "a_seq", "b_seq", "msg_seq",
                          "bits_seq", "lam_seq"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
+    def test_play_tiles_reads_the_whole_draw_in_tiles(self, pid, p):
+        # a pair of more than one chunk is played in tiles of at most TILE
+        # rounds, each drawn with the rows of the n-round draws
+        state, n = State(p), CHUNK + TILE + 5
+        key, priv_key = stream_key(42, 0, CH_SHARED), stream_key(42, 0, CH_ALICE)
+        shared = draw_shared(pid, state, make_generator(42, 0, CH_SHARED), n)
+        priv = draw_alice_private(pid, make_generator(42, 0, CH_ALICE), n)
+        (scan,) = envelope_scans(pid, state, [key], n)
+        tiles = [
+            tile
+            for lo, hi in ((0, CHUNK), (CHUNK, n))
+            for tile in _play_tiles(
+                pid, state, n, lo, hi, key, scan, priv_key,
+                lambda a, b, *draws: (a, b, *draws),
+            )
+        ]
+        assert [(a, b) for a, b, *_ in tiles] == [
+            (a, min(a + TILE, hi)) for lo, hi in ((0, CHUNK), (CHUNK, n)) for a in range(lo, hi, TILE)
+        ]
+        assert tiles[-1][:2] == (CHUNK + TILE, n)
+        for a, b, got_shared, got_priv in tiles:
+            assert b - a <= TILE
+            for want, got in ((_rows(shared, a, b), got_shared), (_rows(priv, a, b), got_priv)):
+                for f in fields(want):
+                    w, g = getattr(want, f.name), getattr(got, f.name)
+                    assert (g is None) if w is None else np.array_equal(np.asarray(g), w), f.name
 
     @staticmethod
     def _traced_peak(pid, p, workers=1):
@@ -1212,16 +1247,19 @@ class TestByteExactForms:
         key = stream_key(61, 0, CH_SHARED)
         for n, lo in ((5000, 0), (CHUNK + 7, CHUNK)):
             (scan,) = envelope_scans(pid, state, [key], n)
-            shared = shared_chunk(pid, state, key, n, lo, n, scan)
-            for name in ("lam1", "lam2", "lam3"):
-                lam = getattr(shared, name)
-                assert lam is None or np.asarray(lam).flags.f_contiguous, (n, name)
-            priv = private_chunk(pid, stream_key(61, 0, CH_ALICE), n, lo, n)
             sampler = _vector_sampler(pid, state, x, 61, 0, lo)
-            res = alice_decide(pid, state, x, shared, priv, sampler)
-            assert res.a.dtype == np.int8 and res.msg.dtype == np.uint8
-            if res.payload is not None:
-                assert res.payload.shape[0] > 1 and res.payload.flags.f_contiguous
+
+            def check(t_lo, t_hi, shared, priv):
+                for name in ("lam1", "lam2", "lam3"):
+                    lam = getattr(shared, name)
+                    assert lam is None or np.asarray(lam).flags.f_contiguous, (n, name)
+                res = alice_decide(pid, state, x, shared, priv, sampler)
+                assert res.a.dtype == np.int8 and res.msg.dtype == np.uint8
+                if res.payload is not None:
+                    assert res.payload.shape[0] > 1 and res.payload.flags.f_contiguous
+
+            priv_key = stream_key(61, 0, CH_ALICE)
+            assert len(_play_tiles(pid, state, n, lo, n, key, scan, priv_key, check)) == 1
 
 
 class TestHemisphereRows:

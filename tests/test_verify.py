@@ -266,6 +266,98 @@ class TestDensityProperties:
             for x in xs:
                 assert abs(area_quadrature(State(p), x) - 2 * (1 - p)) <= 1e-9, (p, x)
 
+    def test_area_quadrature_builds_its_rule_once(self, monkeypatch):
+        from numpy.polynomial import legendre
+
+        calls = []
+        real = legendre.leggauss
+        monkeypatch.setattr(legendre, "leggauss", lambda deg: calls.append(deg) or real(deg))
+        verify._gauss_legendre.cache_clear()
+        try:
+            for p in (0.5, 0.7, 0.9, 1.0):
+                for x in (X_AXIS, Z_AXIS, np.array([0.6, 0.0, 0.8])):
+                    assert area_quadrature(State(p), x) == pytest.approx(2 * (1 - p), abs=1e-9)
+        finally:
+            verify._gauss_legendre.cache_clear()  # drop the counted rule
+        assert calls == [64]
+
+    @staticmethod
+    def _whole_draw_suite(p_list, trials, seed, area_samples, area_points):
+        """The suite's worst margins, witnesses, peak densities and (Monte Carlo,
+        its error, quadrature) areas, with each draw taken whole from one
+        generator."""
+        from lhvsim.sampling import (
+            eval_rho_tilde, eval_rho_tilde_max, rho_tilde_bound, sample_uniform_sphere,
+        )
+        from lhvsim.bloch import collapse
+
+        worst, witness, peak, areas = {}, {}, {}, []
+        rng = make_generator(seed, 0)
+        for p in p_list:
+            state = State(p)
+            xs = sample_uniform_sphere(rng, max(trials // 100, 1))
+            lams = sample_uniform_sphere(rng, trials)
+            block = trials // xs.shape[0]
+            peak[p] = 0.0
+            for j, x in enumerate(xs):
+                lam = lams[j * block : (j + 1) * block]
+                coll = collapse(state, x)
+                rt = eval_rho_tilde(state, x, lam, clamp=False)
+                peak[p] = max(peak[p], float(rt.max()))
+                bound = np.minimum(
+                    coll.p_plus * np.abs(dot3(lam, coll.v_plus)),
+                    coll.p_minus * np.abs(dot3(lam, coll.v_minus)),
+                )
+                checks = {
+                    "nonnegative": -rt,
+                    "symmetric": np.abs(rt - eval_rho_tilde(state, x, -lam, clamp=False)),
+                    "per_sign_bound": rt - bound / np.pi,
+                    "envelope_bound": rt - eval_rho_tilde_max(state, lam),
+                    "constant_bound": rt - rho_tilde_bound(state),
+                }
+                for name, vals in checks.items():
+                    k = int(np.argmax(vals))
+                    if float(vals[k]) > worst.get(name, -np.inf):
+                        worst[name] = float(vals[k])
+                        witness[name] = (p, tuple(x), tuple(lam[k]))
+            if p in area_points:
+                mc_lam = sample_uniform_sphere(rng, area_samples)
+                mc_x = sample_uniform_sphere(rng, 1)[0]
+                vals = 4.0 * np.pi * eval_rho_tilde(state, mc_x, mc_lam)
+                stderr = float(vals.std() / np.sqrt(area_samples))
+                areas.append((float(vals.mean()), stderr, area_quadrature(state, mc_x)))
+        return worst, witness, peak, areas
+
+    @pytest.mark.parametrize("trials", [1, 57, 12345])
+    def test_suite_equals_its_whole_draw_form(self, trials):
+        # the suite reads its settings, lam and area samples on from their
+        # places in the stream, so it sees the values of whole draws
+        p_list, area_points = [0.6, 0.9, 1.0], [0.6, 1.0]
+        rep = density_property_suite(
+            p_list, trials=trials, seed=57, area_samples=3000, area_points=area_points
+        )
+        worst, witness, peak, areas = self._whole_draw_suite(p_list, trials, 57, 3000, area_points)
+        assert {m.name: (m.worst, m.witness) for m in rep.margins} == {
+            name: (worst[name], witness[name]) for name in worst
+        }
+        assert rep.max_density == peak
+        assert [(a.p, a.monte_carlo, a.mc_stderr, a.quadrature) for a in rep.areas] == [
+            (p, *area) for p, area in zip(area_points, areas)
+        ]
+
+    def test_suite_memory_does_not_grow_with_trials(self):
+        # drawing 10^6 lam at once held about 46 MiB
+        import tracemalloc
+
+        density_property_suite([0.7], trials=100, seed=58, area_points=[])
+        tracemalloc.start()
+        try:
+            density_property_suite([0.7], trials=10**6, seed=58, area_points=[])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_product_state_has_zero_density(self):
         rep = density_property_suite([1.0], trials=5000, seed=55, area_samples=10**4)
         assert rep.max_density[1.0] == 0.0

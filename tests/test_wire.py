@@ -13,7 +13,7 @@ from lhvsim import wire
 from lhvsim.bloch import State, X_AXIS, Z_AXIS
 from lhvsim.cli import main as cli_main
 from lhvsim.errors import ProtocolViolationError, TransportError, ValidationError
-from lhvsim.protocols import CH_SHARED, CHUNK, ProtocolId, draw_shared, shared_chunk, simulate
+from lhvsim.protocols import CH_SHARED, CHUNK, ProtocolId, _play_tiles, draw_shared, simulate
 from lhvsim.sampling import make_generator, n_of_p, stream_key
 from lhvsim.wire import (
     SETUP_ROUND,
@@ -69,7 +69,7 @@ class TestFraming:
         shared = draw_shared(pid, State(p), make_generator(1, 0, CH_SHARED), 16)
         payload = pack_bob_setting(0, pid, p, Z_AXIS, 16, stream_key(1, 0, CH_SHARED))
         *_, key = unpack_bob_setting(payload)
-        back = shared_chunk(pid, State(p), key, 16, 0, 16)
+        (back,) = _play_tiles(pid, State(p), 16, 0, 16, key, None, None, lambda a, b, shared, priv: shared)
         for name in ("lam1", "lam2", "lam3", "r"):
             want = getattr(shared, name)
             got = getattr(back, name)
