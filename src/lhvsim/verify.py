@@ -320,13 +320,13 @@ def density_property_suite(
     for p in p_list:
         state = State(float(p))
         settings = max(trials // 100, 1)
-        xs, lams = generator_at(key, at), generator_at(key, at + 2 * settings)
+        x_rng, lam_rng = generator_at(key, at), generator_at(key, at + 2 * settings)
         at += 2 * (settings + trials)
         block = trials // settings  # the last trials % settings lam go unread
         max_rt = 0.0
         for _ in range(settings):
-            x = sample_uniform_sphere(xs, 1)[0]
-            lam = sample_uniform_sphere(lams, block)
+            x = sample_uniform_sphere(x_rng, 1)[0]
+            lam = sample_uniform_sphere(lam_rng, block)
             coll = collapse(state, x)
             rt = eval_rho_tilde(state, x, lam, clamp=False)
             rt_neg = eval_rho_tilde(state, x, -lam, clamp=False)

@@ -517,8 +517,8 @@ class TestSimulate:
         talk = talk_chunk(pid, state, key, n, lo, hi)
         assert opened == [2 * n + lo]
         monkeypatch.setattr(protocols, "generator_at", real)
-        r = _play_tiles(pid, state, n, lo, hi, key, None, None, lambda a, b, shared, priv: shared.r)
-        assert np.array_equal(talk, np.concatenate(r) == 1)
+        tiles = _play_tiles(pid, state, n, lo, hi, key, None, None, _tile_draws)
+        assert np.array_equal(talk, np.concatenate([shared.r for shared, _ in tiles]) == 1)
 
     def test_a_chunk_reads_each_envelope_block_once(self, monkeypatch):
         # the envelope is opened once per chunk, through one sampler that reads
@@ -814,18 +814,15 @@ class TestChunking:
         shared = draw_shared(pid, state, make_generator(42, 0, CH_SHARED), n)
         priv = draw_alice_private(pid, make_generator(42, 0, CH_ALICE), n)
         (scan,) = envelope_scans(pid, state, [key], n)
+        chunks = ((0, CHUNK), (CHUNK, n))
         tiles = [
             tile
-            for lo, hi in ((0, CHUNK), (CHUNK, n))
-            for tile in _play_tiles(
-                pid, state, n, lo, hi, key, scan, priv_key,
-                lambda a, b, *draws: (a, b, *draws),
-            )
+            for lo, hi in chunks
+            for tile in _play_tiles(pid, state, n, lo, hi, key, scan, priv_key, lambda *t: t)
         ]
         assert [(a, b) for a, b, *_ in tiles] == [
-            (a, min(a + TILE, hi)) for lo, hi in ((0, CHUNK), (CHUNK, n)) for a in range(lo, hi, TILE)
+            (a, min(a + TILE, hi)) for lo, hi in chunks for a in range(lo, hi, TILE)
         ]
-        assert tiles[-1][:2] == (CHUNK + TILE, n)
         for a, b, got_shared, got_priv in tiles:
             assert b - a <= TILE
             for want, got in ((_rows(shared, a, b), got_shared), (_rows(priv, a, b), got_priv)):

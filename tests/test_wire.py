@@ -69,7 +69,7 @@ class TestFraming:
         shared = draw_shared(pid, State(p), make_generator(1, 0, CH_SHARED), 16)
         payload = pack_bob_setting(0, pid, p, Z_AXIS, 16, stream_key(1, 0, CH_SHARED))
         *_, key = unpack_bob_setting(payload)
-        (back,) = _play_tiles(pid, State(p), 16, 0, 16, key, None, None, lambda a, b, shared, priv: shared)
+        (back,) = _play_tiles(pid, State(p), 16, 0, 16, key, None, None, lambda *tile: tile[2])
         for name in ("lam1", "lam2", "lam3", "r"):
             want = getattr(shared, name)
             got = getattr(back, name)
