@@ -21,6 +21,7 @@ Sign conventions used everywhere in this package: ``H(0) = 1`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,51 +168,77 @@ class JointDistribution:
         return self
 
 
-def qubit_ket(v: np.ndarray) -> np.ndarray:
-    """Amplitudes (alpha, beta) of the pure qubit state with Bloch vector v."""
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
+def qubit_ket(vx: float, vy: float, vz: float) -> tuple:
+    """Amplitudes (alpha, beta), as Python complex numbers, of the pure qubit
+    state with Bloch vector (vx, vy, vz)."""
     if 1.0 + vz < 1e-15:
-        # south pole: |v> = |1> up to phase
-        return np.array([0.0, 1.0], dtype=complex)
-    alpha = np.sqrt((1.0 + vz) / 2.0)
-    beta = (vx + 1j * vy) / np.sqrt(2.0 * (1.0 + vz))
-    return np.array([alpha, beta], dtype=complex)
+        return 0j, 1 + 0j  # south pole: |v> = |1> up to phase
+    alpha = complex(math.sqrt((1.0 + vz) / 2.0))
+    beta = (vx + 1j * vy) / math.sqrt(2.0 * (1.0 + vz))
+    return alpha, beta
 
 
-def projector(v: np.ndarray) -> np.ndarray:
-    """Rank-1 projector (I + v.sigma)/2 onto the +1 outcome along v."""
-    return 0.5 * (IDENTITY_2 + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
+def projector(v) -> np.ndarray:
+    """Rank-1 projector (I + v.sigma)/2 onto the +1 outcome along v; for an
+    (..., 3) array of vectors, the (..., 2, 2) array of their projectors.
+    Each product of a coordinate with a Pauli entry (0 or +-1) is exact, so
+    a projector's bytes do not depend on the batch it is built in."""
+    v = np.asarray(v)[..., None, None]
+    return 0.5 * (
+        IDENTITY_2 + v[..., 0, :, :] * PAULI_X + v[..., 1, :, :] * PAULI_Y + v[..., 2, :, :] * PAULI_Z
+    )
 
 
-def _bloch_of_ket(ket: np.ndarray) -> np.ndarray:
-    """Bloch vector of a (not necessarily normalized) 2-amplitude ket."""
-    g0, g1 = ket[0], ket[1]
-    cross = np.conj(g0) * g1
-    norm2 = abs(g0) ** 2 + abs(g1) ** 2
-    return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(g0) ** 2 - abs(g1) ** 2]) / norm2
+def _check_unit_rows(vs, name: str) -> np.ndarray:
+    """Validate an (m, 3) array of unit vectors in one pass; a row that fails
+    is checked again by ``check_unit``, which raises its error."""
+    vs = np.asarray(vs, dtype=float).reshape(-1, 3)
+    norm = np.sqrt(vs[:, 0] ** 2 + vs[:, 1] ** 2 + vs[:, 2] ** 2)
+    for row in vs[~(np.abs(norm - 1.0) <= UNIT_TOL)]:  # NaN and inf fail too
+        check_unit(row, name)
+    return vs
+
+
+def _check_tables(probs: np.ndarray, tol: float = 1e-12) -> None:
+    """``JointDistribution.validate`` of every (2, 2) table of ``probs`` in
+    one pass; a table that fails is validated again alone, which raises."""
+    flat = probs.reshape(-1, 4)
+    bad = np.any(flat < -tol, axis=1) | (np.abs(flat.sum(axis=1) - 1.0) > tol)
+    for table in probs.reshape(-1, 2, 2)[bad]:
+        JointDistribution(table).validate(tol)
+
+
+def born_tables(state: State, xs, ys) -> np.ndarray:
+    """The Born tables of the pairs (xs[k], ys[k]) as an (m, 2, 2) array
+    (oracle path; ``born_joint`` is its one-pair case).
+
+    Builds |psi><psi| as an explicit 4x4 density matrix and evaluates
+    Tr[P_a(x) (x) P_b(y) rho] for the four outcome pairs of every pair.  Each
+    projector is built once, and P_a (x) P_b is the one broadcast multiply
+    that ``np.kron`` performs, so the bytes are those of ``np.kron``, and the
+    product, the matrix product and the trace act on each 4x4 operator as
+    they would on it alone.
+    """
+    xs = _check_unit_rows(xs, "x")
+    ys = _check_unit_rows(ys, "y")
+    psi = state.ket()
+    rho = np.outer(psi, psi.conj())
+    pa = projector(np.stack([xs, -xs], axis=1))  # (m, a, 2, 2), a = +1, -1
+    pb = projector(np.stack([ys, -ys], axis=1))
+    # (m, a, b, 2, 2, 2, 2) -> the (m, a, b) operators np.kron(P_a, P_b)
+    op = (pa[:, :, None, :, None, :, None] * pb[:, None, :, None, :, None, :]).reshape(-1, 2, 2, 4, 4)
+    probs = np.ascontiguousarray(np.trace(op @ rho, axis1=-2, axis2=-1).real)
+    probs[probs < 0.0] = 0.0  # rounding can produce -1e-17 on deterministic outcomes
+    _check_tables(probs)
+    return probs
 
 
 def born_joint(state: State, x: np.ndarray, y: np.ndarray) -> JointDistribution:
-    """Joint distribution of local projective measurements x, y (oracle path).
-
-    Builds |psi><psi| as an explicit 4x4 density matrix and evaluates
-    Tr[P_a(x) (x) P_b(y) rho] for the four outcome pairs.  Each projector is
-    built once, and P_a (x) P_b is the one broadcast multiply that
-    ``np.kron`` performs, so the bytes are those of ``np.kron``.
-    """
+    """Joint distribution of local projective measurements x, y (oracle path):
+    the one-pair case of ``born_tables``."""
     x = check_unit(x, "x")
     y = check_unit(y, "y")
-    psi = state.ket()
-    rho = np.outer(psi, psi.conj())
-    pbs = [projector(b * y)[None, :, None, :] for b in (1, -1)]
-    probs = np.empty((2, 2))
-    for i, a in enumerate((1, -1)):
-        pa = projector(a * x)[:, None, :, None]
-        for j, pb in enumerate(pbs):
-            op = (pa * pb).reshape(4, 4)  # np.kron(P_a, P_b)
-            probs[i, j] = np.trace(op @ rho).real
-    probs[probs < 0.0] = 0.0  # rounding can produce -1e-17 on deterministic outcomes
-    return JointDistribution(probs).validate()
+    return JointDistribution(born_tables(state, x[None], y[None])[0])
 
 
 def correlation(state: State, x: np.ndarray, y: np.ndarray) -> float:
@@ -242,25 +269,30 @@ def collapse(state: State, x: np.ndarray) -> CollapseData:
     ``p_+- = (1 +- (2p-1) x_z) / 2``; each ``v`` is computed from the
     collapsed two-amplitude state <+-x|_A |psi>, not from Bloch algebra.
     A branch with p = 0 (only p = 1 with x_z = -+1) has no post-measurement
-    state; it is returned as the z axis and flagged degenerate.
+    state; it is returned as the z axis and flagged degenerate.  The
+    amplitudes are Python complex numbers, whose products, quotients, moduli
+    and powers do the IEEE operations of numpy's complex128 scalars, so the
+    bytes are those of the numpy form without numpy's per-scalar cost.
     """
-    x = check_unit(x, "x")
-    p_plus = 0.5 * (1.0 + state.c * x[2])
-    p_minus = 0.5 * (1.0 - state.c * x[2])
-    sp = np.sqrt(state.p)
-    sm = np.sqrt(1.0 - state.p)
+    xx, xy, xz = check_unit(x, "x").tolist()
+    p_plus = 0.5 * (1.0 + state.c * xz)
+    p_minus = 0.5 * (1.0 - state.c * xz)
+    sp = complex(math.sqrt(state.p))
+    sm = complex(math.sqrt(1.0 - state.p))
 
     vs = []
     degenerate = []
     for sign in (1.0, -1.0):
-        alpha, beta = qubit_ket(sign * x)
-        bob = np.array([sp * np.conj(alpha), sm * np.conj(beta)])
-        norm2 = float(abs(bob[0]) ** 2 + abs(bob[1]) ** 2)
+        alpha, beta = qubit_ket(sign * xx, sign * xy, sign * xz)
+        g0, g1 = sp * alpha.conjugate(), sm * beta.conjugate()  # Bob's ket
+        n0, n1 = abs(g0) ** 2, abs(g1) ** 2
+        norm2 = n0 + n1
         if norm2 <= 1e-30:
             vs.append(Z_AXIS.copy())
             degenerate.append(True)
-        else:
-            vs.append(_bloch_of_ket(bob))
+        else:  # the Bloch vector of Bob's ket, normalized
+            cross = g0.conjugate() * g1
+            vs.append(np.array([2.0 * cross.real / norm2, 2.0 * cross.imag / norm2, (n0 - n1) / norm2]))
             degenerate.append(False)
     return CollapseData(
         p_plus=p_plus,

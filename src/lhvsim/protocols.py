@@ -295,18 +295,23 @@ def talk_chunk(protocol, state, key, n, lo, hi) -> np.ndarray:
     """The rounds of [lo, hi) of the n-round shared draw of Philox key ``key``
     in which Alice talks: those with shared bit r = 1, or all with no r.  Only
     r's block is opened: the fields before r are drawn for no rounds, from no
-    stream, to find where it starts.  A protocol without r opens no stream,
-    and r precedes the envelope, so none is drawn."""
+    stream, to find where it starts.  It is read ``TILE`` rounds at a time, so
+    no uniforms of the whole chunk are held.  A protocol without r opens no
+    stream, and r precedes the envelope, so none is drawn."""
     info = PROTOCOLS[protocol]
     names = [name for name, _ in info.shared]
+    talk = np.ones(hi - lo, dtype=bool)
     if "r" not in names:
-        return np.ones(hi - lo, dtype=bool)
+        return talk
     k = names.index("r")
     before = _Chunk(lambda offset: _NoStream, n, 0, 0)
     for _, law in info.shared[:k]:
         law(state, before)
     src = _Chunk(lambda offset: generator_at(key, before.start + offset), n, lo, hi)
-    return info.shared[k][1](state, src) == 1
+    for a in range(lo, hi, TILE):
+        b = min(a + TILE, hi)
+        np.equal(info.shared[k][1](state, src.tile(a, b)), 1, out=talk[a - lo : b - lo])
+    return talk
 
 
 def envelope_scans(protocol, state, keys, n, map_fn=map) -> list:
@@ -738,15 +743,16 @@ class BatchResult:
     lam: Optional[np.ndarray]  # Alice's committed vectors, or None if not kept
 
 
-def _vector_sampler(protocol, state, x, seed, k, lo) -> Optional[RhoTildeSampler]:
+def _vector_sampler(protocol, state, x, seed, k, lo, coll=None) -> Optional[RhoTildeSampler]:
     """Alice's sampler for pair k's chunk j = lo // CHUNK, on stream (seed, k,
     CH_SAMPLER) if j = 0, else (seed, k, CH_SAMPLER, j); None, with no
-    stream opened, if the pair sends no vectors."""
+    stream opened, if the pair sends no vectors.  ``coll`` is collapse(state,
+    x) if the caller has it already."""
     if not PROTOCOLS[protocol].vector_message or state.p >= 1.0:
         return None
     chunk = lo // CHUNK
     path = (k, CH_SAMPLER, chunk) if chunk else (k, CH_SAMPLER)
-    return RhoTildeSampler(state, x, make_generator(seed, *path))
+    return RhoTildeSampler(state, x, make_generator(seed, *path), coll)
 
 
 # ---------------------------------------------------------------------------
@@ -911,6 +917,7 @@ def simulate(
     if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
     info = PROTOCOLS[protocol]
+    cost = np.asarray(info.cost)  # bits per symbol, for np.take
     chunks = _chunks(n)
     keys = [stream_key(seed, k, CH_SHARED) for k in range(len(pairs))]
     priv_keys = [stream_key(seed, k, CH_ALICE) if info.private else None for k in range(len(pairs))]
@@ -920,8 +927,8 @@ def simulate(
         The setting set-up of both rules is made once, for all the tiles."""
         k, (lo, hi), scan = unit
         x, y = pairs[k]
-        sampler = _vector_sampler(protocol, state, x, seed, k, lo)
         coll, y_dot = collapse(state, x), partial(dot3, b=y)
+        sampler = _vector_sampler(protocol, state, x, seed, k, lo, coll)
 
         def tile(t_lo, t_hi, shared, priv):
             """Rounds [t_lo, t_hi) as (a, b, msg, lam); lam is built only if kept."""
@@ -935,7 +942,7 @@ def simulate(
             for seqs in zip(*tiles)
         )
         # bits_sum is one pairwise sum over the whole chunk, whatever its tiles
-        res = BatchResult(a=a, b=b, msg=msg, bits=np.take(info.cost, msg), lam=lam)
+        res = BatchResult(a=a, b=b, msg=msg, bits=np.take(cost, msg), lam=lam)
         return _aggregate(protocol, x, y, res, keep_outcomes, keep_lambdas)
 
     def run(map_fn):

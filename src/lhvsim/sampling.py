@@ -31,6 +31,7 @@ uniforms of the draw and build such an array of just the rows that are read.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -76,6 +77,9 @@ def check_seed(seed) -> int:
     raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
+_WORD = (1 << 64) - 1
+
+
 def make_generator(seed: int, *path: int) -> np.random.Generator:
     """Philox generator for the stream identified by (seed, *path)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
@@ -88,17 +92,44 @@ def stream_key(seed: int, *path: int) -> tuple:
     return int(words[0]), int(words[1])
 
 
+@cache
+def _no_entropy():
+    """A seed sequence that reads no OS entropy, for bit generators whose
+    state is then set whole.  ``Philox(key=...)`` builds a ``SeedSequence()``
+    from ``secrets`` on every call, for a seed it never uses.  It is made on
+    first use, so that importing this module loads no ``numpy.random``."""
+
+    class NoEntropy(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return NoEntropy()
+
+
 def generator_at(key: tuple, offset: int) -> np.random.Generator:
     """Stream ``key`` positioned after its first ``offset`` 64-bit draws.
 
     Every float64 uniform takes one 64-bit draw, and one Philox counter step
-    yields four, so the counter jumps to ``offset // 4`` and the remainder is
-    drawn and dropped.  The next uniform equals the stream's ``offset``-th.
+    yields four, so the 256-bit counter is set to ``offset // 4``, with an
+    empty buffer, and the remainder is drawn and dropped.  The next uniform
+    equals the stream's ``offset``-th.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
     steps, rest = divmod(int(offset), 4)
-    rng.bit_generator.advance(steps)
-    rng.random(rest)
+    bits = np.random.Philox(_no_entropy())
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([(steps >> s) & _WORD for s in (0, 64, 128, 192)], dtype=np.uint64),
+            "key": np.array(key, dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # empty: the next draw steps the counter first
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    rng = np.random.Generator(bits)
+    if rest:
+        rng.random(rest)
     return rng
 
 
@@ -576,10 +607,11 @@ class RhoTildeSampler(_BufferedSampler):
     per-round and bulk consumption coincide draw for draw.
     """
 
-    def __init__(self, state: State, x: np.ndarray, rng: np.random.Generator):
+    def __init__(self, state: State, x: np.ndarray, rng: np.random.Generator, coll=None):
         super().__init__(state, rng, "rhot_x is identically zero at p = 1", width=3)
         self.x = check_unit(x, "x")
-        self._coll = collapse(self.state, self.x)
+        # ``coll`` is collapse(state, x) if the caller has it already
+        self._coll = collapse(self.state, self.x) if coll is None else coll
         self._inner = RhoTildeMaxSampler(self.state, rng)
         p = self.state.p
         # a candidate is kept with probability 2(1-p) / N(p), and N -> 2 as p -> 1/2

@@ -28,7 +28,7 @@ from .bloch import (
     JointDistribution,
     State,
     Z_AXIS,
-    born_joint,
+    born_tables,
     check_unit,
     chsh_setting_pairs,
     chsh_value,
@@ -47,6 +47,7 @@ from .protocols import (
     simulate,
 )
 from .sampling import (
+    _rho_tilde_given,
     eval_rho_tilde,
     eval_rho_tilde_max,
     generator_at,
@@ -64,15 +65,22 @@ def pass_threshold(rounds: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# metrics of a (2, 2) count table n(a, b), index 0 -> outcome +1
+# metrics of (2, 2) count tables n(a, b), index 0 -> outcome +1.  The last two
+# axes of an array are one table; the one-table functions are the case of no
+# other axis.
+
+
+def _tvd_rows(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """(1/2) sum |n(a,b)/M - p(a,b)| of each table, M its count."""
+    m = counts.sum(axis=(-2, -1), keepdims=True)
+    if np.any(m == 0):
+        raise ValidationError("empirical table has no rounds")
+    return 0.5 * np.abs(counts / m - probs).sum(axis=(-2, -1))
 
 
 def tvd(counts: np.ndarray, oracle: JointDistribution) -> float:
     """Total variation distance (1/2) sum |n(a,b)/M - p(a,b)|, M = counts.sum()."""
-    m = counts.sum()
-    if m == 0:
-        raise ValidationError("empirical table has no rounds")
-    return 0.5 * float(np.abs(counts / m - oracle.probs).sum())
+    return float(_tvd_rows(np.asarray(counts), oracle.probs))
 
 
 @dataclass
@@ -105,25 +113,46 @@ def _chi2_tail(x: float, dof: int) -> float:
     return math.fsum(terms)
 
 
+def _chi2_rows(counts: np.ndarray, probs: np.ndarray) -> tuple:
+    """Pearson chi-square of each table against its probabilities, and its
+    degrees of freedom (``_pearson_rows`` over the four cells)."""
+    m = counts.sum(axis=(-2, -1), keepdims=True)
+    if np.any(m == 0):
+        raise ValidationError("chi-square needs at least one round")
+    cells = counts.shape[:-2] + (4,)
+    exp = (m * probs).reshape(cells)
+    return _pearson_rows(counts.reshape(cells).astype(float), exp, exp > 0.0)
+
+
 def chi2_stat(counts: np.ndarray, oracle: JointDistribution) -> Chi2Result:
     """Pearson chi-square of the counts against the oracle probabilities.
 
     Cells with zero oracle probability contribute infinity if they were ever
     observed and are dropped from the degrees of freedom otherwise.
     """
-    m = counts.sum()
-    if m == 0:
-        raise ValidationError("chi-square needs at least one round")
-    exp = m * oracle.probs.ravel()
-    return _pearson(counts.ravel().astype(float), exp, exp > 0.0)
+    stat, dof = _chi2_rows(np.asarray(counts), oracle.probs)
+    return Chi2Result(float(stat), int(dof))
+
+
+def _pearson_rows(obs: np.ndarray, exp: np.ndarray, live: np.ndarray) -> tuple:
+    """Pearson chi-square over the ``live`` cells of each row (last axis), and
+    its degrees of freedom; infinite where a dead cell was hit.
+
+    A dead cell's term is +0.0.  Every term is a square over a positive
+    expectation, so >= +0.0, and x + 0.0 == x for such x: numpy sums a row of
+    fewer than 8 cells in order, so a row's sum has the bytes of the sum
+    over its live cells alone.
+    """
+    dof = live.sum(axis=-1) - 1
+    terms = np.divide((obs - exp) ** 2, exp, out=np.zeros(np.shape(exp)), where=live)
+    hit = np.any((obs > 0) & ~live, axis=-1)
+    return np.where(hit, np.inf, terms.sum(axis=-1)), dof
 
 
 def _pearson(obs: np.ndarray, exp: np.ndarray, live: np.ndarray) -> Chi2Result:
     """Pearson chi-square over the ``live`` cells; infinite if a dead cell was hit."""
-    dof = int(live.sum()) - 1
-    if np.any(obs[~live] > 0):
-        return Chi2Result(float("inf"), dof)
-    return Chi2Result(float(np.sum((obs[live] - exp[live]) ** 2 / exp[live])), dof)
+    stat, dof = _pearson_rows(np.asarray(obs), np.asarray(exp), np.asarray(live))
+    return Chi2Result(float(stat), int(dof))
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +356,9 @@ def density_property_suite(
         for _ in range(settings):
             x = sample_uniform_sphere(x_rng, 1)[0]
             lam = sample_uniform_sphere(lam_rng, block)
-            coll = collapse(state, x)
-            rt = eval_rho_tilde(state, x, lam, clamp=False)
-            rt_neg = eval_rho_tilde(state, x, -lam, clamp=False)
+            coll = collapse(state, x)  # once per setting, for lam and -lam
+            rt = _rho_tilde_given(state, coll, lam, clamp=False)
+            rt_neg = _rho_tilde_given(state, coll, -lam, clamp=False)
             max_rt = max(max_rt, float(rt.max()))
             checks = {
                 "nonnegative": -rt,
@@ -478,27 +507,32 @@ def verification_report(
     meta: Optional[dict] = None,
     chsh: Optional[ChshEstimate] = None,
 ) -> VerificationReport:
-    """Compare every setting of a run against the Born oracle."""
+    """Compare every setting of a run against the Born oracle.
+
+    The oracle tables, the TVDs and the chi-squares of all the settings are
+    each one array pass (``born_tables``, ``_tvd_rows``, ``_chi2_rows``), with
+    the bytes of the one-setting functions."""
     check_tolerance(tolerance)
     tol = pass_threshold(sim.rounds_per_setting) if tolerance is None else tolerance
-    rows = []
-    for s in sim.settings:
-        oracle = born_joint(sim.state, s.x, s.y)
-        dist = tvd(s.counts, oracle)
-        chi = chi2_stat(s.counts, oracle)
-        rows.append(
-            SettingRow(
-                p=sim.state.p,
-                protocol=sim.protocol.value,
-                x=s.x,
-                y=s.y,
-                rounds=s.rounds,
-                tvd=dist,
-                chi2=chi.statistic,
-                bits_mean=s.bits_sum / max(s.rounds, 1),
-                passed=bool(dist <= tol),
-            )
+    settings = sim.settings
+    probs = born_tables(sim.state, [s.x for s in settings], [s.y for s in settings])
+    counts = np.array([s.counts for s in settings], dtype=np.int64).reshape(-1, 2, 2)
+    dists = _tvd_rows(counts, probs).tolist()
+    chis = _chi2_rows(counts, probs)[0].tolist()
+    rows = [
+        SettingRow(
+            p=sim.state.p,
+            protocol=sim.protocol.value,
+            x=s.x,
+            y=s.y,
+            rounds=s.rounds,
+            tvd=dist,
+            chi2=chi,
+            bits_mean=s.bits_sum / max(s.rounds, 1),
+            passed=bool(dist <= tol),
         )
+        for s, dist, chi in zip(settings, dists, chis)
+    ]
     if sim.total_rounds == 0:
         raise ValidationError("communication statistics need at least one round")
     return VerificationReport(

@@ -333,7 +333,7 @@ def alice_main(ref: socket.socket, bob: socket.socket) -> None:
             priv_key = stream_key(seed, pair, CH_ALICE) if info.private else None
             (scan,) = envelope_scans(protocol, state, [key], rounds)
             for lo, hi in _chunks(rounds):
-                sampler = _vector_sampler(protocol, state, x, seed, pair, lo)
+                sampler = _vector_sampler(protocol, state, x, seed, pair, lo, coll)
 
                 def tile(t_lo, t_hi, shared, priv):
                     """The tile's a and its message entries, as bytes."""

@@ -7,7 +7,7 @@ No simulation, report, command or benchmark runs them, so they are not in
 import numpy as np
 from scipy import integrate
 
-from lhvsim.bloch import State, check_unit, collapse, dot3, sign_pm, theta
+from lhvsim.bloch import CollapseData, State, Z_AXIS, check_unit, collapse, dot3, sign_pm, theta
 from lhvsim.protocols import _weight_given
 from lhvsim.sampling import INV_PI, TWO_PI, rho_tilde_max_cos
 from lhvsim.verify import Chi2Result, _cos_marginal, _pearson
@@ -35,6 +35,46 @@ def eval_rho(state: State, x: np.ndarray, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     dp, dm = dot3(lam, coll.v_plus), dot3(lam, coll.v_minus)
     return (coll.p_plus * theta(dp) + coll.p_minus * theta(dm)) * INV_PI
+
+
+def collapse_numpy(state: State, x: np.ndarray) -> CollapseData:
+    """``bloch.collapse`` in numpy arrays and complex128 scalars: the form it
+    replaced, which ``collapse`` must equal byte for byte."""
+
+    def qubit_ket(v):
+        vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
+        if 1.0 + vz < 1e-15:
+            return np.array([0.0, 1.0], dtype=complex)
+        alpha = np.sqrt((1.0 + vz) / 2.0)
+        beta = (vx + 1j * vy) / np.sqrt(2.0 * (1.0 + vz))
+        return np.array([alpha, beta], dtype=complex)
+
+    def bloch_of_ket(ket):
+        g0, g1 = ket[0], ket[1]
+        cross = np.conj(g0) * g1
+        norm2 = abs(g0) ** 2 + abs(g1) ** 2
+        return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(g0) ** 2 - abs(g1) ** 2]) / norm2
+
+    x = check_unit(x, "x")
+    sp, sm = np.sqrt(state.p), np.sqrt(1.0 - state.p)
+    vs, degenerate = [], []
+    for sign in (1.0, -1.0):
+        alpha, beta = qubit_ket(sign * x)
+        bob = np.array([sp * np.conj(alpha), sm * np.conj(beta)])
+        if float(abs(bob[0]) ** 2 + abs(bob[1]) ** 2) <= 1e-30:
+            vs.append(Z_AXIS.copy())
+            degenerate.append(True)
+        else:
+            vs.append(bloch_of_ket(bob))
+            degenerate.append(False)
+    return CollapseData(
+        p_plus=0.5 * (1.0 + state.c * x[2]),
+        p_minus=0.5 * (1.0 - state.c * x[2]),
+        v_plus=vs[0],
+        v_minus=vs[1],
+        degenerate_plus=degenerate[0],
+        degenerate_minus=degenerate[1],
+    )
 
 
 def n_of_p_quadrature(p: float, epsabs: float = 1e-10) -> float:

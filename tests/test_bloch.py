@@ -16,6 +16,7 @@ from lhvsim.bloch import (
     Z_AXIS,
     born_joint,
     born_joint_closed,
+    born_tables,
     chsh_value,
     collapse,
     correlation,
@@ -26,7 +27,7 @@ from lhvsim.bloch import (
     tsirelson_settings,
 )
 from lhvsim.errors import ValidationError
-from oracles import heaviside, same_bytes
+from oracles import collapse_numpy, heaviside, same_bytes
 
 RNG = np.random.default_rng(20240811)
 
@@ -249,6 +250,34 @@ class TestBornJoint:
             got = born_joint(State(p), x, y).probs
             assert got.tobytes() == kron_form(State(p), x, y).tobytes(), (p, x, y)
 
+    def test_tables_are_born_joint_of_each_pair(self):
+        # the batched operators act on each pair as on it alone, so a table's
+        # bytes do not depend on the batch (born_joint is the one-pair batch)
+        rng = np.random.default_rng(14)
+        poles = [(Z_AXIS, Z_AXIS), (-Z_AXIS, Z_AXIS), (Z_AXIS, -Z_AXIS), (bloch.X_AXIS, -Z_AXIS)]
+        pairs = default_setting_pairs(20) + poles
+        pairs += [(random_unit(rng), random_unit(rng)) for _ in range(100)]
+        xs, ys = np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
+        for p in (0.5, 0.7, 0.835, 0.9, 0.933, 0.95, 1.0, rng.uniform(0.5, 1.0)):
+            tables = born_tables(State(p), xs, ys)
+            assert tables.shape == (len(pairs), 2, 2)
+            for (x, y), table in zip(pairs, tables):
+                assert table.tobytes() == born_joint(State(p), x, y).probs.tobytes(), (p, x, y)
+        assert born_tables(State(0.7), [], []).shape == (0, 2, 2)
+
+    def test_tables_raise_the_one_pair_errors(self):
+        xs = np.array([Z_AXIS, Z_AXIS, [0.0, 0.0, 1.1]])
+        with pytest.raises(ValidationError, match=r"x must be unit norm, \|x\| = 1.1"):
+            born_tables(State(0.7), xs, xs[:1].repeat(3, axis=0))
+        ys = np.array([Z_AXIS, [np.nan, 0.0, 1.0], Z_AXIS])
+        with pytest.raises(ValidationError, match="y has non-finite components"):
+            born_tables(State(0.7), xs[:1].repeat(3, axis=0), ys)
+        tables = np.full((3, 2, 2), 0.25)
+        bloch._check_tables(tables)
+        tables[1, 1, 1] = 0.5
+        with pytest.raises(ValidationError, match="does not sum to 1"):
+            bloch._check_tables(tables)
+
     def test_closed_form_equals_oracle_path(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -322,6 +351,23 @@ class TestCollapse:
             assert np.linalg.norm(c.v_minus) == pytest.approx(1.0, abs=1e-10)
             lhs = c.p_plus * c.v_plus + c.p_minus * c.v_minus
             np.testing.assert_allclose(lhs, (2 * p - 1) * Z_AXIS, atol=1e-10)
+
+    def test_equals_the_numpy_form(self):
+        # Python floats and complex do the IEEE operations of numpy's
+        # complex128 scalars: same bytes, signed zeros and poles included
+        rng = np.random.default_rng(31)
+        axes = [Z_AXIS, -Z_AXIS, bloch.X_AXIS, -bloch.X_AXIS, np.array([0.0, -1.0, 0.0])]
+        axes += [np.array([0.6, -0.0, 0.8]), np.array([-0.0, 0.0, -1.0])]
+        cases = [(p, x) for p in (0.5, 0.7, 1.0, np.nextafter(1.0, 0.0)) for x in axes]
+        cases += [(rng.uniform(0.5, 1.0), random_unit(rng)) for _ in range(2000)]
+        cases += [(1.0, random_unit(rng)) for _ in range(100)]
+        for p, x in cases:
+            got, want = collapse(State(p), x), collapse_numpy(State(p), x)
+            for name in ("p_plus", "p_minus", "v_plus", "v_minus"):
+                assert same_bytes(np.float64(getattr(got, name)), getattr(want, name)), (p, x, name)
+            assert (got.degenerate_plus, got.degenerate_minus) == (
+                want.degenerate_plus, want.degenerate_minus
+            )
 
     def test_collapse_matches_oracle_marginals(self):
         rng = np.random.default_rng(29)

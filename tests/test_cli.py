@@ -183,12 +183,12 @@ class TestProps:
     def test_corrupted_density_fails_naming_property(self, monkeypatch, capsys):
         import lhvsim.verify as verify
 
-        true_fn = verify.eval_rho_tilde
+        true_fn = verify._rho_tilde_given  # the suite's rhot_x, given x's collapse
 
-        def corrupted(state, x, lam, clamp=True):
-            return true_fn(state, x, lam, clamp=clamp) - 1e-6
+        def corrupted(state, coll, lam, clamp=True):
+            return true_fn(state, coll, lam, clamp=clamp) - 1e-6
 
-        monkeypatch.setattr(verify, "eval_rho_tilde", corrupted)
+        monkeypatch.setattr(verify, "_rho_tilde_given", corrupted)
         rep = verify.density_property_suite([0.7], trials=2000, seed=9, area_samples=10**4)
         assert not rep.passed
         failed = {m.name for m in rep.margins if not m.passed}

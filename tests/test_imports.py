@@ -26,11 +26,12 @@ loaded = sorted(
     or m == "numpy.polynomial" or m.startswith("numpy.polynomial.")
 )
 print("loaded at import:", loaded)
-# building settings loads neither the simulator, the certifier nor the wire layer
+# building settings loads neither the simulator, the certifier, the wire layer
+# nor numpy.random
 from lhvsim.sampling import improved_one_bit_threshold
 lhvsim.default_setting_pairs(20)
 improved_one_bit_threshold()
-heavy = ("lhvsim.protocols", "lhvsim.verify", "lhvsim.wire", "multiprocessing")
+heavy = ("lhvsim.protocols", "lhvsim.verify", "lhvsim.wire", "multiprocessing", "numpy.random")
 print("loaded by set-up:", [m for m in heavy if m in sys.modules])
 print("unresolved names:", [name for name in lhvsim.__all__ if not hasattr(lhvsim, name)])
 from lhvsim.cli import main

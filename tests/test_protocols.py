@@ -65,6 +65,7 @@ from lhvsim.sampling import (
     EnvelopeScan,
     ZHemisphere,
     check_bound,
+    generator_at,
     improved_one_bit_threshold,
     make_generator,
     n_of_p,
@@ -141,6 +142,14 @@ class TestApplicability:
         priv = AlicePrivate(u_msg=np.array([0.5]), u_out=np.array([0.5]))
         res = alice_decide(ProtocolId.ONE_BIT, State(thr), X_AXIS, shared, priv)
         assert res.msg.tolist() == [1]  # accepted with probability 1
+
+    def test_one_bit_runs_at_its_threshold(self):
+        # the smallest p the domain admits never trips the rule's guard; x on
+        # the equator is where the acceptance peaks
+        thr = one_bit_threshold()
+        pairs = [(X_AXIS, Z_AXIS), (np.array([0.0, 1.0, 0.0]), X_AXIS)]
+        res = simulate(ProtocolId.ONE_BIT, State(thr), pairs, 5 * 10**5, seed=24, workers=2)
+        assert res.total_rounds == 10**6
 
     def test_degorre_only_at_half(self):
         check_applicable(ProtocolId.DEGORRE, State(0.5))
@@ -519,6 +528,49 @@ class TestSimulate:
         monkeypatch.setattr(protocols, "generator_at", real)
         tiles = _play_tiles(pid, state, n, lo, hi, key, None, None, _tile_draws)
         assert np.array_equal(talk, np.concatenate([shared.r for shared, _ in tiles]) == 1)
+
+    @pytest.mark.parametrize("n,lo,hi", [(CHUNK, 0, CHUNK), (3 * CHUNK + 5, CHUNK, 2 * CHUNK),
+                                         (3 * CHUNK + 5, 3 * CHUNK, 3 * CHUNK + 5)])
+    def test_talk_chunk_equals_the_whole_chunk_read(self, n, lo, hi):
+        # r is read TILE rounds at a time from one generator: the rounds of
+        # reading the chunk's uniforms at once.  Improved-one-bit's r is its
+        # first block; local-content's follows two uniforms per round
+        key = stream_key(26, 0, CH_SHARED)
+        for pid, p, start, talks in (
+            (ProtocolId.IMPROVED_ONE_BIT, 0.9, 0, lambda u: u < n_of_p(0.9)),
+            (ProtocolId.LOCAL_CONTENT, 0.7, 2 * n, lambda u: u >= State(0.7).c),
+        ):
+            want = talks(generator_at(key, start + lo).random(hi - lo))
+            got = talk_chunk(pid, State(p), key, n, lo, hi)
+            assert got.dtype == bool and np.array_equal(got, want), pid
+
+    def test_talk_chunk_holds_no_chunk_of_uniforms(self):
+        # one CHUNK-round call holds its bool result and one tile's uniforms
+        # and bits; reading the whole chunk at once held 512 KiB of uniforms
+        import tracemalloc
+
+        pid, state, key = ProtocolId.IMPROVED_ONE_BIT, State(0.9), stream_key(26, 0, CH_SHARED)
+        talk_chunk(pid, state, key, 3 * CHUNK, CHUNK, 2 * CHUNK)
+        tracemalloc.start()
+        try:
+            talk_chunk(pid, state, key, 3 * CHUNK, CHUNK, 2 * CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < CHUNK + (8 + 2) * TILE + 2**12
+
+    @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
+    def test_reads_no_os_entropy(self, monkeypatch, pid, p):
+        # every stream opens from its seed or its key: a generator seeded from
+        # the OS (SeedSequence() with no entropy) would call randbits
+        import numpy.random.bit_generator as bit_generator
+
+        def entropy(*args):
+            raise AssertionError("a stream read OS entropy")
+
+        monkeypatch.setattr(bit_generator, "randbits", entropy)
+        res = simulate(pid, State(p), [(X_AXIS, Z_AXIS)], CHUNK + 5, seed=27, workers=2)
+        assert res.total_rounds == CHUNK + 5
 
     def test_a_chunk_reads_each_envelope_block_once(self, monkeypatch):
         # the envelope is opened once per chunk, through one sampler that reads

@@ -591,6 +591,35 @@ class TestPositionedStreams:
             assert np.array_equal(got, ref[offset : offset + 20])
 
 
+    @pytest.mark.parametrize("offset", [0, 1, 3, 4, 2**40 + 3, 2**66 + 1])
+    def test_generator_at_sets_the_whole_counter(self, offset):
+        # the 256-bit counter is set to offset // 4, carry words included; a
+        # generator of the seed's stream reaches the same place by drawing or,
+        # past any draw, by Philox.advance
+        ref = make_generator(28, 3, 1)
+        steps, rest = divmod(offset, 4)
+        if offset < 100:
+            ref.random(offset)
+        else:
+            ref.bit_generator.advance(steps)
+            ref.random(rest)
+        got = generator_at(stream_key(28, 3, 1), offset)
+        assert np.array_equal(got.random(9), ref.random(9))
+
+    def test_generator_at_reads_no_os_entropy(self, monkeypatch):
+        # Philox(key=...) seeds a SeedSequence() from the OS that it never uses
+        import numpy.random.bit_generator as bit_generator
+
+        def entropy(*args):
+            raise AssertionError("a stream read OS entropy")
+
+        monkeypatch.setattr(bit_generator, "randbits", entropy)
+        with pytest.raises(AssertionError, match="OS entropy"):
+            np.random.Philox(key=np.array(stream_key(28, 3, 1), dtype=np.uint64))
+        ref = make_generator(28, 3, 1).random(12)
+        assert np.array_equal(generator_at(stream_key(28, 3, 1), 5).random(7), ref[5:])
+
+
 class TestCheckBound:
     def test_rounding_excess_passes_where_the_bound_is_small(self):
         # eight roundoffs above a 1e-4 bound: a ratio test with slack 1e-12

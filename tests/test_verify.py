@@ -8,6 +8,7 @@ import pytest
 from lhvsim.bloch import (
     JointDistribution,
     State,
+    born_joint,
     X_AXIS,
     Z_AXIS,
     chsh_value,
@@ -18,7 +19,7 @@ from lhvsim.bloch import (
     theta,
     tsirelson_settings,
 )
-from lhvsim import protocols, verify
+from lhvsim import protocols, sampling, verify
 from lhvsim.errors import DomainError, ValidationError
 from lhvsim.protocols import CH_SHARED, CHUNK, PROTOCOLS, ProtocolId, _envelope, _uniform, simulate
 from lhvsim.sampling import make_generator, n_of_p, sample_theta_hemisphere
@@ -345,6 +346,24 @@ class TestDensityProperties:
             (p, *area) for p, area in zip(area_points, areas)
         ]
 
+    def test_suite_collapses_each_setting_once(self, monkeypatch):
+        # one collapse serves rhot_x at lam and at -lam; the margins, witnesses
+        # and peaks are those of evaluating each with its own collapse
+        p_list, trials = [0.6, 0.9], 5000
+        worst, witness, peak, _ = self._whole_draw_suite(p_list, trials, 59, 1, [])
+        calls = []
+        for module in (verify, sampling):  # eval_rho_tilde collapses in sampling
+            real = module.collapse
+            monkeypatch.setattr(
+                module, "collapse", lambda state, x, real=real: calls.append(x) or real(state, x)
+            )
+        rep = density_property_suite(p_list, trials=trials, seed=59, area_points=[])
+        assert len(calls) == len(p_list) * trials // 100
+        assert {m.name: (m.worst, m.witness) for m in rep.margins} == {
+            name: (worst[name], witness[name]) for name in worst
+        }
+        assert rep.max_density == peak
+
     def test_suite_memory_does_not_grow_with_trials(self):
         # drawing 10^6 lam at once held about 46 MiB
         import tracemalloc
@@ -439,6 +458,56 @@ class TestReports:
         res = simulate(ProtocolId.TRIT, State(0.7), [], 10, seed=62)
         with pytest.raises(ValidationError, match="communication statistics"):
             verification_report(res)
+
+    def test_rows_equal_the_one_table_functions(self):
+        # the report takes the oracle, TVD and chi-square of every pair in one
+        # array pass; each row has the bytes of the one-table functions and of
+        # the per-pair formulas that the pass replaced
+        def per_pair_tvd(counts, probs):
+            return 0.5 * float(np.abs(counts / counts.sum() - probs).sum())
+
+        def per_pair_chi2(counts, probs):
+            exp = counts.sum() * probs.ravel()
+            obs, live = counts.ravel().astype(float), exp > 0.0
+            if np.any(obs[~live] > 0):
+                return float("inf")
+            return float(np.sum((obs[live] - exp[live]) ** 2 / exp[live]))
+
+        # at p = 1, x = +-z fixes a, so two cells of the table are dead
+        poles = [(Z_AXIS, X_AXIS), (-Z_AXIS, Z_AXIS), (X_AXIS, -Z_AXIS)]
+        pairs = default_setting_pairs(20) + poles
+        sims = [
+            simulate(ProtocolId.TRIT, State(p), pairs, 300, seed=63)
+            for p in (0.5, 0.7, 0.835, 0.9, 0.933, 0.95, 1.0)
+        ]
+        one = sims[-1].settings[20]  # x = z at p = 1: a = -1 never happens
+        hit = dataclasses.replace(one, counts=one.counts + np.array([[0, 0], [1, 0]]))
+        sims.append(dataclasses.replace(sims[-1], settings=[one, hit]))
+        dofs = set()
+        for sim in sims:
+            rep = verification_report(sim)
+            assert len(rep.rows) == len(sim.settings)
+            for row, s in zip(rep.rows, sim.settings):
+                oracle = born_joint(sim.state, s.x, s.y)
+                chi = chi2_stat(s.counts, oracle)
+                dofs.add(chi.dof)
+                assert row.tvd.hex() == tvd(s.counts, oracle).hex()
+                assert row.tvd.hex() == per_pair_tvd(s.counts, oracle.probs).hex()
+                assert row.chi2.hex() == chi.statistic.hex()
+                assert row.chi2.hex() == per_pair_chi2(s.counts, oracle.probs).hex()
+        assert dofs == {0, 1, 3}  # dead cells at p = 1
+        assert [row.chi2 for row in rep.rows][1] == float("inf")
+
+    def test_a_table_of_no_rounds_is_rejected_among_others(self):
+        res = simulate(ProtocolId.TRIT, State(0.7), default_setting_pairs(3), 100, seed=62)
+        empty = dataclasses.replace(res.settings[1], counts=np.zeros((2, 2), dtype=np.int64))
+        res.settings[1] = empty
+        with pytest.raises(ValidationError, match="empirical table has no rounds"):
+            verification_report(res)
+        counts = np.array([s.counts for s in res.settings])
+        probs = np.full((3, 2, 2), 0.25)
+        with pytest.raises(ValidationError, match="chi-square needs at least one round"):
+            verify._chi2_rows(counts, probs)
 
     def test_failed_row_fails_report(self):
         res = simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], 10**5, seed=61)
