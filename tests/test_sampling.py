@@ -590,7 +590,6 @@ class TestPositionedStreams:
             got = generator_at(stream_key(28, 3, 1), offset).random(20)
             assert np.array_equal(got, ref[offset : offset + 20])
 
-
     @pytest.mark.parametrize("offset", [0, 1, 3, 4, 2**40 + 3, 2**66 + 1])
     def test_generator_at_sets_the_whole_counter(self, offset):
         # the 256-bit counter is set to offset // 4, carry words included; a
