@@ -12,8 +12,9 @@ Subcommands:
 * ``audit``     - re-audit a transcript dumped by wire-run.
 
 Exit codes: 0 = pass, 1 = verification failure, 2 = usage error.  A JSON
-config file (flat keys mirroring the flags) can seed any subcommand; flags
-override the file.  LHVSIM_SEED provides the default seed.
+config file (flat keys mirroring the flags) can seed ``simulate``,
+``wire-run`` and ``sweep``; flags override the file.  LHVSIM_SEED provides
+the default seed.
 
 Every report embeds (seed, config hash, version); identical config and seed
 produce byte-identical output files.

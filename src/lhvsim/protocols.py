@@ -291,23 +291,30 @@ class _NoStream:
     random = staticmethod(np.empty)
 
 
+def _field_start(info, state, n, k) -> int:
+    """The stream position where field k of the n-round shared layout begins:
+    the fields before it are drawn for no rounds, from no stream.  None of
+    them may be the envelope, whose length only its draw tells."""
+    before = _Chunk(lambda offset: _NoStream, n, 0, 0)
+    for _, law in info.shared[:k]:
+        law(state, before)
+    return before.start
+
+
 def talk_chunk(protocol, state, key, n, lo, hi) -> np.ndarray:
     """The rounds of [lo, hi) of the n-round shared draw of Philox key ``key``
     in which Alice talks: those with shared bit r = 1, or all with no r.  Only
-    r's block is opened: the fields before r are drawn for no rounds, from no
-    stream, to find where it starts.  It is read ``TILE`` rounds at a time, so
-    no uniforms of the whole chunk are held.  A protocol without r opens no
-    stream, and r precedes the envelope, so none is drawn."""
+    r's block is opened, at ``_field_start``.  It is read ``TILE`` rounds at a
+    time, so no uniforms of the whole chunk are held.  A protocol without r
+    opens no stream."""
     info = PROTOCOLS[protocol]
     names = [name for name, _ in info.shared]
     talk = np.ones(hi - lo, dtype=bool)
     if "r" not in names:
         return talk
     k = names.index("r")
-    before = _Chunk(lambda offset: _NoStream, n, 0, 0)
-    for _, law in info.shared[:k]:
-        law(state, before)
-    src = _Chunk(lambda offset: generator_at(key, before.start + offset), n, lo, hi)
+    start = _field_start(info, state, n, k)
+    src = _Chunk(lambda offset: generator_at(key, start + offset), n, lo, hi)
     for a in range(lo, hi, TILE):
         b = min(a + TILE, hi)
         np.equal(info.shared[k][1](state, src.tile(a, b)), 1, out=talk[a - lo : b - lo])
@@ -321,12 +328,14 @@ def envelope_scans(protocol, state, keys, n, map_fn=map) -> list:
 
     None for each key if the pairs draw no envelope, or have at most
     ``CHUNK`` rounds: a pair's only chunk draws the envelope whole, testing
-    each candidate.  The candidates follow the n shared-bit uniforms that
-    the shared layout reads first.
+    each candidate.  The candidates start at the envelope's ``_field_start``.
     """
-    if n <= CHUNK or not PROTOCOLS[protocol].draws_envelope(state):
+    info = PROTOCOLS[protocol]
+    if n <= CHUNK or not info.draws_envelope(state):
         return [None] * len(keys)
-    scans = [EnvelopeScan(state, key, n, n) for key in keys]
+    k = [law for _, law in info.shared].index(_envelope)
+    start = _field_start(info, state, n, k)
+    scans = [EnvelopeScan(state, key, start, n) for key in keys]
     scan_envelopes(scans, map_fn)
     return scans
 
@@ -391,7 +400,7 @@ def _dots_where(mask: np.ndarray, d: tuple, lam, coll) -> tuple:
 # Alice's rules: (state, collapse(state, x), shared, private, sampler) ->
 # (a, msg, payload).  msg is a uint8 symbol, 0 for a silent round; payload
 # holds the vector messages, or is None.  ``simulate`` collapses x once per
-# chunk and hands the result to every tile.  The rules never build the
+# pair and hands the result to every tile.  The rules never build the
 # vectors they commit to: they select among the dot products of each shared
 # field with v_+ and v_-, which give the same bytes as the dot products of
 # the selected vectors.  The hemisphere field serves the constant part of
@@ -663,15 +672,21 @@ def check_applicable(protocol: ProtocolId, state: State) -> None:
         )
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer other than a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _checked_run(protocol: ProtocolId, state: State, settings, rounds, seed) -> tuple:
     """A run's validated (x, y) pairs, rounds per pair and seed; raises
     DomainError or ValidationError."""
     check_applicable(protocol, state)
     pairs = [(check_unit(x, "x"), check_unit(y, "y")) for x, y in settings]
-    n = int(rounds)
-    if n < 0:
+    if not _is_integer(rounds):
+        raise ValidationError(f"rounds_per_setting must be an integer >= 0, got {rounds!r}")
+    if rounds < 0:
         raise ValidationError("rounds_per_setting must be >= 0")
-    return pairs, n, check_seed(seed)
+    return pairs, int(rounds), check_seed(seed)
 
 
 @dataclass
@@ -772,7 +787,6 @@ class SettingResult:
     a_seq: Optional[np.ndarray] = None
     b_seq: Optional[np.ndarray] = None
     msg_seq: Optional[np.ndarray] = None
-    bits_seq: Optional[np.ndarray] = None
     lam_seq: Optional[np.ndarray] = None
 
     @property
@@ -804,7 +818,6 @@ def _aggregate(
         a_seq=res.a if keep_outcomes else None,
         b_seq=res.b if keep_outcomes else None,
         msg_seq=res.msg if keep_outcomes else None,
-        bits_seq=res.bits if keep_outcomes else None,
         lam_seq=res.lam if keep_lambdas else None,
     )
 
@@ -880,7 +893,6 @@ def _merge(parts: list) -> SettingResult:
         a_seq=joined("a_seq"),
         b_seq=joined("b_seq"),
         msg_seq=joined("msg_seq"),
-        bits_seq=joined("bits_seq"),
         lam_seq=joined("lam_seq"),
     )
 
@@ -914,20 +926,21 @@ def simulate(
     chunk's whole outcome arrays, so the tiles change no output byte.
     """
     pairs, n, seed = _checked_run(protocol, state, settings, rounds_per_setting, seed)
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+    if not _is_integer(workers) or workers < 1:
         raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
     info = PROTOCOLS[protocol]
     cost = np.asarray(info.cost)  # bits per symbol, for np.take
     chunks = _chunks(n)
     keys = [stream_key(seed, k, CH_SHARED) for k in range(len(pairs))]
     priv_keys = [stream_key(seed, k, CH_ALICE) if info.private else None for k in range(len(pairs))]
+    # the setting set-up of both rules, made once per pair for all its chunks
+    setups = [(collapse(state, x), partial(dot3, b=y)) for x, y in pairs]
 
     def play(unit):
-        """One chunk, tile by tile; a tile's arrays are dropped once it is played.
-        The setting set-up of both rules is made once, for all the tiles."""
+        """One chunk, tile by tile; a tile's arrays are dropped once it is played."""
         k, (lo, hi), scan = unit
         x, y = pairs[k]
-        coll, y_dot = collapse(state, x), partial(dot3, b=y)
+        coll, y_dot = setups[k]
         sampler = _vector_sampler(protocol, state, x, seed, k, lo, coll)
 
         def tile(t_lo, t_hi, shared, priv):

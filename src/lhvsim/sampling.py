@@ -609,9 +609,8 @@ class RhoTildeSampler(_BufferedSampler):
 
     def __init__(self, state: State, x: np.ndarray, rng: np.random.Generator, coll=None):
         super().__init__(state, rng, "rhot_x is identically zero at p = 1", width=3)
-        self.x = check_unit(x, "x")
         # ``coll`` is collapse(state, x) if the caller has it already
-        self._coll = collapse(self.state, self.x) if coll is None else coll
+        self._coll = collapse(self.state, x) if coll is None else coll
         self._inner = RhoTildeMaxSampler(self.state, rng)
         p = self.state.p
         # a candidate is kept with probability 2(1-p) / N(p), and N -> 2 as p -> 1/2

@@ -468,30 +468,54 @@ def chsh_estimate(
 
 
 @dataclass
-class SettingRow:
-    p: float
-    protocol: str
-    x: np.ndarray
-    y: np.ndarray
-    rounds: int
-    tvd: float
-    chi2: float
-    bits_mean: float
-    passed: bool
-
-
-@dataclass
 class VerificationReport:
-    meta: dict
-    rows: list
-    max_tvd: float
-    comm: dict  # the run's communication cost, as report.json writes it
+    """A run against the Born oracle: the TVD and chi-square of each setting
+    pair, in ``sim.settings`` order.  The pass flags, the maximum TVD and the
+    communication cost follow from these and the run, and are derived where
+    read."""
+
+    sim: SimulationResult
+    tvd: list
+    chi2: list
     tolerance: float
+    meta: dict
     chsh: Optional[ChshEstimate] = None
 
     @property
+    def max_tvd(self) -> float:
+        return max(self.tvd, default=0.0)
+
+    @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+        return bool(self.max_tvd <= self.tolerance)
+
+    @property
+    def comm(self) -> dict:
+        """The run's communication cost, as report.json writes it."""
+        sim = self.sim
+        return {
+            "mean_bits": sim.mean_bits,
+            "stderr": sim.bits_stderr,
+            "worst_bits": sim.worst_bits,
+            "no_message_fraction": sim.no_message_fraction,
+            "total_rounds": sim.total_rounds,
+        }
+
+    def rows(self) -> list:
+        """Each setting pair's entry of report.json's "settings"; settings.csv
+        writes the same values."""
+        return [
+            {
+                "x": [float(c) for c in s.x],
+                "y": [float(c) for c in s.y],
+                "rounds": s.rounds,
+                "tvd": dist,
+                "chi2": chi,
+                "bits_mean": s.bits_sum / max(s.rounds, 1),
+                "pass": bool(dist <= self.tolerance),
+            }
+            for s, dist, chi in zip(self.sim.settings, self.tvd, self.chi2)
+        ]
 
 
 def check_tolerance(tolerance: Optional[float]) -> None:
@@ -519,36 +543,9 @@ def verification_report(
     counts = np.array([s.counts for s in settings], dtype=np.int64).reshape(-1, 2, 2)
     dists = _tvd_rows(counts, probs).tolist()
     chis = _chi2_rows(counts, probs)[0].tolist()
-    rows = [
-        SettingRow(
-            p=sim.state.p,
-            protocol=sim.protocol.value,
-            x=s.x,
-            y=s.y,
-            rounds=s.rounds,
-            tvd=dist,
-            chi2=chi,
-            bits_mean=s.bits_sum / max(s.rounds, 1),
-            passed=bool(dist <= tol),
-        )
-        for s, dist, chi in zip(settings, dists, chis)
-    ]
     if sim.total_rounds == 0:
         raise ValidationError("communication statistics need at least one round")
-    return VerificationReport(
-        meta=dict(meta or {}),
-        rows=rows,
-        max_tvd=max((r.tvd for r in rows), default=0.0),
-        comm={
-            "mean_bits": sim.mean_bits,
-            "stderr": sim.bits_stderr,
-            "worst_bits": sim.worst_bits,
-            "no_message_fraction": sim.no_message_fraction,
-            "total_rounds": sim.total_rounds,
-        },
-        tolerance=tol,
-        chsh=chsh,
-    )
+    return VerificationReport(sim, dists, chis, tol, dict(meta or {}), chsh)
 
 
 def _fmt_vec(v: np.ndarray) -> str:
@@ -558,22 +555,11 @@ def _fmt_vec(v: np.ndarray) -> str:
 def report_rows_csv(report: VerificationReport) -> str:
     """Per-setting rows; one line per setting pair, deterministic bytes."""
     lines = ["p,protocol,x_xyz,y_xyz,M,tvd,chi2,bits_mean,pass"]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    repr(float(r.p)),
-                    r.protocol,
-                    _fmt_vec(r.x),
-                    _fmt_vec(r.y),
-                    str(r.rounds),
-                    repr(float(r.tvd)),
-                    repr(float(r.chi2)),
-                    repr(float(r.bits_mean)),
-                    "1" if r.passed else "0",
-                ]
-            )
-        )
+    run = [repr(float(report.sim.state.p)), report.sim.protocol.value]
+    for r in report.rows():
+        cols = [_fmt_vec(r["x"]), _fmt_vec(r["y"]), str(r["rounds"])]
+        cols += [repr(float(r[k])) for k in ("tvd", "chi2", "bits_mean")]
+        lines.append(",".join(run + cols + ["1" if r["pass"] else "0"]))
     return "\n".join(lines) + "\n"
 
 
@@ -583,20 +569,9 @@ def report_to_json(report: VerificationReport) -> str:
         "meta": report.meta,
         "tolerance": float(report.tolerance),
         "max_tvd": float(report.max_tvd),
-        "pass": bool(report.passed),
+        "pass": report.passed,
         "communication": report.comm,
-        "settings": [
-            {
-                "x": [float(c) for c in r.x],
-                "y": [float(c) for c in r.y],
-                "rounds": r.rounds,
-                "tvd": r.tvd,
-                "chi2": r.chi2,
-                "bits_mean": r.bits_mean,
-                "pass": r.passed,
-            }
-            for r in report.rows
-        ],
+        "settings": report.rows(),
     }
     if report.chsh is not None:
         doc["chsh"] = {

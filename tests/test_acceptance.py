@@ -21,6 +21,7 @@ import pytest
 from lhvsim.bloch import State, born_joint, default_setting_pairs, tsirelson_settings
 from lhvsim.errors import DomainError, ProtocolViolationError
 from lhvsim.protocols import (
+    PROTOCOLS,
     ProtocolId,
     TRIT_BITS,
     check_applicable,
@@ -91,12 +92,14 @@ def test_criterion_2_communication_cost_curve():
     trit = simulate(
         ProtocolId.TRIT, State(0.7), pair, 10**5, seed=SEED + 3, keep_outcomes=True
     )
-    assert np.all(trit.settings[0].bits_seq == TRIT_BITS)  # one trit, every round
+    trit_bits = np.take(PROTOCOLS[ProtocolId.TRIT].cost, trit.settings[0].msg_seq)
+    assert np.all(trit_bits == TRIT_BITS)  # one trit, every round
     assert trit.no_message_fraction == 0.0
     one_bit = simulate(
         ProtocolId.ONE_BIT, State(0.95), pair, 10**5, seed=SEED + 4, keep_outcomes=True
     )
-    assert np.all(one_bit.settings[0].bits_seq == 1.0)  # one bit, every round
+    one_bit_cost = PROTOCOLS[ProtocolId.ONE_BIT].cost
+    assert np.all(np.take(one_bit_cost, one_bit.settings[0].msg_seq) == 1.0)  # one bit, every round
     print("criterion 2 [fixed-cost protocols]: PASS  trit = log2(3), one-bit = 1 exactly")
 
 
@@ -205,7 +208,8 @@ def test_criterion_8_wire_equivalence(oversize_messages):
     assert np.array_equal(sn.a_seq, si.a_seq)
     assert np.array_equal(sn.b_seq, si.b_seq)
     assert np.array_equal(sn.msg_seq, si.msg_seq)
-    assert np.array_equal(sn.bits_seq, si.bits_seq)
+    cost = PROTOCOLS[ProtocolId.IMPROVED_ONE_BIT].cost
+    assert np.array_equal(np.take(cost, sn.msg_seq), np.take(cost, si.msg_seq))
 
     audit = audit_transcript(transcript)
     assert audit.passed, audit.findings

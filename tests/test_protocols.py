@@ -6,7 +6,7 @@ deterministically and an off-by-a-constant bug does not.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -40,10 +40,13 @@ from lhvsim.protocols import (
     VECTOR_MESSAGE_BITS,
     BatchResult,
     _aggregate,
+    _bit_below_n_of_p,
     _bob_teleportation,
     _choice_and_flip,
     _dots,
     _dots_where,
+    _envelope,
+    _hemisphere,
     _merge,
     _one_or_two,
     _play_tiles,
@@ -76,6 +79,7 @@ from lhvsim.sampling import (
     stream_key,
 )
 from lhvsim.verify import tvd
+from lhvsim.wire import run_networked
 from oracles import alice_output_weight, bob_output, eval_rho, same_bytes
 
 
@@ -375,7 +379,8 @@ class TestImprovedOneBit:
             keep_outcomes=True,
         )
         s = res.settings[0]
-        assert np.all((s.bits_seq == 0.0) == (s.msg_seq == 0))
+        bits = np.take(PROTOCOLS[ProtocolId.IMPROVED_ONE_BIT].cost, s.msg_seq)
+        assert np.all((bits == 0.0) == (s.msg_seq == 0))
         assert set(np.unique(s.msg_seq)) <= {0, 1, 2}
 
     def test_matches_born(self):
@@ -426,7 +431,7 @@ class TestSimulate:
             pid, State(p), [(X_AXIS, Z_AXIS)], 0, seed=25, keep_outcomes=True, keep_lambdas=True
         )
         s = res.settings[0]
-        for seq in (s.a_seq, s.b_seq, s.msg_seq, s.bits_seq):
+        for seq in (s.a_seq, s.b_seq, s.msg_seq, np.take(PROTOCOLS[pid].cost, s.msg_seq)):
             assert seq.shape == (0,)
         assert s.lam_seq.shape == (0, 3)
 
@@ -438,6 +443,31 @@ class TestSimulate:
     def test_rejects_workers_that_are_no_count(self, workers):
         with pytest.raises(ValidationError, match="workers"):
             simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)] * 2, 10, 22, workers)
+
+    @pytest.mark.parametrize("run", [simulate, run_networked])
+    @pytest.mark.parametrize("rounds", [2.5, True, "100", -1])
+    def test_rejects_rounds_that_are_no_count(self, run, rounds):
+        # refused before the networked run starts its parties
+        with pytest.raises(ValidationError, match="rounds_per_setting must be"):
+            run(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], rounds, 22)
+
+    def test_accepts_a_numpy_integer_round_count(self):
+        res = simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], np.int64(5), 22)
+        assert res.rounds_per_setting == 5 and res.total_rounds == 5
+
+    def test_each_pair_is_collapsed_once(self, monkeypatch):
+        # a pair's chunks, and its chunks' vector samplers, share its set-up
+        calls = []
+
+        def counted(state, x):
+            calls.append(x)
+            return collapse(state, x)
+
+        monkeypatch.setattr(protocols, "collapse", counted)
+        monkeypatch.setattr(sampling, "collapse", counted)
+        pairs = default_setting_pairs(3)
+        simulate(ProtocolId.LOCAL_CONTENT, State(0.7), pairs, CHUNK + 1, seed=23)
+        assert len(calls) == 3
 
     def test_alphabet_soundness(self):
         for pid, p in [
@@ -716,9 +746,9 @@ class TestCostStatistics:
         res = simulate(pid, State(p), [(X_AXIS, Z_AXIS)], 2000, seed=45, keep_outcomes=True)
         s = res.settings[0]
         cost = np.asarray(PROTOCOLS[pid].cost)
-        assert np.array_equal(s.bits_seq, cost[s.msg_seq])
+        assert np.array_equal(np.take(cost, s.msg_seq), cost[s.msg_seq])
         assert s.bits_sum == float(cost[s.msg_seq].sum())
-        assert res.worst_bits == float(s.bits_seq.max())
+        assert res.worst_bits == float(np.take(cost, s.msg_seq).max())
 
 
 def one_round(pid, p, x, y, seed):
@@ -751,8 +781,10 @@ class TestSingleRoundApi:
     def test_same_stream_same_round(self):
         a = one_round(ProtocolId.TRIT, 0.7, X_AXIS, Z_AXIS, seed=32)
         b = one_round(ProtocolId.TRIT, 0.7, X_AXIS, Z_AXIS, seed=32)
-        for name in ("a_seq", "b_seq", "msg_seq", "bits_seq", "lam_seq"):
+        for name in ("a_seq", "b_seq", "msg_seq", "lam_seq"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        cost = PROTOCOLS[ProtocolId.TRIT].cost
+        assert np.array_equal(np.take(cost, a.msg_seq), np.take(cost, b.msg_seq))
 
     def test_domain_errors(self):
         for pid, seed in (
@@ -853,9 +885,26 @@ class TestChunking:
             assert got.rounds == want.rounds == n
             assert got.message_rounds == want.message_rounds
             assert got.bits_sum == want.bits_sum
-            for name in ("counts", "symbol_counts", "a_seq", "b_seq", "msg_seq",
-                         "bits_seq", "lam_seq"):
+            for name in ("counts", "symbol_counts", "a_seq", "b_seq", "msg_seq", "lam_seq"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            cost = PROTOCOLS[pid].cost
+            assert np.array_equal(np.take(cost, got.msg_seq), np.take(cost, want.msg_seq))
+
+    def test_envelope_start_follows_the_shared_layout(self, monkeypatch):
+        # with the hemisphere field and r ahead of it, the envelope begins 3n
+        # uniforms into the shared stream; the counting pass finds it there
+        pid, state, n = ProtocolId.IMPROVED_ONE_BIT, State(0.9), CHUNK + TILE + 5
+        shared = (("lam2", _hemisphere), ("r", _bit_below_n_of_p), ("lam1", _envelope))
+        monkeypatch.setitem(PROTOCOLS, pid, replace(PROTOCOLS[pid], shared=shared))
+        x, y = default_setting_pairs(1)[0]
+        got = simulate(pid, state, [(x, y)], n, seed=48, keep_outcomes=True).settings[0]
+        rows = draw_shared(pid, state, make_generator(48, 0, CH_SHARED), n)
+        priv = draw_alice_private(pid, make_generator(48, 0, CH_ALICE), n)
+        ares = alice_decide(pid, state, x, rows, priv)
+        b = bob_decide(pid, y, rows, ares.msg)
+        assert np.array_equal(got.a_seq, ares.a)
+        assert np.array_equal(got.b_seq, b)
+        assert np.array_equal(got.msg_seq, ares.msg)
 
     @pytest.mark.parametrize("pid,p", CASES, ids=CASE_IDS)
     def test_play_tiles_reads_the_whole_draw_in_tiles(self, pid, p):

@@ -13,7 +13,15 @@ from lhvsim import wire
 from lhvsim.bloch import State, X_AXIS, Z_AXIS
 from lhvsim.cli import main as cli_main
 from lhvsim.errors import ProtocolViolationError, TransportError, ValidationError
-from lhvsim.protocols import CH_SHARED, CHUNK, ProtocolId, _play_tiles, draw_shared, simulate
+from lhvsim.protocols import (
+    CH_SHARED,
+    CHUNK,
+    PROTOCOLS,
+    ProtocolId,
+    _play_tiles,
+    draw_shared,
+    simulate,
+)
 from lhvsim.sampling import make_generator, n_of_p, stream_key
 from lhvsim.wire import (
     SETUP_ROUND,
@@ -86,7 +94,8 @@ class TestEquivalence:
             assert np.array_equal(sn.a_seq, si.a_seq)
             assert np.array_equal(sn.b_seq, si.b_seq)
             assert np.array_equal(sn.msg_seq, si.msg_seq)
-            assert np.array_equal(sn.bits_seq, si.bits_seq)
+            cost = PROTOCOLS[pid].cost
+            assert np.array_equal(np.take(cost, sn.msg_seq), np.take(cost, si.msg_seq))
         assert audit_transcript(transcript).passed
 
     def test_multi_segment_run(self):
@@ -117,8 +126,11 @@ class TestChunks:
     def _equal_in_process(pid, p, rounds):
         net, transcript = run_networked(pid, State(p), PAIR, rounds, seed=21)
         ref = simulate(pid, State(p), PAIR, rounds, seed=21, keep_outcomes=True)
-        for seq in ("a_seq", "b_seq", "msg_seq", "bits_seq"):
+        for seq in ("a_seq", "b_seq", "msg_seq"):
             assert np.array_equal(getattr(net.settings[0], seq), getattr(ref.settings[0], seq))
+        cost = PROTOCOLS[pid].cost
+        got, want = net.settings[0].msg_seq, ref.settings[0].msg_seq
+        assert np.array_equal(np.take(cost, got), np.take(cost, want))
         # two settings, then two frames per chunk
         assert len(transcript.records) == 2 + 2 * -(-rounds // CHUNK)
         rep = audit_transcript(transcript)
