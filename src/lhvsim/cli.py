@@ -287,6 +287,8 @@ def cmd_sweep(cfg: SweepConfig) -> int:
 
 def cmd_props(p_list, rounds: int, trials: int, seed: int) -> int:
     seed = check_seed(seed)
+    if rounds < 1 or trials < 1:  # checked before the grid prints anything
+        raise ValidationError(f"props needs --rounds and --trials >= 1, got {rounds} and {trials}")
     ok = True
 
     # hemisphere-law grid: deterministic pairs over the sphere

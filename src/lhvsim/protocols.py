@@ -89,15 +89,16 @@ from .sampling import (
     RhoTildeMaxSampler,
     RhoTildeSampler,
     ZHemisphere,
+    _is_integer,
     _rho_tilde_dots,
     check_bound,
     check_seed,
+    envelope_ratio,
     generator_at,
     improved_one_bit_threshold,
     make_generator,
     n_of_p,
     one_bit_threshold,
-    rho_tilde_max_cos,
     sample_uniform_sphere,
     scan_envelopes,
     stream_key,
@@ -210,7 +211,7 @@ def _uniform(state: State, src) -> np.ndarray:
 
 
 def _hemisphere(state: State, src):
-    # the uniforms of sample_theta_hemisphere(rng, Z_AXIS, n); vectors are
+    # the (c, phi) uniforms of the rounds' z-hemisphere vectors; vectors are
     # built only for the rounds that read them, 2p-1 of them on average.  At
     # p = 1 every round reads them: the (n, 3) array is built here, while the
     # uniforms are in cache, and they are dropped
@@ -482,12 +483,9 @@ def _alice_improved_one_bit(state, coll, shared, priv, sampler):
     rows = np.flatnonzero(talk)
     if rows.size:
         lz = shared.lam1[:, 2][rows]
-        rt = _rho_tilde_dots(state, coll, d1[0][rows], d1[1][rows], lz)
-        rmax = rho_tilde_max_cos(state, lz)
-        check_bound(rt * np.pi, rmax * np.pi, "improved one-bit envelope")
-        ratio = np.divide(rt, rmax, out=rt)
+        ratio = envelope_ratio(state, coll, d1[0][rows], d1[1][rows], lz, "improved one-bit envelope")
         use1[rows] = priv.u_msg[rows] < np.minimum(ratio, 1.0, out=ratio)
-        del lz, rt, rmax, ratio
+        del lz, ratio
     d = _dots_where(~use1, d1, shared.lam2, coll)
     del d1
     msg = talk.view(np.uint8) * _one_or_two(use1)  # 0 in silent rounds
@@ -670,11 +668,6 @@ def check_applicable(protocol: ProtocolId, state: State) -> None:
         raise DomainError(
             f"protocol '{protocol.value}' requires {info.p_range}, got p={state.p}"
         )
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer other than a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _checked_run(protocol: ProtocolId, state: State, settings, rounds, seed) -> tuple:

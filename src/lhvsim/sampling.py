@@ -35,7 +35,7 @@ from functools import cache
 
 import numpy as np
 
-from .bloch import State, Z_AXIS, X_AXIS, check_unit, collapse, dot3, theta, unwrap_0d
+from .bloch import State, Z_AXIS, X_AXIS, collapse, dot3, theta, unwrap_0d
 from .errors import DomainError, InternalConsistencyError, ValidationError
 
 INV_PI = 1.0 / np.pi
@@ -69,10 +69,15 @@ NEGATIVE_LIMIT = 2.0**-48
 BOUND_ATOL = 2.0**-45
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer other than a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> int:
     """``seed`` as an int; raises ValidationError unless it is an integer in
     [0, 2**64), the range of the u64 seed field of the wire's SETTING frame."""
-    if isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64:
+    if _is_integer(seed) and 0 <= seed < 2**64:
         return int(seed)
     raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
@@ -190,30 +195,26 @@ def _sphere_points(z_u: np.ndarray, phi_u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polar(c_u: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Write c = sqrt(c_u), the cosine to the axis with density 2c on [0, 1],
-    into ``c``; return s = sqrt(max(1 - c^2, 0)) as a new array."""
+def _hemisphere_points(c_u: np.ndarray, phi_u: np.ndarray) -> np.ndarray:
+    """Vectors of density Theta(lam_z)/pi from their uniforms (column-major).
+
+    The cosine to z, c = sqrt(c_u), has density 2c on [0, 1], and the azimuth
+    is phi = 2pi phi_u.  The frame that ``_frame`` gives about ``Z_AXIS`` is
+    e1 = (0, -1, 0), e2 = (1, 0, 0), so a row is (s sin phi, -s cos phi, c),
+    s = sqrt(max(1 - c^2, 0)), written directly; ``+ 0.0`` and ``0.0 -`` turn
+    -0.0 into +0.0 as the general sum c v + s cos(phi) e1 + s sin(phi) e2
+    does.  That sum is the law Theta(lam.v)/pi about any axis v, so y.lam of
+    such a vector is a row's dot product with (y.e2, -y.e1, y.v) in the frame
+    of v.  Every operation is elementwise, so a row's bytes do not depend on
+    which other rows are built with it.
+    """
+    out = np.empty((c_u.shape[0], 3), order="F")
+    x, y, c = out.T
     np.sqrt(c_u, out=c)
     s = c * c  # then s = sqrt(max(1 - c^2, 0)), in place
     np.subtract(1.0, s, out=s)
     np.maximum(s, 0.0, out=s)
     np.sqrt(s, out=s)
-    return s
-
-
-def _hemisphere_points(c_u: np.ndarray, phi_u: np.ndarray) -> np.ndarray:
-    """Vectors of density Theta(lam_z)/pi from their uniforms (column-major).
-
-    lam_z = c = sqrt(c_u) and the azimuth is phi = 2pi phi_u.  The frame that
-    ``_frame`` gives about ``Z_AXIS`` is e1 = (0, -1, 0), e2 = (1, 0, 0), so a
-    row is (s sin phi, -s cos phi, c), written directly; ``+ 0.0`` and
-    ``0.0 -`` turn -0.0 into +0.0 as the general sum does, so the bytes are
-    those of the frame formula.  Every operation is elementwise, so a row's
-    bytes do not depend on which other rows are built with it.
-    """
-    out = np.empty((c_u.shape[0], 3), order="F")
-    x, y, c = out.T
-    s = _polar(c_u, c)
     np.multiply(TWO_PI, phi_u, out=y)  # phi
     np.sin(y, out=x)
     x *= s
@@ -224,43 +225,16 @@ def _hemisphere_points(c_u: np.ndarray, phi_u: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_theta_hemisphere(rng: np.random.Generator, v: np.ndarray, n: int) -> np.ndarray:
-    """n vectors with density Theta(lam.v)/pi.
-
-    The cosine of the angle to v has density 2c on [0, 1] (drawn as sqrt of a
-    uniform); the azimuth about v is uniform.  Each vector reads one (c, phi)
-    pair of uniforms; about ``Z_AXIS`` the rows are those of
-    ``_hemisphere_points``, signed zeros included.
-    """
-    v = check_unit(v, "v")
-    m = int(n)
-    u = rng.random((m, 2))
-    out = np.empty((m, 3), order="F")
-    x, y, c = out.T
-    s = _polar(u[:, 0], c)
-    np.multiply(TWO_PI, u[:, 1], out=y)  # phi
-    e1, e2 = _frame(v)
-    s_cos = np.cos(y)
-    s_cos *= s
-    s *= np.sin(y)  # now s sin phi
-    for j in range(3):  # column by column, c (column 2) last
-        col = out[:, j]
-        np.multiply(c, v[j], out=col)
-        col += s_cos * e1[j]
-        col += s * e2[j]
-    return out
-
-
 class ZHemisphere:
-    """m vectors of density Theta(lam_z)/pi, kept as the (c, phi) uniforms
-    that ``sample_theta_hemisphere(rng, Z_AXIS, m)`` reads, in its layout.
+    """m vectors of density Theta(lam_z)/pi, kept as their (c, phi) uniforms,
+    the m rows of ``rng.random((m, 2))``.
 
     Vectors are built only when read, by ``_hemisphere_points``, so a round
     whose vector is never read costs two uniforms and no sqrt, sin or cos.
     ``lam[rows]`` gives the vectors of ``rows``, an increasing array of row
     numbers (``np.flatnonzero`` of a mask), and a row slice builds its rows.
     ``lam.all()``, which ``np.asarray(lam)`` returns, is the (m, 3)
-    column-major array of ``sample_theta_hemisphere``, built in one pass.
+    column-major array of every row, built in one pass.
     The last rows read and every row are each built once and kept, read-only,
     so readers that ask for the same rows share them.
     """
@@ -370,10 +344,15 @@ def rho_tilde_max_cos(state, cos_theta) -> np.ndarray:
     return unwrap_0d(out)
 
 
-def eval_rho_tilde_max(state, lam) -> np.ndarray:
-    """Pointwise envelope of rhot_x over all settings x; depends only on lam.z."""
-    lam = np.asarray(lam, dtype=float)
-    return rho_tilde_max_cos(state, lam[..., 2])
+def envelope_ratio(state: State, coll, dp, dm, lz, what: str) -> np.ndarray:
+    """rhot_x / rhot_max at the lam with lam.v_+ = dp, lam.v_- = dm and
+    lam_z = lz: the probability that thinning the envelope keeps lam.  Raises
+    InternalConsistencyError, naming ``what``, where rhot_x exceeds its
+    envelope by more than rounding (see ``BOUND_ATOL``)."""
+    rt = _rho_tilde_dots(state, coll, dp, dm, lz)
+    rmax = rho_tilde_max_cos(state, lz)
+    check_bound(rt * np.pi, rmax * np.pi, what)
+    return np.divide(rt, rmax, out=rt)
 
 
 def rho_tilde_bound(state) -> float:
@@ -628,10 +607,10 @@ class RhoTildeSampler(_BufferedSampler):
         # about 10 % more candidates than ``need`` takes on average
         hi = self._next = min(lo + int(1.1 * need / self._rate) + 16, self.block)
         cand = _sphere_points(self._cand[lo:hi, 0], self._cand[lo:hi, 1])
-        rt = _rho_tilde_given(self.state, self._coll, cand)
-        rmax = eval_rho_tilde_max(self.state, cand)
-        check_bound(rt * np.pi, rmax * np.pi, "rhot_x against its envelope")
-        keep = self._thin[lo:hi] < rt / rmax
+        coll = self._coll
+        dp, dm = dot3(cand, coll.v_plus), dot3(cand, coll.v_minus)
+        ratio = envelope_ratio(self.state, coll, dp, dm, cand[:, 2], "rhot_x against its envelope")
+        keep = self._thin[lo:hi] < ratio
         self.proposed += hi - lo
         self.accepted += int(keep.sum())
         return _rows(cand, keep)

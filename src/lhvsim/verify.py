@@ -47,13 +47,16 @@ from .protocols import (
     simulate,
 )
 from .sampling import (
+    _frame,
+    _hemisphere_points,
+    _is_integer,
     _rho_tilde_given,
+    check_seed,
     eval_rho_tilde,
-    eval_rho_tilde_max,
     generator_at,
     make_generator,
     rho_tilde_bound,
-    sample_theta_hemisphere,
+    rho_tilde_max_cos,
     sample_uniform_sphere,
     stream_key,
 )
@@ -213,24 +216,38 @@ class HemisphereLawResult:
         return abs(self.p_hat - self.expected) <= self.tolerance
 
 
+def _check_integers(**counts) -> None:
+    """Raise ValidationError unless every count is an integer (not a bool)."""
+    for name, value in counts.items():
+        if not _is_integer(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def hemisphere_law_check(v: np.ndarray, y: np.ndarray, rounds: int, seed: int) -> HemisphereLawResult:
     """Empirical check that the hemisphere law encodes the qubit state v.
 
     Draws lam ~ Theta(lam.v)/pi, outputs b = sgn(y.lam), and compares
-    p_hat(b=+1) with (1 + y.v)/2 at a 4-sigma tolerance.  The rounds are
-    drawn from one generator in pieces of ``CHUNK``, which read the uniforms
-    of one whole draw, and only the +1 outcomes are counted, so memory is
-    O(CHUNK) and p_hat is the mean over the whole draw.
+    p_hat(b=+1) with (1 + y.v)/2 at a 4-sigma tolerance.  The vectors are
+    the protocols' own z-hemisphere rows, ``_hemisphere_points``, read in
+    the frame (e1, e2, v) of ``_frame(v)``: y.lam is a row's dot product
+    with (y.e2, -y.e1, y.v).  The rounds are drawn from one generator in
+    pieces of ``CHUNK``, which read the uniforms of one whole draw, and only
+    the +1 outcomes are counted, so memory is O(CHUNK) and p_hat is the mean
+    over the whole draw.
     """
+    _check_integers(rounds=rounds)
     if rounds < 1:
         raise ValidationError(f"the hemisphere-law check needs at least one round, got {rounds}")
     v = check_unit(v, "v")
     y = check_unit(y, "y")
-    rng = make_generator(seed, CH_SHARED)
+    e1, e2 = _frame(v)
+    y_in_frame = np.array([y @ e2, -(y @ e1), y @ v])
+    rng = make_generator(check_seed(seed), CH_SHARED)
     plus = 0
     for lo in range(0, rounds, CHUNK):
-        lam = sample_theta_hemisphere(rng, v, min(CHUNK, rounds - lo))
-        plus += int(np.count_nonzero(sign_pm(dot3(lam, y)) == 1))
+        u = rng.random((min(CHUNK, rounds - lo), 2))
+        lam = _hemisphere_points(u[:, 0], u[:, 1])
+        plus += int(np.count_nonzero(sign_pm(dot3(lam, y_in_frame)) == 1))
     return HemisphereLawResult(
         v=v,
         y=y,
@@ -330,6 +347,7 @@ def density_property_suite(
     (1 percent) and by marginal quadrature (1e-6); ``area_points``
     restricts those heavier checks to a subset of p.
     """
+    _check_integers(trials=trials, area_samples=area_samples)
     if trials < 1 or area_samples < 1:
         raise ValidationError(
             f"the density properties need at least one trial and one area sample, "
@@ -345,7 +363,7 @@ def density_property_suite(
     areas = []
     # per p, the settings, the trials' lam and the area samples follow one another
     # on stream (seed, 0), two uniforms per vector; each is read on from its place
-    key, at = stream_key(seed, 0), 0
+    key, at = stream_key(check_seed(seed), 0), 0
     for p in p_list:
         state = State(float(p))
         settings = max(trials // 100, 1)
@@ -353,8 +371,7 @@ def density_property_suite(
         at += 2 * (settings + trials)
         block = trials // settings  # the last trials % settings lam go unread
         max_rt = 0.0
-        for _ in range(settings):
-            x = sample_uniform_sphere(x_rng, 1)[0]
+        for x in sample_uniform_sphere(x_rng, settings):
             lam = sample_uniform_sphere(lam_rng, block)
             coll = collapse(state, x)  # once per setting, for lam and -lam
             rt = _rho_tilde_given(state, coll, lam, clamp=False)
@@ -369,7 +386,7 @@ def density_property_suite(
                     coll.p_minus * np.abs(dot3(lam, coll.v_minus)),
                 )
                 / np.pi,
-                "envelope_bound": rt - eval_rho_tilde_max(state, lam),
+                "envelope_bound": rt - rho_tilde_max_cos(state, lam[:, 2]),
                 "constant_bound": rt - rho_tilde_bound(state),
             }
             for name, vals in checks.items():

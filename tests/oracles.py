@@ -9,7 +9,7 @@ from scipy import integrate
 
 from lhvsim.bloch import CollapseData, State, Z_AXIS, check_unit, collapse, dot3, sign_pm, theta
 from lhvsim.protocols import _weight_given
-from lhvsim.sampling import INV_PI, TWO_PI, rho_tilde_max_cos
+from lhvsim.sampling import INV_PI, TWO_PI, _frame, rho_tilde_max_cos
 from lhvsim.verify import Chi2Result, _cos_marginal, _pearson
 
 
@@ -35,6 +35,18 @@ def eval_rho(state: State, x: np.ndarray, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     dp, dm = dot3(lam, coll.v_plus), dot3(lam, coll.v_minus)
     return (coll.p_plus * theta(dp) + coll.p_minus * theta(dm)) * INV_PI
+
+
+def frame_hemisphere(rng, v, n):
+    """n vectors of the hemisphere law Theta(lam.v)/pi, written out in the
+    frame of ``_frame``, term by term, from one (n, 2) draw of uniforms."""
+    u = rng.random((n, 2))
+    c = np.sqrt(u[:, 0])
+    phi = 2.0 * np.pi * u[:, 1]
+    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
+    e1, e2 = _frame(v)
+    s_cos, s_sin = s * np.cos(phi), s * np.sin(phi)
+    return np.column_stack([c * v[j] + s_cos * e1[j] + s_sin * e2[j] for j in range(3)])
 
 
 def collapse_numpy(state: State, x: np.ndarray) -> CollapseData:

@@ -197,6 +197,13 @@ class TestProps:
     def test_bad_plist_is_usage_error(self):
         assert run_cli("props", "--p-list", "0.3") == 2
 
+    @pytest.mark.parametrize("flag", ["--rounds", "--trials"])
+    def test_bad_count_prints_nothing(self, flag, capsys):
+        # the counts are checked before the hemisphere-law grid runs
+        assert run_cli("props", flag, "0") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
 
 class TestWireRunAndAudit:
     def test_wire_run_and_audit(self, tmp_path):

@@ -451,6 +451,11 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="rounds_per_setting must be"):
             run(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], rounds, 22)
 
+    @pytest.mark.parametrize("seed", [2.5, True, -1, 2**64])
+    def test_rejects_seeds_that_are_no_u64(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], 10, seed)
+
     def test_accepts_a_numpy_integer_round_count(self):
         res = simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], np.int64(5), 22)
         assert res.rounds_per_setting == 5 and res.total_rounds == 5

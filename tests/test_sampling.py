@@ -21,14 +21,13 @@ from lhvsim.protocols import CHUNK, TILE, _choice_and_flip
 from lhvsim.sampling import (
     BOUND_ATOL,
     EnvelopeScan,
-    _frame,
+    _hemisphere_points,
     _sphere_points,
     RhoTildeMaxSampler,
     RhoTildeSampler,
     ZHemisphere,
     check_bound,
     eval_rho_tilde,
-    eval_rho_tilde_max,
     improved_one_bit_threshold,
     generator_at,
     make_generator,
@@ -36,12 +35,11 @@ from lhvsim.sampling import (
     one_bit_threshold,
     rho_tilde_bound,
     rho_tilde_max_cos,
-    sample_theta_hemisphere,
     sample_uniform_sphere,
     scan_envelopes,
     stream_key,
 )
-from oracles import eval_rho, n_of_p_quadrature, rho_tilde_cos_marginal
+from oracles import eval_rho, frame_hemisphere, n_of_p_quadrature, rho_tilde_cos_marginal
 
 M = 10**6
 
@@ -88,26 +86,35 @@ class TestUniformSphere:
         assert d < 2.0 / np.sqrt(M)
 
 
+def z_hemisphere(rng, n):
+    """n rows of ``_hemisphere_points`` from one (n, 2) draw of uniforms."""
+    u = rng.random((n, 2))
+    return _hemisphere_points(u[:, 0], u[:, 1])
+
+
 class TestThetaHemisphere:
+    """The z-axis rows of ``_hemisphere_points``, the protocols' hemisphere
+    law, and ``frame_hemisphere``, the law about any axis v."""
+
     def test_support_is_hemisphere(self):
-        lam = sample_theta_hemisphere(make_generator(4, 0), Z_AXIS, M)
+        lam = z_hemisphere(make_generator(4, 0), M)
         assert np.all(lam[:, 2] >= 0.0)
 
     def test_mean_cos_is_two_thirds(self):
         # E[c] with density 2c on [0,1] is int 2c*c dc = 2/3
-        lam = sample_theta_hemisphere(make_generator(5, 0), Z_AXIS, M)
+        lam = z_hemisphere(make_generator(5, 0), M)
         assert abs(lam[:, 2].mean() - 2.0 / 3.0) < 0.005
 
     def test_cos_marginal_ks(self):
         rng = np.random.default_rng(55)
         v = random_unit(rng)
-        lam = sample_theta_hemisphere(make_generator(6, 0), v, M)
+        lam = frame_hemisphere(make_generator(6, 0), v, M)
         d = stats.kstest(dot3(lam, v), lambda c: np.clip(c, 0.0, 1.0) ** 2).statistic
         assert d < 2.0 / np.sqrt(M)
 
     @pytest.mark.parametrize("n", [1, 7, 5000])
     def test_z_axis_rows_equal_frame_formula(self, n):
-        got = sample_theta_hemisphere(make_generator(12, 3), Z_AXIS, n)
+        got = z_hemisphere(make_generator(12, 3), n)
         want = frame_hemisphere(make_generator(12, 3), Z_AXIS, n)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -118,7 +125,7 @@ class TestThetaHemisphere:
         zs = np.array([0.0, 0.25, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         phis = np.array([0.0, 0.5, 0.0, 0.25, 0.5, 0.75, 0.1, 0.4, 0.9])
         u = np.column_stack([zs, phis])
-        got = sample_theta_hemisphere(FixedUniforms(u), Z_AXIS, len(u))
+        got = z_hemisphere(FixedUniforms(u), len(u))
         want = frame_hemisphere(FixedUniforms(u), Z_AXIS, len(u))
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -128,7 +135,7 @@ class TestThetaHemisphere:
         # feeding draws to b = sgn(y.lam) reproduces p(b=+1) = (1 + y.v)/2
         rng = np.random.default_rng(66)
         v, y = random_unit(rng), random_unit(rng)
-        lam = sample_theta_hemisphere(make_generator(7, 0), v, M)
+        lam = frame_hemisphere(make_generator(7, 0), v, M)
         p_hat = float(np.mean(sign_pm(dot3(lam, y)) == 1))
         assert abs(p_hat - (1.0 + y @ v) / 2.0) < 0.005
 
@@ -138,14 +145,15 @@ class TestColumnMajor:
 
     @pytest.mark.parametrize("n", [7, 5000])
     def test_draws(self, n):
-        rng = np.random.default_rng(67)
-        v, x = random_unit(rng), random_unit(rng)
+        x = random_unit(np.random.default_rng(67))
         scan = EnvelopeScan(State(0.7), stream_key(13, 1), 0, n)
         scan_envelopes([scan])
         draws = {
             "uniform": sample_uniform_sphere(make_generator(13, 0), n),
-            "hemisphere z": sample_theta_hemisphere(make_generator(13, 0), Z_AXIS, n),
-            "hemisphere v": sample_theta_hemisphere(make_generator(13, 0), v, n),
+            "hemisphere": z_hemisphere(make_generator(13, 0), n),
+            "hemisphere field rows": ZHemisphere(make_generator(13, 0).random((n, 2)))[
+                np.arange(0, n, 2)
+            ],
             "envelope": RhoTildeMaxSampler(State(0.7), make_generator(13, 1)).draw(n),
             "envelope scan": scan.sampler(0).draw(n),
             "envelope scan piece": scan.sampler(1).draw(n - 1),
@@ -178,7 +186,7 @@ class FixedUniforms:
 
 class TestZHemisphere:
     """The lazily built hemisphere field gives the rows, signed zeros included,
-    that ``sample_theta_hemisphere`` builds from the same uniforms."""
+    that the frame formula about z builds from the same uniforms."""
 
     @staticmethod
     def same(got, want):
@@ -189,7 +197,7 @@ class TestZHemisphere:
     @pytest.mark.parametrize("n", [0, 1, 7, 5000])
     def test_rows_equal_the_sampler(self, n):
         lam = ZHemisphere(make_generator(70, 2).random((n, 2)))
-        want = sample_theta_hemisphere(make_generator(70, 2), Z_AXIS, n)
+        want = frame_hemisphere(make_generator(70, 2), Z_AXIS, n)
         subset = np.random.default_rng(n).random(n) < 0.4
         self.same(lam[np.flatnonzero(subset)], want[subset])
         self.same(lam[np.arange(0)], want[:0])
@@ -217,21 +225,9 @@ class TestZHemisphere:
         zs = np.array([0.0, 0.25, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         phis = np.array([0.0, 0.5, 0.0, 0.25, 0.5, 0.75, 0.1, 0.4, 0.9])
         u = np.column_stack([zs, phis])
-        want = sample_theta_hemisphere(FixedUniforms(u), Z_AXIS, len(u))
+        want = frame_hemisphere(FixedUniforms(u), Z_AXIS, len(u))
         for rows in (np.arange(1, len(u), 2), np.arange(len(u))):
             self.same(ZHemisphere(u)[rows], want[rows])
-
-
-def frame_hemisphere(rng, v, n):
-    """The hemisphere law written out in the frame of ``_frame``, term by term."""
-    u = rng.random((n, 2))
-    c = np.sqrt(u[:, 0])
-    phi = 2.0 * np.pi * u[:, 1]
-    s = np.sqrt(np.maximum(1.0 - c * c, 0.0))
-    e1, e2 = _frame(v)
-    s_cos, s_sin = s * np.cos(phi), s * np.sin(phi)
-    out = np.column_stack([c * v[j] + s_cos * e1[j] + s_sin * e2[j] for j in range(3)])
-    return out
 
 
 def block_thinning(state, x, rng, sizes, block=8192):
@@ -254,7 +250,7 @@ def block_thinning(state, x, rng, sizes, block=8192):
                 envelope.append(_sphere_points(u[keep, 0], u[keep, 1]))
             cand = take(envelope, block)
             thin = rng.random(block)
-            ratio = eval_rho_tilde(state, x, cand) / eval_rho_tilde_max(state, cand)
+            ratio = eval_rho_tilde(state, x, cand) / rho_tilde_max_cos(state, cand[:, 2])
             kept.append(cand[thin < ratio])
             tested += block
         out.append(take(kept, size))
@@ -343,7 +339,7 @@ class TestRhoDensities:
             rt = eval_rho_tilde(state, x, lam, clamp=False)
             assert np.min(rt) > -1e-12
             assert np.max(rt) <= rho_tilde_bound(state) + 1e-12
-            assert np.max(rt - eval_rho_tilde_max(state, lam)) <= 1e-12
+            assert np.max(rt - rho_tilde_max_cos(state, lam[:, 2])) <= 1e-12
 
     def test_negative_density_beyond_the_rounding_limit_raises(self):
         # with lam.v_+- = 0, rhot_x = -c Theta(lam_z) / pi: 10 limits below 0
@@ -363,7 +359,7 @@ class TestRhoDensities:
     def test_rho_tilde_max_constant_at_half(self):
         lam = sample_uniform_sphere(make_generator(18, 0), 1000)
         np.testing.assert_allclose(
-            eval_rho_tilde_max(State(0.5), lam), 1.0 / (2.0 * np.pi), atol=1e-15
+            rho_tilde_max_cos(State(0.5), lam[:, 2]), 1.0 / (2.0 * np.pi), atol=1e-15
         )
 
     def test_rho_tilde_max_peak_at_equator(self):

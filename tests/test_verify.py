@@ -22,7 +22,7 @@ from lhvsim.bloch import (
 from lhvsim import protocols, sampling, verify
 from lhvsim.errors import DomainError, ValidationError
 from lhvsim.protocols import CH_SHARED, CHUNK, PROTOCOLS, ProtocolId, _envelope, _uniform, simulate
-from lhvsim.sampling import make_generator, n_of_p, sample_theta_hemisphere
+from lhvsim.sampling import _frame, _hemisphere_points, make_generator, n_of_p
 from lhvsim.verify import (
     Chi2Result,
     area_quadrature,
@@ -37,7 +37,7 @@ from lhvsim.verify import (
     tvd,
     verification_report,
 )
-from oracles import lambda_chi2_check, rho_cos_bin_probs
+from oracles import frame_hemisphere, lambda_chi2_check, rho_cos_bin_probs
 
 
 def random_unit(rng):
@@ -218,9 +218,21 @@ class TestHemisphereLaw:
         rng = np.random.default_rng(56)
         v, y = random_unit(rng), random_unit(rng)
         n = 2 * CHUNK + 5
-        lam = sample_theta_hemisphere(make_generator(57, CH_SHARED), v, n)
-        want = float(np.mean(sign_pm(dot3(lam, y)) == 1))
+        u = make_generator(57, CH_SHARED).random((n, 2))
+        lam = _hemisphere_points(u[:, 0], u[:, 1])
+        e1, e2 = _frame(v)
+        want = float(np.mean(sign_pm(dot3(lam, np.array([y @ e2, -(y @ e1), y @ v]))) == 1))
         assert hemisphere_law_check(v, y, n, seed=57).p_hat == want
+
+    def test_equals_the_law_drawn_about_v(self):
+        # the z-axis rows read in v's frame count the +1 outcomes of the
+        # vectors that the frame formula draws about v from the same uniforms
+        rng = np.random.default_rng(60)
+        for i in range(20):
+            v, y = random_unit(rng), random_unit(rng)
+            lam = frame_hemisphere(make_generator(200 + i, CH_SHARED), v, 10**5)
+            want = float(np.mean(sign_pm(dot3(lam, y)) == 1))
+            assert hemisphere_law_check(v, y, 10**5, seed=200 + i).p_hat == want
 
     def test_memory_is_bounded(self):
         import tracemalloc
@@ -241,6 +253,28 @@ class TestHemisphereLaw:
         for i in range(10):
             v, y = random_unit(rng), random_unit(rng)
             assert hemisphere_law_check(v, y, 10**5, seed=100 + i).passed
+
+
+BAD_ARGUMENTS = {
+    "rounds": lambda bad: hemisphere_law_check(Z_AXIS, X_AXIS, bad, 0),
+    "seed": lambda bad: hemisphere_law_check(Z_AXIS, X_AXIS, 10, bad),
+    "trials": lambda bad: density_property_suite([0.7], trials=bad, area_points=[]),
+    "area_samples": lambda bad: density_property_suite([0.7], trials=10, area_samples=bad),
+    "suite seed": lambda bad: density_property_suite([0.7], trials=10, seed=bad, area_points=[]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, bad, match",
+    [(name, bad, "integer") for name in ("rounds", "trials", "area_samples") for bad in (2.5, True)]
+    + [(name, bad, "seed must be an integer") for name in ("seed", "suite seed")
+       for bad in (2.5, True, -1, 2**64)]
+    + [("rounds", 0, "at least one round"), ("trials", 0, "at least one trial"),
+       ("area_samples", -1, "at least one trial and one area sample")],
+)
+def test_bad_counts_and_seeds_are_validation_errors(name, bad, match):
+    with pytest.raises(ValidationError, match=match):
+        BAD_ARGUMENTS[name](bad)
 
 
 class TestDensityProperties:
@@ -288,7 +322,7 @@ class TestDensityProperties:
         its error, quadrature) areas, with each draw taken whole from one
         generator."""
         from lhvsim.sampling import (
-            eval_rho_tilde, eval_rho_tilde_max, rho_tilde_bound, sample_uniform_sphere,
+            eval_rho_tilde, rho_tilde_bound, rho_tilde_max_cos, sample_uniform_sphere,
         )
         from lhvsim.bloch import collapse
 
@@ -313,7 +347,7 @@ class TestDensityProperties:
                     "nonnegative": -rt,
                     "symmetric": np.abs(rt - eval_rho_tilde(state, x, -lam, clamp=False)),
                     "per_sign_bound": rt - bound / np.pi,
-                    "envelope_bound": rt - eval_rho_tilde_max(state, lam),
+                    "envelope_bound": rt - rho_tilde_max_cos(state, lam[:, 2]),
                     "constant_bound": rt - rho_tilde_bound(state),
                 }
                 for name, vals in checks.items():
