@@ -137,37 +137,6 @@ class CollapseData:
     degenerate_minus: bool = False
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Joint outcome distribution over (a, b) in {+1, -1}^2.
-
-    ``probs[i, j]`` holds the probability of (a, b) with index 0 mapping to
-    +1 and index 1 to -1.
-    """
-
-    probs: np.ndarray
-
-    @staticmethod
-    def index(outcome: int) -> int:
-        return 0 if outcome == 1 else 1
-
-    def prob(self, a: int, b: int) -> float:
-        return float(self.probs[self.index(a), self.index(b)])
-
-    @property
-    def correlation(self) -> float:
-        """E[a*b] under this distribution."""
-        p = self.probs
-        return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
-
-    def validate(self, tol: float = 1e-12) -> "JointDistribution":
-        if np.any(self.probs < -tol):
-            raise ValidationError(f"negative probability in joint distribution: {self.probs}")
-        if abs(float(self.probs.sum()) - 1.0) > tol:
-            raise ValidationError(f"joint distribution does not sum to 1: {self.probs.sum()!r}")
-        return self
-
-
 def qubit_ket(vx: float, vy: float, vz: float) -> tuple:
     """Amplitudes (alpha, beta), as Python complex numbers, of the pure qubit
     state with Bloch vector (vx, vy, vz)."""
@@ -200,17 +169,22 @@ def _check_unit_rows(vs, name: str) -> np.ndarray:
 
 
 def _check_tables(probs: np.ndarray, tol: float = 1e-12) -> None:
-    """``JointDistribution.validate`` of every (2, 2) table of ``probs`` in
-    one pass; a table that fails is validated again alone, which raises."""
+    """Raise unless each (2, 2) table of ``probs`` is a distribution within ``tol`` (one pass)."""
     flat = probs.reshape(-1, 4)
-    bad = np.any(flat < -tol, axis=1) | (np.abs(flat.sum(axis=1) - 1.0) > tol)
-    for table in probs.reshape(-1, 2, 2)[bad]:
-        JointDistribution(table).validate(tol)
+    negative = flat[np.any(flat < -tol, axis=1)].reshape(-1, 2, 2)
+    if len(negative):
+        raise ValidationError(f"negative probability in joint distribution: {negative[0]}")
+    sums = flat.sum(axis=1)
+    off = sums[np.abs(sums - 1.0) > tol]
+    if len(off):
+        raise ValidationError(f"joint distribution does not sum to 1: {off[0]!r}")
 
 
 def born_tables(state: State, xs, ys) -> np.ndarray:
-    """The Born tables of the pairs (xs[k], ys[k]) as an (m, 2, 2) array
-    (oracle path; ``born_joint`` is its one-pair case).
+    """The Born tables of the pairs (xs[k], ys[k]) as an (m, 2, 2) float64
+    array (oracle path; ``born_joint`` is its one-pair case).  Entry [k, i, j]
+    is the probability of outcomes (a, b) at pair k, index 0 standing for
+    outcome +1 and index 1 for -1.
 
     Builds |psi><psi| as an explicit 4x4 density matrix and evaluates
     Tr[P_a(x) (x) P_b(y) rho] for the four outcome pairs of every pair.  Each
@@ -233,12 +207,12 @@ def born_tables(state: State, xs, ys) -> np.ndarray:
     return probs
 
 
-def born_joint(state: State, x: np.ndarray, y: np.ndarray) -> JointDistribution:
-    """Joint distribution of local projective measurements x, y (oracle path):
-    the one-pair case of ``born_tables``."""
+def born_joint(state: State, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (2, 2) Born table of local projective measurements x, y (oracle
+    path): the one-pair case of ``born_tables``, indexed as there."""
     x = check_unit(x, "x")
     y = check_unit(y, "y")
-    return JointDistribution(born_tables(state, x[None], y[None])[0])
+    return born_tables(state, x[None], y[None])[0]
 
 
 def correlation(state: State, x: np.ndarray, y: np.ndarray) -> float:
@@ -249,18 +223,17 @@ def correlation(state: State, x: np.ndarray, y: np.ndarray) -> float:
     return float(x[2] * y[2] + k * (x[0] * y[0] - x[1] * y[1]))
 
 
-def born_joint_closed(state: State, x: np.ndarray, y: np.ndarray) -> JointDistribution:
-    """Joint distribution via the closed form (must match ``born_joint`` to 1e-12)."""
+def born_joint_closed(state: State, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (2, 2) table of ``born_joint`` via the closed form (must match it to 1e-12)."""
     x = check_unit(x, "x")
     y = check_unit(y, "y")
     c = state.c
     e = correlation(state, x, y)
-    probs = np.empty((2, 2))
-    for i, a in enumerate((1, -1)):
-        for j, b in enumerate((1, -1)):
-            probs[i, j] = 0.25 * (1.0 + a * c * x[2] + b * c * y[2] + a * b * e)
+    a, b = np.array([[1.0], [-1.0]]), np.array([1.0, -1.0])  # the outcomes of [a, b]
+    probs = 0.25 * (1.0 + a * c * x[2] + b * c * y[2] + a * b * e)
     probs[probs < 0.0] = 0.0
-    return JointDistribution(probs).validate()
+    _check_tables(probs)
+    return probs
 
 
 def collapse(state: State, x: np.ndarray) -> CollapseData:

@@ -108,7 +108,16 @@ CH_SHARED = 0
 CH_ALICE = 1
 CH_SAMPLER = 3
 
-RATIO_GUARD = 1e-12
+# Slack for one-bit's acceptance 4pi rhot_x <= 1, which holds in real
+# arithmetic for p >= 1/2 + sqrt(3)/4 and is tight at the argmax (x and lam on
+# the equator, lam.v_+ = 2 sqrt(p(1-p))), where it is 4 sqrt(p(1-p)).  With u = 2^-53:
+# * the computed 4pi rhot_x is exactly twice the computed 2pi rhot_x (scaling by
+#   a power of 2 commutes with rounding), so off by < 2 * 51u (see sampling.BOUND_ATOL);
+# * the float one_bit_threshold() is off by < u, and the peak's slope there is
+#   |d/dp 4 sqrt(p(1-p))| = 2 (2p - 1) / sqrt(p(1-p)) = 4 sqrt(3) < 6.93, so at
+#   the smallest admitted p the real peak is < 1 + 7u.
+# So an admitted p misses the bound by < 109u.  2^-44 = 512u is over 4x that.
+RATIO_GUARD = 2.0**-44
 # rounds per unit of work in ``simulate`` and per wire frame set
 CHUNK = 1 << 16
 # rounds that ``simulate`` plays at once in a chunk of a longer pair; bounds

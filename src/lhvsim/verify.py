@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from .bloch import (
-    JointDistribution,
     State,
     Z_AXIS,
     born_tables,
@@ -81,9 +80,9 @@ def _tvd_rows(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(counts / m - probs).sum(axis=(-2, -1))
 
 
-def tvd(counts: np.ndarray, oracle: JointDistribution) -> float:
+def tvd(counts: np.ndarray, probs: np.ndarray) -> float:
     """Total variation distance (1/2) sum |n(a,b)/M - p(a,b)|, M = counts.sum()."""
-    return float(_tvd_rows(np.asarray(counts), oracle.probs))
+    return float(_tvd_rows(np.asarray(counts), probs))
 
 
 @dataclass
@@ -127,13 +126,13 @@ def _chi2_rows(counts: np.ndarray, probs: np.ndarray) -> tuple:
     return _pearson_rows(counts.reshape(cells).astype(float), exp, exp > 0.0)
 
 
-def chi2_stat(counts: np.ndarray, oracle: JointDistribution) -> Chi2Result:
-    """Pearson chi-square of the counts against the oracle probabilities.
+def chi2_stat(counts: np.ndarray, probs: np.ndarray) -> Chi2Result:
+    """Pearson chi-square of the counts against the oracle table ``probs``.
 
     Cells with zero oracle probability contribute infinity if they were ever
     observed and are dropped from the degrees of freedom otherwise.
     """
-    stat, dof = _chi2_rows(np.asarray(counts), oracle.probs)
+    stat, dof = _chi2_rows(np.asarray(counts), probs)
     return Chi2Result(float(stat), int(dof))
 
 
@@ -150,12 +149,6 @@ def _pearson_rows(obs: np.ndarray, exp: np.ndarray, live: np.ndarray) -> tuple:
     terms = np.divide((obs - exp) ** 2, exp, out=np.zeros(np.shape(exp)), where=live)
     hit = np.any((obs > 0) & ~live, axis=-1)
     return np.where(hit, np.inf, terms.sum(axis=-1)), dof
-
-
-def _pearson(obs: np.ndarray, exp: np.ndarray, live: np.ndarray) -> Chi2Result:
-    """Pearson chi-square over the ``live`` cells; infinite if a dead cell was hit."""
-    stat, dof = _pearson_rows(np.asarray(obs), np.asarray(exp), np.asarray(live))
-    return Chi2Result(float(stat), int(dof))
 
 
 # ---------------------------------------------------------------------------

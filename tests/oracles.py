@@ -10,7 +10,7 @@ from scipy import integrate
 from lhvsim.bloch import CollapseData, State, Z_AXIS, check_unit, collapse, dot3, sign_pm, theta
 from lhvsim.protocols import _weight_given
 from lhvsim.sampling import INV_PI, TWO_PI, _frame, rho_tilde_max_cos
-from lhvsim.verify import Chi2Result, _cos_marginal, _pearson
+from lhvsim.verify import Chi2Result, _cos_marginal, _pearson_rows
 
 
 def heaviside(z):
@@ -128,7 +128,8 @@ def lambda_chi2_check(state: State, x: np.ndarray, lam: np.ndarray, bins: int = 
     edges = np.linspace(-1.0, 1.0, bins + 1)
     want = rho_cos_bin_probs(state, x, edges)
     counts, _ = np.histogram(lam[:, 2], bins=edges)
-    return _pearson(counts, lam.shape[0] * want, want > 1e-12)
+    stat, dof = _pearson_rows(counts, lam.shape[0] * want, want > 1e-12)
+    return Chi2Result(float(stat), int(dof))
 
 
 def rho_tilde_cos_marginal(state: State, x: np.ndarray, c: float) -> float:

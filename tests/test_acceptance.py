@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from lhvsim.bloch import State, born_joint, default_setting_pairs, tsirelson_settings
+from lhvsim.bloch import State, born_tables, default_setting_pairs, tsirelson_settings
 from lhvsim.errors import DomainError, ProtocolViolationError
 from lhvsim.protocols import (
     PROTOCOLS,
@@ -55,10 +55,9 @@ for _pid in ProtocolId:
 
 
 def _max_tvd(result):
-    return max(
-        tvd(s.counts, born_joint(result.state, s.x, s.y))
-        for s in result.settings
-    )
+    settings = result.settings
+    tables = born_tables(result.state, [s.x for s in settings], [s.y for s in settings])
+    return max(tvd(s.counts, table) for s, table in zip(settings, tables))
 
 
 @pytest.mark.parametrize(

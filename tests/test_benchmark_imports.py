@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -70,15 +72,36 @@ def test_benchmark_wire_check_passes(monkeypatch):
     assert tracer.counters["wire.frames"] > 0
 
 
-def test_benchmark_traced_path_matches_untraced(monkeypatch):
-    # the traced grid-certify path, which rebuilds simulate from the
-    # library's own steps, runs and counts as the untraced one does
+def _alarm_sigmas() -> float:
+    """``ALARM_SIGMAS`` of the benchmark's ``run.py``, read from its source."""
+    tree = ast.parse((BENCH / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["ALARM_SIGMAS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("run.py defines no ALARM_SIGMAS")
+
+
+@pytest.mark.parametrize("workload,scale", [("grid-certify", 0.02), ("cost-sweep", 0.07)])
+def test_benchmark_traced_path_matches_untraced(monkeypatch, workload, scale):
+    # the traced path, which rebuilds simulate from the library's own steps,
+    # runs and counts as the untraced one does, and passes the checks of the
+    # benchmark's traced run; at scale 0.07 a cost-sweep pair is 70000
+    # rounds, two chunks, so the untraced run takes the envelope's counting
+    # pass while the traced one draws whole-n
     workloads, tracing = _load_benchmark(monkeypatch)
-    jobs = workloads.build_jobs("grid-certify", 1, scale=0.02)
-    traced = [workloads.run_job(job, tracing.Tracer()) for job in jobs]
+    jobs = workloads.build_jobs(workload, 1, scale=scale)
+    tracer = tracing.Tracer()
+    traced = [workloads.run_job(job, tracer) for job in jobs]
     untraced = [workloads.run_job(job, tracing.NullTracer()) for job in jobs]
     assert traced and [o.job.name for o in traced + untraced if o.failed] == []
     assert [o.counts for o in traced] == [o.counts for o in untraced]
+    c = tracer.counters
+    assert c["envelope.replay_mismatch"] == 0 and c["envelope.proposed"] > 0
+    # run.py's alarm: acceptance within ALARM_SIGMAS binomial errors (cost-sweep
+    # has no local-content job, so no thinning)
+    for key in [k for k in ("envelope", "thinning") if c[f"{k}.proposed"]]:
+        sigmas = abs(c[f"{key}.accepted"] - c[f"{key}.expected"]) / c[f"{key}.variance"] ** 0.5
+        assert sigmas <= _alarm_sigmas(), (key, sigmas)
 
 
 def test_golden_hashes_match(monkeypatch):

@@ -49,6 +49,16 @@ def oracle_ket(v):
     return np.array([np.cos(th / 2.0), np.exp(1j * ph) * np.sin(th / 2.0)])
 
 
+def cell(table, a, b):
+    """p(a, b) from a (2, 2) Born table: index 0 for outcome +1, 1 for -1."""
+    return table[(1 - a) // 2, (1 - b) // 2]
+
+
+def table_correlation(t):
+    """E[ab] of a (2, 2) Born table."""
+    return t[0, 0] - t[0, 1] - t[1, 0] + t[1, 1]
+
+
 def oracle_joint(p, x, y):
     """p(a,b|x,y) from first principles: 4x4 rho and angle-built projectors."""
     psi = np.zeros(4, dtype=complex)
@@ -198,23 +208,23 @@ class TestBornJoint:
     def test_maximally_entangled_z_z(self):
         # frozen from oracle_joint(0.5, z, z)
         d = born_joint(State(0.5), Z_AXIS, Z_AXIS)
-        assert d.prob(1, 1) == pytest.approx(0.5, abs=1e-12)
-        assert d.prob(1, -1) == pytest.approx(0.0, abs=1e-12)
-        assert d.prob(-1, 1) == pytest.approx(0.0, abs=1e-12)
-        assert d.prob(-1, -1) == pytest.approx(0.5, abs=1e-12)
+        assert cell(d, 1, 1) == pytest.approx(0.5, abs=1e-12)
+        assert cell(d, 1, -1) == pytest.approx(0.0, abs=1e-12)
+        assert cell(d, -1, 1) == pytest.approx(0.0, abs=1e-12)
+        assert cell(d, -1, -1) == pytest.approx(0.5, abs=1e-12)
 
     def test_product_state(self):
         d = born_joint(State(1.0), Z_AXIS, Z_AXIS)
-        assert d.prob(1, 1) == pytest.approx(1.0, abs=1e-12)
-        assert d.prob(-1, -1) == pytest.approx(0.0, abs=1e-12)
+        assert cell(d, 1, 1) == pytest.approx(1.0, abs=1e-12)
+        assert cell(d, -1, -1) == pytest.approx(0.0, abs=1e-12)
 
     def test_p07_x_x(self):
         # frozen: correlation term 2*sqrt(0.21), so p(+,+) = (1 + 2*sqrt(0.21))/4
         d = born_joint(State(0.7), bloch.X_AXIS, bloch.X_AXIS)
         e = 2.0 * np.sqrt(0.21)
-        assert d.prob(1, 1) == pytest.approx((1 + e) / 4, abs=1e-12)
-        assert d.prob(1, -1) == pytest.approx((1 - e) / 4, abs=1e-12)
-        assert d.correlation == pytest.approx(e, abs=1e-12)
+        assert cell(d, 1, 1) == pytest.approx((1 + e) / 4, abs=1e-12)
+        assert cell(d, 1, -1) == pytest.approx((1 - e) / 4, abs=1e-12)
+        assert table_correlation(d) == pytest.approx(e, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.5, 0.7, 0.835, 0.95, 1.0])
     def test_matches_independent_oracle(self, p):
@@ -224,7 +234,7 @@ class TestBornJoint:
             want = oracle_joint(p, x, y)
             d = born_joint(State(p), x, y)
             for ab, val in want.items():
-                assert d.prob(*ab) == pytest.approx(val, abs=1e-12)
+                assert cell(d, *ab) == pytest.approx(val, abs=1e-12)
 
     def test_bytes_equal_the_kron_form(self):
         # born_joint forms P_a (x) P_b without np.kron; the bytes must not move
@@ -247,12 +257,13 @@ class TestBornJoint:
         rng = np.random.default_rng(13)
         cases += [(rng.uniform(0.5, 1.0), random_unit(rng), random_unit(rng)) for _ in range(500)]
         for p, x, y in cases:
-            got = born_joint(State(p), x, y).probs
+            got = born_joint(State(p), x, y)
             assert got.tobytes() == kron_form(State(p), x, y).tobytes(), (p, x, y)
 
     def test_tables_are_born_joint_of_each_pair(self):
         # the batched operators act on each pair as on it alone, so a table's
-        # bytes do not depend on the batch (born_joint is the one-pair batch)
+        # bytes do not depend on the batch; born_joint returns the bare (2, 2)
+        # float64 table of the one-pair batch
         rng = np.random.default_rng(14)
         poles = [(Z_AXIS, Z_AXIS), (-Z_AXIS, Z_AXIS), (Z_AXIS, -Z_AXIS), (bloch.X_AXIS, -Z_AXIS)]
         pairs = default_setting_pairs(20) + poles
@@ -262,7 +273,10 @@ class TestBornJoint:
             tables = born_tables(State(p), xs, ys)
             assert tables.shape == (len(pairs), 2, 2)
             for (x, y), table in zip(pairs, tables):
-                assert table.tobytes() == born_joint(State(p), x, y).probs.tobytes(), (p, x, y)
+                one = born_joint(State(p), x, y)
+                assert type(one) is np.ndarray and one.shape == (2, 2) and one.dtype == np.float64
+                assert one.tobytes() == born_tables(State(p), [x], [y])[0].tobytes(), (p, x, y)
+                assert table.tobytes() == one.tobytes(), (p, x, y)
         assert born_tables(State(0.7), [], []).shape == (0, 2, 2)
 
     def test_tables_raise_the_one_pair_errors(self):
@@ -275,7 +289,10 @@ class TestBornJoint:
         tables = np.full((3, 2, 2), 0.25)
         bloch._check_tables(tables)
         tables[1, 1, 1] = 0.5
-        with pytest.raises(ValidationError, match="does not sum to 1"):
+        with pytest.raises(ValidationError, match=r"does not sum to 1: .*1\.25"):
+            bloch._check_tables(tables)
+        tables[2] = [[0.75, -0.25], [0.25, 0.25]]
+        with pytest.raises(ValidationError, match="negative probability"):
             bloch._check_tables(tables)
 
     def test_closed_form_equals_oracle_path(self):
@@ -283,17 +300,18 @@ class TestBornJoint:
         for _ in range(200):
             p = rng.uniform(0.5, 1.0)
             x, y = random_unit(rng), random_unit(rng)
-            a = born_joint(State(p), x, y).probs
-            b = born_joint_closed(State(p), x, y).probs
+            a = born_joint(State(p), x, y)
+            b = born_joint_closed(State(p), x, y)
+            assert type(b) is np.ndarray and b.shape == (2, 2) and b.dtype == np.float64
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_non_signalling_marginal_independent_of_y(self):
         rng = np.random.default_rng(3)
         state = State(0.81)
         x = random_unit(rng)
-        ref = born_joint(state, x, random_unit(rng)).probs[0].sum()
+        ref = born_joint(state, x, random_unit(rng))[0].sum()
         for _ in range(100):
-            m = born_joint(state, x, random_unit(rng)).probs[0].sum()
+            m = born_joint(state, x, random_unit(rng))[0].sum()
             assert abs(m - ref) < 1e-12
 
     def test_conditional_decomposition(self):
@@ -308,7 +326,7 @@ class TestBornJoint:
             for a, pa, va in ((1, c.p_plus, c.v_plus), (-1, c.p_minus, c.v_minus)):
                 for b in (1, -1):
                     want = pa * (1.0 + b * float(y @ va)) / 2.0
-                    assert d.prob(a, b) == pytest.approx(want, abs=1e-10)
+                    assert cell(d, a, b) == pytest.approx(want, abs=1e-10)
 
 
 class TestCollapse:
@@ -413,4 +431,4 @@ def test_correlation_consistent_with_born(p, seed):
     rng = np.random.default_rng(seed)
     x, y = random_unit(rng), random_unit(rng)
     d = born_joint(State(p), x, y)
-    assert d.correlation == pytest.approx(correlation(State(p), x, y), abs=1e-12)
+    assert table_correlation(d) == pytest.approx(correlation(State(p), x, y), abs=1e-12)

@@ -16,7 +16,7 @@ from lhvsim.bloch import (
     State,
     X_AXIS,
     Z_AXIS,
-    born_joint,
+    born_tables,
     collapse,
     default_setting_pairs,
     dot3,
@@ -109,11 +109,9 @@ def choice_and_flip(lam1, lam2, v):
 
 
 def max_tvd(result):
-    state = result.state
-    return max(
-        tvd(s.counts, born_joint(state, s.x, s.y))
-        for s in result.settings
-    )
+    settings = result.settings
+    tables = born_tables(result.state, [s.x for s in settings], [s.y for s in settings])
+    return max(tvd(s.counts, table) for s, table in zip(settings, tables))
 
 
 def stream_position(rng):
@@ -154,6 +152,32 @@ class TestApplicability:
         pairs = [(X_AXIS, Z_AXIS), (np.array([0.0, 1.0, 0.0]), X_AXIS)]
         res = simulate(ProtocolId.ONE_BIT, State(thr), pairs, 5 * 10**5, seed=24, workers=2)
         assert res.total_rounds == 10**6
+
+    def test_one_bit_admits_its_argmax_at_its_threshold(self):
+        # x = (cos t, sin t, 0) and lam = (cos t, -sin t, 0) are an argmax of
+        # one-bit's acceptance 4 pi rhot_x, which is 1 there at the threshold
+        # in real arithmetic; lam a little off it comes near 1.  The computed
+        # peak is 1 + 2u on x86-64, inside RATIO_GUARD, so no DomainError
+        thr = one_bit_threshold()
+        rng = np.random.default_rng(25)
+        top = 0.0
+        for t in np.linspace(0.0, 2.0 * np.pi, 721):
+            x = np.array([np.cos(t), np.sin(t), 0.0])
+            lam = np.array([np.cos(t), -np.sin(t), 0.0])
+            lams = lam + np.repeat([0.0, 1e-9, 1e-6], 4)[:, None] * rng.normal(size=(12, 3))
+            lams /= np.linalg.norm(lams, axis=1)[:, None]
+            m = len(lams)
+            shared = SharedDraw(
+                lam1=np.asfortranarray(lams), lam2=ZHemisphere(np.full((m, 2), 0.5))
+            )
+            priv = AlicePrivate(u_msg=np.full(m, 0.5), u_out=np.full(m, 0.5))
+            res = alice_decide(ProtocolId.ONE_BIT, State(thr), x, shared, priv)
+            assert res.msg[0] == 1  # the argmax is accepted
+            coll = collapse(State(thr), x)
+            d = protocols._dots(shared.lam1, coll)
+            accept = sampling._rho_tilde_dots(State(thr), coll, *d, lams[:, 2]) * (4.0 * np.pi)
+            top = max(top, float(accept.max()))
+        assert abs(top - 1.0) <= protocols.RATIO_GUARD
 
     def test_degorre_only_at_half(self):
         check_applicable(ProtocolId.DEGORRE, State(0.5))

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from lhvsim.bloch import (
-    JointDistribution,
     State,
     born_joint,
+    born_tables,
     X_AXIS,
     Z_AXIS,
     chsh_value,
@@ -51,38 +51,36 @@ def table(counts):
 
 class TestTvd:
     def test_exact_match_is_zero(self):
-        oracle = JointDistribution(np.array([[0.4, 0.1], [0.1, 0.4]]))
+        oracle = np.array([[0.4, 0.1], [0.1, 0.4]])
         t = table([[4000, 1000], [1000, 4000]])
         assert tvd(t, oracle) == 0.0
 
     def test_point_mass_vs_uniform(self):
-        oracle = JointDistribution(np.full((2, 2), 0.25))
+        oracle = np.full((2, 2), 0.25)
         t = table([[100, 0], [0, 0]])
         assert tvd(t, oracle) == pytest.approx(0.75)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValidationError):
-            tvd(table([[0, 0], [0, 0]]), JointDistribution(np.full((2, 2), 0.25)))
+            tvd(table([[0, 0], [0, 0]]), np.full((2, 2), 0.25))
 
     def test_simulated_run_is_close(self):
         res = simulate(ProtocolId.TRIT, State(0.7), [(X_AXIS, Z_AXIS)], 10**6, seed=40)
-        from lhvsim.bloch import born_joint
-
         assert tvd(res.settings[0].counts, born_joint(State(0.7), X_AXIS, Z_AXIS)) <= 0.005
 
 
 class TestChi2:
     def test_empty_table_rejected(self):
         with pytest.raises(ValidationError, match="at least one round"):
-            chi2_stat(table([[0, 0], [0, 0]]), JointDistribution(np.full((2, 2), 0.25)))
+            chi2_stat(table([[0, 0], [0, 0]]), np.full((2, 2), 0.25))
 
     def test_perfect_match_has_high_pvalue(self):
-        oracle = JointDistribution(np.full((2, 2), 0.25))
+        oracle = np.full((2, 2), 0.25)
         r = chi2_stat(table([[250, 250], [250, 250]]), oracle)
         assert r.statistic == 0.0 and r.pvalue == 1.0
 
     def test_zero_cells_handled(self):
-        oracle = JointDistribution(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        oracle = np.array([[1.0, 0.0], [0.0, 0.0]])
         ok = chi2_stat(table([[10, 0], [0, 0]]), oracle)
         assert ok.statistic == 0.0 and ok.dof == 0
         bad = chi2_stat(table([[9, 1], [0, 0]]), oracle)
@@ -97,7 +95,7 @@ class TestChi2:
         res = simulate(ProtocolId.TRIT, State(0.7), default_setting_pairs(3), 1000, seed=42)
         verification_report(res)
         assert calls == []  # the report reads statistics only
-        r = chi2_stat(table([[240, 260], [255, 245]]), JointDistribution(np.full((2, 2), 0.25)))
+        r = chi2_stat(table([[240, 260], [255, 245]]), np.full((2, 2), 0.25))
         first = r.pvalue
         assert r.pvalue == first and len(calls) == 1  # cached after the first read
         assert first == pytest.approx(float(stats.chi2.sf(r.statistic, 3)), rel=1e-12, abs=0.0)
@@ -522,14 +520,16 @@ class TestReports:
             rep = verification_report(sim)
             rows = rep.rows()
             assert len(rows) == len(sim.settings)
-            for row, s in zip(rows, sim.settings):
-                oracle = born_joint(sim.state, s.x, s.y)
+            # a table's bytes do not depend on its batch (test_bloch)
+            xs, ys = [s.x for s in sim.settings], [s.y for s in sim.settings]
+            tables = born_tables(sim.state, xs, ys)
+            for row, s, oracle in zip(rows, sim.settings, tables):
                 chi = chi2_stat(s.counts, oracle)
                 dofs.add(chi.dof)
                 assert row["tvd"].hex() == tvd(s.counts, oracle).hex()
-                assert row["tvd"].hex() == per_pair_tvd(s.counts, oracle.probs).hex()
+                assert row["tvd"].hex() == per_pair_tvd(s.counts, oracle).hex()
                 assert row["chi2"].hex() == chi.statistic.hex()
-                assert row["chi2"].hex() == per_pair_chi2(s.counts, oracle.probs).hex()
+                assert row["chi2"].hex() == per_pair_chi2(s.counts, oracle).hex()
         assert dofs == {0, 1, 3}  # dead cells at p = 1
         assert [row["chi2"] for row in rep.rows()][1] == float("inf")
 
